@@ -159,6 +159,9 @@ class _BasisSearch(Machine):
         self.x = x
         self.u = u
         self.witness: BasisWitness | None = None
+        self._parts = u.parts.cursor()
+        self._nbs = x.neighborhoods.cursor()
+        self._pairs = e.r_stream.cursor()
         self._region = self.space.region()
         self._region_version = 0
         self._x_index = self.space.basic_inside_index()
@@ -195,16 +198,16 @@ class _BasisSearch(Machine):
 
     def step(self, t: int) -> bool:
         sp = self.space
-        new_parts = self.u.parts.between(t, t + 1)
+        new_parts = self._parts.upto(t + 1)
         for p in new_parts:
             self._region.add(sp.decode(p))
         informative_x = False
-        for nb in self.x.neighborhoods.between(t, t + 1):
+        for nb in self._nbs.upto(t + 1):
             d = sp.decode(nb)
             if not self._x_index.some_inside(d):
                 self._x_index.add(d)
                 informative_x = True
-        for pair_ in self.e.r_stream.between(t, t + 1):
+        for pair_ in self._pairs.upto(t + 1):
             n, kid = pair_
             if kid in self._kid_ok:
                 if self._absorb_certified([pair_], t):
@@ -249,8 +252,8 @@ class _BasisSearch(Machine):
                     return True
                 still_w.append(pair_)
             self._waiting = still_w
-        if (self.u.parts.quiescent(t + 1) and self.x.neighborhoods.quiescent(t + 1)
-                and self.e.r_stream.quiescent(t + 1) and not self._kid_proc):
+        if (self._parts.quiescent(t + 1) and self._nbs.quiescent(t + 1)
+                and self._pairs.quiescent(t + 1) and not self._kid_proc):
             if not self._recheck_all(t):
                 self.stall()
                 return False
@@ -302,8 +305,8 @@ class _OpenIntersection(MonotoneEnumerator[int]):
     def __init__(self, u1: OpenSet, u2: OpenSet):
         super().__init__()
         self.space = u1.space
-        self.u1 = u1
-        self.u2 = u2
+        self._parts1 = u1.parts.cursor()
+        self._parts2 = u2.parts.cursor()
         self._idx1 = self.space.cover_index()
         self._idx2 = self.space.cover_index()
         self._seen1: list = []
@@ -311,7 +314,6 @@ class _OpenIntersection(MonotoneEnumerator[int]):
         self._emitted: set[int] = set()
         self._pending: list[int] | None = (
             [] if self.space.finite_basic_count is not None else None)
-        self._cursor = 0
 
     def _emit(self, n: int | None, out: list) -> None:
         if n is not None and n not in self._emitted:
@@ -321,8 +323,8 @@ class _OpenIntersection(MonotoneEnumerator[int]):
     def step(self, t: int):
         sp = self.space
         out: list[int] = []
-        new1 = [sp.decode(n) for n in self.u1.parts.between(t, t + 1)]
-        new2 = [sp.decode(n) for n in self.u2.parts.between(t, t + 1)]
+        new1 = [sp.decode(n) for n in self._parts1.upto(t + 1)]
+        new2 = [sp.decode(n) for n in self._parts2.upto(t + 1)]
         for d in new1:
             self._idx1.add(d)
             if self._idx2.contains(d):
@@ -349,7 +351,7 @@ class _OpenIntersection(MonotoneEnumerator[int]):
                 else:
                     keep.append(n)
             self._pending = keep
-        if self.u1.parts.quiescent(t + 1) and self.u2.parts.quiescent(t + 1):
+        if self._parts1.quiescent(t + 1) and self._parts2.quiescent(t + 1):
             if self._pending is None or t >= (self.space.finite_basic_count or 0):
                 self.stall()
         return out
@@ -405,7 +407,8 @@ class _SubspaceUStream(MonotoneEnumerator[int]):
         super().__init__()
         self.e = e
         self.space = e.space
-        self.y = y
+        self._parts = y.parts.cursor()
+        self._pairs = e.r_stream.cursor()
         self.emit_pairs = emit_pairs
         self._region = self.space.region()
         self._kid_ok: set[int] = set()
@@ -417,10 +420,10 @@ class _SubspaceUStream(MonotoneEnumerator[int]):
     def step(self, t: int):
         sp = self.space
         out = []
-        new_parts = self.y.parts.between(t, t + 1)
+        new_parts = self._parts.upto(t + 1)
         for p in new_parts:
             self._region.add(sp.decode(p))
-        for n, kid in self.e.r_stream.between(t, t + 1):
+        for n, kid in self._pairs.upto(t + 1):
             self._pairs_by_kid.setdefault(kid, []).append((n, kid))
             if kid in self._kid_ok:
                 out.extend(self._fresh((n, kid)))
@@ -443,7 +446,7 @@ class _SubspaceUStream(MonotoneEnumerator[int]):
                 else:
                     still.append(kid)
             self._kid_unknown = still
-        if self.y.parts.quiescent(t + 1) and self.e.r_stream.quiescent(t + 1):
+        if self._parts.quiescent(t + 1) and self._pairs.quiescent(t + 1):
             self.stall()  # certification state can no longer change
         return out
 
@@ -463,19 +466,16 @@ def open_subspace_ercs(e: Ercs, y: OpenSet) -> Ercs:
     class _Kids(MonotoneEnumerator[int]):
         def __init__(self, source: MonotoneEnumerator):
             super().__init__()
-            self._source = source
-            self._cursor = 0
+            self._pairs = source.cursor()
             self._seen: set[int] = set()
 
         def step(self, t: int):
-            self._source.advance(self._cursor + 1)
             out = []
-            for _, kid in self._source.between(self._cursor, self._cursor + 1):
+            for _, kid in self._pairs.upto(t + 1):
                 if kid not in self._seen:
                     self._seen.add(kid)
                     out.append(kid)
-            self._cursor += 1
-            if self._source.stalled and self._cursor >= self._source._stage:
+            if self._pairs.quiescent(t + 1):
                 self.stall()
             return out
 
@@ -504,14 +504,11 @@ def sigma_cover(e: Ercs) -> MonotoneEnumerator[CompactSet]:
     class _Sigma(MonotoneEnumerator[CompactSet]):
         def __init__(self) -> None:
             super().__init__()
-            self._cursor = 0
+            self._kids = e.k_stream.cursor()
 
         def step(self, t: int):
-            e.k_stream.advance(self._cursor + 1)
-            out = [e.compact_value(kid)
-                   for kid in e.k_stream.between(self._cursor, self._cursor + 1)]
-            self._cursor += 1
-            if e.k_stream.stalled and self._cursor >= e.k_stream._stage:
+            out = [e.compact_value(kid) for kid in self._kids.upto(t + 1)]
+            if self._kids.quiescent(t + 1):
                 self.stall()
             return out
 
@@ -564,18 +561,17 @@ class _CompactNeighborhoodSearch(Machine):
     def __init__(self, space: Space, x: PointName, u: OpenSet):
         super().__init__()
         self.space = space
-        self.x = x
-        self.u = u
+        self._nbs = x.neighborhoods.cursor()
+        self._parts = u.parts.cursor()
         self.found = None
         self._vs: list = []
         self._ps: list = []
 
     def step(self, t: int) -> bool:
         sp = self.space
-        new_v = [d for d in (sp.decode(n)
-                             for n in self.x.neighborhoods.between(t, t + 1))
+        new_v = [d for d in (sp.decode(n) for n in self._nbs.upto(t + 1))
                  if sp.pinch_candidate(d)]
-        new_p = [d for d in (sp.decode(n) for n in self.u.parts.between(t, t + 1))
+        new_p = [d for d in (sp.decode(n) for n in self._parts.upto(t + 1))
                  if sp.pinch_target(d)]
         for v in new_v:
             for p in self._ps:
@@ -591,7 +587,7 @@ class _CompactNeighborhoodSearch(Machine):
                     self.found = (v, k)
                     return True
         self._ps.extend(new_p)
-        if self.x.neighborhoods.quiescent(t + 1) and self.u.parts.quiescent(t + 1):
+        if self._nbs.quiescent(t + 1) and self._parts.quiescent(t + 1):
             self.stall()
         return False
 

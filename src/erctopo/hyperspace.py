@@ -12,10 +12,11 @@ space of specifications is searched as a finitely branching prefix tree.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 from .ercs import Ercs
 from .kernel import (
+    Cursor,
     Machine,
     MonotoneEnumerator,
     SemidecisionProcess,
@@ -69,19 +70,6 @@ def flipped_bits(base: SpecBits, overrides: dict[int, int]) -> SpecBits:
     return SpecBits(lambda n: over[n] if n in over else base.bit(n))
 
 
-class PrefixBits:
-    """A finite partial assignment; unassigned indices answer None."""
-
-    def __init__(self, assigned: Sequence[int], indices: Sequence[int]):
-        self._map = dict(zip(indices, assigned))
-
-    def bit(self, n: int) -> int | None:
-        return self._map.get(n)
-
-    def known(self) -> dict[int, int]:
-        return dict(self._map)
-
-
 # ---------------------------------------------------------------------------
 # Consistency
 
@@ -113,10 +101,11 @@ class _RefuteMachine(Machine):
         self._kid_ns: dict[int, list[int]] = {}
         self._pending: list[int] = []
         self._active: list[int] = []
-        self._kid_cursor: dict[int, int] = {}
+        self._kid_covers: dict[int, Cursor] = {}
         self._rr = 0
         self._zero_region = e.space.region()
-        self._u_cursor = 0
+        self._pairs = e.r_stream.cursor()
+        self._us = e.u_stream.cursor()
         self._checked_version = -1
         self._next_recheck = 0
 
@@ -132,21 +121,19 @@ class _RefuteMachine(Machine):
         return cdesc is not None and self._zero_region.covers_cdesc(cdesc)
 
     def _advance_kid(self, kid: int, steps: int) -> bool:
-        covers = self.e.compact_value(kid).covers
-        cur = self._kid_cursor[kid]
-        covers.advance(cur + steps)
-        for cover in covers.between(cur, cur + steps):
+        covers = self._kid_covers.get(kid)
+        if covers is None:
+            covers = self._kid_covers[kid] = self.e.compact_value(kid).covers.cursor()
+        for cover in covers.upto(covers.stage + steps):
             if self._check_cover(kid, cover):
                 return True
-        self._kid_cursor[kid] = cur + steps
         return False
 
     def step(self, t: int) -> bool:
-        for n, kid in self.e.r_stream.between(t, t + 1):
+        for n, kid in self._pairs.upto(t + 1):
             if self.bits.bit(n) == 1:
                 if kid not in self._kid_ns:
                     self._kid_ns[kid] = [n]
-                    self._kid_cursor[kid] = 0
                     if self._eligible(kid):
                         self._active.append(kid)
                         if self._advance_kid(kid, 24):
@@ -155,13 +142,10 @@ class _RefuteMachine(Machine):
                         self._pending.append(kid)
                 else:
                     self._kid_ns[kid].append(n)
-        self.e.u_stream.advance(self._u_cursor + 1)
-        for u in self.e.u_stream.between(self._u_cursor, self._u_cursor + 1):
+        for u in self._us.upto(t + 1):
             if self.bits.bit(u) == 0:
                 self._zero_region.add(self.e.space.decode(u))
-        self._u_cursor += 1
-        quiet = (self.e.r_stream.quiescent(t + 1)
-                 and self.e.u_stream.quiescent(t + 1))
+        quiet = self._pairs.quiescent(t + 1) and self._us.quiescent(t + 1)
         due = (self._zero_region.version != self._checked_version
                and t >= self._next_recheck)
         if self._pending and (quiet or due):
@@ -227,7 +211,8 @@ class _PositiveHits(MonotoneEnumerator[int]):
         self._dormant: list[tuple[int, int]] = []
         self._pending: list[int] = []
         self._pending_set: set[int] = set()
-        self._u_cursor = 0
+        self._pairs = e.r_stream.cursor()
+        self._us = e.u_stream.cursor()
         self._seen_version = 0
 
     def _activate(self, kid: int) -> bool:
@@ -244,7 +229,7 @@ class _PositiveHits(MonotoneEnumerator[int]):
         out = []
         sp = self.space
         fresh_kid = False
-        for n, kid in self.e.r_stream.between(t, t + 1):
+        for n, kid in self._pairs.upto(t + 1):
             if self.positive(n):
                 fresh_kid |= self._activate(kid)
             else:
@@ -259,15 +244,13 @@ class _PositiveHits(MonotoneEnumerator[int]):
                 else:
                     still.append((n, kid))
             self._dormant = still
-        self.e.u_stream.advance(self._u_cursor + 1)
-        for u in self.e.u_stream.between(self._u_cursor, self._u_cursor + 1):
+        for u in self._us.upto(t + 1):
             d = sp.decode(u)
             if self._kid_index.some_inside(d):
                 out.append(u)
             elif u not in self._pending_set:
                 self._pending.append(u)
                 self._pending_set.add(u)
-        self._u_cursor += 1
         if fresh_kid and self._pending:
             still = []
             for u in self._pending:
@@ -277,8 +260,7 @@ class _PositiveHits(MonotoneEnumerator[int]):
                 else:
                     still.append(u)
             self._pending = still
-        if (self.e.r_stream.quiescent(t + 1)
-                and self.e.u_stream.quiescent(self._u_cursor)
+        if (self._pairs.quiescent(t + 1) and self._us.quiescent(t + 1)
                 and self.quiet_positivity()):
             self.stall()
         return out
@@ -353,6 +335,10 @@ class _TruthDriver:
         self._registered: list[int] = []
         self._registered_set: set[int] = set()
         self._unresolved: set[int] = set()
+        self._hits = a.overt_part.hits.cursor()
+        self._co_parts = a.closed_part.complement.parts.cursor()
+        self._pairs = e.r_stream.cursor()
+        self._us = e.u_stream.cursor()
 
     def register(self, n: int) -> None:
         if n in self._registered_set:
@@ -384,10 +370,8 @@ class _TruthDriver:
 
     def quiescent(self) -> bool:
         s = self._stage
-        return (self.a.overt_part.hits.quiescent(s)
-                and self.a.closed_part.complement.parts.quiescent(s)
-                and self.e.r_stream.quiescent(s)
-                and self.e.u_stream.quiescent(s))
+        return (self._hits.quiescent(s) and self._co_parts.quiescent(s)
+                and self._pairs.quiescent(s) and self._us.quiescent(s))
 
     def _mark(self, n: int, value: str, t: int) -> None:
         if n not in self.marks:
@@ -400,13 +384,13 @@ class _TruthDriver:
 
     def _step(self, t: int) -> None:
         sp = self.space
-        new_hits = self.a.overt_part.hits.between(t, t + 1)
+        new_hits = self._hits.upto(t + 1)
         for h in new_hits:
             self._hit_index.add(sp.decode(h))
-        new_parts = self.a.closed_part.complement.parts.between(t, t + 1)
+        new_parts = self._co_parts.upto(t + 1)
         for p in new_parts:
             self._region.add(sp.decode(p))
-        for n, kid in self.e.r_stream.between(t, t + 1):
+        for n, kid in self._pairs.upto(t + 1):
             if n in self._registered_set:
                 self._kids_of.setdefault(n, []).append(kid)
                 if n in self._unresolved and self._kid_avoids(kid):
@@ -440,19 +424,16 @@ def located_from_truth(e: Ercs, t: TruthSequence) -> LocatedSet:
     class _CoParts(MonotoneEnumerator[int]):
         def __init__(self) -> None:
             super().__init__()
-            self._u_cursor = 0
+            self._us = driver.e.u_stream.cursor()
             self._log_cursor = 0
 
         def step(self, s: int):
-            driver.e.u_stream.advance(self._u_cursor + 1)
-            for u in driver.e.u_stream.between(self._u_cursor, self._u_cursor + 1):
+            for u in self._us.upto(s + 1):
                 driver.register(u)
-            self._u_cursor += 1
             driver.drive(s + 1)
             out = driver.zero_log[self._log_cursor:]
             self._log_cursor = len(driver.zero_log)
-            if (driver.quiescent()
-                    and driver.e.u_stream.quiescent(self._u_cursor)):
+            if driver.quiescent() and self._us.quiescent(s + 1):
                 self.stall()
             return out
 
@@ -465,10 +446,13 @@ def located_from_truth(e: Ercs, t: TruthSequence) -> LocatedSet:
     hits.quiet_positivity = driver.quiescent
 
     class _DrivenHits(MonotoneEnumerator[int]):
+        def __init__(self) -> None:
+            super().__init__()
+            self._hits = hits.cursor()
+
         def step(self, s: int):
             driver.drive(s + 1)
-            hits.advance(s + 1)
-            out = hits.between(s, s + 1)
+            out = self._hits.upto(s + 1)
             if hits.stalled:
                 self.stall()
             return out
@@ -640,11 +624,13 @@ def meets_predicate(e: Ercs, u: OpenSet):
                 self._region = e.space.region()
                 self._region_version = -1
                 self._kids: list[int] = []
+                self._parts = u.parts.cursor()
+                self._pairs = e.r_stream.cursor()
 
             def step(self, t: int) -> bool:
-                for p in u.parts.between(t, t + 1):
+                for p in self._parts.upto(t + 1):
                     self._region.add(e.space.decode(p))
-                for n, kid in e.r_stream.between(t, t + 1):
+                for n, kid in self._pairs.upto(t + 1):
                     if n in ones:
                         self._kids.append(kid)
                         if self._kid_in(kid):

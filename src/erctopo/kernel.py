@@ -13,6 +13,13 @@ Everything observable in this library is built from two primitives:
 Both are pure functions of their stage/fuel argument; internal caches only
 memoize work that has already been performed, so repeated evaluation is
 cheap and replayable.
+
+A consumer that reads a name incrementally -- stage by stage, as every
+semidecision does -- holds its own ``Cursor`` from ``enumerator.cursor()``:
+``upto(s)`` returns the items emitted before stage ``s`` that this cursor has
+not returned yet, and ``quiescent(s)`` says whether the listing can still
+grow.  A cursor keeps its place in the listing, so a read costs one advance
+check and a slice however many consumers share the enumerator.
 """
 
 from __future__ import annotations
@@ -23,7 +30,6 @@ from math import isqrt
 from typing import Callable, Generic, Iterable, Sequence, TypeVar
 
 T = TypeVar("T")
-U = TypeVar("U")
 
 
 # ---------------------------------------------------------------------------
@@ -87,6 +93,12 @@ class SemidecisionProcess:
         """Acceptance stage if it is ``< fuel``, else None."""
         raise NotImplementedError
 
+    @property
+    def stalled(self) -> bool:
+        """True once no budget can make this process accept; a process that
+        cannot tell says False."""
+        return False
+
 
 def run_process(process: SemidecisionProcess, fuel: int):
     """Evaluate ``process`` on ``fuel``; same fuel always gives the same answer."""
@@ -123,6 +135,10 @@ class Machine(SemidecisionProcess):
 
     def stall(self) -> None:
         self._stalled = True
+
+    @property
+    def stalled(self) -> bool:
+        return self._stalled and self._hit is None
 
 
 class _Check(Machine):
@@ -240,6 +256,53 @@ class MonotoneEnumerator(Generic[T]):
         self.advance(stage)
         return self._stalled and self._stage <= stage
 
+    def cursor(self) -> "Cursor[T]":
+        """A fresh read position at the start of the listing."""
+        return Cursor(self)
+
+
+class Cursor(Generic[T]):
+    """One consumer's place in a ``MonotoneEnumerator``.
+
+    ``upto(stage)`` returns the items emitted at stages ``< stage`` that
+    this cursor has not returned yet; ``stage`` is the bound of the latest
+    read (stages passed to ``upto`` never decrease).  Read once per stage
+    with ``upto(t + 1)``, it gives exactly the items emitted at stage t.
+    """
+
+    __slots__ = ("_source", "_mark", "_pos", "stage")
+
+    def __init__(self, source: MonotoneEnumerator[T]):
+        self._source = source
+        self._mark = 0   # change points of the source already passed
+        self._pos = 0    # items of the source already returned
+        self.stage = 0
+
+    def upto(self, stage: int) -> Sequence[T]:
+        src = self._source
+        if src._stage < stage and not src._stalled:
+            src.advance(stage)
+        self.stage = stage
+        marks = src._marks
+        m = self._mark
+        n = len(marks)
+        if m == n or marks[m] >= stage:
+            return ()
+        m += 1
+        while m < n and marks[m] < stage:
+            m += 1
+        self._mark = m
+        a, b = self._pos, src._counts[m - 1]
+        self._pos = b
+        return src._items[a:b]
+
+    def quiescent(self, stage: int) -> bool:
+        """Same answer as ``MonotoneEnumerator.quiescent(stage)``."""
+        src = self._source
+        if src._stage < stage and not src._stalled:
+            src.advance(stage)
+        return src._stalled and src._stage <= stage
+
 
 class _FromList(MonotoneEnumerator[T]):
     def __init__(self, items: Sequence[T]):
@@ -295,20 +358,15 @@ def enumerate_step(step_fn: Callable[[int], Iterable[T]],
 class _Interleave(MonotoneEnumerator[T]):
     def __init__(self, sources: Sequence[MonotoneEnumerator[T]]):
         super().__init__()
-        self._sources = tuple(sources)
-        self._cursors = [0] * len(sources)
+        self._readers = [s.cursor() for s in sources]
 
     def step(self, t: int) -> Iterable[T]:
-        if not self._sources:
+        if not self._readers:
             self.stall()
             return ()
-        i = t % len(self._sources)
-        src = self._sources[i]
-        cur = self._cursors[i]
-        src.advance(cur + 1)
-        out = src.between(cur, cur + 1)
-        self._cursors[i] = cur + 1
-        if all(s.stalled and c >= s._stage for s, c in zip(self._sources, self._cursors)):
+        reader = self._readers[t % len(self._readers)]
+        out = reader.upto(reader.stage + 1)
+        if all(r.quiescent(r.stage) for r in self._readers):
             self.stall()
         return out
 
@@ -316,26 +374,6 @@ class _Interleave(MonotoneEnumerator[T]):
 def interleave(sources: Sequence[MonotoneEnumerator[T]]) -> MonotoneEnumerator[T]:
     """Fair round-robin merge; stalls when every source has been drained."""
     return _Interleave(sources)
-
-
-class _Mapped(MonotoneEnumerator[U]):
-    def __init__(self, source: MonotoneEnumerator[T], fn: Callable[[T], U]):
-        super().__init__()
-        self._source = source
-        self._fn = fn
-        self._cursor = 0
-
-    def step(self, t: int) -> Iterable[U]:
-        self._source.advance(self._cursor + 1)
-        out = [self._fn(x) for x in self._source.between(self._cursor, self._cursor + 1)]
-        self._cursor += 1
-        if self._source.stalled and self._cursor >= self._source._stage:
-            self.stall()
-        return out
-
-
-def map_enumerator(source: MonotoneEnumerator[T], fn: Callable[[T], U]) -> MonotoneEnumerator[U]:
-    return _Mapped(source, fn)
 
 
 # ---------------------------------------------------------------------------
@@ -350,19 +388,20 @@ class _DovetailAny(Machine):
 
     def __init__(self, processes: MonotoneEnumerator[SemidecisionProcess]):
         super().__init__()
-        self._processes = processes
+        self._reader = processes.cursor()
+        self._listed: list[SemidecisionProcess] = []
 
     def step(self, t: int) -> bool:
         i, j = unpair(t)
-        listing = self._processes.listing(t + 1)
-        if i < len(listing):
-            stage = listing[i].poll(j + 1)
+        listed = self._listed
+        listed.extend(self._reader.upto(t + 1))
+        if i < len(listed):
+            stage = listed[i].poll(j + 1)
             if stage is not None and stage <= j:
                 return True
         # Periodically check whether progress is still possible at all.
-        if t & (t + 1) == 0 and self._processes.quiescent(t + 1):
-            if all(isinstance(p, Machine) and p._stalled and p._hit is None
-                   for p in listing):
+        if t & (t + 1) == 0 and self._reader.quiescent(t + 1):
+            if all(p.stalled for p in listed):
                 self.stall()
         return False
 
@@ -386,17 +425,14 @@ class SearchEnumerator(MonotoneEnumerator[T]):
     def __init__(self, candidates: MonotoneEnumerator[T],
                  spawn: Callable[[T], SemidecisionProcess]):
         super().__init__()
-        self._candidates = candidates
+        self._candidates = candidates.cursor()
         self._spawn = spawn
-        self._cursor = 0
         self._live: list[tuple[T, SemidecisionProcess, int]] = []
         self._next = 0
 
     def step(self, t: int) -> Iterable[T]:
-        self._candidates.advance(self._cursor + 1)
-        for cand in self._candidates.between(self._cursor, self._cursor + 1):
+        for cand in self._candidates.upto(t + 1):
             self._live.append((cand, self._spawn(cand), 0))
-        self._cursor += 1
         out = []
         if self._live:
             self._next %= len(self._live)
@@ -406,12 +442,12 @@ class SearchEnumerator(MonotoneEnumerator[T]):
             if stage is not None:
                 out.append(cand)
                 self._live.pop(self._next)
-            elif isinstance(proc, Machine) and proc._stalled:
+            elif proc.stalled:
                 self._live.pop(self._next)
             else:
                 self._live[self._next] = (cand, proc, fuel)
                 self._next += 1
-        elif self._candidates.stalled and self._cursor >= self._candidates._stage:
+        elif self._candidates.quiescent(t + 1):
             self.stall()
         return out
 

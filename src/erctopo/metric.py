@@ -156,14 +156,14 @@ class _BoundStream(MonotoneEnumerator[Fraction]):
                  bound: Callable[[object], Fraction | None],
                  lower: bool, start: Fraction | None = None):
         super().__init__()
-        self._name = items
+        self._reader = items.cursor()
         self._bound = bound
         self._lower = lower
         self._best = start
 
     def step(self, t: int) -> Iterable[Fraction]:
         best = self._best
-        for item in self._name.between(t, t + 1):
+        for item in self._reader.upto(t + 1):
             b = self._bound(item)
             if b is not None and (best is None
                                   or (b > best if self._lower else b < best)):
@@ -701,14 +701,14 @@ class _HitScan(Machine):
                  found: Callable[[object], bool]):
         super().__init__()
         self.space = space
-        self.hits = hits
+        self._hits = hits.cursor()
         self.found = found
 
     def step(self, t: int) -> bool:
-        for n in self.hits.between(4 * t, 4 * t + 4):
+        for n in self._hits.upto(4 * t + 4):
             if self.found(self.space.decode(n)):
                 return True
-        if self.hits.quiescent(4 * t + 4):
+        if self._hits.quiescent(4 * t + 4):
             self.stall()
         return False
 
@@ -921,19 +921,17 @@ class _SigmaHull:
     def __init__(self, e: Ercs):
         self.e = e
         self.space = e.space
-        self._cursor = 0
+        self._kids = e.k_stream.cursor()
         self._descs: list = []
         self._union = None
 
     def grow(self) -> None:
-        self.e.k_stream.advance(self._cursor + 1)
-        for kid in self.e.k_stream.between(self._cursor, self._cursor + 1):
+        for kid in self._kids.upto(self._kids.stage + 1):
             d = self.e.compact_cdesc(kid)
             if d is not None:
                 self._descs.append((kid, d))
                 self._union = (d if self._union is None
                                else self.space.cdesc_union(self._union, d))
-        self._cursor += 1
 
     def cover_of(self, cdesc, budget: int) -> CompactSet | None:
         """A compact union of patches whose description covers cdesc."""
@@ -1079,11 +1077,12 @@ def _thickening_open(space: Space, hits: MonotoneEnumerator[int], r: Fraction,
     class _Thick(MonotoneEnumerator[int]):
         def __init__(self) -> None:
             super().__init__()
+            self._hits = hits.cursor()
             self._seen: set[int] = set()
 
         def step(self, t: int):
             out = []
-            for n in hits.between(t, t + 1):
+            for n in self._hits.upto(t + 1):
                 c = codes.get((n, r))
                 if c is None:
                     a, b = space.decode(n)
@@ -1092,7 +1091,7 @@ def _thickening_open(space: Space, hits: MonotoneEnumerator[int], r: Fraction,
                 if c >= 0 and c not in self._seen and space.decode(c) is not None:
                     self._seen.add(c)
                     out.append(c)
-            if hits.quiescent(t + 1):
+            if self._hits.quiescent(t + 1):
                 self.stall()
             return out
 
@@ -1113,22 +1112,20 @@ class _DirectedFarCert(Machine):
                  other_hull: CompactSet, r: Fraction):
         super().__init__()
         self.space = space
-        self.hits = hits
+        self._hits = hits.cursor()
         self.other_hull = other_hull
         self.r = r
         self._seen: set[int] = set()
         self._live: list[SemidecisionProcess] = []
-        self._cursor = 0
 
     def step(self, t: int) -> bool:
         i, j = unpair(t)
         if i == len(self._live):  # spawn lazily, reading one hit stage at a time
-            for n in self.hits.between(self._cursor, self._cursor + 1):
+            for n in self._hits.upto(self._hits.stage + 1):
                 if n not in self._seen:
                     self._seen.add(n)
                     far = _far_open(self.space, self.space.decode(n), self.r)
                     self._live.append(compact_subset(self.other_hull, far))
-            self._cursor += 1
         return i < len(self._live) and self._live[i].poll(j + 1) is not None
 
 
@@ -1208,7 +1205,7 @@ class _HausdorffBounds(MonotoneEnumerator[tuple[bool, Fraction]]):
         super().__init__()
         self.space = space
         # (hits of one set, the other set's hull, cells still kept)
-        self._sides = [(hits_a, hull_b, set()), (hits_b, hull_a, set())]
+        self._sides = [(hits_a.cursor(), hull_b, set()), (hits_b.cursor(), hull_a, set())]
         self._lo = 0
         self._hi2: int | None = None  # twice the upper bound, in grid units
 
@@ -1216,7 +1213,7 @@ class _HausdorffBounds(MonotoneEnumerator[tuple[bool, Fraction]]):
         out = []
         lo, hi2 = self._lo, self._hi2
         for hits, hull, cells in self._sides:
-            for n in hits.between(t, t + 1):
+            for n in hits.upto(t + 1):
                 flo, _, fhi, _ = self.space.fiv(self.space.decode(n))
                 a, b = _grid_floor(flo), _grid_ceil(fhi)
                 lo = max(lo, min((max(a - q, p - b) for p, q in hull), default=0))
@@ -1245,11 +1242,11 @@ class _Side(MonotoneEnumerator[Fraction]):
 
     def __init__(self, both: MonotoneEnumerator[tuple[bool, Fraction]], lower: bool):
         super().__init__()
-        self._both = both
+        self._both = both.cursor()
         self._lower = lower
 
     def step(self, t: int) -> Iterable[Fraction]:
-        return [v for is_lower, v in self._both.between(t, t + 1)
+        return [v for is_lower, v in self._both.upto(t + 1)
                 if is_lower == self._lower]
 
 

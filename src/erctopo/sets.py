@@ -481,14 +481,14 @@ class _ContainedMeets(Machine):
                  right: MonotoneEnumerator[int]):
         super().__init__()
         self.space = space
-        self.left = left
-        self.right = right
+        self._left = left.cursor()
+        self._right = right.cursor()
         self._right_index = space.cover_index()
         self._left_index = space.basic_inside_index()
 
     def step(self, t: int) -> bool:
-        new_left = self.left.between(t, t + 1)
-        new_right = self.right.between(t, t + 1)
+        new_left = self._left.upto(t + 1)
+        new_right = self._right.upto(t + 1)
         hit = False
         for n in new_right:
             self._right_index.add(self.space.decode(n))
@@ -502,7 +502,7 @@ class _ContainedMeets(Machine):
                 if self._left_index.some_inside(self.space.decode(n)):
                     hit = True
                     break
-        if not hit and self.left.quiescent(t + 1) and self.right.quiescent(t + 1):
+        if not hit and self._left.quiescent(t + 1) and self._right.quiescent(t + 1):
             self.stall()
         return hit
 
@@ -537,8 +537,8 @@ class _CompactSubset(Machine):
     def __init__(self, k: CompactSet, u: OpenSet):
         super().__init__()
         self.space = k.space
-        self.k = k
-        self.u = u
+        self._parts = u.parts.cursor()
+        self._covers = k.covers.cursor()
         self.cdesc = k.cdesc
         if self.cdesc is not None:
             self._region = self.space.region()
@@ -547,13 +547,13 @@ class _CompactSubset(Machine):
             self._pending: list[list] = []  # lists of unmatched descs
 
     def step(self, t: int) -> bool:
-        new_parts = self.u.parts.between(t, t + 1)
+        new_parts = self._parts.upto(t + 1)
         if self.cdesc is not None:
             for n in new_parts:
                 self._region.add(self.space.decode(n))
             if (new_parts or t == 0) and self._region.covers_cdesc(self.cdesc):
                 return True
-            if self.u.parts.quiescent(t + 1):
+            if self._parts.quiescent(t + 1):
                 self.stall()
             return False
 
@@ -568,13 +568,13 @@ class _CompactSubset(Machine):
                     return True
                 kept.append(rest)
             self._pending = kept
-        for cover in self.k.covers.between(t, t + 1):
+        for cover in self._covers.upto(t + 1):
             rest = [self.space.decode(n) for n in sorted(cover)
                     if not self._part_index.contains(self.space.decode(n))]
             if not rest:
                 return True
             self._pending.append(rest)
-        if self.k.covers.quiescent(t + 1) and self.u.parts.quiescent(t + 1):
+        if self._covers.quiescent(t + 1) and self._parts.quiescent(t + 1):
             self.stall()
         return False
 
@@ -596,8 +596,8 @@ class _IntersectCovers(MonotoneEnumerator[frozenset]):
     def __init__(self, a: ClosedSet, k: CompactSet):
         super().__init__()
         self.space = a.space
-        self.a = a
-        self.k = k
+        self._co_parts = a.complement.parts.cursor()
+        self._k_covers = k.covers.cursor()
         self._co_index = self.space.cover_index()
         self._covers: list[list[tuple[int, object]]] = []  # undropped (idx, desc)
         self._emitted: set[frozenset] = set()
@@ -611,7 +611,7 @@ class _IntersectCovers(MonotoneEnumerator[frozenset]):
 
     def step(self, t: int):
         out = []
-        new_parts = self.a.complement.parts.between(t, t + 1)
+        new_parts = self._co_parts.upto(t + 1)
         for n in new_parts:
             self._co_index.add(self.space.decode(n))
         if new_parts:
@@ -621,14 +621,13 @@ class _IntersectCovers(MonotoneEnumerator[frozenset]):
                 if len(rest) < len(pairs):
                     self._covers[i] = rest
                     out.extend(self._emit(rest))
-        for cover in self.k.covers.between(t, t + 1):
+        for cover in self._k_covers.upto(t + 1):
             pairs = [(n, self.space.decode(n)) for n in sorted(cover)]
             rest = [(idx, d) for idx, d in pairs
                     if not self._co_index.contains(d)]
             self._covers.append(rest)
             out.extend(self._emit(rest))
-        if (self.k.covers.quiescent(t + 1)
-                and self.a.complement.parts.quiescent(t + 1)):
+        if self._k_covers.quiescent(t + 1) and self._co_parts.quiescent(t + 1):
             self.stall()
         return out
 
@@ -651,8 +650,8 @@ class _UnionCovers(MonotoneEnumerator[frozenset]):
 
     def __init__(self, k1: CompactSet, k2: CompactSet):
         super().__init__()
-        self.k1 = k1
-        self.k2 = k2
+        self._covers1 = k1.covers.cursor()
+        self._covers2 = k2.covers.cursor()
         self._seen1: list[frozenset] = []
         self._seen2: list[frozenset] = []
         self._emitted: set[frozenset] = set()
@@ -665,8 +664,8 @@ class _UnionCovers(MonotoneEnumerator[frozenset]):
 
     def step(self, t: int):
         out = []
-        new1 = list(self.k1.covers.between(t, t + 1))
-        new2 = list(self.k2.covers.between(t, t + 1))
+        new1 = self._covers1.upto(t + 1)
+        new2 = self._covers2.upto(t + 1)
         for f1 in new1:
             for f2 in self._seen2:
                 out.extend(self._emit(f1 | f2))
@@ -675,7 +674,7 @@ class _UnionCovers(MonotoneEnumerator[frozenset]):
             for f1 in self._seen1:
                 out.extend(self._emit(f1 | f2))
         self._seen2.extend(new2)
-        if self.k1.covers.quiescent(t + 1) and self.k2.covers.quiescent(t + 1):
+        if self._covers1.quiescent(t + 1) and self._covers2.quiescent(t + 1):
             self.stall()
         return out
 

@@ -38,6 +38,17 @@ class OutOfSpace(Exception):
     pass
 
 
+# A space memoizes decoded basics; registered spaces live for the process,
+# so each cache is emptied whenever it reaches this many entries.
+DECODE_CACHE_CAP = 1 << 17
+
+
+def _remember(cache: dict, n: int, value) -> None:
+    if len(cache) >= DECODE_CACHE_CAP:
+        cache.clear()
+    cache[n] = value
+
+
 # ---------------------------------------------------------------------------
 # Integer / rational / word codes
 
@@ -116,63 +127,87 @@ def emission_slot(t: int) -> int | None:
 # One-dimensional interval calculus with endpoint flags
 #
 # An "fiv" is (lo, lo_open, hi, hi_open) with lo <= hi; it denotes the set
-# of x with lo <(=) x <(=) hi.  Keys order endpoints so that containment
-# becomes two-sided dominance: lo_key uses closed=0 < open=1, hi_key uses
-# open=0 < closed=1.
+# of x with lo <(=) x <(=) hi.  Endpoints order as keys so that containment
+# becomes two-sided dominance: the lo key (lo, lo_open) puts closed=0 before
+# open=1 at the same point, the hi key (hi, 1 - hi_open) puts open before
+# closed.  Endpoints are Fractions (or ints) at every interface; the tests
+# below compare them by exact integer cross-multiplication, which is several
+# times cheaper than comparing Fractions or tuples of them.
 
 Fiv = tuple[Fraction, int, Fraction, int]
 
 
+def _cmp(x, y) -> int:
+    """Negative, zero or positive as the rational x is <, == or > y."""
+    xn, xd = x.as_integer_ratio()
+    yn, yd = y.as_integer_ratio()
+    return xn * yd - yn * xd
+
+
 def fiv_nonempty(f: Fiv) -> bool:
-    lo, lof, hi, hif = f
-    return lo < hi or (lo == hi and not lof and not hif)
-
-
-def fiv_lo_key(f: Fiv):
-    return (f[0], f[1])
-
-
-def fiv_hi_key(f: Fiv):
-    return (f[2], 1 - f[3])
+    c = _cmp(f[0], f[2])
+    return c < 0 or (c == 0 and not f[1] and not f[3])
 
 
 def fiv_subset(a: Fiv, b: Fiv) -> bool:
     """a included in b; both assumed nonempty."""
-    return fiv_lo_key(b) <= fiv_lo_key(a) and fiv_hi_key(a) <= fiv_hi_key(b)
+    c = _cmp(b[0], a[0])
+    if c > 0 or (c == 0 and b[1] > a[1]):
+        return False
+    c = _cmp(a[2], b[2])
+    return c < 0 or (c == 0 and a[3] >= b[3])
+
+
+def _apart(hi: Fraction, hi_open, lo: Fraction, lo_open) -> bool:
+    """An interval ending at hi lies wholly left of one starting at lo."""
+    c = _cmp(hi, lo)
+    return c < 0 or (c == 0 and bool(hi_open or lo_open))
 
 
 def fiv_disjoint(a: Fiv, b: Fiv) -> bool:
-    lo_a, lof_a, hi_a, hif_a = a
-    lo_b, lof_b, hi_b, hif_b = b
-    if hi_a < lo_b or (hi_a == lo_b and (hif_a or lof_b)):
-        return True
-    if hi_b < lo_a or (hi_b == lo_a and (hif_b or lof_a)):
-        return True
-    return False
+    return _apart(a[2], a[3], b[0], b[1]) or _apart(b[2], b[3], a[0], a[1])
 
 
 def fiv_member(x: Fraction, f: Fiv) -> bool:
-    lo, lof, hi, hif = f
-    if x < lo or (x == lo and lof):
+    c = _cmp(x, f[0])
+    if c < 0 or (c == 0 and f[1]):
         return False
-    if x > hi or (x == hi and hif):
-        return False
-    return True
+    c = _cmp(x, f[2])
+    return c < 0 or (c == 0 and not f[3])
 
 
 def fiv_mergeable(a: Fiv, b: Fiv) -> bool:
     """True when the union of a and b is again an interval."""
-    if a[2] < b[0] or (a[2] == b[0] and a[3] and b[1]):
+    c = _cmp(a[2], b[0])
+    if c < 0 or (c == 0 and a[3] and b[1]):
         return False
-    if b[2] < a[0] or (b[2] == a[0] and b[3] and a[1]):
-        return False
-    return True
+    c = _cmp(b[2], a[0])
+    return not (c < 0 or (c == 0 and b[3] and a[1]))
 
 
 def fiv_hull(a: Fiv, b: Fiv) -> Fiv:
-    lo = min(fiv_lo_key(a), fiv_lo_key(b))
-    hi = max(fiv_hi_key(a), fiv_hi_key(b))
-    return (lo[0], lo[1], hi[0], 1 - hi[1])
+    c = _cmp(a[0], b[0])
+    lo = a if c < 0 or (c == 0 and a[1] <= b[1]) else b
+    c = _cmp(a[2], b[2])
+    hi = a if c > 0 or (c == 0 and a[3] <= b[3]) else b
+    return (lo[0], lo[1], hi[2], hi[3])
+
+
+def _lo_key_left(los: list[Fraction], fivs: list[Fiv], f: Fiv) -> int:
+    """First position whose lo key is >= f's, in fivs sorted by lo key
+    (``los`` holds their lo endpoints)."""
+    k = bisect_left(los, f[0])
+    while k < len(fivs) and fivs[k][1] < f[1] and _cmp(fivs[k][0], f[0]) == 0:
+        k += 1
+    return k
+
+
+def _lo_key_right(los: list[Fraction], fivs: list[Fiv], f: Fiv) -> int:
+    """First position whose lo key is > f's."""
+    k = bisect_right(los, f[0])
+    while k and fivs[k - 1][1] > f[1] and _cmp(fivs[k - 1][0], f[0]) == 0:
+        k -= 1
+    return k
 
 
 class FivUnion:
@@ -234,21 +269,21 @@ class FivCoverIndex:
     """
 
     def __init__(self) -> None:
-        self._los: list[tuple] = []
+        self._los: list[Fraction] = []
         self._fivs: list[Fiv] = []
 
     def add(self, f: Fiv) -> None:
         if not fiv_nonempty(f) or self.contains(f):
             return
-        k = bisect_left(self._los, fiv_lo_key(f))
+        k = _lo_key_left(self._los, self._fivs, f)
         j = k
         while j < len(self._fivs) and fiv_subset(self._fivs[j], f):
             j += 1
-        self._los[k:j] = [fiv_lo_key(f)]
+        self._los[k:j] = [f[0]]
         self._fivs[k:j] = [f]
 
     def contains(self, f: Fiv) -> bool:
-        k = bisect_right(self._los, fiv_lo_key(f))
+        k = _lo_key_right(self._los, self._fivs, f)
         return k > 0 and fiv_subset(f, self._fivs[k - 1])
 
 
@@ -256,21 +291,21 @@ class FivInsideIndex:
     """Antichain of minimal fivs answering: is SOME member inside a query?"""
 
     def __init__(self) -> None:
-        self._los: list[tuple] = []
+        self._los: list[Fraction] = []
         self._fivs: list[Fiv] = []
 
     def add(self, f: Fiv) -> None:
         if not fiv_nonempty(f) or self.some_inside(f):
             return
-        k = bisect_left(self._los, fiv_lo_key(f))
+        k = _lo_key_left(self._los, self._fivs, f)
         j = k
         while j > 0 and fiv_subset(f, self._fivs[j - 1]):
             j -= 1
-        self._los[j:k] = [fiv_lo_key(f)]
+        self._los[j:k] = [f[0]]
         self._fivs[j:k] = [f]
 
     def some_inside(self, f: Fiv) -> bool:
-        k = bisect_left(self._los, fiv_lo_key(f))
+        k = _lo_key_left(self._los, self._fivs, f)
         return k < len(self._fivs) and fiv_subset(self._fivs[k], f)
 
 
@@ -487,15 +522,15 @@ class _IntervalSpaceBase(Space):
             pass
         a, b = decode_interval(n)
         d = (a, b) if self._trace_nonempty(a, b) else None
-        self._decode_cache[n] = d
+        _remember(self._decode_cache, n, d)
         return d
 
     def _trace_nonempty(self, a: Fraction, b: Fraction) -> bool:
-        if a >= b:
+        if _cmp(a, b) >= 0:
             return False
-        if self.lo_bound is not None and b <= self.lo_bound:
+        if self.lo_bound is not None and _cmp(b, self.lo_bound) <= 0:
             return False
-        if self.hi_bound is not None and a >= self.hi_bound:
+        if self.hi_bound is not None and _cmp(a, self.hi_bound) >= 0:
             return False
         return True
 
@@ -504,9 +539,9 @@ class _IntervalSpaceBase(Space):
         a, b = d
         lo, lof = a, 1
         hi, hif = b, 1
-        if self.lo_bound is not None and a < self.lo_bound:
+        if self.lo_bound is not None and _cmp(a, self.lo_bound) < 0:
             lo, lof = self.lo_bound, 0
-        if self.hi_bound is not None and b > self.hi_bound:
+        if self.hi_bound is not None and _cmp(b, self.hi_bound) > 0:
             hi, hif = self.hi_bound, 0
         return (lo, lof, hi, hif)
 
@@ -759,7 +794,7 @@ class PiecewiseSpace(Space):
             pass
         a, b = decode_interval(n)
         d = (a, b) if a < b and self.trace((a, b)) else None
-        self._decode_cache[n] = d
+        _remember(self._decode_cache, n, d)
         return d
 
     def basic_subset(self, d1, d2) -> bool:
@@ -899,7 +934,7 @@ class CantorSpace(Space):
             return self._decode_cache[n]
         except KeyError:
             w = word_unrank(n)
-            self._decode_cache[n] = w
+            _remember(self._decode_cache, n, w)
             return w
 
     def basic_subset(self, d1: str, d2: str) -> bool:
@@ -1169,7 +1204,7 @@ class StarSpace(Space):
         i, rc = unpair(n)
         r = decode_rational(rc)
         d = ("ball", self.dense(i), r) if r > 0 else None
-        self._decode_cache[n] = d
+        _remember(self._decode_cache, n, d)
         return d
 
     def encode_ball(self, center, r: Fraction) -> int:
@@ -1389,7 +1424,7 @@ class QhatSpace(Space):
             d = ("iv", a, b) if a < b else None
         else:
             d = ("cof", decode_rational_set(n // 2))
-        self._decode_cache[n] = d
+        _remember(self._decode_cache, n, d)
         return d
 
     def encode_iv(self, a, b) -> int:
@@ -1590,20 +1625,18 @@ def _nth_distinct_rational(n: int, avoid: Fraction | None) -> Fraction:
 
 def qhat_point_name(space: QhatSpace, kind, exclusions: int = 0) -> PointName:
     """Neighborhood name derived from the token stream."""
-    tokens = qhat_point_tokens(kind, exclusions)
+    tokens = qhat_point_tokens(kind, exclusions).cursor()
     excluded: list[Fraction] = []
-    state = {"stopped": kind != INF and exclusions == 0, "cursor": 0}
+    state = {"stopped": kind != INF and exclusions == 0}
     value = INF if kind == INF else Fraction(kind)
 
     def step(t: int):
         out = []
-        tokens.advance(state["cursor"] + 1)
-        for tok in tokens.between(state["cursor"], state["cursor"] + 1):
+        for tok in tokens.upto(t + 1):
             if tok[0] == "EXCLUDE":
                 excluded.append(tok[1])
             elif tok == STOP:
                 state["stopped"] = True
-        state["cursor"] += 1
         s = emission_slot(t)
         if s is not None:
             if value == INF:

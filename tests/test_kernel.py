@@ -2,10 +2,14 @@ from __future__ import annotations
 
 import itertools
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from erctopo.kernel import (
     Accepted,
     CANTOR,
     PENDING,
+    Machine,
     accept_at,
     any_accepts,
     both_accept,
@@ -195,3 +199,90 @@ def test_search_on_empty_candidates_stalls():
     found = search(enumerate_list([]), lambda c: accept_at(0))
     assert tuple(found.listing(100)) == ()
     assert found.quiescent(100)
+
+
+# -- cursors ----------------------------------------------------------------
+
+PROPERTY = settings(max_examples=300, deadline=None, database=None, derandomize=True)
+
+# per stage, the items emitted then; a stall stage (or None)
+emissions = st.lists(st.lists(st.integers(0, 99), max_size=3), max_size=20)
+stall_stages = st.none() | st.integers(0, 25)
+# per read: how far the cursor moves on, and how far a second consumer of
+# the same source has run ahead of it just before the read
+reads = st.lists(st.tuples(st.integers(0, 4), st.integers(0, 6)), max_size=15)
+
+
+def _source(items, stall_after):
+    return enumerate_step(lambda t: items[t] if t < len(items) else (),
+                          stall_after=stall_after)
+
+
+@PROPERTY
+@given(emissions, stall_stages, reads)
+def test_cursor_reads_equal_between_windows(items, stall_after, moves):
+    src = _source(items, stall_after)
+    ref = _source(items, stall_after)
+    reader, other = src.cursor(), src.cursor()
+    stage = 0
+    for step, ahead in moves:
+        other.upto(stage + step + ahead)
+        got = reader.upto(stage + step)
+        assert list(got) == list(ref.between(stage, stage + step))
+        stage += step
+        assert reader.stage == stage
+        assert reader.quiescent(stage) == ref.quiescent(stage)
+    assert list(src.listing(stage)) == list(ref.listing(stage))
+
+
+@PROPERTY
+@given(emissions, stall_stages, st.integers(0, 30))
+def test_cursor_read_once_per_stage_returns_that_stage(items, stall_after, last):
+    src = _source(items, stall_after)
+    reader = src.cursor()
+    src.advance(last)  # another consumer ran ahead first
+    for t in range(last):
+        assert list(reader.upto(t + 1)) == list(src.between(t, t + 1))
+
+
+class _StallAt(Machine):
+    def __init__(self, stall: int, hit: int | None = None):
+        super().__init__()
+        self._stall_at = stall
+        self._accept_at = hit
+
+    def step(self, t: int) -> bool:
+        if t == self._stall_at:
+            self.stall()
+        return t == self._accept_at
+
+
+def test_stalled_is_part_of_the_process_protocol():
+    dead = _StallAt(3)
+    assert not dead.stalled
+    assert dead.poll(10) is None and dead.stalled
+    # a machine that accepted is not stalled, whatever it declared
+    done = _StallAt(2, hit=2)
+    assert done.poll(10) == 2 and not done.stalled
+    # composites cannot tell, so they never claim it
+    both = both_accept(_StallAt(0), _StallAt(0))
+    assert both.poll(10) is None and not both.stalled
+    assert not any_accepts(_StallAt(0)).stalled
+
+
+def test_dovetail_stalls_once_every_listed_process_stalled():
+    ps = enumerate_list([_StallAt(1), _StallAt(4)])
+    proc = dovetail_any(ps)
+    assert proc.poll(10 ** 6) is None
+    assert proc.stalled
+    # a composite process keeps the search alive
+    ps = enumerate_list([_StallAt(1), both_accept(_StallAt(0), _StallAt(0))])
+    proc = dovetail_any(ps)
+    assert proc.poll(500) is None and not proc.stalled
+
+
+def test_search_retires_stalled_processes_and_stalls():
+    found = search(enumerate_list([0, 1, 2]),
+                   lambda c: _StallAt(5, hit=1) if c == 1 else _StallAt(c))
+    assert tuple(found.listing(200)) == (1,)
+    assert found.quiescent(200)

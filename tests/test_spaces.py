@@ -4,7 +4,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from erctopo import spaces
 from erctopo.spaces import (
     INF,
     CantorSpace,
@@ -24,7 +27,10 @@ from erctopo.spaces import (
     encode_rational,
     encode_rational_set,
     fiv_disjoint,
+    fiv_hull,
     fiv_member,
+    fiv_mergeable,
+    fiv_nonempty,
     fiv_subset,
     point_from_rational,
     qhat_point_name,
@@ -136,6 +142,104 @@ def test_fiv_indexes_against_bruteforce():
         cover.add(f)
         inside.add(f)
         seen.append(f)
+
+
+# Fraction references for the integer calculus: endpoints compared as
+# (Fraction, flag) keys, as the calculus was first written.
+
+def _ref_lo_key(f):
+    return (f[0], f[1])
+
+
+def _ref_hi_key(f):
+    return (f[2], 1 - f[3])
+
+
+def _ref_subset(a, b):
+    return _ref_lo_key(b) <= _ref_lo_key(a) and _ref_hi_key(a) <= _ref_hi_key(b)
+
+
+def _ref_disjoint(a, b):
+    lo_a, lof_a, hi_a, hif_a = a
+    lo_b, lof_b, hi_b, hif_b = b
+    return bool(hi_a < lo_b or (hi_a == lo_b and (hif_a or lof_b))
+                or hi_b < lo_a or (hi_b == lo_a and (hif_b or lof_a)))
+
+
+def _ref_member(x, f):
+    lo, lof, hi, hif = f
+    return not (x < lo or (x == lo and lof) or x > hi or (x == hi and hif))
+
+
+def _ref_mergeable(a, b):
+    return not (a[2] < b[0] or (a[2] == b[0] and a[3] and b[1])
+                or b[2] < a[0] or (b[2] == a[0] and b[3] and a[1]))
+
+
+def _ref_hull(a, b):
+    lo = min(_ref_lo_key(a), _ref_lo_key(b))
+    hi = max(_ref_hi_key(a), _ref_hi_key(b))
+    return (lo[0], lo[1], hi[0], 1 - hi[1])
+
+
+PROPERTY = settings(max_examples=400, deadline=None, database=None, derandomize=True)
+
+# coarse rationals (and some ints), so that equal endpoints are frequent
+rationals = st.fractions(min_value=-2, max_value=2, max_denominator=3) | st.integers(-2, 2)
+flags = st.integers(0, 1)
+
+
+@st.composite
+def fivs(draw):
+    a, b = sorted((draw(rationals), draw(rationals)))
+    return (a, draw(flags), b, draw(flags))
+
+
+@PROPERTY
+@given(fivs(), fivs(), rationals)
+def test_integer_fiv_calculus_matches_fraction_reference(a, b, x):
+    assert fiv_nonempty(a) == (a[0] < a[2] or (a[0] == a[2] and not a[1] and not a[3]))
+    assert fiv_member(x, a) == _ref_member(x, a)
+    assert fiv_member(a[0], b) == _ref_member(a[0], b)
+    assert fiv_disjoint(a, b) is _ref_disjoint(a, b)
+    assert fiv_mergeable(a, b) == _ref_mergeable(a, b)
+    assert fiv_hull(a, b) == _ref_hull(a, b)
+    if fiv_nonempty(a) and fiv_nonempty(b):
+        assert fiv_subset(a, b) == _ref_subset(a, b)
+
+
+@settings(PROPERTY, max_examples=150)
+@given(st.lists(st.tuples(fivs(), fivs()), max_size=25))
+def test_fiv_indexes_match_bruteforce(steps):
+    cover, inside, union = FivCoverIndex(), FivInsideIndex(), FivUnion()
+    added = []
+    for f, q in steps:
+        cover.add(f)
+        inside.add(f)
+        union.add(f)
+        if fiv_nonempty(f):
+            added.append(f)
+        if not fiv_nonempty(q):
+            continue
+        assert cover.contains(q) == any(_ref_subset(q, m) for m in added)
+        assert inside.some_inside(q) == any(_ref_subset(m, q) for m in added)
+        for x in (q[0], q[2]):
+            assert union.covers_point(x) == any(_ref_member(x, m) for m in added)
+
+
+def test_decode_caches_are_bounded(monkeypatch):
+    cap = 64
+    makers = (LineSpace, UnitIntervalSpace, CantorSpace)
+    expected = [[make().decode(n) for n in range(5 * cap)] for make in makers]
+    monkeypatch.setattr(spaces, "DECODE_CACHE_CAP", cap)
+    for make, want in zip(makers, expected):
+        space = make()
+        for n in range(5 * cap):
+            assert space.decode(n) == want[n]
+            assert len(space._decode_cache) <= cap
+        for n in reversed(range(5 * cap)):
+            assert space.decode(n) == want[n]
+            assert len(space._decode_cache) <= cap
 
 
 # -- interval spaces -----------------------------------------------------------
