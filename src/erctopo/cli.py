@@ -344,7 +344,7 @@ def cmd_distance(args) -> int:
         return PENDING_EXIT
     emit(args, {"command": "distance", "config": _config(args),
                 "result": _bracket_payload(got, args.precision),
-                "witness": None, "fuelUsed": args.fuel})
+                "witness": None, "fuelUsed": got.stage})
     return OK
 
 
@@ -366,7 +366,7 @@ def cmd_hausdorff(args) -> int:
         return PENDING_EXIT
     emit(args, {"command": "hausdorff", "config": _config(args),
                 "result": _bracket_payload(got, args.precision),
-                "witness": None, "fuelUsed": args.fuel})
+                "witness": None, "fuelUsed": got.stage})
     return OK
 
 
@@ -389,7 +389,7 @@ def cmd_radius(args) -> int:
         return PENDING_EXIT
     emit(args, {"command": "radius", "config": _config(args),
                 "result": _bracket_payload(got, args.precision),
-                "witness": None, "fuelUsed": args.fuel})
+                "witness": None, "fuelUsed": got.stage})
     return OK
 
 

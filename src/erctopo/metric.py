@@ -68,10 +68,20 @@ DEFAULT_APPROX_FUEL = 2 * 10 ** 5
 # ---------------------------------------------------------------------------
 # Exact reals
 
+class Bracket(tuple):
+    """An answer (lo, hi) of :meth:`CReal.approx`; ``stage`` is the fuel it
+    took, at most the budget."""
+
+    def __new__(cls, lo: Fraction, hi: Fraction, stage: int):
+        got = super().__new__(cls, (lo, hi))
+        got.stage = stage
+        return got
+
+
 class CReal:
     """A real as nested rational brackets of width at most 2**-k."""
 
-    def approx(self, k: int, fuel: int | None = None):
+    def approx(self, k: int, fuel: int | None = None) -> Bracket | None:
         """Bracket (lo, hi) with hi - lo <= 2**-k, or None on fuel exhaustion."""
         raise NotImplementedError
 
@@ -80,8 +90,8 @@ class ExactReal(CReal):
     def __init__(self, value):
         self.value = Fraction(value)
 
-    def approx(self, k: int, fuel: int | None = None):
-        return (self.value, self.value)
+    def approx(self, k: int, fuel: int | None = None) -> Bracket:
+        return Bracket(self.value, self.value, 0)
 
 
 class LowerReal:
@@ -112,8 +122,9 @@ class BoundsReal(CReal):
     One unit of fuel is one stage of the streams.  A request reads both
     streams at the stages 1, 2, 4, ... up to the budget; the bracket at a
     stage is a function of that stage alone, so the same (k, fuel) always
-    gives the same answer.  Bounds that cross (names that disagree about
-    the set) collapse the bracket onto the midpoint of the crossing gap.
+    gives the same answer, whose ``stage`` is the stage read.  Bounds that
+    cross (names that disagree about the set) collapse the bracket onto the
+    midpoint of the crossing gap.
     """
 
     def __init__(self, lower: LowerReal, upper: UpperReal):
@@ -132,14 +143,14 @@ class BoundsReal(CReal):
             return (mid, mid)
         return (lo, hi)
 
-    def approx(self, k: int, fuel: int | None = None):
+    def approx(self, k: int, fuel: int | None = None) -> Bracket | None:
         budget = DEFAULT_APPROX_FUEL if fuel is None else fuel
         width = Fraction(1, 2 ** k)
         stage = 1
         while stage <= budget:
             got = self.bracket(stage)
             if got is not None and got[1] - got[0] <= width:
-                return got
+                return Bracket(*got, stage)
             stage *= 2
         return None
 
@@ -272,7 +283,7 @@ class BracketReal(CReal):
     upper bound); one unit of fuel is one machine stage.  Each change of
     the bracket is recorded with the number of stages run when it
     happened, so an answer depends only on (k, fuel), whatever was asked
-    before.
+    before; its ``stage`` is the recorded number of the change it reports.
     """
 
     def __init__(self, machine: Machine):
@@ -288,19 +299,19 @@ class BracketReal(CReal):
         self._history.append((self._steps, got))
         return True
 
-    def approx(self, k: int, fuel: int | None = None):
+    def approx(self, k: int, fuel: int | None = None) -> Bracket | None:
         budget = DEFAULT_APPROX_FUEL if fuel is None else fuel
         width = Fraction(1, 2 ** k)
         for steps, (lo, hi) in self._history:
             if hi - lo <= width:
-                return (lo, hi) if steps <= budget else None
+                return Bracket(lo, hi, steps) if steps <= budget else None
         while self._steps < budget:
             self._steps += 1
             self.machine.poll(self._steps)
             if self._record():
                 lo, hi = self._history[-1][1]
                 if hi - lo <= width:
-                    return (lo, hi)
+                    return Bracket(lo, hi, self._steps)
         return None
 
 

@@ -16,6 +16,7 @@ code paths remain available when a description is absent.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import zip_longest
 from typing import Sequence
 
 from .kernel import (
@@ -25,8 +26,9 @@ from .kernel import (
     enumerate_list,
     enumerate_step,
     interleave,
+    pair,
 )
-from .spaces import PointName, Space, emission_slot
+from .spaces import PointName, Space, emission_slot, encode_ratio
 
 
 class OpenSet:
@@ -381,10 +383,12 @@ def overt_from_cdesc(space: Space, cdesc) -> OvertSet:
     """Canonical overt name: the filter of every basic meeting the set,
     seeded with generated basics around the description.
 
-    On interval-like spaces the seeds are anchor grids of every dyadic
-    resolution, emitted one per stage in resolution-major order, so that
-    consumers pay a constant price per stage while fine resolutions still
-    arrive within quadratically many stages.
+    Each stage emits up to four seeds from a finite schedule (see
+    :func:`_steady_seeds`) and one filter index, so consumers pay a
+    constant price per stage.  On interval-like spaces the endpoint cells
+    and the anchor grids are dovetailed: endpoint cells narrow to 2**-48
+    within 36 stages per endpoint, while the grids, coarse to fine, reach
+    2**-12 after about 1,400 stages per piece.
     """
     seeds = _steady_seeds(space, cdesc)
 
@@ -404,35 +408,57 @@ def overt_from_cdesc(space: Space, cdesc) -> OvertSet:
 
 
 def _steady_seeds(space: Space, cdesc):
-    """One generated seed per call, resolution-major; finite overall.
+    """One generated seed per call; finite overall.
 
-    Full anchor grids stop at resolution 2**-12; beyond that only piece
-    endpoints are refined (down to 2**-48), which is where escape and
-    boundary witnesses live.
+    On interval-like spaces two lanes are dovetailed, one endpoint seed to
+    three grid seeds, and either runs on alone once the other is spent:
+    see :func:`_endpoint_lane` and :func:`_grid_lane`.
     """
     from .spaces import PiecewiseSpace, _IntervalSpaceBase
 
     if isinstance(space, (_IntervalSpaceBase, PiecewiseSpace)):
-        from .spaces import encode_interval
-        for slot in range(0, 13, 2):
-            eps = Fraction(1, 2 ** slot)
-            grid = 2 ** slot
-            for p, q in cdesc:
-                # p + j * (q - p) / grid for j = 0 .. grid, distinct and
-                # ascending; generated lazily, as consumers often stop early
-                step = (q - p) / grid
-                anchors = (p + j * step for j in range(grid + 1)) if q > p else (p,)
-                for anchor in anchors:
-                    yield encode_interval(anchor - eps, anchor + eps)
-        for slot in range(13, 49):
-            eps = Fraction(1, 2 ** slot)
-            for p, q in cdesc:
-                for anchor in sorted({p, q}):
-                    yield encode_interval(anchor - eps, anchor + eps)
+        grid = _grid_lane(cdesc)  # passed three times: three seeds a round
+        for batch in zip_longest(_endpoint_lane(cdesc), grid, grid, grid):
+            yield from (c for c in batch if c is not None)
         return
     for slot in range(13):
         for c in _meeting_seeds(space, cdesc, slot):
             yield c
+
+
+def _endpoint_lane(cdesc):
+    """Cells of half-width 2**-s around every piece endpoint, s = 13 .. 48:
+    where escape and boundary witnesses live."""
+    for slot in range(13, 49):
+        for p, q in cdesc:
+            for x in sorted({p, q}):
+                # over the denominator 2**s * den(x): x and the half-width
+                yield _cell(x.numerator << slot, x.denominator, x.denominator << slot)
+
+
+def _grid_lane(cdesc):
+    """Relative anchor grids: at slot s = 0, 2, .., 12 the anchors
+    p + j * (q - p) / 2**s, j = 0 .. 2**s (just p on a singleton), each in
+    a cell of half-width 2**-(s + 1).  A piece of length L is then covered
+    within (1/2 + L/2) * 2**-s of every point."""
+    for slot in range(0, 13, 2):
+        for p, q in cdesc:
+            # over the denominator 2**(s + 1) * unit, with unit = den(p) *
+            # den(q): anchor j sits at 2 * (lo * 2**s + j * span) and the
+            # half-width is unit; generated lazily, as consumers often stop
+            # early
+            unit = p.denominator * q.denominator
+            lo = p.numerator * q.denominator
+            span = q.numerator * p.denominator - lo
+            first, den = lo << (slot + 1), unit << (slot + 1)
+            for j in range((1 << slot) + 1 if span else 1):
+                yield _cell(first + 2 * j * span, unit, den)
+
+
+def _cell(mid: int, half: int, den: int) -> int:
+    """Code of the open interval ((mid - half) / den, (mid + half) / den),
+    den > 0: the code encode_interval gives, without building Fractions."""
+    return pair(encode_ratio(mid - half, den), encode_ratio(mid + half, den))
 
 
 def _meeting_seeds(space: Space, cdesc, slot: int) -> list[int]:

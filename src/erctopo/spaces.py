@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 from typing import Callable, Iterable, Sequence
 
 from .kernel import (
@@ -70,6 +70,12 @@ def encode_rational(q: Fraction) -> int:
     if not isinstance(q, Fraction):
         q = Fraction(q)
     return pair(zigzag_inv(q.numerator), q.denominator - 1)
+
+
+def encode_ratio(num: int, den: int) -> int:
+    """The code of num / den (den > 0) without building a Fraction."""
+    g = gcd(num, den)
+    return pair(zigzag_inv(num // g), den // g - 1)
 
 
 def decode_interval(n: int) -> tuple[Fraction, Fraction]:

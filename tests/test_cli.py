@@ -153,3 +153,39 @@ def test_finite_literal_space_reachable():
                          "--x", "0", "--u", "(-1,1)"])
     # rational points make no sense there; a clean domain error is expected
     assert code == 3
+
+
+def _json(argv):
+    import json
+    code, out = run_cli(argv + ["--format", "json"])
+    return code, json.loads(out)
+
+
+def test_value_zero_distance_and_hausdorff_answer_at_precision_12():
+    for argv in (["distance", "--space", "unit-interval", "--x", "1/4",
+                  "--located", "[0,1/2]"],
+                 ["hausdorff", "--space", "unit-interval", "--a", "[0,1/2]",
+                  "--b", "[0,1/2]"]):
+        code, payload = _json(argv + ["--precision", "12"])
+        assert code == 0, argv
+        lo, hi = F(payload["result"]["lo"]), F(payload["result"]["hi"])
+        assert lo <= 0 <= hi and hi - lo <= F(1, 2 ** 12), argv
+
+
+def test_fuel_used_is_the_closing_stage():
+    readme = [["distance", "--space", "real-line", "--x", "0", "--located", "[1,2]"],
+              ["hausdorff", "--space", "unit-interval", "--a", "[0,1/2]",
+               "--b", "[1/2,1]", "--precision", "10"],
+              ["radius", "--space", "unit-interval", "--x", "1/2", "--ball", "[0,1]"]]
+    for argv in readme:
+        code, payload = _json(argv)
+        assert code == 0, argv
+        assert 0 < payload["fuelUsed"] < payload["config"]["fuel"], argv
+        # the reported stage is enough fuel for the same answer
+        code, again = _json(argv + ["--fuel", str(payload["fuelUsed"])])
+        assert code == 0 and again["result"] == payload["result"], argv
+    code, payload = _json(["distance", "--space", "unit-interval", "--x", "1/4",
+                           "--located", "[0,1/2]", "--precision", "12",
+                           "--fuel", "100"])
+    assert code == 2 and payload["result"] == "Pending"
+    assert payload["fuelUsed"] == 100

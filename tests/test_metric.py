@@ -450,6 +450,15 @@ def test_streamed_bounds_that_cross_still_give_a_bracket():
     assert lo == hi and 0 < lo < F(3, 8)
 
 
+def _least_answering_fuel(fresh, k):
+    """The least power of two at which a fresh real answers precision k."""
+    fuel = 1
+    while fresh().approx(k, fuel=fuel) is None:
+        fuel *= 2
+    assert fuel > 1, "the premise needs a fuel at which the real is Pending"
+    return fuel
+
+
 def test_distance_replay_same_fuel_same_answer():
     x = exact_metric_point(_ui.metric, F(0))
 
@@ -457,11 +466,13 @@ def test_distance_replay_same_fuel_same_answer():
         a = located_from_cdesc(_ui, _ui.make_cdesc([(F(1, 3), F(1, 2))]))
         return distance_to_located(_ui.metric, _ui_ercs, x, a)
 
-    assert fresh().approx(10, fuel=50) is None
+    # endpoint cells close precision 10 at stage 1, so the premise asks 20
+    short = _least_answering_fuel(fresh, 20) // 2
+    assert fresh().approx(20, fuel=short) is None
     real = fresh()
-    _bracket_contains(real, 10, F(1, 3), fuel=10 ** 5)
-    assert real.approx(10, fuel=50) is None
-    assert real.approx(8, fuel=50) == fresh().approx(8, fuel=50)
+    _bracket_contains(real, 20, F(1, 3), fuel=10 ** 5)
+    assert real.approx(20, fuel=short) is None
+    assert real.approx(16, fuel=short) == fresh().approx(16, fuel=short)
 
 
 def test_hausdorff_replay_same_fuel_same_answer():
@@ -470,11 +481,13 @@ def test_hausdorff_replay_same_fuel_same_answer():
         b = located_from_cdesc(_ui, _ui.make_cdesc([(F(1, 2), F(1))]))
         return hausdorff_distance(_ui.metric, _ui_ercs, a, b, _UI_WHOLE_HINT)
 
-    assert fresh().approx(10, fuel=50) is None
+    # endpoint cells close precision 10 at stage 2, so the premise asks 20
+    short = _least_answering_fuel(fresh, 20) // 2
+    assert fresh().approx(20, fuel=short) is None
     real = fresh()
-    _bracket_contains(real, 10, F(1, 2), fuel=10 ** 5)
-    assert real.approx(10, fuel=50) is None
-    assert real.approx(4, fuel=50) == fresh().approx(4, fuel=50)
+    _bracket_contains(real, 20, F(1, 2), fuel=10 ** 5)
+    assert real.approx(20, fuel=short) is None
+    assert real.approx(16, fuel=short) == fresh().approx(16, fuel=short)
 
 
 def test_race_replay_same_fuel_same_answer():
@@ -484,12 +497,33 @@ def test_race_replay_same_fuel_same_answer():
         a = located_from_cdesc(_ui, _ui.make_cdesc([(F(1, 3), F(1, 2))]))
         return distance_to_located(_ui.metric, _ui_ercs, x, _undescribed(a))
 
-    assert fresh().approx(6, fuel=50) is None
+    short = _least_answering_fuel(fresh, 6) // 2
+    assert fresh().approx(6, fuel=short) is None
     real = fresh()
     assert isinstance(real, BracketReal)
     _bracket_contains(real, 6, F(1, 3), fuel=10 ** 5)
-    assert real.approx(6, fuel=50) is None
-    assert real.approx(2, fuel=50) == fresh().approx(2, fuel=50)
+    assert real.approx(6, fuel=short) is None
+    assert real.approx(2, fuel=short) == fresh().approx(2, fuel=short)
+
+
+def test_answer_stage_is_the_least_answering_fuel():
+    x = exact_metric_point(_ui.metric, F(0))
+
+    def located():
+        return located_from_cdesc(_ui, _ui.make_cdesc([(F(1, 3), F(1, 2))]))
+
+    for fresh, k in [
+        (lambda: distance_to_located(_ui.metric, _ui_ercs, x, located()), 20),
+        (lambda: distance_to_located(_ui.metric, _ui_ercs, x,
+                                     _undescribed(located())), 4),
+    ]:
+        got = fresh().approx(k, fuel=10 ** 5)
+        assert 0 < got.stage < 10 ** 5
+        real = fresh()
+        assert real.approx(k, fuel=got.stage - 1) is None
+        again = real.approx(k, fuel=got.stage)
+        assert again == got and again.stage == got.stage
+    assert ExactReal(F(1, 3)).approx(20).stage == 0
 
 
 def test_distance_race_without_descriptions():

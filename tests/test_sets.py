@@ -2,11 +2,16 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import islice
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from erctopo.kernel import Accepted, PENDING, run_process
 from erctopo.oracle import standard_oracle_spaces
 from erctopo.sets import (
     CompactSet,
+    _steady_seeds,
     check_located_coherence,
     closed_from_cdesc,
     compact_from_cdesc,
@@ -25,6 +30,7 @@ from erctopo.sets import (
 from erctopo.spaces import (
     CantorSpace,
     LineSpace,
+    PiecewiseSpace,
     UnitIntervalSpace,
     encode_interval,
     point_from_rational,
@@ -181,6 +187,91 @@ def test_not_subset_oracle_exhaustive():
             got = _accepts(not_subset(fix.overts[a],
                                       closed_from_cdesc(fix.space, b)), 10 ** 5)
             assert got == bool(a - b), (a, b)
+
+
+# -- seed schedule of described interval sets ---------------------------------------
+
+def _resolution_major_cells(cdesc):
+    """The seed schedule the dovetailed one replaced, as (lo, hi) cells:
+    every anchor grid 2**0 .. 2**-12 at half-width 2**-s, then the piece
+    endpoints at 2**-13 .. 2**-48.  Kept as the bound on seeds per piece."""
+    for slot in range(0, 13, 2):
+        eps = F(1, 2 ** slot)
+        grid = 2 ** slot
+        for p, q in cdesc:
+            step = (q - p) / grid
+            anchors = (p + j * step for j in range(grid + 1)) if q > p else (p,)
+            for anchor in anchors:
+                yield anchor - eps, anchor + eps
+    for slot in range(13, 49):
+        eps = F(1, 2 ** slot)
+        for p, q in cdesc:
+            for anchor in sorted({p, q}):
+                yield anchor - eps, anchor + eps
+
+
+def _per_piece(cdesc, cells) -> list[int]:
+    """How many cells are centered on each piece."""
+    counts = [0] * len(cdesc)
+    for lo, hi in cells:
+        mid = (lo + hi) / 2
+        counts[next(i for i, (p, q) in enumerate(cdesc) if p <= mid <= q)] += 1
+    return counts
+
+
+_gap = PiecewiseSpace([(F(0), F(1, 3)), (F(1, 2), F(1))], name="gap")
+_seed_ends = (st.fractions(min_value=-1, max_value=2, max_denominator=12)
+              | st.sampled_from([F(0), F(1), F(1, 3), F(1, 2)]))
+
+
+@st.composite
+def described_sets(draw):
+    """Empty sets, singletons, non-dyadic endpoints and pieces clamped onto
+    the carrier bounds, on the line, the unit interval and a two-piece
+    carrier."""
+    space = draw(st.sampled_from([_line, _ui, _gap]))
+    pieces = []
+    for _ in range(draw(st.integers(0, 2))):
+        p = draw(_seed_ends)
+        q = draw(st.just(p) | _seed_ends)
+        pieces.append((min(p, q), max(p, q)))
+    return space, space.make_cdesc(pieces)
+
+
+@settings(max_examples=30, deadline=None, database=None, derandomize=True)
+@given(described_sets())
+@example((_ui, ()))
+@example((_ui, ((F(0), F(0)), (F(1, 3), F(1)))))
+@example((_gap, ((F(1, 3), F(1, 3)), (F(1, 2), F(5, 7)))))
+def test_dovetailed_seeds_finite_sound_and_no_more_per_piece(described):
+    space, cdesc = described
+    reference = list(_resolution_major_cells(cdesc))
+    seeds = list(islice(_steady_seeds(space, cdesc), len(reference) + 1))
+    assert len(seeds) <= len(reference)  # finite, however many pieces
+    cells = [space.decode(c) for c in seeds]
+    assert all(d is not None and space.basic_meets_cdesc(d, cdesc) for d in cells)
+    got, bound = _per_piece(cdesc, cells), _per_piece(cdesc, reference)
+    assert all(g <= b for g, b in zip(got, bound)), (got, bound)
+    eps = F(1, 2 ** 48)
+    for p, q in cdesc:
+        for x in (p, q):
+            assert encode_interval(x - eps, x + eps) in seeds
+
+
+def test_dovetailed_seeds_match_fraction_cells():
+    """The integer-built seed codes are encode_interval's codes of the
+    endpoint and grid cells."""
+    cdesc = _line.make_cdesc([(F(-7, 3), F(-1, 9)), (F(2), F(2))])
+    seeds = list(_steady_seeds(_line, cdesc))
+    ends = [encode_interval(x - F(1, 2 ** s), x + F(1, 2 ** s))
+            for s in range(13, 49) for p, q in cdesc for x in sorted({p, q})]
+    grid = [encode_interval(p + j * (q - p) / 2 ** s - F(1, 2 ** (s + 1)),
+                            p + j * (q - p) / 2 ** s + F(1, 2 ** (s + 1)))
+            for s in range(0, 13, 2) for p, q in cdesc
+            for j in range(2 ** s + 1 if q > p else 1)]
+    assert sorted(seeds) == sorted(ends + grid)
+    # one endpoint seed to three grid seeds while both lanes last
+    assert seeds[:8] == [ends[0]] + grid[:3] + [ends[1]] + grid[3:6]
 
 
 # -- intersect_closed_compact --------------------------------------------------------
