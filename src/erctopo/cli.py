@@ -43,12 +43,13 @@ from .sets import (
     overt_from_cdesc,
 )
 from .spaces import (
-    CantorSpace,
     MalformedLiteral,
     OutOfSpace,
+    ParseError,
     UnknownSpace,
+    parse_open_interval,
+    parse_rational,
     point_from_rational,
-    word_rank,
 )
 
 DEFAULT_FUEL_ENV = "ERCTOPO_DEFAULT_FUEL"
@@ -56,32 +57,8 @@ DEFAULT_FUEL_ENV = "ERCTOPO_DEFAULT_FUEL"
 OK, PARSE_ERROR, PENDING_EXIT, DOMAIN_ERROR = 0, 1, 2, 3
 
 
-class ParseError(Exception):
-    pass
-
-
 # ---------------------------------------------------------------------------
-# Literals
-
-def parse_rational(text: str) -> Fraction:
-    try:
-        return Fraction(text.strip())
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"bad rational literal {text!r}") from exc
-
-
-def parse_open_interval(text: str):
-    t = text.strip()
-    if not (t.startswith("(") and t.endswith(")")):
-        raise ParseError(f"open interval literal must look like (a,b): {text!r}")
-    parts = t[1:-1].split(",")
-    if len(parts) != 2:
-        raise ParseError(f"open interval literal must have two endpoints: {text!r}")
-    a, b = parse_rational(parts[0]), parse_rational(parts[1])
-    if a >= b:
-        raise ParseError(f"empty interval literal: {text!r}")
-    return a, b
-
+# Literals (rationals, open intervals and basics are read by the spaces)
 
 def parse_located(space, text: str):
     """Finite unions of closed rational intervals and finite point sets,
@@ -123,20 +100,9 @@ def parse_bits(space, text: str) -> SpecBits:
         bit = bit.strip()
         if bit not in ("0", "1"):
             raise ParseError(f"bit must be 0 or 1: {t!r}")
-        basic = basic.strip()
-        if isinstance(space, CantorSpace):
-            if not (basic.startswith("[") and basic.endswith("]")):
-                raise ParseError(f"cantor basic must be [word]: {basic!r}")
-            word = basic[1:-1]
-            if word == "e":
-                word = ""
-            if set(word) - {"0", "1"}:
-                raise ParseError(f"cylinder word must be binary: {basic!r}")
-            idx = word_rank(word)
-        else:
-            from .spaces import encode_interval
-            a, b = parse_open_interval(basic)
-            idx = encode_interval(a, b)
+        idx = space.encode_basic(space.parse_basic(basic.strip()))
+        if idx is None:
+            raise ParseError(f"no index for the basic {basic.strip()!r}")
         assigned[idx] = int(bit)
     return SpecBits(lambda n: assigned.get(n, 0))
 
@@ -191,30 +157,19 @@ def parse_predicate(bundle, text: str):
         head, args = _split_call(t)
         if head != "open":
             raise ParseError(f"expected open(...): {t!r}")
-        body = args[0] if len(args) == 1 else ",".join(args)
-        if isinstance(space, CantorSpace):
-            word = body.strip().strip("[]")
-            if word == "e":
-                word = ""
-            return word
-        return parse_open_interval(f"({body})")
+        body = ",".join(args)
+        # a cylinder is written open([w]); an interval open(a,b)
+        return space.parse_basic(body if body.startswith("[") else f"({body})")
 
     return parse_expr(text)
 
 
 def _outside_compact(bundle, desc):
-    space = bundle.space
-    if space.whole_compact_desc is None:
-        raise ParseError("subset(...) needs a compact ambient space")
-    if isinstance(space, CantorSpace):
-        from .sets import _cantor_complement
-        outside = space.make_cdesc(_cantor_complement((desc,)))
-    else:
-        a, b = desc
-        outside = space.make_cdesc(
-            [(p, min(q, a)) for p, q in space.whole_compact_desc if p <= a] +
-            [(max(p, b), q) for p, q in space.whole_compact_desc if q >= b])
-    return compact_from_cdesc(space, outside)
+    outside = bundle.space.compact_complement(desc)
+    if outside is None:
+        raise ParseError("subset(...) needs a compact ambient space that can "
+                         "complement its basics")
+    return compact_from_cdesc(bundle.space, outside)
 
 
 # ---------------------------------------------------------------------------
@@ -235,8 +190,7 @@ def emit(args, payload: dict) -> None:
 
 
 def _config(args) -> dict:
-    return {"space": args.space, "fuel": args.fuel,
-            "precision": args.precision, "seed": args.seed}
+    return {"space": args.space, "fuel": args.fuel, "precision": args.precision}
 
 
 def _bracket_payload(got, k: int):
@@ -406,7 +360,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--space", required=True)
         p.add_argument("--fuel", type=int, default=default_fuel)
         p.add_argument("--precision", type=int, default=10)
-        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--format", choices=("text", "json"), default="text")
 
     p = sub.add_parser("compact-base", help="find x in V inside K inside U")

@@ -328,14 +328,14 @@ class _OpenIntersection(MonotoneEnumerator[int]):
         for d in new1:
             self._idx1.add(d)
             if self._idx2.contains(d):
-                self._emit(sp_encode(sp, d), out)
+                self._emit(sp.encode_basic(d), out)
             for d2 in self._seen2:
                 self._emit(sp.basic_intersection_code(d, d2), out)
         self._seen1.extend(new1)
         for d in new2:
             self._idx2.add(d)
             if self._idx1.contains(d):
-                self._emit(sp_encode(sp, d), out)
+                self._emit(sp.encode_basic(d), out)
             for d1 in self._seen1:
                 self._emit(sp.basic_intersection_code(d1, d), out)
         self._seen2.extend(new2)
@@ -355,27 +355,6 @@ class _OpenIntersection(MonotoneEnumerator[int]):
             if self._pending is None or t >= (self.space.finite_basic_count or 0):
                 self.stall()
         return out
-
-
-def sp_encode(space: Space, desc) -> int | None:
-    """Re-encode a decoded basic description, where the space supports it."""
-    from .spaces import CantorSpace, QhatSpace, StarSpace, _IntervalSpaceBase
-    from .spaces import encode_interval, word_rank
-
-    if isinstance(space, _IntervalSpaceBase):
-        return encode_interval(*desc)
-    if isinstance(space, CantorSpace):
-        return word_rank(desc)
-    if isinstance(space, StarSpace):
-        return space.encode_ball(desc[1], desc[2])
-    if isinstance(space, QhatSpace):
-        return (space.encode_iv(desc[1], desc[2]) if desc[0] == "iv"
-                else space.encode_cof(desc[1]))
-    if space.finite_basic_count is not None:
-        for n in range(space.finite_basic_count):
-            if space.decode(n) == desc:
-                return n
-    return None
 
 
 def open_intersect(u1: OpenSet, u2: OpenSet) -> OpenSet:

@@ -336,168 +336,39 @@ class MetricPoint:
 
 def exact_metric_point(metric: MetricStructure, value) -> MetricPoint:
     """Fixture point taken from the dense sequence itself."""
-    from .oracle import OracleSpace, oracle_point
-    from .spaces import (PiecewiseSpace, StarSpace, _IntervalSpaceBase,
-                         point_from_rational, star_point)
-
-    space = metric.space
     idx = metric.dense_index(value)
-    if isinstance(space, (_IntervalSpaceBase, PiecewiseSpace)):
-        name = point_from_rational(space, value)
-    elif isinstance(space, StarSpace):
-        name = star_point(space, value)
-    elif isinstance(space, OracleSpace):
-        name = oracle_point(space, value)
-    else:
-        raise OutOfSpace(f"no exact points for {space.name}")
-    return MetricPoint(metric, lambda k: idx, name, value=value)
-
-
-# ---------------------------------------------------------------------------
-# Exact ball description tests (per space family)
-
-def _interval_like(space: Space) -> bool:
-    from .spaces import _IntervalSpaceBase
-    return isinstance(space, _IntervalSpaceBase)
-
-
-def _piecewise(space: Space) -> bool:
-    from .spaces import PiecewiseSpace
-    return isinstance(space, PiecewiseSpace)
-
-
-def _oracle_like(space: Space) -> bool:
-    from .oracle import OracleSpace
-    return isinstance(space, OracleSpace)
-
-
-def _basic_in_open_ball(m: MetricStructure, xval, desc, r: Fraction) -> bool:
-    """Sound and, on fixtures, exact: basic included in B(x, r)."""
-    space = m.space
-    if _piecewise(space):
-        from .spaces import fiv_subset
-        ball = (xval - r, 1, xval + r, 1)
-        return all(fiv_subset(f, ball) for f in space.trace(desc))
-    if _interval_like(space):
-        f = space.fiv(desc)
-        return xval - r <= f[0] and f[2] <= xval + r
-    if _oracle_like(space):
-        return all(m.exact(xval, p) < r for p in desc)
-    from .spaces import StarSpace
-    if isinstance(space, StarSpace):
-        _, c, q = desc
-        return m.exact(xval, c) + q <= r
-    return False
-
-
-def _basic_outside_closed_ball(m: MetricStructure, xval, desc, r: Fraction) -> bool:
-    space = m.space
-    if _piecewise(space):
-        from .spaces import fiv_disjoint
-        ball = (xval - r, 0, xval + r, 0)
-        return all(fiv_disjoint(f, ball) for f in space.trace(desc))
-    if _interval_like(space):
-        f = space.fiv(desc)
-        return f[2] <= xval - r or xval + r <= f[0]
-    if _oracle_like(space):
-        return all(m.exact(xval, p) > r for p in desc)
-    from .spaces import StarSpace
-    if isinstance(space, StarSpace):
-        _, c, q = desc
-        return m.exact(xval, c) - q >= r
-    return False
-
-
-def _basic_meets_open_ball(m: MetricStructure, xval, desc, r: Fraction) -> bool:
-    space = m.space
-    if _piecewise(space):
-        from .spaces import fiv_disjoint
-        ball = (xval - r, 1, xval + r, 1)
-        return any(not fiv_disjoint(f, ball) for f in space.trace(desc))
-    if _interval_like(space):
-        f = space.fiv(desc)
-        lo_gap = f[0] - xval
-        hi_gap = xval - f[2]
-        return max(lo_gap, hi_gap, Fraction(0)) < r
-    if _oracle_like(space):
-        return any(m.exact(xval, p) < r for p in desc)
-    return False
-
-
-def _basic_min_dist(m: MetricStructure, xval, desc) -> Fraction:
-    """Infimum distance from x to the (nonempty) basic; exact on fixtures."""
-    space = m.space
-    if _piecewise(space):
-        best = None
-        for lo, _, hi, _ in space.trace(desc):
-            d = max(lo - xval, xval - hi, Fraction(0))
-            best = d if best is None else min(best, d)
-        return best
-    if _interval_like(space):
-        f = space.fiv(desc)
-        return max(f[0] - xval, xval - f[2], Fraction(0))
-    if _oracle_like(space):
-        return min(m.exact(xval, p) for p in desc)
-    raise OutOfSpace(f"no exact infimum distance on {space.name}")
-
-
-def _ball_desc(m: MetricStructure, xval, r: Fraction, closed: bool):
-    """Exact description of the (closed) ball, when the space supports one."""
-    space = m.space
-    if _interval_like(space) or _piecewise(space):
-        return space.make_cdesc([(xval - r, xval + r)]) if closed else (xval - r, xval + r)
-    if _oracle_like(space):
-        pts = [p for p in space.fs.points
-               if (m.exact(xval, p) <= r if closed else m.exact(xval, p) < r)]
-        return frozenset(pts)
-    return None
+    return MetricPoint(metric, lambda k: idx, metric.space.point_name(value),
+                       value=value)
 
 
 # ---------------------------------------------------------------------------
 # Balls in their three roles
 
 def ball_open(m: MetricStructure, x: MetricPoint, r) -> OpenSet:
-    """Open ball as an open set: generated shrinking cores plus the filter
-    of every basic certified inside."""
+    """Open ball as an open set.  Around an exact center: the space's
+    growing cores plus the filter of every basic certified inside;
+    otherwise balls around the center's Cauchy representatives."""
     r = Fraction(r)
     if r <= 0:
         raise ValueError("ball radius must be positive")
     space = m.space
-    if x.value is not None and (_interval_like(space) or _piecewise(space)):
+    if x.value is not None:
         xv = x.value
 
         def step(t: int):
             out = []
             s = emission_slot(t)
             if s is not None:
-                rho = r - r / 2 ** (s + 1)
-                c = encode_interval(xv - rho, xv + rho)
-                if space.decode(c) is not None:
+                c = space.ball_core(xv, r, s)
+                if c is not None and space.decode(c) is not None:
                     out.append(c)
             d = space.decode(t)
-            if d is not None and _basic_in_open_ball(m, xv, d, r):
+            if d is not None and space.in_open_ball(xv, d, r):
                 out.append(t)
             return out
 
-        return OpenSet(space, enumerate_step(step), label=f"ball:{r}")
-    if x.value is not None and _oracle_like(space):
-        ball = _ball_desc(m, x.value, r, closed=False)
-        return open_from_fixture(space, ball)
-    from .spaces import StarSpace
-    if x.value is not None and isinstance(space, StarSpace):
-        def step(t: int):
-            out = []
-            s = emission_slot(t)
-            if s is not None:
-                eps = Fraction(1, 2 ** (s + 1))
-                if eps < r:
-                    out.append(space.encode_ball(x.value, r - eps))
-            d = space.decode(t)
-            if d is not None and _basic_in_open_ball(m, x.value, d, r):
-                out.append(t)
-            return out
-
-        return OpenSet(space, enumerate_step(step), label=f"ball:{r}")
+        return OpenSet(space, enumerate_step(step, stall_after=space.finite_basic_count),
+                       label=f"ball:{r}")
 
     def generic_step(t: int):
         out = []
@@ -505,25 +376,10 @@ def ball_open(m: MetricStructure, x: MetricPoint, r) -> OpenSet:
         if s is not None:
             rho = r - 2 * Fraction(1, 2 ** s)
             if rho > 0:
-                center = m.dense(x.cauchy(s))
-                out.append(_encode_metric_ball(space, m, center, rho))
+                out.append(space.encode_ball(m.dense(x.cauchy(s)), rho))
         return [c for c in out if c is not None and space.decode(c) is not None]
 
     return OpenSet(space, enumerate_step(generic_step), label=f"ball:{r}")
-
-
-def _encode_metric_ball(space: Space, m: MetricStructure, center, rho: Fraction):
-    if _interval_like(space) or _piecewise(space):
-        return encode_interval(center - rho, center + rho)
-    from .spaces import StarSpace
-    if isinstance(space, StarSpace):
-        return space.encode_ball(center, rho)
-    if _oracle_like(space):
-        ball = frozenset(p for p in space.fs.points if m.exact(center, p) < rho)
-        for n in range(space.finite_basic_count):
-            if space.decode(n) == ball:
-                return n
-    return None
 
 
 def closed_ball_closed(m: MetricStructure, x: MetricPoint, r) -> ClosedSet:
@@ -531,7 +387,7 @@ def closed_ball_closed(m: MetricStructure, x: MetricPoint, r) -> ClosedSet:
     certified to avoid it."""
     r = Fraction(r)
     space = m.space
-    cdesc = _ball_desc(m, x.value, r, closed=True) if x.value is not None else None
+    cdesc = space.closed_ball_desc(x.value, r) if x.value is not None else None
     if cdesc is not None:
         return closed_from_cdesc(space, cdesc)
 
@@ -540,7 +396,7 @@ def closed_ball_closed(m: MetricStructure, x: MetricPoint, r) -> ClosedSet:
         n, k = unpair(t)
         d = space.decode(n)
         if d is not None and x.value is not None:
-            if _basic_outside_closed_ball(m, x.value, d, r):
+            if space.outside_closed_ball(x.value, d, r):
                 out.append(n)
         return out
 
@@ -558,36 +414,17 @@ def cl_ball_overt(m: MetricStructure, x: MetricPoint, r) -> OvertSet:
     if x.value is None:
         raise OutOfSpace("overt balls need an exact fixture center")
 
-    def ball_seeds():
-        if _interval_like(space) or _piecewise(space):
-            for s in range(13):
-                grid = 2 ** s
-                rho = r / (2 * grid)
-                for j in range(-grid, grid + 1):
-                    anchor = x.value + j * r / grid
-                    yield encode_interval(anchor - rho, anchor + rho)
-            # fine refinements at the ball boundary, where escape witnesses live
-            for s in range(13, 49):
-                rho = r / 2 ** s
-                for anchor in (x.value - r, x.value, x.value + r):
-                    yield encode_interval(anchor - rho, anchor + rho)
-        else:
-            for s in range(13):
-                c = _encode_metric_ball(space, m, x.value, Fraction(1, 2 ** s))
-                if c is not None:
-                    yield c
-
-    seeds = ball_seeds()
+    seeds = iter(space.ball_seeds(x.value, r))
 
     def step(t: int):
         out = []
         c = next(seeds, None)
         if c is not None:
             d = space.decode(c)
-            if d is not None and _basic_meets_open_ball(m, x.value, d, r):
+            if d is not None and space.meets_open_ball(x.value, d, r):
                 out.append(c)
         d = space.decode(t)
-        if d is not None and _basic_meets_open_ball(m, x.value, d, r):
+        if d is not None and space.meets_open_ball(x.value, d, r):
             out.append(t)
         return out
 
@@ -613,7 +450,7 @@ def compact_ball(e: Ercs, m: MetricStructure, x: MetricPoint,
     n = 0
     while n < 64:
         rho = Fraction(1, 2 ** n)
-        if x.value is not None and _ball_inside_basic(m, x.value, rho, vdesc):
+        if x.value is not None and m.space.ball_inside_basic(x.value, rho, vdesc):
             break
         n += 1
     else:
@@ -623,16 +460,6 @@ def compact_ball(e: Ercs, m: MetricStructure, x: MetricPoint,
     n += 1
     ball = closed_ball_closed(m, x, Fraction(1, 2 ** n))
     return n, intersect_closed_compact(ball, patch)
-
-
-def _ball_inside_basic(m: MetricStructure, xval, rho: Fraction, desc) -> bool:
-    space = m.space
-    if _interval_like(space) or _piecewise(space):
-        return space.basic_subset((xval - rho, xval + rho), desc)
-    if _oracle_like(space):
-        ball = frozenset(p for p in space.fs.points if m.exact(xval, p) < rho)
-        return ball <= desc
-    return False
 
 
 def ercs_from_compact_ball(m: MetricStructure,
@@ -653,7 +480,7 @@ def ercs_from_compact_ball(m: MetricStructure,
         return cb_cache[idx]
 
     def ball_code(n: int, i: int):
-        return _encode_metric_ball(space, m, m.dense(n), Fraction(1, 2 ** i))
+        return space.encode_ball(m.dense(n), Fraction(1, 2 ** i))
 
     def patch_radius(mm: int, j: int) -> Fraction:
         k_m, _ = provider(mm)
@@ -684,7 +511,7 @@ def ercs_from_compact_ball(m: MetricStructure,
 
     def kid_cdesc(kid: int):
         mm, j = unpair(kid)
-        return _ball_desc(m, m.dense(mm), patch_radius(mm, j), closed=True)
+        return space.closed_ball_desc(m.dense(mm), patch_radius(mm, j))
 
     def kid_value(kid: int) -> CompactSet:
         mm, j = unpair(kid)
@@ -737,9 +564,9 @@ def _nearest(space: Space, xval, n: int) -> Fraction:
 
 
 def _streamed(space: Space, *descs) -> bool:
-    """Whether bound streams serve: exactly described sets on an interval
-    space."""
-    return _interval_like(space) and all(d is not None for d in descs)
+    """Whether bound streams serve: exactly described sets on a space that
+    streams bounds."""
+    return space.streams_bounds and all(d is not None for d in descs)
 
 
 def radius(m: MetricStructure, x: MetricPoint, k: CompactSet, v: OvertSet,
@@ -777,7 +604,7 @@ def radius(m: MetricStructure, x: MetricPoint, k: CompactSet, v: OvertSet,
     def lower_cert(r: Fraction) -> SemidecisionProcess:
         if x.value is not None:
             return _HitScan(space, v.hits,
-                            lambda d: _basic_outside_closed_ball(m, x.value, d, r))
+                            lambda d: space.outside_closed_ball(x.value, d, r))
         return overt_meets(v, closed_ball_closed(m, x, r).complement)
 
     return BracketReal(_BracketMachine(Fraction(0), upper_cert, lower_cert,
@@ -829,15 +656,7 @@ class _NiceRadiusMachine(Machine):
 
     def _annulus_compact(self, lo: Fraction, hi: Fraction) -> CompactSet:
         space = self.m.space
-        xv = self.x.value
-        if _interval_like(space) or _piecewise(space):
-            cdesc = space.make_cdesc([(xv - hi, xv - lo), (xv + lo, xv + hi)])
-        elif _oracle_like(space):
-            cdesc = frozenset(p for p in space.fs.points
-                              if lo <= self.m.exact(xv, p) <= hi)
-        else:
-            raise OutOfSpace("nice radius needs an exact annulus description")
-        shell = closed_from_cdesc(space, cdesc)
+        shell = closed_from_cdesc(space, space.annulus_desc(self.x.value, lo, hi))
         return intersect_closed_compact(shell, self.k)
 
     def _near_sphere_open(self, ann_lo: Fraction, ann_hi: Fraction) -> OpenSet:
@@ -851,28 +670,18 @@ class _NiceRadiusMachine(Machine):
         rho = Fraction(1, 2 ** self.level)
 
         def witnessed(udesc) -> bool:
-            lo_dist = _basic_min_dist(m, xv, udesc)
+            lo_dist = space.min_dist(xv, udesc)
             if lo_dist <= 0:
                 return False
-            for z in self._witness_candidates(udesc, lo_dist, rho):
-                if (m.exact(xv, z) < lo_dist
-                        and _basic_in_open_ball(m, z, udesc, rho)):
-                    return True
-            return False
+            return any(m.exact(xv, z) < lo_dist and space.in_open_ball(z, udesc, rho)
+                       for z in space.witness_candidates(xv, lo_dist, rho))
 
         def step(t: int):
             out = []
-            s = emission_slot(t)
-            if s == 0 and not _oracle_like(space):
-                w = rho / 4
-                span = ann_hi - ann_lo
-                tiles = int(span / w) + 1
-                for i in range(tiles):
-                    for side in (-1, 1):
-                        lo = xv + side * (ann_lo + i * w) - w
-                        u = encode_interval(lo, lo + 2 * w)
-                        if space.decode(u) is not None and witnessed(space.decode(u)):
-                            out.append(u)
+            if emission_slot(t) == 0:
+                for u in space.annulus_tiles(xv, ann_lo, ann_hi, rho / 4):
+                    if space.decode(u) is not None and witnessed(space.decode(u)):
+                        out.append(u)
             d = space.decode(t)
             if d is not None and witnessed(d):
                 out.append(t)
@@ -880,22 +689,6 @@ class _NiceRadiusMachine(Machine):
 
         return OpenSet(space, enumerate_step(step, stall_after=space.finite_basic_count),
                        label=f"near-sphere:{self.level}")
-
-    def _witness_candidates(self, udesc, lo_dist: Fraction, rho: Fraction):
-        m = self.m
-        xv = self.x.value
-        space = m.space
-        if _oracle_like(space):
-            return list(space.fs.points)
-        cands = [xv]
-        for side in (-1, 1):
-            anchor = xv + side * lo_dist
-            for frac in (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)):
-                z = anchor - side * rho * frac
-                if (_piecewise(space) and space.in_carrier(z)) or (
-                        _interval_like(space) and space.in_carrier(z)):
-                    cands.append(z)
-        return cands
 
     def _reseed(self) -> None:
         self._probes = [(a, b, self._certificate(a, b), 0)
@@ -933,47 +726,25 @@ class _SigmaHull:
         self.e = e
         self.space = e.space
         self._kids = e.k_stream.cursor()
-        self._descs: list = []
+        self._found: list[int] = []
         self._union = None
 
     def grow(self) -> None:
         for kid in self._kids.upto(self._kids.stage + 1):
             d = self.e.compact_cdesc(kid)
             if d is not None:
-                self._descs.append((kid, d))
+                self._found.append(kid)
                 self._union = (d if self._union is None
                                else self.space.cdesc_union(self._union, d))
 
     def cover_of(self, cdesc, budget: int) -> CompactSet | None:
         """A compact union of patches whose description covers cdesc."""
         for _ in range(budget):
-            if self._union is not None and self._covers(cdesc):
-                kids = [kid for kid, _ in self._descs]
+            if self._union is not None and self.space.cdesc_subset(cdesc, self._union):
                 from .ercs import whole_space_compact
-                return whole_space_compact(self.e, kids)
+                return whole_space_compact(self.e, list(self._found))
             self.grow()
         return None
-
-    def _covers(self, cdesc) -> bool:
-        if self._union is None:
-            return False
-        space = self.space
-        if _interval_like(space) or _piecewise(space):
-            merged: list[list[Fraction]] = []
-            pieces = sorted(pc for _, d in self._descs for pc in d)
-            for p, q in pieces:
-                if merged and p <= merged[-1][1]:
-                    merged[-1][1] = max(merged[-1][1], q)
-                else:
-                    merged.append([p, q])
-            return all(any(mp <= u and v <= mq for mp, mq in merged)
-                       for u, v in cdesc)
-        if _oracle_like(space):
-            got = frozenset()
-            for _, d in self._descs:
-                got |= d
-            return cdesc <= got
-        return False
 
 
 def distance_to_located(m: MetricStructure, e: Ercs, x: MetricPoint,
@@ -1014,7 +785,7 @@ def distance_to_located(m: MetricStructure, e: Ercs, x: MetricPoint,
     def upper_cert(r: Fraction) -> SemidecisionProcess:
         if x.value is not None:
             return _HitScan(space, a.overt_part.hits,
-                            lambda d: _basic_in_open_ball(m, x.value, d, r))
+                            lambda d: space.in_open_ball(x.value, d, r))
         return overt_meets(a.overt_part, ball_open(m, x, r))
 
     def lower_cert(r: Fraction) -> SemidecisionProcess:
@@ -1043,7 +814,7 @@ class _LowerDistanceCert(Machine):
 
     def step(self, t: int) -> bool:
         if self._inner is None:
-            cdesc = _ball_desc(self.m, self.x.value, self.r, closed=True)
+            cdesc = self.m.space.closed_ball_desc(self.x.value, self.r)
             if cdesc is None:
                 self.stall()
                 return False

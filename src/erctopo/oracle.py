@@ -140,20 +140,17 @@ class OracleSpace(Space):
     def cdesc_in_basic(self, cdesc, d) -> bool:
         return cdesc <= d
 
-    def cdesc_nonempty(self, cdesc) -> bool:
-        return bool(cdesc)
-
     def basic_meets_cdesc(self, d, cdesc) -> bool:
         return bool(d & cdesc)
-
-    def basic_avoids_cdesc(self, d, cdesc) -> bool:
-        return not (d & cdesc)
 
     def cdesc_intersect(self, c1, c2):
         return c1 & c2
 
     def cdesc_union(self, c1, c2):
         return c1 | c2
+
+    def cdesc_subset(self, c1, c2) -> bool:
+        return c1 <= c2
 
     def region(self) -> Region:
         return _OracleRegion()
@@ -168,6 +165,57 @@ class OracleSpace(Space):
 
     def make_cdesc(self, points) -> frozenset:
         return frozenset(points)
+
+    def point_name(self, value) -> PointName:
+        return oracle_point(self, value)
+
+    def shrunk_core(self, d, slot: int) -> None:
+        return None  # the filter lane lists every basic of a finite base
+
+    def envelope_covers(self, cdesc, slot: int) -> list[frozenset]:
+        # all covering families of up to three basics, swept by slot; the
+        # bitmask lane completes the enumeration
+        if slot > 2:
+            return []
+        out = []
+        for combo in combinations(range(self.finite_basic_count), slot + 1):
+            region = self.region()
+            for n in combo:
+                region.add(self.decode(n))
+            if region.covers_cdesc(cdesc):
+                out.append(frozenset(combo))
+        return out
+
+    # ball calculus, exact: every basic is a finite set of points
+    def in_open_ball(self, x, d, r: Fraction) -> bool:
+        return all(self.metric.exact(x, p) < r for p in d)
+
+    def outside_closed_ball(self, x, d, r: Fraction) -> bool:
+        return all(self.metric.exact(x, p) > r for p in d)
+
+    def meets_open_ball(self, x, d, r: Fraction) -> bool:
+        return any(self.metric.exact(x, p) < r for p in d)
+
+    def _open_ball(self, x, r: Fraction) -> frozenset:
+        return frozenset(p for p in self.fs.points if self.metric.exact(x, p) < r)
+
+    def ball_inside_basic(self, x, r: Fraction, d) -> bool:
+        return self._open_ball(x, r) <= d
+
+    def min_dist(self, x, d) -> Fraction:
+        return min(self.metric.exact(x, p) for p in d)
+
+    def closed_ball_desc(self, x, r: Fraction) -> frozenset:
+        return self.annulus_desc(x, Fraction(0), r)
+
+    def annulus_desc(self, x, lo: Fraction, hi: Fraction) -> frozenset:
+        return frozenset(p for p in self.fs.points if lo <= self.metric.exact(x, p) <= hi)
+
+    def encode_ball(self, x, r: Fraction) -> int | None:
+        return self.encode_basic(self._open_ball(x, r))
+
+    def witness_candidates(self, x, dist: Fraction, rho: Fraction) -> list:
+        return list(self.fs.points)
 
 
 class _OracleRegion(Region):

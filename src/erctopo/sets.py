@@ -15,8 +15,6 @@ code paths remain available when a description is absent.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from itertools import zip_longest
 from typing import Sequence
 
 from .kernel import (
@@ -26,9 +24,8 @@ from .kernel import (
     enumerate_list,
     enumerate_step,
     interleave,
-    pair,
 )
-from .spaces import PointName, Space, emission_slot, encode_ratio
+from .spaces import PointName, Space, emission_slot
 
 
 class OpenSet:
@@ -111,7 +108,7 @@ def open_from_fixture(space: Space, desc) -> OpenSet:
         out = []
         s = emission_slot(t)
         if s is not None:
-            core = _shrunk_core(space, desc, s)
+            core = space.shrunk_core(desc, s)
             if core is not None and space.decode(core) is not None:
                 out.append(core)
         d = space.decode(t)
@@ -123,31 +120,6 @@ def open_from_fixture(space: Space, desc) -> OpenSet:
                    label=f"fixture:{desc!r}")
 
 
-def _shrunk_core(space: Space, desc, slot: int):
-    from .spaces import (CantorSpace, PiecewiseSpace, QhatSpace, StarSpace,
-                         _IntervalSpaceBase)
-    from .spaces import encode_interval
-
-    if isinstance(space, (_IntervalSpaceBase, PiecewiseSpace)):
-        a, b = desc
-        if slot == 0:
-            return encode_interval(a, b)
-        delta = (b - a) / 2 ** (slot + 2)
-        return encode_interval(a + delta, b - delta)
-    if isinstance(space, CantorSpace):
-        from .spaces import word_rank
-        return word_rank(desc) if slot == 0 else None
-    if isinstance(space, StarSpace):
-        return space.encode_ball(desc[1], desc[2]) if slot == 0 else None
-    if isinstance(space, QhatSpace):
-        if slot != 0:
-            return None
-        if desc[0] == "iv":
-            return space.encode_iv(desc[1], desc[2])
-        return space.encode_cof(desc[1])
-    return None
-
-
 # ---------------------------------------------------------------------------
 # Canonical names for exactly described sets
 
@@ -155,13 +127,13 @@ def closed_from_cdesc(space: Space, cdesc) -> ClosedSet:
     """Closed set with the given exact description; the complement name
     interleaves a generated skeleton of the complement with the filter of
     every basic certified to avoid the set."""
-    gaps = _complement_skeleton(space, cdesc)
 
     def step(t: int):
         out = []
         s = emission_slot(t)
         if s is not None:
-            out.extend(c for c in gaps(s) if space.decode(c) is not None)
+            out.extend(c for c in space.complement_gaps(cdesc, s)
+                       if space.decode(c) is not None)
         d = space.decode(t)
         if d is not None and space.basic_avoids_cdesc(d, cdesc):
             out.append(t)
@@ -171,57 +143,6 @@ def closed_from_cdesc(space: Space, cdesc) -> ClosedSet:
                          enumerate_step(step, stall_after=space.finite_basic_count),
                          label=f"co:{cdesc!r}")
     return ClosedSet(complement, cdesc=cdesc)
-
-
-def _complement_skeleton(space: Space, cdesc):
-    from .spaces import (CantorSpace, PiecewiseSpace, _IntervalSpaceBase,
-                         encode_interval, word_rank)
-
-    if isinstance(space, (_IntervalSpaceBase, PiecewiseSpace)) and cdesc is not None:
-        def gaps(s: int) -> list[int]:
-            out = []
-            if not cdesc:
-                width = Fraction(2 ** s)
-                out.append(encode_interval(-width, width))
-                return out
-            lo = cdesc[0][0]
-            hi = cdesc[-1][1]
-            if s == 0:
-                for (_, q1), (p2, _) in zip(cdesc, cdesc[1:]):
-                    out.append(encode_interval(q1, p2))
-            width = Fraction(2 ** s)
-            out.append(encode_interval(lo - width, lo))
-            out.append(encode_interval(hi, hi + width))
-            return out
-
-        return gaps
-
-    if isinstance(space, CantorSpace) and cdesc is not None:
-        complement_words = _cantor_complement(cdesc)
-
-        def gaps(s: int) -> list[int]:
-            return [word_rank(w) for w in complement_words] if s == 0 else []
-
-        return gaps
-
-    return lambda s: []
-
-
-def _cantor_complement(words) -> tuple:
-    """Finite union of cylinders equal to the complement of the given union."""
-    out: list[str] = []
-
-    def walk(w: str) -> None:
-        if any(w.startswith(v) for v in words):
-            return
-        if not any(v.startswith(w) for v in words):
-            out.append(w)
-            return
-        walk(w + "0")
-        walk(w + "1")
-
-    walk("")
-    return tuple(out)
 
 
 def compact_from_cdesc(space: Space, cdesc) -> CompactSet:
@@ -246,7 +167,7 @@ def compact_from_cdesc(space: Space, cdesc) -> CompactSet:
             out.extend(emit(frozenset()))
         s = emission_slot(t)
         if s is not None:
-            for f in _envelope_covers(space, cdesc, s):
+            for f in space.envelope_covers(cdesc, s):
                 if all(space.decode(n) is not None for n in f):
                     out.extend(emit(f))
         d = space.decode(t)
@@ -283,112 +204,16 @@ def _bitmask_cover(space: Space, cdesc, code: int) -> frozenset | None:
     return None
 
 
-def _envelope_covers(space: Space, cdesc, slot: int) -> list[frozenset]:
-    from .spaces import (
-        CantorSpace,
-        QhatSpace,
-        StarSpace,
-        _IntervalSpaceBase,
-        encode_interval,
-        word_rank,
-    )
-
-    out: list[frozenset] = []
-    if space.finite_basic_count is not None and hasattr(space, "fs"):
-        # finite oracle space: all covering families of up to three basics,
-        # swept by slot; the bitmask lane completes the enumeration
-        if slot > 2:
-            return out
-        from itertools import combinations
-        idxs = range(space.finite_basic_count)
-        for combo in combinations(idxs, slot + 1):
-            region = space.region()
-            for n in combo:
-                region.add(space.decode(n))
-            if region.covers_cdesc(cdesc):
-                out.append(frozenset(combo))
-        return out
-    from .spaces import PiecewiseSpace
-    if isinstance(space, (_IntervalSpaceBase, PiecewiseSpace)):
-        if not cdesc:
-            return out
-        # one margin envelope per piece; margins sweep down from coarse
-        eps = Fraction(4, 2 ** slot)
-        out.append(frozenset(encode_interval(p - eps, q + eps) for p, q in cdesc))
-        # partition refinements of each piece at dyadic granularity
-        pieces = []
-        for p, q in cdesc:
-            k = min(slot, 6)
-            n = 2 ** k
-            width = (q - p) / n if q > p else Fraction(0)
-            delta = (width or Fraction(1, 2 ** slot)) / 4
-            for i in range(n):
-                pieces.append(encode_interval(p + i * width - delta,
-                                              p + (i + 1) * width + delta))
-        out.append(frozenset(pieces))
-        return out
-    if isinstance(space, CantorSpace):
-        if not cdesc:
-            return out
-        if slot == 0:
-            lcp = cdesc[0]
-            for w in cdesc[1:]:
-                k = 0
-                while k < min(len(lcp), len(w)) and lcp[k] == w[k]:
-                    k += 1
-                lcp = lcp[:k]
-            for k in range(len(lcp) + 1):
-                out.append(frozenset([word_rank(lcp[:k])]))
-        depth = slot
-        if depth <= 6:
-            words = []
-            for w in cdesc:
-                words.extend(w + format(u, "b").zfill(depth) if depth else w
-                             for u in range(2 ** depth))
-            out.append(frozenset(word_rank(w) for w in words))
-        return out
-    if isinstance(space, StarSpace):
-        parts = []
-        for piece in cdesc:
-            if piece == ("pt_inf",):
-                parts.append(space.encode_ball(("inf",), Fraction(1, 2 ** slot)))
-            else:
-                _, n, lo, hi = piece
-                mid = (lo + hi) / 2
-                r = (hi - lo) / 2 + Fraction(1, 2 ** (slot + 2))
-                parts.append(space.encode_ball((n, mid), r))
-        if parts:
-            out.append(frozenset(parts))
-        return out
-    if isinstance(space, QhatSpace):
-        kind = cdesc[0]
-        if kind == "all":
-            out.append(frozenset([space.encode_cof(frozenset())]))
-        elif kind == "cof":
-            out.append(frozenset([space.encode_cof(cdesc[1])]))
-        elif kind == "fin" and cdesc[1]:
-            parts = []
-            for p in sorted(cdesc[1], key=str):
-                if p == ("inf",):
-                    parts.append(space.encode_cof(frozenset()))
-                else:
-                    eps = Fraction(1, 2 ** slot)
-                    parts.append(space.encode_iv(p - eps, p + eps))
-            out.append(frozenset(parts))
-        return out
-    return out
-
-
 def overt_from_cdesc(space: Space, cdesc) -> OvertSet:
     """Canonical overt name: the filter of every basic meeting the set,
     seeded with generated basics around the description.
 
-    Each stage emits up to four seeds from a finite schedule (see
-    :func:`_steady_seeds`) and one filter index, so consumers pay a
-    constant price per stage.  On interval-like spaces the endpoint cells
-    and the anchor grids are dovetailed: endpoint cells narrow to 2**-48
-    within 36 stages per endpoint, while the grids, coarse to fine, reach
-    2**-12 after about 1,400 stages per piece.
+    Each stage emits up to four seeds from the space's finite schedule
+    (see :meth:`Space.overt_seeds`) and one filter index, so consumers pay
+    a constant price per stage.  On subspaces of the line the endpoint
+    cells and the anchor grids are dovetailed: endpoint cells narrow to
+    2**-48 within 36 stages per endpoint, while the grids, coarse to fine,
+    reach 2**-12 after about 1,400 stages per piece.
     """
     seeds = _steady_seeds(space, cdesc)
 
@@ -408,77 +233,9 @@ def overt_from_cdesc(space: Space, cdesc) -> OvertSet:
 
 
 def _steady_seeds(space: Space, cdesc):
-    """One generated seed per call; finite overall.
-
-    On interval-like spaces two lanes are dovetailed, one endpoint seed to
-    three grid seeds, and either runs on alone once the other is spent:
-    see :func:`_endpoint_lane` and :func:`_grid_lane`.
-    """
-    from .spaces import PiecewiseSpace, _IntervalSpaceBase
-
-    if isinstance(space, (_IntervalSpaceBase, PiecewiseSpace)):
-        grid = _grid_lane(cdesc)  # passed three times: three seeds a round
-        for batch in zip_longest(_endpoint_lane(cdesc), grid, grid, grid):
-            yield from (c for c in batch if c is not None)
-        return
-    for slot in range(13):
-        for c in _meeting_seeds(space, cdesc, slot):
-            yield c
-
-
-def _endpoint_lane(cdesc):
-    """Cells of half-width 2**-s around every piece endpoint, s = 13 .. 48:
-    where escape and boundary witnesses live."""
-    for slot in range(13, 49):
-        for p, q in cdesc:
-            for x in sorted({p, q}):
-                # over the denominator 2**s * den(x): x and the half-width
-                yield _cell(x.numerator << slot, x.denominator, x.denominator << slot)
-
-
-def _grid_lane(cdesc):
-    """Relative anchor grids: at slot s = 0, 2, .., 12 the anchors
-    p + j * (q - p) / 2**s, j = 0 .. 2**s (just p on a singleton), each in
-    a cell of half-width 2**-(s + 1).  A piece of length L is then covered
-    within (1/2 + L/2) * 2**-s of every point."""
-    for slot in range(0, 13, 2):
-        for p, q in cdesc:
-            # over the denominator 2**(s + 1) * unit, with unit = den(p) *
-            # den(q): anchor j sits at 2 * (lo * 2**s + j * span) and the
-            # half-width is unit; generated lazily, as consumers often stop
-            # early
-            unit = p.denominator * q.denominator
-            lo = p.numerator * q.denominator
-            span = q.numerator * p.denominator - lo
-            first, den = lo << (slot + 1), unit << (slot + 1)
-            for j in range((1 << slot) + 1 if span else 1):
-                yield _cell(first + 2 * j * span, unit, den)
-
-
-def _cell(mid: int, half: int, den: int) -> int:
-    """Code of the open interval ((mid - half) / den, (mid + half) / den),
-    den > 0: the code encode_interval gives, without building Fractions."""
-    return pair(encode_ratio(mid - half, den), encode_ratio(mid + half, den))
-
-
-def _meeting_seeds(space: Space, cdesc, slot: int) -> list[int]:
-    from .spaces import CantorSpace, StarSpace, _IntervalSpaceBase
-    from .spaces import encode_interval, word_rank
-
-    out: list[int] = []
-    if isinstance(space, CantorSpace):
-        for w in cdesc:
-            out.append(word_rank(w))
-    elif isinstance(space, StarSpace):
-        for piece in cdesc:
-            if piece == ("pt_inf",):
-                out.append(space.encode_ball(("inf",), Fraction(1, 2 ** slot)))
-            else:
-                _, n, lo, hi = piece
-                eps = Fraction(1, 2 ** slot)
-                for anchor in {lo, (lo + hi) / 2, hi}:
-                    out.append(space.encode_ball((n, anchor), eps))
-    return out
+    """The generated lane of an overt name: a finite stream of basics that
+    meet the set (see :meth:`Space.overt_seeds`)."""
+    return iter(space.overt_seeds(cdesc))
 
 
 def located_from_cdesc(space: Space, cdesc) -> LocatedSet:

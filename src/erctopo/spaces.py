@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
+from itertools import zip_longest
 from math import gcd, isqrt
 from typing import Callable, Iterable, Sequence
 
@@ -36,6 +37,30 @@ class MalformedLiteral(Exception):
 
 class OutOfSpace(Exception):
     pass
+
+
+class ParseError(Exception):
+    pass
+
+
+def parse_rational(text: str) -> Fraction:
+    try:
+        return Fraction(text.strip())
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ParseError(f"bad rational literal {text!r}") from exc
+
+
+def parse_open_interval(text: str):
+    t = text.strip()
+    if not (t.startswith("(") and t.endswith(")")):
+        raise ParseError(f"open interval literal must look like (a,b): {text!r}")
+    parts = t[1:-1].split(",")
+    if len(parts) != 2:
+        raise ParseError(f"open interval literal must have two endpoints: {text!r}")
+    a, b = parse_rational(parts[0]), parse_rational(parts[1])
+    if a >= b:
+        raise ParseError(f"empty interval literal: {text!r}")
+    return a, b
 
 
 # A space memoizes decoded basics; registered spaces live for the process,
@@ -325,6 +350,12 @@ class Space:
     None when the index is malformed for this space; enumerations of basics
     only ever produce valid indices.  The containment and disjointness
     tests are sound, and complete for the registered instance spaces.
+
+    Each space owns its whole calculus: the containment tests, the compact
+    description operations, the generated lanes of set names and, on a
+    metric space, the ball tests.  A default that answers False, None or
+    an empty lane (or raises OutOfSpace) means "unsupported" and never
+    asserts anything.
     """
 
     name: str = "?"
@@ -347,15 +378,17 @@ class Space:
         raise NotImplementedError
 
     def cdesc_nonempty(self, cdesc) -> bool:
-        raise NotImplementedError
+        return bool(cdesc)
 
     def basic_meets_cdesc(self, d, cdesc) -> bool:
         """Sound (exact on instances): the basic intersects the described set."""
         raise NotImplementedError
 
     def basic_avoids_cdesc(self, d, cdesc) -> bool:
-        """Sound (exact on instances): the basic misses the described set."""
-        raise NotImplementedError
+        """Sound (exact on instances): the basic misses the described set.
+        The default negates basic_meets_cdesc, so it is sound only where
+        that test is exact."""
+        return not self.basic_meets_cdesc(d, cdesc)
 
     def cdesc_intersect(self, c1, c2):
         """Exact intersection of compact descriptions, or None if unsupported."""
@@ -364,6 +397,10 @@ class Space:
     def cdesc_union(self, c1, c2):
         """Exact union of compact descriptions, or None if unsupported."""
         return None
+
+    def cdesc_subset(self, c1, c2) -> bool:
+        """Sound: the set described by c1 lies inside the one described by c2."""
+        return False
 
     # aggregate helpers ------------------------------------------------------
     def region(self) -> "Region":
@@ -397,6 +434,9 @@ class Space:
     # optional structure -------------------------------------------------------
     metric: "MetricStructure | None" = None
     whole_compact_desc = None
+    # Whether every basic is one flagged interval (``fiv``), so that metric
+    # brackets can be read as bound streams off the names.
+    streams_bounds = False
 
     def sigma_piece_descs(self) -> Sequence[object]:
         """Compact pieces exhausting the space, when the space provides them."""
@@ -415,6 +455,106 @@ class Space:
     def pinch_target(self, pdesc) -> bool:
         """False when no neighborhood can ever pinch with this target."""
         return True
+
+    # encoding, points and literals ------------------------------------------
+    def encode_basic(self, d) -> int | None:
+        """An index that decodes to d, or None; the default searches a
+        finite base."""
+        for n in range(self.finite_basic_count or 0):
+            if self.decode(n) == d:
+                return n
+        return None
+
+    def point_name(self, value) -> "PointName":
+        """Name of the exact fixture point ``value``: sound at every stage,
+        complete in the limit.  Raises OutOfSpace when value is no point
+        or the space has no exact point names."""
+        raise OutOfSpace(f"no exact points for {self.name}")
+
+    def parse_basic(self, text: str):
+        """The basic description written in ``text``; the default reads an
+        open interval ``(a,b)``.  Raises ParseError."""
+        return parse_open_interval(text)
+
+    def compact_complement(self, d):
+        """Exact compact description of the whole compact minus the basic
+        d, or None if unsupported."""
+        return None
+
+    # generated lanes of set names: each item is sound for its name ------------
+    def shrunk_core(self, d, slot: int) -> int | None:
+        """A basic inside the basic d (d itself at slot 0), or None."""
+        return self.encode_basic(d) if slot == 0 else None
+
+    def complement_gaps(self, cdesc, slot: int) -> list[int]:
+        """Basics that miss the described set."""
+        return []
+
+    def envelope_covers(self, cdesc, slot: int) -> list[frozenset]:
+        """Finite families of basics that cover the described set."""
+        return []
+
+    def overt_seeds(self, cdesc) -> Iterable[int]:
+        """A finite stream of basics that meet the described set."""
+        return ()
+
+    # ball calculus of a metric space, on exact centers x --------------------
+    # Every test is sound: True certifies the relation, False asserts nothing.
+    def in_open_ball(self, x, d, r: Fraction) -> bool:
+        """Sound: the basic d lies inside the open ball B(x, r)."""
+        return False
+
+    def outside_closed_ball(self, x, d, r: Fraction) -> bool:
+        """Sound: the basic d misses the closed ball of radius r around x."""
+        return False
+
+    def meets_open_ball(self, x, d, r: Fraction) -> bool:
+        """Sound: the basic d meets B(x, r)."""
+        return False
+
+    def ball_inside_basic(self, x, r: Fraction, d) -> bool:
+        """Sound: B(x, r) lies inside the basic d."""
+        return False
+
+    def min_dist(self, x, d) -> Fraction:
+        """The exact infimum distance from x to the basic d; raises
+        OutOfSpace if unsupported."""
+        raise OutOfSpace(f"no exact infimum distance on {self.name}")
+
+    def closed_ball_desc(self, x, r: Fraction):
+        """Exact compact description of the closed ball, or None."""
+        return None
+
+    def annulus_desc(self, x, lo: Fraction, hi: Fraction):
+        """Exact compact description of {y : lo <= d(x, y) <= hi}; raises
+        OutOfSpace if unsupported."""
+        raise OutOfSpace("nice radius needs an exact annulus description")
+
+    def encode_ball(self, x, r: Fraction) -> int | None:
+        """An index of a basic equal to B(x, r), or None."""
+        return None
+
+    def ball_core(self, x, r: Fraction, slot: int) -> int | None:
+        """A basic inside B(x, r), growing toward it with the slot, or None."""
+        return None
+
+    def ball_seeds(self, x, r: Fraction) -> Iterable[int]:
+        """A finite stream of candidate basics near B(x, r); the caller
+        keeps those that meets_open_ball certifies."""
+        for s in range(13):
+            c = self.encode_ball(x, Fraction(1, 2 ** s))
+            if c is not None:
+                yield c
+
+    def annulus_tiles(self, x, lo: Fraction, hi: Fraction, w: Fraction) -> list[int]:
+        """Candidate basics of width about 2w tiling the annulus between lo
+        and hi around x; the caller checks each."""
+        return []
+
+    def witness_candidates(self, x, dist: Fraction, rho: Fraction) -> list:
+        """Candidate points near the sphere of radius dist around x, within
+        rho of it; the caller checks each."""
+        return [x]
 
     def __repr__(self) -> str:
         return f"<space {self.name}>"
@@ -511,14 +651,24 @@ class MetricStructure:
 
 
 # ---------------------------------------------------------------------------
-# Interval-based spaces (line and unit interval)
+# Subspaces of the line: the line, the unit interval and finite unions of
+# closed intervals
 
-class _IntervalSpaceBase(Space):
-    lo_bound: Fraction | None = None  # carrier bounds for traces
-    hi_bound: Fraction | None = None
+class _LineSubspace(Space):
+    """A subspace of the rational line; basics are traces of open rational
+    intervals (a, b) and d(x, y) = |x - y|.
+
+    ``trace(d)`` gives the trace of d as flagged intervals, one per carrier
+    piece it meets, and the calculus here is written once over traces.
+    Compact descriptions are sorted, disjoint tuples of closed pieces
+    (p, q), p <= q, inside the carrier.
+    """
 
     def __init__(self) -> None:
         self._decode_cache: dict[int, object] = {}
+        dense, dense_index = _rational_dense(self, self.in_carrier)
+        self.metric = MetricStructure(self, dense, dense_index,
+                                      lambda p, q: abs(p - q))
 
     # raw decode: open interval with rational endpoints
     def decode(self, n: int):
@@ -530,6 +680,265 @@ class _IntervalSpaceBase(Space):
         d = (a, b) if self._trace_nonempty(a, b) else None
         _remember(self._decode_cache, n, d)
         return d
+
+    def _trace_nonempty(self, a: Fraction, b: Fraction) -> bool:
+        raise NotImplementedError
+
+    def trace(self, d) -> Sequence[Fiv]:
+        raise NotImplementedError
+
+    def _clip(self, p: Fraction, q: Fraction) -> Sequence[tuple[Fraction, Fraction]]:
+        """The parts of the closed piece [p, q] inside the carrier."""
+        raise NotImplementedError
+
+    def in_carrier(self, x: Fraction) -> bool:
+        raise NotImplementedError
+
+    def basic_subset(self, d1, d2) -> bool:
+        t2 = self.trace(d2)
+        return all(any(fiv_subset(f1, f2) for f2 in t2) for f1 in self.trace(d1))
+
+    def basic_disjoint(self, d1, d2) -> bool:
+        return all(fiv_disjoint(f1, f2)
+                   for f1 in self.trace(d1) for f2 in self.trace(d2))
+
+    def point_in_basic(self, value, d) -> bool:
+        return self.in_carrier(value) and _cmp(d[0], value) < 0 < _cmp(d[1], value)
+
+    def make_cdesc(self, pieces) -> tuple:
+        out: list[tuple[Fraction, Fraction]] = []
+        for p, q in sorted(c for u, v in pieces
+                           for c in self._clip(Fraction(u), Fraction(v))):
+            if out and p <= out[-1][1]:
+                out[-1] = (out[-1][0], max(out[-1][1], q))
+            else:
+                out.append((p, q))
+        return tuple(out)
+
+    def cdesc_in_basic(self, cdesc, d) -> bool:
+        traces = self.trace(d)
+        return all(any(fiv_subset((p, 0, q, 0), f) for f in traces)
+                   for p, q in cdesc)
+
+    def basic_meets_cdesc(self, d, cdesc) -> bool:
+        return any(not fiv_disjoint(f, (p, 0, q, 0))
+                   for f in self.trace(d) for p, q in cdesc)
+
+    def cdesc_intersect(self, c1, c2):
+        out = []
+        for p1, q1 in c1:
+            for p2, q2 in c2:
+                lo, hi = max(p1, p2), min(q1, q2)
+                if lo <= hi:
+                    out.append((lo, hi))
+        return self.make_cdesc(out)
+
+    def cdesc_union(self, c1, c2):
+        return self.make_cdesc(list(c1) + list(c2))
+
+    def cdesc_subset(self, c1, c2) -> bool:
+        return all(any(p2 <= p1 and q1 <= q2 for p2, q2 in c2) for p1, q1 in c1)
+
+    def basic_intersection_code(self, d1, d2) -> int | None:
+        a, b = max(d1[0], d2[0]), min(d1[1], d2[1])
+        return encode_interval(a, b) if self._trace_nonempty(a, b) else None
+
+    def region(self) -> Region:
+        return _TraceRegion(self)
+
+    # encoding, points and literals ------------------------------------------
+    def encode_basic(self, d) -> int:
+        return encode_interval(*d)
+
+    def point_name(self, value) -> PointName:
+        q = Fraction(value)
+        if not self.in_carrier(q):
+            raise OutOfSpace(f"{q} outside carrier of {self.name}")
+
+        def step(t: int):
+            out = []
+            s = emission_slot(t)
+            if s is not None:
+                eps = Fraction(1, 2 ** s)
+                out.append(encode_interval(q - eps, q + eps))
+            d = self.decode(t)
+            if d is not None and self.point_in_basic(q, d):
+                out.append(t)
+            return out
+
+        return PointName(self, enumerate_step(step), value=q)
+
+    def compact_complement(self, d):
+        whole = self.whole_compact_desc
+        if whole is None:
+            return None
+        a, b = d
+        return self.make_cdesc([(p, min(q, a)) for p, q in whole if p <= a] +
+                               [(max(p, b), q) for p, q in whole if q >= b])
+
+    # generated lanes of set names -------------------------------------------
+    def shrunk_core(self, d, slot: int) -> int:
+        a, b = d
+        if slot == 0:
+            return encode_interval(a, b)
+        delta = (b - a) / 2 ** (slot + 2)
+        return encode_interval(a + delta, b - delta)
+
+    def complement_gaps(self, cdesc, slot: int) -> list[int]:
+        width = Fraction(2 ** slot)
+        if not cdesc:
+            return [encode_interval(-width, width)]
+        out = []
+        if slot == 0:
+            for (_, q1), (p2, _) in zip(cdesc, cdesc[1:]):
+                out.append(encode_interval(q1, p2))
+        lo, hi = cdesc[0][0], cdesc[-1][1]
+        out.append(encode_interval(lo - width, lo))
+        out.append(encode_interval(hi, hi + width))
+        return out
+
+    def envelope_covers(self, cdesc, slot: int) -> list[frozenset]:
+        if not cdesc:
+            return []
+        # one margin envelope per piece; margins sweep down from coarse
+        eps = Fraction(4, 2 ** slot)
+        out = [frozenset(encode_interval(p - eps, q + eps) for p, q in cdesc)]
+        # partition refinements of each piece at dyadic granularity
+        pieces = []
+        for p, q in cdesc:
+            n = 2 ** min(slot, 6)
+            width = (q - p) / n if q > p else Fraction(0)
+            delta = (width or Fraction(1, 2 ** slot)) / 4
+            for i in range(n):
+                pieces.append(encode_interval(p + i * width - delta,
+                                              p + (i + 1) * width + delta))
+        out.append(frozenset(pieces))
+        return out
+
+    def overt_seeds(self, cdesc) -> Iterable[int]:
+        """Two finite lanes dovetailed, one endpoint seed to three grid
+        seeds, either running on alone once the other is spent: see
+        :func:`_endpoint_lane` and :func:`_grid_lane`."""
+        grid = _grid_lane(cdesc)  # passed three times: three seeds a round
+        for batch in zip_longest(_endpoint_lane(cdesc), grid, grid, grid):
+            yield from (c for c in batch if c is not None)
+
+    # ball calculus, once over traces ------------------------------------------
+    def in_open_ball(self, x, d, r: Fraction) -> bool:
+        ball = (x - r, 1, x + r, 1)
+        return all(fiv_subset(f, ball) for f in self.trace(d))
+
+    def outside_closed_ball(self, x, d, r: Fraction) -> bool:
+        ball = (x - r, 0, x + r, 0)
+        return all(fiv_disjoint(f, ball) for f in self.trace(d))
+
+    def meets_open_ball(self, x, d, r: Fraction) -> bool:
+        ball = (x - r, 1, x + r, 1)
+        return any(not fiv_disjoint(f, ball) for f in self.trace(d))
+
+    def ball_inside_basic(self, x, r: Fraction, d) -> bool:
+        return self.basic_subset((x - r, x + r), d)
+
+    def min_dist(self, x, d) -> Fraction:
+        return min(max(lo - x, x - hi, Fraction(0)) for lo, _, hi, _ in self.trace(d))
+
+    def closed_ball_desc(self, x, r: Fraction):
+        return self.make_cdesc([(x - r, x + r)])
+
+    def annulus_desc(self, x, lo: Fraction, hi: Fraction):
+        return self.make_cdesc([(x - hi, x - lo), (x + lo, x + hi)])
+
+    def encode_ball(self, x, r: Fraction) -> int:
+        return encode_interval(x - r, x + r)
+
+    def ball_core(self, x, r: Fraction, slot: int) -> int:
+        return self.encode_ball(x, r - r / 2 ** (slot + 1))
+
+    def ball_seeds(self, x, r: Fraction) -> Iterable[int]:
+        # anchor grids over the ball, coarse to fine
+        for s in range(13):
+            grid = 2 ** s
+            for j in range(-grid, grid + 1):
+                yield self.encode_ball(x + j * r / grid, r / (2 * grid))
+        # fine refinements at the ball boundary, where escape witnesses live
+        for s in range(13, 49):
+            for anchor in (x - r, x, x + r):
+                yield self.encode_ball(anchor, r / 2 ** s)
+
+    def annulus_tiles(self, x, lo: Fraction, hi: Fraction, w: Fraction) -> list[int]:
+        return [self.encode_ball(x + side * (lo + i * w), w)
+                for i in range(int((hi - lo) / w) + 1) for side in (-1, 1)]
+
+    def witness_candidates(self, x, dist: Fraction, rho: Fraction) -> list:
+        cands = [x]
+        for side in (-1, 1):
+            for frac in (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)):
+                z = x + side * dist - side * rho * frac
+                if self.in_carrier(z):
+                    cands.append(z)
+        return cands
+
+
+def _endpoint_lane(cdesc):
+    """Cells of half-width 2**-s around every piece endpoint, s = 13 .. 48:
+    where escape and boundary witnesses live."""
+    for slot in range(13, 49):
+        for p, q in cdesc:
+            for x in sorted({p, q}):
+                # over the denominator 2**s * den(x): x and the half-width
+                yield _cell(x.numerator << slot, x.denominator, x.denominator << slot)
+
+
+def _grid_lane(cdesc):
+    """Relative anchor grids: at slot s = 0, 2, .., 12 the anchors
+    p + j * (q - p) / 2**s, j = 0 .. 2**s (just p on a singleton), each in
+    a cell of half-width 2**-(s + 1).  A piece of length L is then covered
+    within (1/2 + L/2) * 2**-s of every point."""
+    for slot in range(0, 13, 2):
+        for p, q in cdesc:
+            # over the denominator 2**(s + 1) * unit, with unit = den(p) *
+            # den(q): anchor j sits at 2 * (lo * 2**s + j * span) and the
+            # half-width is unit; generated lazily, as consumers often stop
+            # early
+            unit = p.denominator * q.denominator
+            lo = p.numerator * q.denominator
+            span = q.numerator * p.denominator - lo
+            first, den = lo << (slot + 1), unit << (slot + 1)
+            for j in range((1 << slot) + 1 if span else 1):
+                yield _cell(first + 2 * j * span, unit, den)
+
+
+def _cell(mid: int, half: int, den: int) -> int:
+    """Code of the open interval ((mid - half) / den, (mid + half) / den),
+    den > 0: the code encode_interval gives, without building Fractions."""
+    return pair(encode_ratio(mid - half, den), encode_ratio(mid + half, den))
+
+
+class _TraceRegion(Region):
+    def __init__(self, space: _LineSubspace):
+        self.space = space
+        self.union = FivUnion()
+
+    @property
+    def version(self) -> int:
+        return self.union.version
+
+    def add(self, desc) -> None:
+        for f in self.space.trace(desc):
+            self.union.add(f)
+
+    def covers_cdesc(self, cdesc) -> bool:
+        return all(self.union.covers((p, 0, q, 0)) for p, q in cdesc)
+
+
+class _IntervalSpaceBase(_LineSubspace):
+    """The line or a closed interval of it: every trace is the single
+    flagged interval ``fiv(d)``, on which the hot containment tests and
+    the indexes work directly."""
+
+    lo_bound: Fraction | None = None  # carrier bounds for traces
+    hi_bound: Fraction | None = None
+    streams_bounds = True
 
     def _trace_nonempty(self, a: Fraction, b: Fraction) -> bool:
         if _cmp(a, b) >= 0:
@@ -551,6 +960,9 @@ class _IntervalSpaceBase(Space):
             hi, hif = self.hi_bound, 0
         return (lo, lof, hi, hif)
 
+    def trace(self, d) -> tuple[Fiv]:
+        return (self.fiv(d),)
+
     def cfiv(self, piece) -> Fiv:
         """Closed piece (p, q) as a flagged interval, clamped to the carrier."""
         p, q = piece
@@ -560,14 +972,15 @@ class _IntervalSpaceBase(Space):
             q = min(q, self.hi_bound)
         return (p, 0, q, 0)
 
+    def _clip(self, p: Fraction, q: Fraction):
+        p, _, q, _ = self.cfiv((p, q))
+        return ((p, q),) if p <= q else ()
+
     def basic_subset(self, d1, d2) -> bool:
         return fiv_subset(self.fiv(d1), self.fiv(d2))
 
     def basic_disjoint(self, d1, d2) -> bool:
         return fiv_disjoint(self.fiv(d1), self.fiv(d2))
-
-    def point_in_basic(self, value, d) -> bool:
-        return self.in_carrier(value) and fiv_member(value, self.fiv(d))
 
     def in_carrier(self, x: Fraction) -> bool:
         if self.lo_bound is not None and x < self.lo_bound:
@@ -576,29 +989,9 @@ class _IntervalSpaceBase(Space):
             return False
         return True
 
-    # compact descriptions: tuple of closed rational pieces (p, q), p <= q,
-    # sorted and disjoint, already clamped to the carrier.
-    def make_cdesc(self, pieces) -> tuple:
-        out = []
-        for p, q in sorted((Fraction(p), Fraction(q)) for p, q in pieces):
-            if self.lo_bound is not None:
-                p = max(p, self.lo_bound)
-            if self.hi_bound is not None:
-                q = min(q, self.hi_bound)
-            if p > q:
-                continue
-            if out and p <= out[-1][1]:
-                out[-1] = (out[-1][0], max(out[-1][1], q))
-            else:
-                out.append((p, q))
-        return tuple(out)
-
     def cdesc_in_basic(self, cdesc, d) -> bool:
         f = self.fiv(d)
         return all(fiv_subset(self.cfiv(piece), f) for piece in cdesc)
-
-    def cdesc_nonempty(self, cdesc) -> bool:
-        return bool(cdesc)
 
     def cdesc_hull(self, cdesc) -> Fiv | None:
         if not cdesc:
@@ -608,25 +1001,6 @@ class _IntervalSpaceBase(Space):
     def basic_meets_cdesc(self, d, cdesc) -> bool:
         f = self.fiv(d)
         return any(not fiv_disjoint(f, self.cfiv(p)) for p in cdesc)
-
-    def basic_avoids_cdesc(self, d, cdesc) -> bool:
-        return not self.basic_meets_cdesc(d, cdesc)
-
-    def cdesc_intersect(self, c1, c2):
-        out = []
-        for p1, q1 in c1:
-            for p2, q2 in c2:
-                lo, hi = max(p1, p2), min(q1, q2)
-                if lo <= hi:
-                    out.append((lo, hi))
-        return self.make_cdesc(out)
-
-    def cdesc_union(self, c1, c2):
-        return self.make_cdesc(list(c1) + list(c2))
-
-    def basic_intersection_code(self, d1, d2) -> int | None:
-        a, b = max(d1[0], d2[0]), min(d1[1], d2[1])
-        return encode_interval(a, b) if self._trace_nonempty(a, b) else None
 
     def region(self) -> Region:
         return _IntervalRegion(self)
@@ -737,12 +1111,6 @@ def _rational_dense(space: Space, carrier: Callable[[Fraction], bool]):
 class LineSpace(_IntervalSpaceBase):
     name = "real-line"
 
-    def __init__(self) -> None:
-        super().__init__()
-        dense, dense_index = _rational_dense(self, lambda q: True)
-        self.metric = MetricStructure(self, dense, dense_index,
-                                      lambda p, q: abs(p - q))
-
 
 class UnitIntervalSpace(_IntervalSpaceBase):
     name = "unit-interval"
@@ -751,21 +1119,18 @@ class UnitIntervalSpace(_IntervalSpaceBase):
 
     def __init__(self) -> None:
         super().__init__()
-        dense, dense_index = _rational_dense(self, lambda q: 0 <= q <= 1)
-        self.metric = MetricStructure(self, dense, dense_index,
-                                      lambda p, q: abs(p - q))
         self.whole_compact_desc = self.make_cdesc([(0, 1)])
 
     def sigma_piece_descs(self):
         return (self.whole_compact_desc,)
 
 
-class PiecewiseSpace(Space):
+class PiecewiseSpace(_LineSubspace):
     """Finite unions of closed rational intervals as a subspace of the line.
 
     Basics are rational-interval traces; a trace may be scattered across
-    several carrier pieces, so all calculus is done piecewise.  Used for
-    metric fixtures whose carrier is disconnected.
+    several carrier pieces.  Used for metric fixtures whose carrier is
+    disconnected.
     """
 
     def __init__(self, pieces, name: str = "pieces"):
@@ -773,10 +1138,7 @@ class PiecewiseSpace(Space):
         if not self.pieces or any(p > q for p, q in self.pieces):
             raise ValueError("carrier needs nonempty closed pieces")
         self.name = name
-        self._decode_cache: dict[int, object] = {}
-        dense, dense_index = _rational_dense(self, self.in_carrier)
-        self.metric = MetricStructure(self, dense, dense_index,
-                                      lambda a, b: abs(a - b))
+        super().__init__()
         self.whole_compact_desc = self.make_cdesc(self.pieces)
 
     def in_carrier(self, x: Fraction) -> bool:
@@ -793,81 +1155,12 @@ class PiecewiseSpace(Space):
                 out.append(f)
         return out
 
-    def decode(self, n: int):
-        try:
-            return self._decode_cache[n]
-        except KeyError:
-            pass
-        a, b = decode_interval(n)
-        d = (a, b) if a < b and self.trace((a, b)) else None
-        _remember(self._decode_cache, n, d)
-        return d
+    def _trace_nonempty(self, a: Fraction, b: Fraction) -> bool:
+        return a < b and bool(self.trace((a, b)))
 
-    def basic_subset(self, d1, d2) -> bool:
-        t2 = self.trace(d2)
-        for f1 in self.trace(d1):
-            if not any(fiv_subset(f1, f2) for f2 in t2):
-                return False
-        return True
-
-    def basic_disjoint(self, d1, d2) -> bool:
-        return all(fiv_disjoint(f1, f2)
-                   for f1 in self.trace(d1) for f2 in self.trace(d2))
-
-    def point_in_basic(self, value, d) -> bool:
-        return self.in_carrier(value) and d[0] < value < d[1]
-
-    def make_cdesc(self, ps) -> tuple:
-        clipped = []
-        for u, v in ps:
-            u, v = Fraction(u), Fraction(v)
-            for p, q in self.pieces:
-                lo, hi = max(u, p), min(v, q)
-                if lo <= hi:
-                    clipped.append((lo, hi))
-        out: list[tuple[Fraction, Fraction]] = []
-        for lo, hi in sorted(clipped):
-            if out and lo <= out[-1][1]:
-                out[-1] = (out[-1][0], max(out[-1][1], hi))
-            else:
-                out.append((lo, hi))
-        return tuple(out)
-
-    def cdesc_in_basic(self, cdesc, d) -> bool:
-        traces = self.trace(d)
-        return all(any(fiv_subset((p, 0, q, 0), f) for f in traces)
-                   for p, q in cdesc)
-
-    def cdesc_nonempty(self, cdesc) -> bool:
-        return bool(cdesc)
-
-    def basic_meets_cdesc(self, d, cdesc) -> bool:
-        return any(not fiv_disjoint(f, (p, 0, q, 0))
-                   for f in self.trace(d) for p, q in cdesc)
-
-    def basic_avoids_cdesc(self, d, cdesc) -> bool:
-        return not self.basic_meets_cdesc(d, cdesc)
-
-    def cdesc_intersect(self, c1, c2):
-        out = []
-        for p1, q1 in c1:
-            for p2, q2 in c2:
-                lo, hi = max(p1, p2), min(q1, q2)
-                if lo <= hi:
-                    out.append((lo, hi))
-        return self.make_cdesc(out)
-
-    def cdesc_union(self, c1, c2):
-        return self.make_cdesc(list(c1) + list(c2))
-
-    def basic_intersection_code(self, d1, d2) -> int | None:
-        a, b = max(d1[0], d2[0]), min(d1[1], d2[1])
-        if a < b and self.trace((a, b)):
-            return encode_interval(a, b)
-        return None
-
-    def region(self) -> Region:
-        return _PiecewiseRegion(self)
+    def _clip(self, u: Fraction, v: Fraction):
+        return [(max(u, p), min(v, q)) for p, q in self.pieces
+                if max(u, p) <= min(v, q)]
 
     def sigma_piece_descs(self):
         return tuple(((p, q),) for p, q in self.pieces)
@@ -880,50 +1173,10 @@ class PiecewiseSpace(Space):
             return k
         return None
 
-    def fiv(self, d) -> Fiv:
-        # used by metric helpers; the hull of the trace (sound for one-piece
-        # traces, conservative otherwise)
-        a, b = d
-        return (a, 1, b, 1)
-
-
-class _PiecewiseRegion(Region):
-    def __init__(self, space: PiecewiseSpace):
-        self.space = space
-        self.union = FivUnion()
-
-    @property
-    def version(self) -> int:
-        return self.union.version
-
-    def add(self, desc) -> None:
-        for f in self.space.trace(desc):
-            self.union.add(f)
-
-    def covers_cdesc(self, cdesc) -> bool:
-        return all(self.union.covers((p, 0, q, 0)) for p, q in cdesc)
-
 
 def point_from_rational(space: Space, q) -> PointName:
     """Name of a rational point: sound at every stage, complete in the limit."""
-    q = Fraction(q)
-    if isinstance(space, (_IntervalSpaceBase, PiecewiseSpace)):
-        if not space.in_carrier(q):
-            raise OutOfSpace(f"{q} outside carrier of {space.name}")
-
-        def step(t: int):
-            out = []
-            s = emission_slot(t)
-            if s is not None:
-                eps = Fraction(1, 2 ** s)
-                out.append(encode_interval(q - eps, q + eps))
-            d = space.decode(t)
-            if d is not None and space.point_in_basic(q, d):
-                out.append(t)
-            return out
-
-        return PointName(space, enumerate_step(step), value=q)
-    raise OutOfSpace(f"{space.name} has no rational-point names")
+    return space.point_name(Fraction(q))
 
 
 # ---------------------------------------------------------------------------
@@ -965,14 +1218,8 @@ class CantorSpace(Space):
     def cdesc_in_basic(self, cdesc, d: str) -> bool:
         return all(w.startswith(d) for w in cdesc)
 
-    def cdesc_nonempty(self, cdesc) -> bool:
-        return bool(cdesc)
-
     def basic_meets_cdesc(self, d: str, cdesc) -> bool:
         return any(not self.basic_disjoint(d, w) for w in cdesc)
-
-    def basic_avoids_cdesc(self, d: str, cdesc) -> bool:
-        return not self.basic_meets_cdesc(d, cdesc)
 
     def cdesc_intersect(self, c1, c2):
         out = []
@@ -1015,6 +1262,69 @@ class CantorSpace(Space):
         if vdesc.startswith(pdesc):
             return (vdesc,)
         return None
+
+    def encode_basic(self, d: str) -> int:
+        return word_rank(d)
+
+    def parse_basic(self, text: str) -> str:
+        """A cylinder ``[w]``; ``[e]`` is the root."""
+        t = text.strip()
+        if not (t.startswith("[") and t.endswith("]")):
+            raise ParseError(f"cantor basic must be [word]: {text!r}")
+        word = "" if t == "[e]" else t[1:-1]
+        if set(word) - {"0", "1"}:
+            raise ParseError(f"cylinder word must be binary: {text!r}")
+        return word
+
+    def compact_complement(self, d: str):
+        return self.make_cdesc(_cantor_complement((d,)))
+
+    def complement_gaps(self, cdesc, slot: int) -> list[int]:
+        return [word_rank(w) for w in _cantor_complement(cdesc)] if slot == 0 else []
+
+    def envelope_covers(self, cdesc, slot: int) -> list[frozenset]:
+        if not cdesc:
+            return []
+        out = []
+        if slot == 0:
+            lcp = _common_prefix(cdesc)
+            for k in range(len(lcp) + 1):
+                out.append(frozenset([word_rank(lcp[:k])]))
+        if slot <= 6:
+            out.append(frozenset(word_rank(w + format(u, "b").zfill(slot) if slot else w)
+                                 for w in cdesc for u in range(2 ** slot)))
+        return out
+
+    def overt_seeds(self, cdesc) -> Iterable[int]:
+        for _ in range(13):
+            yield from (word_rank(w) for w in cdesc)
+
+
+def _cantor_complement(words) -> tuple:
+    """Finite union of cylinders equal to the complement of the given union."""
+    out: list[str] = []
+
+    def walk(w: str) -> None:
+        if any(w.startswith(v) for v in words):
+            return
+        if not any(v.startswith(w) for v in words):
+            out.append(w)
+            return
+        walk(w + "0")
+        walk(w + "1")
+
+    walk("")
+    return tuple(out)
+
+
+def _common_prefix(words) -> str:
+    lcp = words[0]
+    for w in words[1:]:
+        k = 0
+        while k < min(len(lcp), len(w)) and lcp[k] == w[k]:
+            k += 1
+        lcp = lcp[:k]
+    return lcp
 
 
 def _cantor_word(value, k: int) -> str:
@@ -1108,12 +1418,7 @@ class _CantorInsideIndex:
     def add(self, cdesc) -> None:
         if not cdesc:
             return
-        lcp = cdesc[0]
-        for w in cdesc[1:]:
-            k = 0
-            while k < min(len(lcp), len(w)) and lcp[k] == w[k]:
-                k += 1
-            lcp = lcp[:k]
+        lcp = _common_prefix(cdesc)
         for k in range(len(lcp) + 1):
             self.prefixes.add(lcp[:k])
 
@@ -1263,9 +1568,6 @@ class StarSpace(Space):
                     return False
         return True
 
-    def cdesc_nonempty(self, cdesc) -> bool:
-        return bool(cdesc)
-
     def basic_meets_cdesc(self, d, cdesc) -> bool:
         for piece in cdesc:
             if piece == ("pt_inf",):
@@ -1277,9 +1579,6 @@ class StarSpace(Space):
                 if trace is not None and not fiv_disjoint(trace, (lo, 0, hi, 0)):
                     return True
         return False
-
-    def basic_avoids_cdesc(self, d, cdesc) -> bool:
-        return not self.basic_meets_cdesc(d, cdesc)
 
     def make_cdesc(self, pieces) -> tuple:
         has_inf = any(p == ("pt_inf",) for p in pieces)
@@ -1343,6 +1642,48 @@ class StarSpace(Space):
         if self.cdesc_in_basic((seg,), pdesc):
             return (seg,)
         return None
+
+    def encode_basic(self, d) -> int:
+        return self.encode_ball(d[1], d[2])
+
+    def point_name(self, value) -> PointName:
+        return star_point(self, value)
+
+    def envelope_covers(self, cdesc, slot: int) -> list[frozenset]:
+        parts = []
+        for piece in cdesc:
+            if piece == ("pt_inf",):
+                parts.append(self.encode_ball(INF, Fraction(1, 2 ** slot)))
+            else:
+                _, n, lo, hi = piece
+                r = (hi - lo) / 2 + Fraction(1, 2 ** (slot + 2))
+                parts.append(self.encode_ball((n, (lo + hi) / 2), r))
+        return [frozenset(parts)] if parts else []
+
+    def overt_seeds(self, cdesc) -> Iterable[int]:
+        for slot in range(13):
+            eps = Fraction(1, 2 ** slot)
+            for piece in cdesc:
+                if piece == ("pt_inf",):
+                    yield self.encode_ball(INF, eps)
+                else:
+                    _, n, lo, hi = piece
+                    for anchor in {lo, (lo + hi) / 2, hi}:
+                        yield self.encode_ball((n, anchor), eps)
+
+    # balls are basics: d(x, .) < r holds on all of the basic B(c, q) when
+    # d(x, c) + q <= r, and fails on all of it when d(x, c) - q >= r
+    def in_open_ball(self, x, d, r: Fraction) -> bool:
+        _, c, q = d
+        return self.metric.exact(x, c) + q <= r
+
+    def outside_closed_ball(self, x, d, r: Fraction) -> bool:
+        _, c, q = d
+        return self.metric.exact(x, c) - q >= r
+
+    def ball_core(self, x, r: Fraction, slot: int) -> int | None:
+        eps = Fraction(1, 2 ** (slot + 1))
+        return self.encode_ball(x, r - eps) if eps < r else None
 
 
 class _StarSigma:
@@ -1539,6 +1880,22 @@ class QhatSpace(Space):
         if vdesc[0] == "cof" and pdesc[0] == "cof" and self.basic_subset(vdesc, pdesc):
             return ("cof", vdesc[1])
         return None
+
+    def encode_basic(self, d) -> int:
+        return self.encode_iv(d[1], d[2]) if d[0] == "iv" else self.encode_cof(d[1])
+
+    def envelope_covers(self, cdesc, slot: int) -> list[frozenset]:
+        kind = cdesc[0]
+        if kind == "all":
+            return [frozenset([self.encode_cof(frozenset())])]
+        if kind == "cof":
+            return [frozenset([self.encode_cof(cdesc[1])])]
+        if not cdesc[1]:
+            return []
+        eps = Fraction(1, 2 ** slot)
+        return [frozenset(self.encode_cof(frozenset()) if p == INF
+                          else self.encode_iv(p - eps, p + eps)
+                          for p in sorted(cdesc[1], key=str))]
 
 
 class _QhatRegion(Region):

@@ -123,6 +123,14 @@ def test_ball_open_soundness():
     assert wrong not in u.parts.listing(max(3000, wrong + 10))
 
 
+def test_ball_open_respects_closed_clamp_ends():
+    """On the unit interval the trace of (-1, 1/2) is [0, 1/2): it holds 0,
+    at distance exactly 1/2 from 1/2, so it is not inside B(1/2, 1/2)."""
+    ball = ball_open(_ui.metric, exact_metric_point(_ui.metric, F(1, 2)), F(1, 2))
+    assert encode_interval(F(-1), F(1, 2)) not in ball.parts.listing(5000)
+    assert member_open(point_from_rational(_ui, 0), ball).poll(5000) is None
+
+
 def test_closed_ball_closed_complement_covers_outside_point():
     x = exact_metric_point(_line.metric, F(0))
     a = closed_ball_closed(_line.metric, x, F(1))
