@@ -434,8 +434,12 @@ class Space:
     # optional structure -------------------------------------------------------
     metric: "MetricStructure | None" = None
     whole_compact_desc = None
-    # Whether every basic is one flagged interval (``fiv``), so that metric
-    # brackets can be read as bound streams off the names.
+    # Whether metric brackets can be read as bound streams off the names.
+    # A space that sets it must be a subspace of the line that provides
+    # ``fiv(d)``, the trace of every basic as one flagged interval: the
+    # streams call ``fiv``, read raw basics as intervals (a, b) and compact
+    # descriptions as closed pieces (p, q).  ``fiv`` is not part of the
+    # Space interface; only the line and the unit interval set this flag.
     streams_bounds = False
 
     def sigma_piece_descs(self) -> Sequence[object]:
@@ -695,8 +699,16 @@ class _LineSubspace(Space):
         raise NotImplementedError
 
     def basic_subset(self, d1, d2) -> bool:
+        # plain loops, not all/any generators: the overt semideciders call
+        # this once per enumerated basic, and generators cost 50% more here
         t2 = self.trace(d2)
-        return all(any(fiv_subset(f1, f2) for f2 in t2) for f1 in self.trace(d1))
+        for f1 in self.trace(d1):
+            for f2 in t2:
+                if fiv_subset(f1, f2):
+                    break
+            else:
+                return False
+        return True
 
     def basic_disjoint(self, d1, d2) -> bool:
         return all(fiv_disjoint(f1, f2)
@@ -933,8 +945,8 @@ class _TraceRegion(Region):
 
 class _IntervalSpaceBase(_LineSubspace):
     """The line or a closed interval of it: every trace is the single
-    flagged interval ``fiv(d)``, on which the hot containment tests and
-    the indexes work directly."""
+    flagged interval ``fiv(d)``, which the indexes and the local pinch use
+    directly."""
 
     lo_bound: Fraction | None = None  # carrier bounds for traces
     hi_bound: Fraction | None = None
@@ -976,12 +988,6 @@ class _IntervalSpaceBase(_LineSubspace):
         p, _, q, _ = self.cfiv((p, q))
         return ((p, q),) if p <= q else ()
 
-    def basic_subset(self, d1, d2) -> bool:
-        return fiv_subset(self.fiv(d1), self.fiv(d2))
-
-    def basic_disjoint(self, d1, d2) -> bool:
-        return fiv_disjoint(self.fiv(d1), self.fiv(d2))
-
     def in_carrier(self, x: Fraction) -> bool:
         if self.lo_bound is not None and x < self.lo_bound:
             return False
@@ -989,21 +995,10 @@ class _IntervalSpaceBase(_LineSubspace):
             return False
         return True
 
-    def cdesc_in_basic(self, cdesc, d) -> bool:
-        f = self.fiv(d)
-        return all(fiv_subset(self.cfiv(piece), f) for piece in cdesc)
-
     def cdesc_hull(self, cdesc) -> Fiv | None:
         if not cdesc:
             return None
         return (cdesc[0][0], 0, cdesc[-1][1], 0)
-
-    def basic_meets_cdesc(self, d, cdesc) -> bool:
-        f = self.fiv(d)
-        return any(not fiv_disjoint(f, self.cfiv(p)) for p in cdesc)
-
-    def region(self) -> Region:
-        return _IntervalRegion(self)
 
     def cover_index(self):
         return _FivBasicCoverIndex(self)
@@ -1023,22 +1018,6 @@ class _IntervalSpaceBase(_LineSubspace):
         if not (fiv_subset(vf, (lo, 0, hi, 0)) and fiv_subset((lo, 0, hi, 0), pf)):
             return None
         return self.make_cdesc([(lo, hi)])
-
-
-class _IntervalRegion(Region):
-    def __init__(self, space: _IntervalSpaceBase):
-        self.space = space
-        self.union = FivUnion()
-
-    @property
-    def version(self) -> int:
-        return self.union.version
-
-    def add(self, desc) -> None:
-        self.union.add(self.space.fiv(desc))
-
-    def covers_cdesc(self, cdesc) -> bool:
-        return all(self.union.covers(self.space.cfiv(p)) for p in cdesc)
 
 
 class _FivBasicCoverIndex:
