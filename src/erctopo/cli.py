@@ -32,7 +32,7 @@ from .metric import (
     hausdorff_distance,
     radius,
 )
-from .oracle import MalformedSpace
+from .oracle import EmptySetArgument, MalformedSpace
 from .registry import registry_get
 from .sets import (
     compact_from_cdesc,
@@ -58,31 +58,33 @@ OK, PARSE_ERROR, PENDING_EXIT, DOMAIN_ERROR = 0, 1, 2, 3
 
 
 # ---------------------------------------------------------------------------
-# Literals (rationals, open intervals and basics are read by the spaces)
+# Literals (points, located sets and basics are read by the spaces)
+
+def _split_top(text: str) -> list[str]:
+    """``text`` split at the commas outside every bracket pair."""
+    items, depth, cur = [], 0, []
+    for ch in text:
+        if ch == "," and depth == 0:
+            items.append("".join(cur))
+            cur = []
+            continue
+        if ch in "([{":
+            depth += 1
+        elif ch in ")]}":
+            depth -= 1
+        cur.append(ch)
+    items.append("".join(cur))
+    return items
+
 
 def parse_located(space, text: str):
-    """Finite unions of closed rational intervals and finite point sets,
-    joined with '+': e.g. ``[0,1/2]`` or ``{0,1}+[3/4,1]``."""
-    pieces = []
-    for chunk in text.split("+"):
-        t = chunk.strip()
-        if t.startswith("[") and t.endswith("]"):
-            parts = t[1:-1].split(",")
-            if len(parts) != 2:
-                raise ParseError(f"closed interval needs two endpoints: {t!r}")
-            p, q = parse_rational(parts[0]), parse_rational(parts[1])
-            if p > q:
-                raise ParseError(f"empty closed interval: {t!r}")
-            pieces.append((p, q))
-        elif t.startswith("{") and t.endswith("}"):
-            for point in t[1:-1].split(","):
-                q = parse_rational(point)
-                pieces.append((q, q))
-        else:
-            raise ParseError(f"located literal chunk {t!r} (want [a,b] or {{p,...}})")
-    if not pieces:
-        raise ParseError("empty located literal")
-    return space.make_cdesc(pieces)
+    """The nonempty compact description written in ``text`` (see
+    :meth:`Space.parse_located`); a set empty in the space raises
+    EmptySetArgument."""
+    cdesc = space.parse_located(text)
+    if not space.cdesc_nonempty(cdesc):
+        raise EmptySetArgument(f"{text!r} names the empty set in {space.name}")
+    return cdesc
 
 
 def parse_bits(space, text: str) -> SpecBits:
@@ -90,7 +92,7 @@ def parse_bits(space, text: str) -> SpecBits:
     Basics are ``[word]`` cylinders on cantor (``[e]`` is the root) and
     ``(a,b)`` intervals elsewhere."""
     assigned: dict[int, int] = {}
-    for chunk in text.split(","):
+    for chunk in _split_top(text):
         t = chunk.strip()
         if not t:
             continue
@@ -137,20 +139,7 @@ def parse_predicate(bundle, text: str):
         if "(" not in t or not t.endswith(")"):
             raise ParseError(f"predicate term must be call-shaped: {t!r}")
         head, rest = t.split("(", 1)
-        body = rest[:-1]
-        args, depth, cur = [], 0, []
-        for ch in body:
-            if ch == "," and depth == 0:
-                args.append("".join(cur))
-                cur = []
-                continue
-            if ch in "([{":
-                depth += 1
-            elif ch in ")]}":
-                depth -= 1
-            cur.append(ch)
-        if cur:
-            args.append("".join(cur))
+        args = _split_top(rest[:-1]) if rest[:-1] else []
         return head.strip(), [a.strip() for a in args]
 
     def _parse_open_literal(t: str):
@@ -286,11 +275,9 @@ def cmd_distance(args) -> int:
                     "result": "error: needs a metric and a relatively compact system",
                     "witness": None, "fuelUsed": 0})
         return DOMAIN_ERROR
-    x = exact_metric_point(bundle.metric, parse_rational(args.x))
-    cdesc = parse_located(bundle.space, args.located)
-    a = located_from_cdesc(bundle.space, cdesc)
-    real = distance_to_located(bundle.metric, bundle.ercs, x, a,
-                               hi_seed=Fraction(4))
+    x = exact_metric_point(bundle.metric, bundle.space.parse_point(args.x))
+    a = located_from_cdesc(bundle.space, parse_located(bundle.space, args.located))
+    real = distance_to_located(bundle.metric, bundle.ercs, x, a)
     got = real.approx(args.precision, fuel=args.fuel)
     if got is None:
         emit(args, {"command": "distance", "config": _config(args),
@@ -311,8 +298,7 @@ def cmd_hausdorff(args) -> int:
         return DOMAIN_ERROR
     a = located_from_cdesc(bundle.space, parse_located(bundle.space, args.a))
     b = located_from_cdesc(bundle.space, parse_located(bundle.space, args.b))
-    real = hausdorff_distance(bundle.metric, bundle.ercs, a, b,
-                              bundle.whole_hint, hi_seed=Fraction(2))
+    real = hausdorff_distance(bundle.metric, bundle.ercs, a, b, bundle.whole_hint)
     got = real.approx(args.precision, fuel=args.fuel)
     if got is None:
         emit(args, {"command": "hausdorff", "config": _config(args),
@@ -331,11 +317,11 @@ def cmd_radius(args) -> int:
                     "result": "error: needs a metric space",
                     "witness": None, "fuelUsed": 0})
         return DOMAIN_ERROR
-    x = exact_metric_point(bundle.metric, parse_rational(args.x))
+    x = exact_metric_point(bundle.metric, bundle.space.parse_point(args.x))
     cdesc = parse_located(bundle.space, args.ball)
     k = compact_from_cdesc(bundle.space, cdesc)
     v = overt_from_cdesc(bundle.space, cdesc)
-    real = radius(bundle.metric, x, k, v, hi_seed=Fraction(2))
+    real = radius(bundle.metric, x, k, v)
     got = real.approx(args.precision, fuel=args.fuel)
     if got is None:
         emit(args, {"command": "radius", "config": _config(args),
@@ -412,7 +398,8 @@ def main(argv=None) -> int:
     except ParseError as exc:
         sys.stderr.write(f"parse error: {exc}\n")
         return PARSE_ERROR
-    except (UnknownSpace, MalformedLiteral, MalformedSpace, OutOfSpace) as exc:
+    except (UnknownSpace, MalformedLiteral, MalformedSpace, OutOfSpace,
+            EmptySetArgument) as exc:
         sys.stderr.write(f"domain error: {exc}\n")
         return DOMAIN_ERROR
 

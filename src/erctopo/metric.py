@@ -4,19 +4,14 @@ Hausdorff distance.
 
 Exact reals are nested rational brackets.  A bracket owes its bounds to
 the names: an upper bound comes from a covering that was seen to succeed,
-a lower bound from an overlap or avoidance witness.  Two engines produce
-them.
-
-* Bound streams.  For sets with an exact description on the interval
-  spaces, each side of the bracket is a monotone stream of rationals (a
-  left- or right-c.e. real) computed from the enumerated hits, covers and
-  complement parts themselves; :class:`BoundsReal` reads both streams once
-  per real.  One unit of fuel is one stage of the streams, which reads one
-  stage of every name they consume.
-* The threshold race.  Otherwise (no description, the finite oracle
-  spaces, centers without an exact value) :class:`_BracketMachine` races
-  semidecision certificates at probe thresholds; one unit of fuel is one
-  stage of that machine.
+a lower bound from an overlap or avoidance witness.  Radii, distances and
+Hausdorff distances are read as two monotone bound streams (a left- and a
+right-c.e. real) computed from the enumerated hits, covers and complement
+parts themselves, through the space's distance bounds (``far``, ``near``,
+``clearance``, ``hausdorff_pair``); :class:`BoundsReal` reads both streams
+once per real.  One unit of fuel is one stage of the streams, which reads
+one stage of every name they consume.  No description is needed: a set
+given only by its names gets the same streams.
 
 A request for precision k reads until the bracket closes to width 2**-k
 or the fuel budget runs out (an ordinary Pending).  Answers depend only
@@ -25,12 +20,10 @@ on k and the fuel, never on what was asked before.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from itertools import accumulate
 from typing import Callable, Iterable, Sequence
 
-from .ercs import Ercs, compact_base
+from .ercs import Ercs, compact_base, whole_space_compact
 from .kernel import (
     Machine,
     MonotoneEnumerator,
@@ -48,18 +41,14 @@ from .sets import (
     closed_from_cdesc,
     compact_subset,
     intersect_closed_compact,
-    open_from_fixture,
-    overt_meets,
     whole_open,
 )
 from .spaces import (
-    FivUnion,
     MetricStructure,
     OutOfSpace,
     PointName,
     Space,
     emission_slot,
-    encode_interval,
 )
 
 DEFAULT_APPROX_FUEL = 2 * 10 ** 5
@@ -183,97 +172,6 @@ class _BoundStream(MonotoneEnumerator[Fraction]):
             self._best = best
             return (best,)
         return ()
-
-
-class _BracketMachine(Machine):
-    """Shrinks a rational bracket by racing certificate processes.
-
-    ``upper_factory(r)`` accepts only if the value is < r (then hi := r);
-    ``lower_factory(r)`` accepts only if the value is >= r (then lo := r).
-    Until an upper bound exists, a sweep doubles ``hi_seed``.  Probes are
-    placed at thirds so the unknown value can coincide with at most one
-    probe; the other must eventually resolve.  Every resolution discards
-    the four probe processes and places fresh ones, which rescan their
-    names from stage 0; this is the path for sets without a description
-    and for the finite oracle spaces.  If certificates ever cross (an
-    upper certificate below a lower one) the bracket is frozen at the
-    crossing gap -- any value inside is then valid.
-    """
-
-    def __init__(self, lo: Fraction,
-                 upper_factory: Callable[[Fraction], SemidecisionProcess],
-                 lower_factory: Callable[[Fraction], SemidecisionProcess],
-                 hi_seed: Fraction = Fraction(1)):
-        super().__init__()
-        self.lo = Fraction(lo)
-        self.hi: Fraction | None = None
-        self.frozen: Fraction | None = None
-        self._upper_factory = upper_factory
-        self._lower_factory = lower_factory
-        self._seed = Fraction(hi_seed)
-        self._probes: list[tuple[str, Fraction, SemidecisionProcess, int]] = []
-        self._sweep_r = self._seed
-        self._sweep_proc = upper_factory(self._seed)
-        self._sweep_fuel = 0
-        self._cursor = 0
-
-    def value_bracket(self) -> tuple[Fraction, Fraction] | None:
-        if self.frozen is not None:
-            return (self.frozen, self.frozen)
-        if self.hi is None:
-            return None
-        return (self.lo, self.hi)
-
-    def _place_probes(self) -> None:
-        w = self.hi - self.lo
-        if w <= 0:
-            self._probes = []
-            return
-        r1 = self.lo + w / 3
-        r2 = self.lo + 2 * w / 3
-        self._probes = [
-            ("hi", r1, self._upper_factory(r1), 0),
-            ("lo", r1, self._lower_factory(r1), 0),
-            ("hi", r2, self._upper_factory(r2), 0),
-            ("lo", r2, self._lower_factory(r2), 0),
-        ]
-
-    def step(self, t: int) -> bool:
-        if self.frozen is not None:
-            return False
-        if self.hi is None:
-            # initial sweep for any upper bound at all
-            self._sweep_fuel += 1
-            if self._sweep_proc.poll(self._sweep_fuel) is not None:
-                self.hi = self._sweep_r
-                self._place_probes()
-            elif self._sweep_fuel >= 4 * (t.bit_length() + 1) ** 2:
-                self._sweep_r = self._sweep_r * 2
-                self._sweep_proc = self._upper_factory(self._sweep_r)
-                self._sweep_fuel = 0
-            return False
-        if not self._probes:
-            return False
-        self._cursor %= len(self._probes)
-        kind, r, proc, f = self._probes[self._cursor]
-        f += 1
-        if proc.poll(f) is not None:
-            if kind == "hi":
-                if r < self.lo:
-                    self.frozen = (r + self.lo) / 2
-                    return False
-                self.hi = min(self.hi, r)
-            else:
-                if r > self.hi:
-                    self.frozen = (self.hi + r) / 2
-                    return False
-                self.lo = max(self.lo, r)
-            self._place_probes()
-            self._cursor = 0
-        else:
-            self._probes[self._cursor] = (kind, r, proc, f)
-            self._cursor += 1
-        return False
 
 
 class BracketReal(CReal):
@@ -527,88 +425,36 @@ def ercs_from_compact_ball(m: MetricStructure,
 # ---------------------------------------------------------------------------
 # Radius
 
-class _HitScan(Machine):
-    """Scans overt hits, four hit stages per step, for one whose basic
-    passes ``found``.  With ``found`` a test for lying outside a closed
-    ball, this is the streamed equivalent of matching a hit inside an
-    enumerated part of the ball-complement name; with a test for lying
-    inside an open ball, of matching one inside a shrinking core of the
-    ball name."""
-
-    def __init__(self, space: Space, hits: MonotoneEnumerator[int],
-                 found: Callable[[object], bool]):
-        super().__init__()
-        self.space = space
-        self._hits = hits.cursor()
-        self.found = found
-
-    def step(self, t: int) -> bool:
-        for n in self._hits.upto(4 * t + 4):
-            if self.found(self.space.decode(n)):
-                return True
-        if self._hits.quiescent(4 * t + 4):
-            self.stall()
-        return False
-
-
-def _farthest(space: Space, xval, n: int) -> Fraction:
-    """Largest distance from x to a point of the basic's trace."""
-    lo, _, hi, _ = space.fiv(space.decode(n))
-    return max(xval - lo, hi - xval)
-
-
-def _nearest(space: Space, xval, n: int) -> Fraction:
-    """Least distance from x to the basic's trace (negative inside it)."""
-    lo, _, hi, _ = space.fiv(space.decode(n))
-    return max(lo - xval, xval - hi)
-
-
-def _streamed(space: Space, *descs) -> bool:
-    """Whether bound streams serve: exactly described sets on a space that
-    streams bounds."""
-    return space.streams_bounds and all(d is not None for d in descs)
+def _exact_center(x: MetricPoint):
+    if x.value is None:
+        raise OutOfSpace("metric brackets need a center with an exact value")
+    return x.value
 
 
 def radius(m: MetricStructure, x: MetricPoint, k: CompactSet, v: OvertSet,
-           hi_seed=Fraction(1)) -> CReal:
+           hi_seed=None) -> BoundsReal:
     """The radius rho with the named set equal to the closed ball around x.
 
-    Described sets on interval spaces: the lower bound is the largest
-    least distance from x to an overt hit (each hit holds a point of the
-    set), the upper bound the smallest, over enumerated covers of the
-    compact name, of the largest distance from x to a cover cell.  One
-    unit of fuel reads one stage of the hits and of the covers.
-
-    Otherwise the threshold race: upper certificates show the compact
-    name fits in an open ball, lower certificates that the overt name
-    escapes a closed ball; the sweep for a first upper bound starts at
-    ``hi_seed``, and one unit of fuel is one stage of the race.  If the
-    two sides ever cross (the named set is not exactly a ball), any
-    rational in the gap is a legitimate answer and the bracket freezes
-    there.
+    The lower bound is the largest ``near`` distance from x to an overt hit
+    (each hit holds a point of the set), the upper bound the smallest,
+    over enumerated covers of the compact name, of the largest ``far``
+    distance from x to a cover cell.  One unit of fuel reads one stage of
+    the hits and of the covers.  If the two sides ever cross (the named
+    set is not exactly a ball), the bracket collapses inside the gap,
+    where any rational is a legitimate answer.  ``hi_seed`` is accepted
+    and ignored.  Raises OutOfSpace for a center without an exact value.
     """
     space = m.space
-    if x.value is not None and _streamed(space, k.cdesc, v.cdesc):
-        xv = x.value
-        lower = _BoundStream(v.hits, lambda n: _nearest(space, xv, n),
-                             lower=True, start=Fraction(0))
-        upper = _BoundStream(
-            k.covers, lambda cover: max((_farthest(space, xv, n) for n in cover),
-                                        default=Fraction(0)),
-            lower=False)
-        return BoundsReal(LowerReal(lower), UpperReal(upper))
+    xv = _exact_center(x)
 
-    def upper_cert(r: Fraction) -> SemidecisionProcess:
-        return compact_subset(k, ball_open(m, x, r))
+    def widest(cover) -> Fraction | None:
+        fars = [space.far(xv, space.decode(n)) for n in cover]
+        return None if None in fars else max(fars, default=Fraction(0))
 
-    def lower_cert(r: Fraction) -> SemidecisionProcess:
-        if x.value is not None:
-            return _HitScan(space, v.hits,
-                            lambda d: space.outside_closed_ball(x.value, d, r))
-        return overt_meets(v, closed_ball_closed(m, x, r).complement)
-
-    return BracketReal(_BracketMachine(Fraction(0), upper_cert, lower_cert,
-                                       hi_seed=Fraction(hi_seed)))
+    lower = _BoundStream(v.hits, lambda n: space.near(xv, space.decode(n)),
+                         lower=True, start=Fraction(0))
+    upper = _BoundStream(k.covers, widest, lower=False)
+    return BoundsReal(LowerReal(lower), UpperReal(upper))
 
 
 # ---------------------------------------------------------------------------
@@ -670,8 +516,8 @@ class _NiceRadiusMachine(Machine):
         rho = Fraction(1, 2 ** self.level)
 
         def witnessed(udesc) -> bool:
-            lo_dist = space.min_dist(xv, udesc)
-            if lo_dist <= 0:
+            lo_dist = space.near(xv, udesc)
+            if lo_dist is None or lo_dist <= 0:
                 return False
             return any(m.exact(xv, z) < lo_dist and space.in_open_ball(z, udesc, rho)
                        for z in space.witness_candidates(xv, lo_dist, rho))
@@ -719,303 +565,95 @@ def nice_radius(m: MetricStructure, x: MetricPoint, r, k: CompactSet) -> CReal:
 # ---------------------------------------------------------------------------
 # Distance to a located set
 
-class _SigmaHull:
-    """Growing union of the system's patches, with an exact description."""
-
-    def __init__(self, e: Ercs):
-        self.e = e
-        self.space = e.space
-        self._kids = e.k_stream.cursor()
-        self._found: list[int] = []
-        self._union = None
-
-    def grow(self) -> None:
-        for kid in self._kids.upto(self._kids.stage + 1):
-            d = self.e.compact_cdesc(kid)
-            if d is not None:
-                self._found.append(kid)
-                self._union = (d if self._union is None
-                               else self.space.cdesc_union(self._union, d))
-
-    def cover_of(self, cdesc, budget: int) -> CompactSet | None:
-        """A compact union of patches whose description covers cdesc."""
-        for _ in range(budget):
-            if self._union is not None and self.space.cdesc_subset(cdesc, self._union):
-                from .ercs import whole_space_compact
-                return whole_space_compact(self.e, list(self._found))
-            self.grow()
-        return None
-
-
 def distance_to_located(m: MetricStructure, e: Ercs, x: MetricPoint,
-                        a: LocatedSet, hi_seed=Fraction(1)) -> CReal:
+                        a: LocatedSet, hi_seed=None) -> BoundsReal:
     """Infimum distance from x to a nonempty located set.
 
-    Described sets on interval spaces: the upper bound is the smallest,
-    over overt hits (a, b), of max(b - x, x - a); the lower bound is the
-    half-width around x of the component containing x of the union of the
-    enumerated complement parts, or 0 while no part covers x.  One unit
-    of fuel reads one stage of the hits and of the complement parts.
-
-    Otherwise the threshold race: upper certificates show the overt part
-    meets an open ball, lower certificates that a compact closed ball
-    around x lies inside the complement of the closed part; the sweep for
-    a first upper bound starts at ``hi_seed``, and one unit of fuel is one
-    stage of the race.
+    The upper bound is the smallest ``far`` distance from x to an overt
+    hit; the lower bound is the space's ``clearance`` of x from the
+    enumerated complement parts, 0 while no part covers x.  One unit of
+    fuel reads one stage of the hits and of the complement parts.  The
+    system ``e`` and ``hi_seed`` are accepted and not used.  Raises
+    OutOfSpace for a center without an exact value.
     """
     space = m.space
-    if x.value is not None and _streamed(space, a.cdesc):
-        xv = x.value
-        gaps = FivUnion()
-
-        def around_x(n: int) -> Fraction | None:
-            lo, hi = space.decode(n)  # raw: the part avoids the whole set
-            gaps.add((lo, 1, hi, 1))
-            part = gaps.part_at(xv)
-            return None if part is None else min(xv - part[0], part[2] - xv)
-
-        lower = _BoundStream(a.closed_part.complement.parts, around_x,
-                             lower=True, start=Fraction(0))
-        upper = _BoundStream(a.overt_part.hits, lambda n: _farthest(space, xv, n),
-                             lower=False)
-        return BoundsReal(LowerReal(lower), UpperReal(upper))
-
-    sigma = _SigmaHull(e)
-
-    def upper_cert(r: Fraction) -> SemidecisionProcess:
-        if x.value is not None:
-            return _HitScan(space, a.overt_part.hits,
-                            lambda d: space.in_open_ball(x.value, d, r))
-        return overt_meets(a.overt_part, ball_open(m, x, r))
-
-    def lower_cert(r: Fraction) -> SemidecisionProcess:
-        return _LowerDistanceCert(m, e, sigma, x, a, r)
-
-    return BracketReal(_BracketMachine(Fraction(0), upper_cert, lower_cert,
-                                       hi_seed=Fraction(hi_seed)))
-
-
-class _LowerDistanceCert(Machine):
-    """Certifies that the closed ball of radius r misses the located set:
-    builds the ball as a compact set (pruned out of a sigma-patch union
-    covering it) and semidecides inclusion in the closed part's complement."""
-
-    def __init__(self, m: MetricStructure, e: Ercs, sigma: _SigmaHull,
-                 x: MetricPoint, a: LocatedSet, r: Fraction):
-        super().__init__()
-        self.m = m
-        self.e = e
-        self.sigma = sigma
-        self.x = x
-        self.a = a
-        self.r = r
-        self._inner: SemidecisionProcess | None = None
-        self._inner_fuel = 0
-
-    def step(self, t: int) -> bool:
-        if self._inner is None:
-            cdesc = self.m.space.closed_ball_desc(self.x.value, self.r)
-            if cdesc is None:
-                self.stall()
-                return False
-            hull = self.sigma.cover_of(cdesc, budget=4)
-            if hull is None:
-                return False
-            ball = closed_ball_closed(self.m, self.x, self.r)
-            k_ball = intersect_closed_compact(ball, hull)
-            self._inner = compact_subset(k_ball, self.a.closed_part.complement)
-        self._inner_fuel += 1
-        return self._inner.poll(self._inner_fuel) is not None
+    xv = _exact_center(x)
+    clear = space.clearance(xv)
+    lower = _BoundStream(a.closed_part.complement.parts,
+                         lambda n: clear(space.decode(n)),
+                         lower=True, start=Fraction(0))
+    upper = _BoundStream(a.overt_part.hits, lambda n: space.far(xv, space.decode(n)),
+                         lower=False)
+    return BoundsReal(LowerReal(lower), UpperReal(upper))
 
 
 # ---------------------------------------------------------------------------
 # Hausdorff distance
 
-def _far_open(space: Space, udesc, r: Fraction) -> OpenSet:
-    """Points at distance more than r from the basic u (interval spaces)."""
-    a, b = udesc
+class _Hull:
+    """A compact description of a set containing a compact set: its own
+    description when it has one, else the intersection of the hulls of
+    its enumerated covers, each of which contains the set."""
 
-    def step(t: int):
-        s = emission_slot(t)
-        if s is None:
-            return ()
-        width = Fraction(2 ** s)
-        out = [encode_interval(a - r - width, a - r),
-               encode_interval(b + r, b + r + width)]
-        return [c for c in out if space.decode(c) is not None]
-
-    return OpenSet(space, enumerate_step(step), label=f"far:{r}")
-
-
-def _thickening_open(space: Space, hits: MonotoneEnumerator[int], r: Fraction,
-                     codes: dict[tuple[int, Fraction], int]) -> OpenSet:
-    """Open r-thickening of a set given by overt hits (interval spaces).
-
-    ``codes`` memoizes the thickened code of each (hit, r); its owner is
-    the real that races these thickenings, so it lives as long as that
-    real and no longer.
-    """
-
-    class _Thick(MonotoneEnumerator[int]):
-        def __init__(self) -> None:
-            super().__init__()
-            self._hits = hits.cursor()
-            self._seen: set[int] = set()
-
-        def step(self, t: int):
-            out = []
-            for n in self._hits.upto(t + 1):
-                c = codes.get((n, r))
-                if c is None:
-                    a, b = space.decode(n)
-                    c = encode_interval(b - r, a + r) if b - a < 2 * r else -1
-                    codes[(n, r)] = c
-                if c >= 0 and c not in self._seen and space.decode(c) is not None:
-                    self._seen.add(c)
-                    out.append(c)
-            if self._hits.quiescent(t + 1):
-                self.stall()
-            return out
-
-    return OpenSet(space, _Thick(), label=f"thick:{r}")
-
-
-class _DirectedFarCert(Machine):
-    """Certifies sup over the first set of the distance to the second set
-    is >= r: some overt hit of the first is uniformly farther than r from
-    the second set's compact hull.
-
-    One inclusion machine per distinct hit, dovetailed: stage pair(i, j)
-    runs machine i for its j-th step, so every machine gets a growing
-    share of the stages however many hits arrive after it.
-    """
-
-    def __init__(self, space: Space, hits: MonotoneEnumerator[int],
-                 other_hull: CompactSet, r: Fraction):
-        super().__init__()
+    def __init__(self, space: Space, k: CompactSet):
         self.space = space
-        self._hits = hits.cursor()
-        self.other_hull = other_hull
-        self.r = r
-        self._seen: set[int] = set()
-        self._live: list[SemidecisionProcess] = []
+        self.cdesc = k.cdesc
+        self._covers = None if k.cdesc is not None else k.covers.cursor()
 
-    def step(self, t: int) -> bool:
-        i, j = unpair(t)
-        if i == len(self._live):  # spawn lazily, reading one hit stage at a time
-            for n in self._hits.upto(self._hits.stage + 1):
-                if n not in self._seen:
-                    self._seen.add(n)
-                    far = _far_open(self.space, self.space.decode(n), self.r)
-                    self._live.append(compact_subset(self.other_hull, far))
-        return i < len(self._live) and self._live[i].poll(j + 1) is not None
-
-
-# Hausdorff bound streams work on an integer grid of 2**-_GRID: cell and
-# hull ends are rounded outward, so every bound stays sound, and sorting
-# and comparing integers is several times cheaper than Fractions.
-_GRID = 64
-
-
-def _grid_floor(q: Fraction) -> int:
-    return (q.numerator << _GRID) // q.denominator
-
-
-def _grid_ceil(q: Fraction) -> int:
-    return -((-q.numerator << _GRID) // q.denominator)
-
-
-def _cover_radius2(hull: Sequence[tuple[int, int]],
-                   cells: Iterable[tuple[int, int]]) -> int | None:
-    """Twice the sup, over y in the hull, of the least max(y - a, b - y)
-    over the cells (a, b); None without cells.
-
-    Sorted by midpoint, the cells split the line into segments; on the
-    segment between midpoints i and i+1 the least is min(y - A, B - y),
-    with A the largest left end up to i and B the smallest right end from
-    i+1 on, a tent whose maximum over a range sits at its apex or at the
-    range end nearest to it.
-    """
-    order = sorted(cells, key=sum)
-    if not order:
-        return None
-    mids = [a + b for a, b in order]
-    pre = list(accumulate((a for a, _ in order), max))
-    suf = list(accumulate((b for _, b in reversed(order)), min))[::-1]
-    worst = 0
-    for p, q in hull:
-        p2, q2 = 2 * p, 2 * q
-        if p2 <= mids[0]:
-            worst = max(worst, 2 * suf[0] - p2)
-        if q2 >= mids[-1]:
-            worst = max(worst, q2 - 2 * pre[-1])
-        first = max(bisect_left(mids, p2) - 1, 0)
-        last = min(bisect_right(mids, q2), len(order) - 1)
-        for i in range(first, last):
-            A, B = pre[i], suf[i + 1]
-            u2, v2 = max(mids[i], p2), min(mids[i + 1], q2)
-            if u2 > v2:
-                continue
-            apex = A + B
-            if apex < u2:
-                worst = max(worst, 2 * B - u2)
-            elif apex > v2:
-                worst = max(worst, v2 - 2 * A)
-            else:
-                worst = max(worst, B - A)
-    return worst
+    def read(self, stage: int) -> None:
+        if self._covers is None:
+            return
+        space = self.space
+        for cover in self._covers.upto(stage):
+            got = space.cover_hull([space.decode(n) for n in cover])
+            if got is not None and self.cdesc is not None:
+                got = space.cdesc_intersect(self.cdesc, got)
+            if got is not None:
+                self.cdesc = got
 
 
 class _HausdorffBounds(MonotoneEnumerator[tuple[bool, Fraction]]):
-    """Both bound streams of a Hausdorff distance from one pass over the
-    hits, as items (True, lower bound) and (False, upper bound); only
-    improvements are emitted.
+    """Both bound streams of a Hausdorff distance, as items (True, lower
+    bound) and (False, upper bound); only improvements are emitted.
 
-    Every hit cell (a, b) of one set holds a point of that set.  Lower
-    bound: the largest gap between such a cell and the other set's hull,
-    the least over hull pieces [p, q] of max(a - q, p - b).  Upper bound:
-    the larger, over the two directions, of the cover radius of one hull
-    by the other set's cells (see :func:`_cover_radius2`), recomputed at
-    the stages 1, 2, 4, ... that :class:`BoundsReal` reads.  A cell at
-    least twice as wide as the upper bound can never lower it and is
-    dropped for good.
+    At the stages 1, 2, 4, ... that :class:`BoundsReal` reads, each
+    direction asks the space for the ``hausdorff_pair`` of one set's hull
+    and the other set's hit cells so far: the lower bound is the larger of
+    the two lower bounds, the upper bound the larger of the two upper
+    bounds.
     """
 
     def __init__(self, space: Space, hits_a: MonotoneEnumerator[int],
-                 hits_b: MonotoneEnumerator[int],
-                 hull_a: Sequence[tuple[int, int]], hull_b: Sequence[tuple[int, int]]):
+                 hits_b: MonotoneEnumerator[int], hull_a: _Hull, hull_b: _Hull):
         super().__init__()
         self.space = space
-        # (hits of one set, the other set's hull, cells still kept)
-        self._sides = [(hits_a.cursor(), hull_b, set()), (hits_b.cursor(), hull_a, set())]
-        self._lo = 0
-        self._hi2: int | None = None  # twice the upper bound, in grid units
+        # (one set's hull, the hits of the other set, their cells still kept)
+        self._sides = [(hull_a, hits_b.cursor(), {}), (hull_b, hits_a.cursor(), {})]
+        self._lo: Fraction | None = None
+        self._hi: Fraction | None = None
 
     def step(self, t: int) -> Iterable[tuple[bool, Fraction]]:
-        out = []
-        lo, hi2 = self._lo, self._hi2
-        for hits, hull, cells in self._sides:
+        if t & (t + 1):
+            return ()
+        lows, highs = [], []
+        for hull, hits, cells in self._sides:
+            hull.read(t + 1)
             for n in hits.upto(t + 1):
-                flo, _, fhi, _ = self.space.fiv(self.space.decode(n))
-                a, b = _grid_floor(flo), _grid_ceil(fhi)
-                lo = max(lo, min((max(a - q, p - b) for p, q in hull), default=0))
-                if hi2 is None or b - a < hi2:
-                    cells.add((a, b))
-        if t == 0 or lo > self._lo:
+                cells.setdefault(n, None)
+            got = None if hull.cdesc is None else self.space.hausdorff_pair(hull.cdesc, cells)
+            if got is not None:
+                lows.append(got[0])
+                highs.append(got[1])
+        out = []
+        lo = max(lows, default=None)
+        if lo is not None and (self._lo is None or lo > self._lo):
             self._lo = lo
-            out.append((True, Fraction(lo, 1 << _GRID)))
-        if t & (t + 1) == 0:
-            worst = 0
-            for _, hull, cells in self._sides:
-                if hi2 is not None:
-                    cells.difference_update([c for c in cells if c[1] - c[0] >= hi2])
-                got = _cover_radius2(hull, cells)
-                if got is None:
-                    return out
-                worst = max(worst, got)
-            if hi2 is None or worst < hi2:
-                self._hi2 = worst
-                out.append((False, Fraction(worst, 2 << _GRID)))
+            out.append((True, lo))
+        if len(highs) == 2 and None not in highs:
+            hi = max(highs)
+            if self._hi is None or hi < self._hi:
+                self._hi = hi
+                out.append((False, hi))
         return out
 
 
@@ -1033,53 +671,22 @@ class _Side(MonotoneEnumerator[Fraction]):
 
 
 def hausdorff_distance(m: MetricStructure, e: Ercs, a: LocatedSet, b: LocatedSet,
-                       whole_hint: Sequence[int], hi_seed=Fraction(1)) -> CReal:
+                       whole_hint: Sequence[int], hi_seed=None) -> BoundsReal:
     """Hausdorff distance between nonempty located sets in a computably
     compact ambient space (the hint names patches covering the space).
 
-    Each set's hull is its closed part cut down to the whole space.
-    Described sets on interval spaces: the lower bound is the largest,
-    over hits of one set, of the gap between the hit cell and the other
-    set's hull; the upper bound is the larger cover radius of one hull by
-    the other set's hit cells (see :class:`_HausdorffBounds`).  Both work
-    on a 2**-64 grid, rounded outward.  One unit of fuel reads one stage
-    of both sets' hits.
-
-    Otherwise the threshold race: upper certificates show each hull lies
-    in the open thickening of the other set's hits, lower certificates
-    that some hit of one set lies uniformly far from the other hull; the
-    sweep for a first upper bound starts at ``hi_seed``, and one unit of
-    fuel is one stage of the race.
+    Each set's hull is its closed part cut down to the whole space (see
+    :class:`_Hull`).  The lower bound is the largest gap between a hit of
+    one set and the other set's hull; the upper bound is the larger cover
+    radius of one hull by the other set's hit cells (see
+    :class:`_HausdorffBounds`).  One unit of fuel reads one stage of both
+    sets' hits.  ``hi_seed`` is accepted and ignored.
     """
-    from .ercs import whole_space_compact
-
     space = m.space
     whole = whole_space_compact(e, whole_hint)
-    k_a = intersect_closed_compact(a.closed_part, whole)
-    k_b = intersect_closed_compact(b.closed_part, whole)
-    if _streamed(space, a.cdesc, b.cdesc, k_a.cdesc, k_b.cdesc):
-        both = _HausdorffBounds(
-            space, a.overt_part.hits, b.overt_part.hits,
-            [(_grid_floor(p), _grid_ceil(q)) for p, q in k_a.cdesc],
-            [(_grid_floor(p), _grid_ceil(q)) for p, q in k_b.cdesc])
-        return BoundsReal(LowerReal(_Side(both, lower=True)),
-                          UpperReal(_Side(both, lower=False)))
-
-    codes: dict[tuple[int, Fraction], int] = {}
-
-    def upper_cert(r: Fraction) -> SemidecisionProcess:
-        from .kernel import both_accept
-        return both_accept(
-            compact_subset(k_a, _thickening_open(space, b.overt_part.hits, r, codes)),
-            compact_subset(k_b, _thickening_open(space, a.overt_part.hits, r, codes)),
-        )
-
-    def lower_cert(r: Fraction) -> SemidecisionProcess:
-        from .kernel import any_accepts
-        return any_accepts(
-            _DirectedFarCert(space, a.overt_part.hits, k_b, r),
-            _DirectedFarCert(space, b.overt_part.hits, k_a, r),
-        )
-
-    return BracketReal(_BracketMachine(Fraction(0), upper_cert, lower_cert,
-                                       hi_seed=Fraction(hi_seed)))
+    both = _HausdorffBounds(
+        space, a.overt_part.hits, b.overt_part.hits,
+        _Hull(space, intersect_closed_compact(a.closed_part, whole)),
+        _Hull(space, intersect_closed_compact(b.closed_part, whole)))
+    return BoundsReal(LowerReal(_Side(both, lower=True)),
+                      UpperReal(_Side(both, lower=False)))

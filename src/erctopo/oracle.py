@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 from .ercs import Ercs
 from .kernel import enumerate_list
 from .sets import LocatedSet, located_from_cdesc
-from .spaces import MetricStructure, OutOfSpace, PointName, Region, Space
+from .spaces import MetricStructure, OutOfSpace, ParseError, PointName, Region, Space
 
 
 class MalformedSpace(Exception):
@@ -164,10 +164,31 @@ class OracleSpace(Space):
         return None
 
     def make_cdesc(self, points) -> frozenset:
-        return frozenset(points)
+        got = frozenset(points)
+        strays = got - frozenset(self.fs.points)
+        if strays:
+            raise OutOfSpace(f"{sorted(map(repr, strays))} not points of {self.name}")
+        return got
 
     def point_name(self, value) -> PointName:
         return oracle_point(self, value)
+
+    def parse_point(self, text: str) -> str:
+        """A point named as in the space literal."""
+        p = text.strip()
+        if p not in self.fs.points:
+            raise OutOfSpace(f"{p!r} is not a point of {self.name}")
+        return p
+
+    def parse_located(self, text: str) -> frozenset:
+        """Point sets ``{p,...}`` joined with '+'."""
+        points = []
+        for chunk in text.split("+"):
+            t = chunk.strip()
+            if not (t.startswith("{") and t.endswith("}")):
+                raise ParseError(f"located literal chunk {t!r} (want {{p,...}})")
+            points.extend(p.strip() for p in t[1:-1].split(",") if p.strip())
+        return self.make_cdesc(points)
 
     def shrunk_core(self, d, slot: int) -> None:
         return None  # the filter lane lists every basic of a finite base
@@ -202,8 +223,37 @@ class OracleSpace(Space):
     def ball_inside_basic(self, x, r: Fraction, d) -> bool:
         return self._open_ball(x, r) <= d
 
-    def min_dist(self, x, d) -> Fraction:
+    def far(self, x, d) -> Fraction:
+        return max(self.metric.exact(x, p) for p in d)
+
+    def near(self, x, d) -> Fraction:
         return min(self.metric.exact(x, p) for p in d)
+
+    def clearance(self, x):
+        union: set = set()
+
+        def add(d) -> Fraction | None:
+            union.update(d)
+            return min((self.metric.exact(x, p) for p in self.fs.points
+                        if p not in union), default=None)
+
+        return add
+
+    def cover_hull(self, descs) -> frozenset:
+        return frozenset().union(*descs)
+
+    def hausdorff_pair(self, hull, cells: dict) -> tuple[Fraction, Fraction | None]:
+        """Exact over the points of the hull: the lower bound is the
+        largest least distance between a cell and the hull, the upper
+        bound the largest, over hull points, of the least far distance to
+        a cell."""
+        descs = [self.decode(n) for n in cells]
+        lower = max((min((self.near(z, c) for z in hull), default=Fraction(0))
+                     for c in descs), default=Fraction(0))
+        if not descs:
+            return lower, None
+        return lower, max((min(self.far(z, c) for c in descs) for z in hull),
+                          default=Fraction(0))
 
     def closed_ball_desc(self, x, r: Fraction) -> frozenset:
         return self.annulus_desc(x, Fraction(0), r)

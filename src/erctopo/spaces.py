@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from itertools import zip_longest
+from itertools import accumulate, zip_longest
 from math import gcd, isqrt
 from typing import Callable, Iterable, Sequence
 
@@ -353,7 +353,7 @@ class Space:
 
     Each space owns its whole calculus: the containment tests, the compact
     description operations, the generated lanes of set names and, on a
-    metric space, the ball tests.  A default that answers False, None or
+    metric space, the ball tests and the distance bounds.  A default that answers False, None or
     an empty lane (or raises OutOfSpace) means "unsupported" and never
     asserts anything.
     """
@@ -434,13 +434,6 @@ class Space:
     # optional structure -------------------------------------------------------
     metric: "MetricStructure | None" = None
     whole_compact_desc = None
-    # Whether metric brackets can be read as bound streams off the names.
-    # A space that sets it must be a subspace of the line that provides
-    # ``fiv(d)``, the trace of every basic as one flagged interval: the
-    # streams call ``fiv``, read raw basics as intervals (a, b) and compact
-    # descriptions as closed pieces (p, q).  ``fiv`` is not part of the
-    # Space interface; only the line and the unit interval set this flag.
-    streams_bounds = False
 
     def sigma_piece_descs(self) -> Sequence[object]:
         """Compact pieces exhausting the space, when the space provides them."""
@@ -479,6 +472,40 @@ class Space:
         """The basic description written in ``text``; the default reads an
         open interval ``(a,b)``.  Raises ParseError."""
         return parse_open_interval(text)
+
+    def parse_point(self, text: str):
+        """The exact point written in ``text``; the default reads a
+        rational.  Raises ParseError or OutOfSpace."""
+        return parse_rational(text)
+
+    def parse_located(self, text: str):
+        """The compact description written in ``text``; the default reads
+        closed rational intervals and finite point sets joined with '+',
+        e.g. ``[0,1/2]`` or ``{0,1}+[3/4,1]``.  Raises ParseError or
+        OutOfSpace."""
+        pieces = []
+        for chunk in text.split("+"):
+            t = chunk.strip()
+            if t.startswith("[") and t.endswith("]"):
+                parts = t[1:-1].split(",")
+                if len(parts) != 2:
+                    raise ParseError(f"closed interval needs two endpoints: {t!r}")
+                p, q = parse_rational(parts[0]), parse_rational(parts[1])
+                if p > q:
+                    raise ParseError(f"empty closed interval: {t!r}")
+                pieces.append((p, q))
+            elif t.startswith("{") and t.endswith("}"):
+                for point in t[1:-1].split(","):
+                    q = parse_rational(point)
+                    pieces.append((q, q))
+            else:
+                raise ParseError(f"located literal chunk {t!r} (want [a,b] or {{p,...}})")
+        return self.make_cdesc(pieces)
+
+    def make_cdesc(self, pieces):
+        """The compact description of the given pieces; raises OutOfSpace
+        if unsupported or if a piece is not part of the space."""
+        raise OutOfSpace(f"no compact descriptions on {self.name}")
 
     def compact_complement(self, d):
         """Exact compact description of the whole compact minus the basic
@@ -520,10 +547,41 @@ class Space:
         """Sound: B(x, r) lies inside the basic d."""
         return False
 
-    def min_dist(self, x, d) -> Fraction:
-        """The exact infimum distance from x to the basic d; raises
-        OutOfSpace if unsupported."""
-        raise OutOfSpace(f"no exact infimum distance on {self.name}")
+    # distances, on exact centers x: each bound is sound in the direction
+    # stated, and None means "unsupported" (no bound)
+    def far(self, x, d) -> Fraction | None:
+        """At least the supremum distance from x to a point of the basic d."""
+        return None
+
+    def near(self, x, d) -> Fraction | None:
+        """At most the infimum distance from x to a point of the basic d."""
+        return None
+
+    def clearance(self, x) -> Callable[[object], Fraction | None]:
+        """A fresh tracker of a growing union of basics.  Each call adds a
+        basic and answers at most the distance from x to every point of
+        the space outside all basics added so far, or None.  Fed the parts
+        of a closed set's complement name, it bounds the distance from x
+        to the set from below."""
+        return lambda d: None
+
+    def cover_hull(self, descs):
+        """A compact description of a set containing every basic in descs,
+        or None if unsupported."""
+        return None
+
+    def hausdorff_pair(self, hull, cells: dict) -> tuple[Fraction, Fraction | None] | None:
+        """Bounds between a set X, given by ``hull``, a compact description
+        of a set containing X, and a set Y, given by ``cells``, which maps
+        indices of basics that each meet Y to whatever the space stored for
+        them on an earlier call (None at first): a pair (lower, upper) with
+        lower at most the supremum over y in Y of d(y, X) and upper at
+        least the supremum over x in X of d(x, Y) (None without cells), or
+        None if unsupported.  May store a value for each cell and discard
+        every cell that can never bring an upper bound below the one
+        returned.
+        """
+        return None
 
     def closed_ball_desc(self, x, r: Fraction):
         """Exact compact description of the closed ball, or None."""
@@ -851,8 +909,54 @@ class _LineSubspace(Space):
     def ball_inside_basic(self, x, r: Fraction, d) -> bool:
         return self.basic_subset((x - r, x + r), d)
 
-    def min_dist(self, x, d) -> Fraction:
+    # distances, once over traces ---------------------------------------------
+    def far(self, x, d) -> Fraction:
+        trace = self.trace(d)  # sorted: the farthest points are its two ends
+        return max(x - trace[0][0], trace[-1][2] - x)
+
+    def near(self, x, d) -> Fraction:
         return min(max(lo - x, x - hi, Fraction(0)) for lo, _, hi, _ in self.trace(d))
+
+    def clearance(self, x) -> Callable[[object], Fraction | None]:
+        # the union of the raw intervals: the space has no points beyond a
+        # carrier clamp end, so those ends are no edges, and a raw interval
+        # misses a set of the space exactly when its trace does
+        gaps = FivUnion()
+
+        def add(d) -> Fraction | None:
+            a, b = d
+            gaps.add((a, 1, b, 1))
+            part = gaps.part_at(x)
+            return None if part is None else min(x - part[0], part[2] - x)
+
+        return add
+
+    def cover_hull(self, descs) -> tuple:
+        return self.make_cdesc([(f[0], f[2]) for d in descs for f in self.trace(d)])
+
+    def hausdorff_pair(self, hull, cells: dict) -> tuple[Fraction, Fraction | None]:
+        """On the 2**-64 grid, rounded outward: the lower bound is the
+        largest gap between a cell and the hull, the least over hull pieces
+        [p, q] of max(a - q, p - b) for the cell's span (a, b); the upper
+        bound is the cover radius of the hull by the cells (see
+        :func:`_cover_radius2`).  Each cell keeps its span and its gap to
+        the hull it was first seen with.  A cell at least twice as wide as
+        the upper bound can never lower it and is discarded."""
+        pieces = [(_grid_floor(p), _grid_ceil(q)) for p, q in hull]
+        lower = 0
+        for n, seen in cells.items():
+            if seen is None:
+                trace = self.trace(self.decode(n))
+                a, b = _grid_floor(trace[0][0]), _grid_ceil(trace[-1][2])
+                seen = cells[n] = (a, b, min((max(a - q, p - b) for p, q in pieces),
+                                             default=0))
+            lower = max(lower, seen[2])
+        worst = _cover_radius2(pieces, [(a, b) for a, b, _ in cells.values()])
+        if worst is None:
+            return Fraction(lower, 1 << _GRID), None
+        for n in [n for n, (a, b, _) in cells.items() if b - a >= worst]:
+            del cells[n]
+        return Fraction(lower, 1 << _GRID), Fraction(worst, 2 << _GRID)
 
     def closed_ball_desc(self, x, r: Fraction):
         return self.make_cdesc([(x - r, x + r)])
@@ -920,6 +1024,62 @@ def _grid_lane(cdesc):
                 yield _cell(first + 2 * j * span, unit, den)
 
 
+# Hausdorff bounds on subspaces of the line work on an integer grid of
+# 2**-_GRID: cell and hull ends are rounded outward, so every bound stays
+# sound, and sorting and comparing integers is several times cheaper than
+# Fractions.
+_GRID = 64
+
+
+def _grid_floor(q: Fraction) -> int:
+    return (q.numerator << _GRID) // q.denominator
+
+
+def _grid_ceil(q: Fraction) -> int:
+    return -((-q.numerator << _GRID) // q.denominator)
+
+
+def _cover_radius2(hull: Sequence[tuple[int, int]],
+                   cells: Iterable[tuple[int, int]]) -> int | None:
+    """Twice the sup, over y in the hull, of the least max(y - a, b - y)
+    over the cells (a, b); None without cells.
+
+    Sorted by midpoint, the cells split the line into segments; on the
+    segment between midpoints i and i+1 the least is min(y - A, B - y),
+    with A the largest left end up to i and B the smallest right end from
+    i+1 on, a tent whose maximum over a range sits at its apex or at the
+    range end nearest to it.
+    """
+    order = sorted(cells, key=sum)
+    if not order:
+        return None
+    mids = [a + b for a, b in order]
+    pre = list(accumulate((a for a, _ in order), max))
+    suf = list(accumulate((b for _, b in reversed(order)), min))[::-1]
+    worst = 0
+    for p, q in hull:
+        p2, q2 = 2 * p, 2 * q
+        if p2 <= mids[0]:
+            worst = max(worst, 2 * suf[0] - p2)
+        if q2 >= mids[-1]:
+            worst = max(worst, q2 - 2 * pre[-1])
+        first = max(bisect_left(mids, p2) - 1, 0)
+        last = min(bisect_right(mids, q2), len(order) - 1)
+        for i in range(first, last):
+            A, B = pre[i], suf[i + 1]
+            u2, v2 = max(mids[i], p2), min(mids[i + 1], q2)
+            if u2 > v2:
+                continue
+            apex = A + B
+            if apex < u2:
+                worst = max(worst, 2 * B - u2)
+            elif apex > v2:
+                worst = max(worst, v2 - 2 * A)
+            else:
+                worst = max(worst, B - A)
+    return worst
+
+
 def _cell(mid: int, half: int, den: int) -> int:
     """Code of the open interval ((mid - half) / den, (mid + half) / den),
     den > 0: the code encode_interval gives, without building Fractions."""
@@ -950,7 +1110,6 @@ class _IntervalSpaceBase(_LineSubspace):
 
     lo_bound: Fraction | None = None  # carrier bounds for traces
     hi_bound: Fraction | None = None
-    streams_bounds = True
 
     def _trace_nonempty(self, a: Fraction, b: Fraction) -> bool:
         if _cmp(a, b) >= 0:
@@ -1628,6 +1787,10 @@ class StarSpace(Space):
     def point_name(self, value) -> PointName:
         return star_point(self, value)
 
+    def parse_point(self, text: str):
+        """Star points have no literal form."""
+        raise OutOfSpace(f"no point literals on {self.name}: {text!r}")
+
     def envelope_covers(self, cdesc, slot: int) -> list[frozenset]:
         parts = []
         for piece in cdesc:
@@ -1663,6 +1826,14 @@ class StarSpace(Space):
     def ball_core(self, x, r: Fraction, slot: int) -> int | None:
         eps = Fraction(1, 2 ** (slot + 1))
         return self.encode_ball(x, r - eps) if eps < r else None
+
+    def far(self, x, d) -> Fraction:
+        _, c, q = d
+        return self.metric.exact(x, c) + q
+
+    def near(self, x, d) -> Fraction:
+        _, c, q = d
+        return max(self.metric.exact(x, c) - q, Fraction(0))
 
 
 class _StarSigma:

@@ -172,12 +172,15 @@ def test_value_zero_distance_and_hausdorff_answer_at_precision_12():
         assert lo <= 0 <= hi and hi - lo <= F(1, 2 ** 12), argv
 
 
+# the README's metric commands
+README_METRIC = [["distance", "--space", "real-line", "--x", "0", "--located", "[1,2]"],
+                 ["hausdorff", "--space", "unit-interval", "--a", "[0,1/2]",
+                  "--b", "[1/2,1]", "--precision", "10"],
+                 ["radius", "--space", "unit-interval", "--x", "1/2", "--ball", "[0,1]"]]
+
+
 def test_fuel_used_is_the_closing_stage():
-    readme = [["distance", "--space", "real-line", "--x", "0", "--located", "[1,2]"],
-              ["hausdorff", "--space", "unit-interval", "--a", "[0,1/2]",
-               "--b", "[1/2,1]", "--precision", "10"],
-              ["radius", "--space", "unit-interval", "--x", "1/2", "--ball", "[0,1]"]]
-    for argv in readme:
+    for argv in README_METRIC:
         code, payload = _json(argv)
         assert code == 0, argv
         assert 0 < payload["fuelUsed"] < payload["config"]["fuel"], argv
@@ -189,3 +192,51 @@ def test_fuel_used_is_the_closing_stage():
                            "--fuel", "100"])
     assert code == 2 and payload["result"] == "Pending"
     assert payload["fuelUsed"] == 100
+
+
+def test_readme_metric_brackets_are_dyadic():
+    for argv in README_METRIC:
+        code, payload = _json(argv)
+        assert code == 0, argv
+        for end in ("lo", "hi"):
+            den = F(payload["result"][end]).denominator
+            assert den & (den - 1) == 0, (argv, end, den)
+
+
+def test_bits_split_only_at_top_level_commas():
+    from erctopo.cli import parse_bits
+    ui = UnitIntervalSpace()
+    bits = parse_bits(ui, "(0,1/2)=1, (1/4,3/4)=0,(1/2,1)=1")
+    for (a, b), want in [((F(0), F(1, 2)), 1), ((F(1, 4), F(3, 4)), 0),
+                         ((F(1, 2), F(1)), 1), ((F(0), F(1)), 0)]:
+        assert bits.bit(ui.encode_basic((a, b))) == want, (a, b)
+    code, payload = _json(["consistency", "--space", "unit-interval",
+                           "--bits", "(0,1/2)=1", "--fuel", "2000"])
+    assert code in (0, 2) and payload["command"] == "consistency"
+
+
+def test_finite_space_metric_commands():
+    space = "finite:{0,1;d(0,1)=1}"
+    for argv in (["hausdorff", "--space", space, "--a", "{0}", "--b", "{1}"],
+                 ["distance", "--space", space, "--x", "0", "--located", "{1}"],
+                 ["radius", "--space", space, "--x", "0", "--ball", "{0,1}"]):
+        code, payload = _json(argv)
+        assert code == 0, argv
+        assert F(payload["result"]["lo"]) <= 1 <= F(payload["result"]["hi"]), argv
+    for argv in (["distance", "--space", space, "--x", "2", "--located", "{1}"],
+                 ["distance", "--space", space, "--x", "0", "--located", "{1,7}"]):
+        assert run_cli(argv)[0] == 3, argv
+    assert run_cli(["radius", "--space", space, "--x", "0", "--ball", "[0,1]"])[0] == 1
+
+
+def test_empty_located_literal_is_a_domain_error():
+    for argv in (["radius", "--space", "unit-interval", "--x", "1/2", "--ball", "[2,3]"],
+                 ["distance", "--space", "unit-interval", "--x", "1/2",
+                  "--located", "{5}"],
+                 ["hausdorff", "--space", "unit-interval", "--a", "[0,1]",
+                  "--b", "[-2,-1]"]):
+        assert run_cli(argv)[0] == 3, argv
+
+
+def test_star_point_literal_is_a_domain_error():
+    assert run_cli(["radius", "--space", "star", "--x", "0", "--ball", "[0,1]"])[0] == 3

@@ -22,7 +22,7 @@ from erctopo.metric import (
     nice_radius,
     radius,
 )
-from erctopo.metric import _cover_radius2
+from erctopo.spaces import _cover_radius2
 from erctopo.oracle import lift_finite, standard_oracle_spaces
 from erctopo.sets import (
     ClosedSet,
@@ -66,7 +66,7 @@ def _accepts(p, fuel=10 ** 4):
 
 def _undescribed(a: LocatedSet) -> LocatedSet:
     """The same closed and overt names with every description dropped, so
-    that the threshold race, not the bound streams, serves the set."""
+    that the bound streams read the names alone."""
     return LocatedSet(ClosedSet(a.closed_part.complement),
                       OvertSet(a.space, a.overt_part.hits))
 
@@ -358,6 +358,34 @@ def test_distance_oracle_exhaustive():
             _bracket_contains(real, 10, brute_distance(fs, x, a))
 
 
+def test_metric_brackets_match_brute_force_on_oracle_spaces():
+    for fs in standard_oracle_spaces():
+        if fs.metric_table is None:
+            continue
+        space, e = lift_finite(fs)
+        m = space.metric
+        hint = (2 ** len(fs.points) - 2,)  # the patch of all points
+        sets = [a for a in space_subsets(fs) if a]
+        for x in fs.points:
+            xp = exact_metric_point(m, x)
+            for a in sets:
+                real = distance_to_located(m, e, xp, located_from_cdesc(space, a))
+                _bracket_contains(real, 10, min(fs.distance(x, p) for p in a),
+                                  fuel=10 ** 5)
+            for r in sorted({fs.distance(x, q) for q in fs.points}):
+                ball = frozenset(q for q in fs.points if fs.distance(x, q) <= r)
+                real = radius(m, xp, compact_from_cdesc(space, ball),
+                              overt_from_cdesc(space, ball))
+                _bracket_contains(real, 10, r, fuel=10 ** 5)
+        for a in sets:
+            for b in sets:
+                want = max(max(min(fs.distance(p, q) for q in b) for p in a),
+                           max(min(fs.distance(p, q) for q in a) for p in b))
+                real = hausdorff_distance(m, e, located_from_cdesc(space, a),
+                                          located_from_cdesc(space, b), hint)
+                _bracket_contains(real, 10, want, fuel=10 ** 5)
+
+
 def space_subsets(fs):
     from itertools import combinations
     return [frozenset(c) for k in range(len(fs.points) + 1)
@@ -505,13 +533,14 @@ def test_race_replay_same_fuel_same_answer():
         a = located_from_cdesc(_ui, _ui.make_cdesc([(F(1, 3), F(1, 2))]))
         return distance_to_located(_ui.metric, _ui_ercs, x, _undescribed(a))
 
-    short = _least_answering_fuel(fresh, 6) // 2
-    assert fresh().approx(6, fuel=short) is None
+    # the streams close precision 6 at stage 1, so the premise asks 20
+    short = _least_answering_fuel(fresh, 20) // 2
+    assert fresh().approx(20, fuel=short) is None
     real = fresh()
-    assert isinstance(real, BracketReal)
-    _bracket_contains(real, 6, F(1, 3), fuel=10 ** 5)
-    assert real.approx(6, fuel=short) is None
-    assert real.approx(2, fuel=short) == fresh().approx(2, fuel=short)
+    assert isinstance(real, BoundsReal)
+    _bracket_contains(real, 20, F(1, 3), fuel=10 ** 5)
+    assert real.approx(20, fuel=short) is None
+    assert real.approx(16, fuel=short) == fresh().approx(16, fuel=short)
 
 
 def test_answer_stage_is_the_least_answering_fuel():
@@ -534,6 +563,18 @@ def test_answer_stage_is_the_least_answering_fuel():
     assert ExactReal(F(1, 3)).approx(20).stage == 0
 
 
+def test_center_without_exact_value_is_out_of_space():
+    import pytest
+    from erctopo.metric import MetricPoint
+    from erctopo.spaces import OutOfSpace
+    cd = _ui.make_cdesc([(F(0), F(1, 2))])
+    x = MetricPoint(_ui.metric, lambda k: 0, point_from_rational(_ui, F(0)))
+    with pytest.raises(OutOfSpace):
+        distance_to_located(_ui.metric, _ui_ercs, x, located_from_cdesc(_ui, cd))
+    with pytest.raises(OutOfSpace):
+        radius(_ui.metric, x, compact_from_cdesc(_ui, cd), overt_from_cdesc(_ui, cd))
+
+
 def test_distance_race_without_descriptions():
     for q, pieces, want in [
         (F(0), [(F(1, 3), F(1, 2))], F(1, 3)),
@@ -543,7 +584,7 @@ def test_distance_race_without_descriptions():
         x = exact_metric_point(_ui.metric, q)
         a = _undescribed(located_from_cdesc(_ui, _ui.make_cdesc(pieces)))
         real = distance_to_located(_ui.metric, _ui_ercs, x, a)
-        assert isinstance(real, BracketReal)
+        assert isinstance(real, BoundsReal)
         _bracket_contains(real, 8, want, fuel=10 ** 5)
 
 
@@ -557,7 +598,7 @@ def test_hausdorff_race_without_descriptions():
         b = _undescribed(located_from_cdesc(_ui, _ui.make_cdesc(b_pieces)))
         real = hausdorff_distance(_ui.metric, _ui_ercs, a, b, _UI_WHOLE_HINT,
                                   hi_seed=F(2))
-        assert isinstance(real, BracketReal)
+        assert isinstance(real, BoundsReal)
         _bracket_contains(real, 2, want, fuel=10 ** 5)
 
 
@@ -567,5 +608,5 @@ def test_radius_race_without_descriptions():
     k = CompactSet(_ui, compact_from_cdesc(_ui, cd).covers)
     v = OvertSet(_ui, overt_from_cdesc(_ui, cd).hits)
     real = radius(_ui.metric, x, k, v)
-    assert isinstance(real, BracketReal)
+    assert isinstance(real, BoundsReal)
     _bracket_contains(real, 6, F(1, 2), fuel=10 ** 5)

@@ -64,6 +64,13 @@ def _infimum(space, d, x) -> Fraction:
                if any(_in_basic(space, d, c + e) for e in (0, -h, h)))
 
 
+def _supremum(space, d, x) -> Fraction:
+    """The largest distance from x to a grid point of the trace's closure."""
+    h = _STEP / 2
+    return max(abs(x - c) for c in _GRID
+               if any(_in_basic(space, d, c + e) for e in (0, -h, h)))
+
+
 @PROPERTY
 @given(line_basics(), rationals, radii)
 @example((_ui, (F(-1), F(1, 2))), F(1, 2), F(1, 2))
@@ -79,7 +86,8 @@ def test_line_ball_calculus_against_brute_force(basic, x, r):
     if space.outside_closed_ball(x, d, r):
         assert min(dists) > r
     assert space.meets_open_ball(x, d, r) == (min(dists) < r)
-    assert space.min_dist(x, d) == _infimum(space, d, x)
+    assert space.near(x, d) == _infimum(space, d, x)
+    assert space.far(x, d) == _supremum(space, d, x)
 
 
 def test_oracle_ball_calculus_exhaustive():
@@ -94,7 +102,8 @@ def test_oracle_ball_calculus_exhaustive():
             for n in range(space.finite_basic_count):
                 d = space.decode(n)
                 ds = [dist(x, p) for p in d]
-                assert space.min_dist(x, d) == min(ds)
+                assert space.near(x, d) == min(ds)
+                assert space.far(x, d) == max(ds)
                 for r in rs:
                     ball = {p for p in fs.points if dist(x, p) < r}
                     assert space.in_open_ball(x, d, r) == all(v < r for v in ds)
