@@ -7,7 +7,6 @@ from erctopo.ercs import check_main_property, compact_neighborhood_search, inter
 from erctopo.kernel import Accepted, PENDING, run_process
 from erctopo.metric import (
     BoundsReal,
-    BracketReal,
     ExactReal,
     LowerReal,
     UpperReal,
