@@ -101,10 +101,7 @@ def interval_ercs(space) -> Ercs:
             return ()
         m, k = unpair(t // 2)
         dm, dk = space.decode(m), space.decode(k)
-        if dm is None or dk is None:
-            return ()
-        from .spaces import fiv_subset
-        if fiv_subset(space.fiv(dm), space.cfiv(dk)):
+        if dm is not None and dk is not None and space.basic_in_closure(dm, dk):
             return ((m, k),)
         return ()
 
@@ -149,7 +146,9 @@ class _BasisSearch(Machine):
     is already certified inside the target, and retested only when the
     point's name contributes a genuinely smaller neighborhood; patch
     certifications are retested only when the target's covered region
-    actually changes.  Both rules keep pending searches near-linear.
+    actually changes.  Both rules keep pending searches near-linear, and
+    they make every stage that reads nothing idle, which ``skip_idle``
+    skips.
     """
 
     def __init__(self, e: Ercs, x: PointName, u: OpenSet):
@@ -195,6 +194,22 @@ class _BasisSearch(Machine):
                 return True
             self._waiting.append(pair_)
         return False
+
+    def skip_idle(self, t: int, limit: int) -> int:
+        """The next stage at which a source emits.  A stage that reads
+        nothing is idle while no patch process runs (one advances every
+        stage) and no source has stalled (from then on the quiescence test
+        that ends ``step`` may act at any stage)."""
+        if self._kid_proc:
+            return t
+        parts, nbs, pairs = self._parts, self._nbs, self._pairs
+        # the rarest emitter first, with the whole limit: later calls then
+        # mostly find its next mark without stepping it (asking the busy
+        # pairs first measured 6% slower on the line sandwiches)
+        s = pairs.next_emission(nbs.next_emission(parts.next_emission(limit)))
+        if s > t and (parts.quiescent(s) or nbs.quiescent(s) or pairs.quiescent(s)):
+            return t
+        return s
 
     def step(self, t: int) -> bool:
         sp = self.space

@@ -20,6 +20,12 @@ semidecision does -- holds its own ``Cursor`` from ``enumerator.cursor()``:
 not returned yet, and ``quiescent(s)`` says whether the listing can still
 grow.  A cursor keeps its place in the listing, so a read costs one advance
 check and a slice however many consumers share the enumerator.
+
+A ``Machine`` steps its stages in order, but it may skip a stage at which
+its step would provably do nothing (see ``Machine.skip_idle``): a skipped
+stage reads nothing, changes nothing and accepts nothing, so skipping moves
+no acceptance stage and no stall.  ``Cursor.next_emission`` is what lets a
+reader see such stages coming without reading anything.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from math import isqrt
-from typing import Callable, Generic, Iterable, Sequence, TypeVar
+from typing import Callable, Generic, Sequence, TypeVar
 
 T = TypeVar("T")
 
@@ -108,12 +114,25 @@ def run_process(process: SemidecisionProcess, fuel: int):
 
 
 class Machine(SemidecisionProcess):
-    """Incremental process: ``step(t)`` runs exactly once per stage, in order.
+    """Incremental process: ``step(t)`` runs at most once per stage, in
+    increasing stage order, and every stage it skips is idle.
 
     Subclasses implement ``step`` returning True at the accepting stage.
     ``stall()`` declares that no future step can change anything, letting
     large-fuel polls of permanently pending machines return immediately.
+
+    A stage is idle when its step would return False and change nothing a
+    later step reads: it reads no item, accepts nothing and does not stall.
+    A subclass that can see idle stages coming defines the method
+    ``skip_idle(t, limit)``: it returns the least stage s with
+    ``t <= s <= limit`` whose step may not be idle, and ``poll`` then steps
+    s next (s == limit: no stage below the fuel needs a step).  Every stage
+    in ``[t, s)`` must be idle, so skipping moves no acceptance stage and no
+    stall, and the same fuel gives the same answer.  Without it (the
+    default, None) every stage is stepped, at the cost of one test.
     """
+
+    skip_idle: Callable[[int, int], int] | None = None
 
     def __init__(self) -> None:
         self._stage = 0
@@ -121,9 +140,15 @@ class Machine(SemidecisionProcess):
         self._stalled = False
 
     def poll(self, fuel: int) -> int | None:
+        skip = self.skip_idle
         while self._hit is None and not self._stalled and self._stage < fuel:
             t = self._stage
-            self._stage += 1
+            if skip is not None:
+                t = skip(t, fuel)
+                if t >= fuel:
+                    self._stage = fuel
+                    break
+            self._stage = t + 1
             if self.step(t):
                 self._hit = t
         if self._hit is not None and self._hit < fuel:
@@ -201,7 +226,9 @@ def any_accepts(*processes: SemidecisionProcess) -> SemidecisionProcess:
 # Monotone enumerators
 
 class MonotoneEnumerator(Generic[T]):
-    """Stage-indexed listing; ``step(t)`` yields the items appearing at stage t.
+    """Stage-indexed listing; ``step(t)`` returns the items appearing at
+    stage t as a sequence (a list or tuple, empty when nothing appears; not
+    a generator, whose truth says nothing about its length).
 
     ``listing(s)`` is a prefix of ``listing(s + 1)`` by construction.  A
     stalled enumerator emits nothing at any later stage; finite listings
@@ -216,7 +243,7 @@ class MonotoneEnumerator(Generic[T]):
         self._stage = 0
         self._stalled = False
 
-    def step(self, t: int) -> Iterable[T]:
+    def step(self, t: int) -> Sequence[T]:
         raise NotImplementedError
 
     def stall(self) -> None:
@@ -226,15 +253,20 @@ class MonotoneEnumerator(Generic[T]):
     def stalled(self) -> bool:
         return self._stalled
 
-    def advance(self, stage: int) -> None:
+    def advance(self, stage: int, to_emission: bool = False) -> None:
+        """Run the steps of the stages below ``stage``; with ``to_emission``,
+        stop after the first step that emits."""
+        step, items = self.step, self._items
         while self._stage < stage and not self._stalled:
             t = self._stage
-            self._stage += 1
-            new = tuple(self.step(t))
+            self._stage = t + 1
+            new = step(t)
             if new:
-                self._items.extend(new)
+                items.extend(new)
                 self._marks.append(t)
-                self._counts.append(len(self._items))
+                self._counts.append(len(items))
+                if to_emission:
+                    return
 
     def count(self, stage: int) -> int:
         """Number of items emitted at stages ``< stage``."""
@@ -296,6 +328,22 @@ class Cursor(Generic[T]):
         self._pos = b
         return src._items[a:b]
 
+    def next_emission(self, limit: int) -> int:
+        """The least stage below ``limit`` at which the source emits an item
+        this cursor has not returned, or ``limit`` if there is none.
+
+        Steps the source no further than that stage and returns no items:
+        ``upto`` stays the only read and still returns them.
+        """
+        src = self._source
+        marks = src._marks
+        m = self._mark
+        if m == len(marks):
+            src.advance(limit, True)
+            if m == len(marks):
+                return limit
+        return min(marks[m], limit)
+
     def quiescent(self, stage: int) -> bool:
         """Same answer as ``MonotoneEnumerator.quiescent(stage)``."""
         src = self._source
@@ -309,7 +357,7 @@ class _FromList(MonotoneEnumerator[T]):
         super().__init__()
         self._source = tuple(items)
 
-    def step(self, t: int) -> Iterable[T]:
+    def step(self, t: int) -> Sequence[T]:
         if t < len(self._source):
             return (self._source[t],)
         self.stall()
@@ -326,7 +374,7 @@ class _FromFunction(MonotoneEnumerator[T]):
         super().__init__()
         self._fn = fn
 
-    def step(self, t: int) -> Iterable[T]:
+    def step(self, t: int) -> Sequence[T]:
         return (self._fn(t),)
 
 
@@ -336,22 +384,25 @@ def enumerate_function(fn: Callable[[int], T]) -> MonotoneEnumerator[T]:
 
 
 class _FromStep(MonotoneEnumerator[T]):
-    def __init__(self, step_fn: Callable[[int], Iterable[T]],
-                 stall_after: int | None = None):
+    def __init__(self, step_fn: Callable[[int], Sequence[T]],
+                 stall_after: int | None):
         super().__init__()
         self._step_fn = step_fn
         self._stall_after = stall_after
+        if stall_after is None:
+            self.step = step_fn  # advance calls it with no hop through a method
 
-    def step(self, t: int) -> Iterable[T]:
-        if self._stall_after is not None and t >= self._stall_after:
+    def step(self, t: int) -> Sequence[T]:
+        if t >= self._stall_after:
             self.stall()
             return ()
         return self._step_fn(t)
 
 
-def enumerate_step(step_fn: Callable[[int], Iterable[T]],
+def enumerate_step(step_fn: Callable[[int], Sequence[T]],
                    stall_after: int | None = None) -> MonotoneEnumerator[T]:
-    """Listing emitting ``step_fn(t)`` (possibly nothing) at stage t."""
+    """Listing emitting ``step_fn(t)`` (possibly nothing) at stage t;
+    ``step_fn`` returns a sequence, as ``MonotoneEnumerator.step`` does."""
     return _FromStep(step_fn, stall_after)
 
 
@@ -360,7 +411,7 @@ class _Interleave(MonotoneEnumerator[T]):
         super().__init__()
         self._readers = [s.cursor() for s in sources]
 
-    def step(self, t: int) -> Iterable[T]:
+    def step(self, t: int) -> Sequence[T]:
         if not self._readers:
             self.stall()
             return ()
@@ -430,7 +481,7 @@ class SearchEnumerator(MonotoneEnumerator[T]):
         self._live: list[tuple[T, SemidecisionProcess, int]] = []
         self._next = 0
 
-    def step(self, t: int) -> Iterable[T]:
+    def step(self, t: int) -> Sequence[T]:
         for cand in self._candidates.upto(t + 1):
             self._live.append((cand, self._spawn(cand), 0))
         out = []

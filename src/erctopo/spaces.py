@@ -16,7 +16,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from itertools import accumulate, zip_longest
-from math import gcd, isqrt
+from math import gcd
 from typing import Callable, Iterable, Sequence
 
 from .kernel import (
@@ -141,17 +141,14 @@ def decode_rational_set(n: int) -> frozenset[Fraction]:
     return frozenset(out)
 
 
-def emission_slot(t: int) -> int | None:
-    """Thinned schedule: slot s fires at the s-th triangular stage, so the
-    number of generated items stays square-root-bounded in the stage count
-    while fine slots still arrive at quadratic (not exponential) stages.
-    Slots stop at 64: dyadic data beyond 2**-64 serves no consumer and its
-    exact arithmetic costs grow with the exponent."""
-    n = t + 1
-    s = (isqrt(8 * n + 1) - 1) // 2
-    if s * (s + 1) // 2 == n and s <= 65:
-        return s - 1
-    return None
+# Thinned schedule: slot s fires at stage (s + 1)(s + 2)/2 - 1, the s-th
+# triangular stage, so the number of generated items stays
+# square-root-bounded in the stage count while fine slots still arrive at
+# quadratic (not exponential) stages.  Slots stop at 64: dyadic data beyond
+# 2**-64 serves no consumer and its exact arithmetic costs grow with the
+# exponent.  emission_slot(t) is the slot firing at stage t, or None.
+_SLOT_AT = {(s + 1) * (s + 2) // 2 - 1: s for s in range(65)}
+emission_slot = _SLOT_AT.get
 
 
 # ---------------------------------------------------------------------------
@@ -170,8 +167,21 @@ Fiv = tuple[Fraction, int, Fraction, int]
 
 def _cmp(x, y) -> int:
     """Negative, zero or positive as the rational x is <, == or > y."""
-    xn, xd = x.as_integer_ratio()
-    yn, yd = y.as_integer_ratio()
+    # A Fraction's numerator and denominator slots are read directly, with
+    # no Python-level call: fiv_subset takes about 340 ns instead of 650 ns
+    # with two Fraction.as_integer_ratio calls per _cmp (CPython 3.11).
+    # Fivs carrying integer endpoints beside the Fractions would take it to
+    # about 240 ns, but every Fiv producer and consumer would change and
+    # decoded basics would be kept in both forms.  An operand without the
+    # slots (an int) takes as_integer_ratio.
+    try:
+        xn, xd = x._numerator, x._denominator
+    except AttributeError:
+        xn, xd = x.as_integer_ratio()
+    try:
+        yn, yd = y._numerator, y._denominator
+    except AttributeError:
+        yn, yd = y.as_integer_ratio()
     return xn * yd - yn * xd
 
 
@@ -379,6 +389,11 @@ class Space:
 
     def cdesc_nonempty(self, cdesc) -> bool:
         return bool(cdesc)
+
+    def basic_in_closure(self, d1, d2) -> bool:
+        """Sound: the basic d1 lies inside the closure of the basic d2.
+        False asserts nothing."""
+        return False
 
     def basic_meets_cdesc(self, d, cdesc) -> bool:
         """Sound (exact on instances): the basic intersects the described set."""
@@ -1133,6 +1148,10 @@ class _IntervalSpaceBase(_LineSubspace):
 
     def trace(self, d) -> tuple[Fiv]:
         return (self.fiv(d),)
+
+    def basic_in_closure(self, d1, d2) -> bool:
+        # the closure of the trace of (a, b) is [a, b] clamped to the carrier
+        return fiv_subset(self.fiv(d1), self.cfiv(d2))
 
     def cfiv(self, piece) -> Fiv:
         """Closed piece (p, q) as a flagged interval, clamped to the carrier."""

@@ -1,9 +1,13 @@
 from __future__ import annotations
 
+import hashlib
 import random
 from fractions import Fraction
 
+import pytest
+
 from erctopo.ercs import (
+    _BasisSearch,
     basis_search,
     check_main_property,
     compact_base,
@@ -18,7 +22,7 @@ from erctopo.ercs import (
     whole_space_compact,
 )
 from erctopo.kernel import Accepted, PENDING, run_process
-from erctopo.oracle import standard_oracle_spaces
+from erctopo.oracle import lift_finite, oracle_point, standard_oracle_spaces
 from erctopo.sets import (
     closed_from_cdesc,
     compact_subset,
@@ -64,6 +68,23 @@ def test_r_soundness_interval_prefix():
             dm, dk = space.decode(m), space.decode(k)
             assert dm is not None and dk is not None
             assert fiv_subset(space.fiv(dm), space.cfiv(dk)), (m, k)
+
+
+# count and sha256 of "m,k;m,k;..." over r_stream.listing(10**5), recorded
+# while r_step still compared fivs itself: asking the space must keep them
+R_STREAM_DIGESTS = {
+    "real-line": (26801, "866175e7a09cbccda5768649d7421c4e79c4e3cd2de41a7b12ead35af01590aa"),
+    "unit-interval": (17415, "3ff770847611e2fdf09daeaba60328c14ca0284ab22445a3972092155c9241d7"),
+}
+
+
+@pytest.mark.parametrize("space", [LineSpace(), UnitIntervalSpace()],
+                         ids=lambda sp: sp.name)
+def test_r_stream_listing_is_unchanged(space):
+    items = interval_ercs(space).r_stream.listing(10 ** 5)
+    text = ";".join(f"{m},{k}" for m, k in items)
+    assert (len(items), hashlib.sha256(text.encode()).hexdigest()) == \
+        R_STREAM_DIGESTS[space.name]
 
 
 def test_r_soundness_cantor_prefix():
@@ -332,6 +353,144 @@ def test_pinch_search_qhat_at_infinity_accepts_in_whole_space():
     x = qhat_point_name(qhat, ("inf",))
     proc = compact_neighborhood_search(qhat, x, whole_open(qhat))
     assert isinstance(run_process(proc, 10 ** 4), Accepted)
+
+
+# -- stage pins and idle-stage skipping -----------------------------------------
+
+def _criterion4_literals(kind: str) -> list[tuple]:
+    """Every distinct literal of criterion 4's compact-base generator with
+    equal margins: on the line and the unit interval a rational point q of
+    denominator 1 to 4 and each margin m the generator may put on both
+    sides of it; on Cantor space a word of length 0 to 3 and the number of
+    zeros that follow it in the point."""
+    if kind == "cantor":
+        return [(format(v, "b").zfill(length)[:length] if length else "", zeros)
+                for length in range(4) for v in range(2 ** length)
+                for zeros in range(4)]
+    lo, hi = (0, 1) if kind == "ui" else (-2, 2)
+    points = sorted({F(n, den) for den in (1, 2, 3, 4)
+                     for n in range(lo * den, hi * den + 1)})
+    return [(q, F(m, 4)) for q in points
+            for m in ((1, 2, 4) if abs(q) <= 1 else (2, 4))]
+
+
+def _criterion4_case(kind: str, lit: tuple):
+    """The system, a point maker and an open maker for one literal."""
+    if kind == "cantor":
+        word, zeros = lit
+        return (_cantor_ercs, lambda: cantor_point(_cantor, word + "0" * zeros, "0"),
+                lambda: open_from_fixture(_cantor, word))
+    space, e = (_ui, _ui_ercs) if kind == "ui" else (_line, _line_ercs)
+    q, m = lit
+    return (e, lambda: point_from_rational(space, q),
+            lambda: open_from_fixture(space, (q - m, q + m)))
+
+
+# sha256 of one "kind:literal:stage:n:kid" line per criterion-4 literal
+# (63 line, 21 unit-interval, 60 Cantor), recorded while every stage was
+# stepped: stage numbers are answers, and no kernel change may move one
+CRITERION4_PIN = "2dbb00e04ceb1408e773da9836fda89ec9f4e1790ef11265f40ef0db5efcdf07"
+
+
+def test_criterion4_stages_and_witnesses_are_pinned():
+    lines = []
+    for kind in ("line", "ui", "cantor"):
+        for lit in _criterion4_literals(kind):
+            e, make_x, make_u = _criterion4_case(kind, lit)
+            w = basis_search(e, make_x(), make_u(), 10 ** 5)
+            assert w is not None, (kind, lit)
+            lines.append(f"{kind}:{lit!r}:{w.stage}:{w.n}:{w.kid}")
+    assert len(lines) == 63 + 21 + 60
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == CRITERION4_PIN
+
+
+class _EveryStage(_BasisSearch):
+    """The basis search stepping every stage: the schedule without skipping."""
+    skip_idle = None
+
+
+class _CountedSteps(_BasisSearch):
+    steps = 0
+
+    def step(self, t: int) -> bool:
+        self.steps += 1
+        return super().step(t)
+
+
+def _answer(cls, e, make_x, make_u, fuel: int, bigger: int | None = None):
+    """(stage, witness, stalled) of a fresh search polled at ``fuel``,
+    after a poll at ``bigger`` when given."""
+    m = cls(e, make_x(), make_u())
+    if bigger is not None:
+        m.poll(bigger)
+    stage = m.poll(fuel)
+    witness = None if stage is None else (m.witness.n, m.witness.kid)
+    return stage, witness, m.stalled
+
+
+def _first_stalled_fuel(cls, e, make_x, make_u, cap: int) -> int | None:
+    m = cls(e, make_x(), make_u())
+    for fuel in range(cap + 1):
+        if m.poll(fuel) is not None:
+            return None
+        if m.stalled:
+            return fuel
+    return None
+
+
+def _skip_cases():
+    """(label, ercs, point maker, open maker, fuel): cheap criterion-4
+    literals and points outside their open on the line, the unit interval
+    and Cantor space, and every point and open of every standard oracle
+    space."""
+    cases = []
+    for kind, lits in (("line", [(F(-3, 4), F(1, 2)), (F(1, 3), F(1, 4)),
+                                 (F(-1), F(1)), (F(5, 4), F(1, 2))]),
+                       ("ui", [(F(0), F(1, 4)), (F(1), F(1, 2)), (F(2, 3), F(1, 2))]),
+                       ("cantor", [("1", 0), ("01", 3), ("110", 2)])):
+        for lit in lits:
+            cases.append((f"{kind}:{lit}", *_criterion4_case(kind, lit), 4000))
+    outside = [("line-outside", _line_ercs, lambda: point_from_rational(_line, F(2)),
+                lambda: open_from_fixture(_line, (F(-1), F(1)))),
+               ("ui-outside", _ui_ercs, lambda: point_from_rational(_ui, F(1)),
+                lambda: open_from_fixture(_ui, (F(0), F(1, 2)))),
+               ("cantor-outside", _cantor_ercs, lambda: cantor_point(_cantor, "1", "0"),
+                lambda: open_from_fixture(_cantor, "0"))]
+    cases += [(*case, 2000) for case in outside]
+    for fs in standard_oracle_spaces():
+        space, e = lift_finite(fs)
+        for p in fs.points:
+            for o in sorted(fs.opens, key=sorted):
+                cases.append((f"{fs.name}:{p}:{''.join(sorted(o))}", e,
+                              lambda p=p, sp=space: oracle_point(sp, p),
+                              lambda o=o, sp=space: open_from_fixture(sp, o), 300))
+    return cases
+
+
+def test_skipping_idle_stages_moves_no_answer():
+    for label, e, make_x, make_u, fuel in _skip_cases():
+        case = (e, make_x, make_u)
+        want = _answer(_EveryStage, *case, fuel)
+        assert _answer(_BasisSearch, *case, fuel) == want, label
+        stage, _, stalled = want
+        if stage is not None:
+            # monotone in fuel: pending below the stage, the same answer above
+            assert _answer(_BasisSearch, *case, stage)[0] is None, label
+            assert _answer(_BasisSearch, *case, stage + 1) == want, label
+        # replay: the same fuel after a larger poll gives the same answer
+        assert _answer(_BasisSearch, *case, fuel, bigger=4 * fuel) == want, label
+        # stalled becomes true at the same fuel
+        first = _first_stalled_fuel(_EveryStage, *case, fuel)
+        assert _first_stalled_fuel(_BasisSearch, *case, fuel) == first, label
+        assert stalled == (first is not None), label
+        if first is not None:
+            assert not _answer(_BasisSearch, *case, first - 1)[2], label
+            assert _answer(_BasisSearch, *case, first)[2], label
+    # and the comparison is not vacuous: most stages of a line search are idle
+    e, make_x, make_u = _criterion4_case("line", (F(-2, 3), F(1, 4)))
+    counted = _CountedSteps(e, make_x(), make_u())
+    assert counted.poll(10 ** 5) == 1900
+    assert counted.steps < 1900 // 2
 
 
 # -- open intersection helper ------------------------------------------------------------

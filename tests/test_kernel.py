@@ -245,6 +245,46 @@ def test_cursor_read_once_per_stage_returns_that_stage(items, stall_after, last)
         assert list(reader.upto(t + 1)) == list(src.between(t, t + 1))
 
 
+def _logged_source(items, stall_after, log):
+    """Like _source, logging every stage it steps."""
+    def step(t):
+        log.append(t)
+        return items[t] if t < len(items) else ()
+    return enumerate_step(step, stall_after=stall_after)
+
+
+# per read: how far the cursor moves on, how far a second consumer has run
+# ahead of it, and how far past the cursor the next-emission query looks
+queried_reads = st.lists(st.tuples(st.integers(0, 4), st.integers(0, 6),
+                                   st.integers(0, 8)), max_size=15)
+
+
+@PROPERTY
+@given(emissions, stall_stages, queried_reads)
+def test_next_emission_is_the_next_unread_stage(items, stall_after, moves):
+    log: list[int] = []
+    src = _logged_source(items, stall_after, log)
+    plain = _source(items, stall_after)   # the same reads without queries
+    ref = _source(items, stall_after)
+    reader, other = src.cursor(), src.cursor()
+    plain_reader, plain_other = plain.cursor(), plain.cursor()
+    stage = 0
+    for step, ahead, span in moves:
+        other.upto(stage + ahead)
+        plain_other.upto(stage + ahead)
+        limit = stage + span
+        stepped = max(log, default=-1)
+        got = reader.next_emission(limit)
+        busy = [s for s in range(stage, limit) if ref.between(s, s + 1)]
+        assert got == (busy[0] if busy else limit)
+        # steps the source no further than the stage it reports
+        assert max(log, default=-1) <= max(stepped, got)
+        # and reads nothing: upto returns what it returns without the query
+        assert list(reader.upto(stage + step)) == list(plain_reader.upto(stage + step))
+        stage += step
+        assert reader.quiescent(stage) == plain_reader.quiescent(stage)
+
+
 class _StallAt(Machine):
     def __init__(self, stall: int, hit: int | None = None):
         super().__init__()

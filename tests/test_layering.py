@@ -45,11 +45,14 @@ def _violations(source: str, forbidden=FORBIDDEN) -> list[str]:
 # the metric layer reads distances through the space interface only, never
 # the interval representation behind it
 METRIC_FORBIDDEN = FORBIDDEN | {"fiv", "streams_bounds", "encode_interval", "FivUnion"}
+# the ercs instance systems ask the space for containment in a closure
+ERCS_FORBIDDEN = FORBIDDEN | {"fiv", "cfiv", "fiv_subset"}
+MODULE_FORBIDDEN = {"metric.py": METRIC_FORBIDDEN, "ercs.py": ERCS_FORBIDDEN}
 
 
 @pytest.mark.parametrize("module", CONSUMERS)
 def test_consumers_do_not_dispatch_on_space_types(module):
-    forbidden = METRIC_FORBIDDEN if module == "metric.py" else FORBIDDEN
+    forbidden = MODULE_FORBIDDEN.get(module, FORBIDDEN)
     assert _violations((SRC / module).read_text(), forbidden) == []
 
 
@@ -78,4 +81,14 @@ def farthest(space, d, x):
         return max(x - lo, hi - x)
 '''
     assert len(_violations(reads, METRIC_FORBIDDEN)) == 4
+    assert _violations(reads) == []
+
+
+def test_guard_catches_interval_reads_in_ercs():
+    reads = '''
+def r_step(space, dm, dk):
+    from .spaces import fiv_subset
+    return fiv_subset(space.fiv(dm), space.cfiv(dk))
+'''
+    assert len(_violations(reads, ERCS_FORBIDDEN)) == 4
     assert _violations(reads) == []
