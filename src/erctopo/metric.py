@@ -8,10 +8,16 @@ a lower bound from an overlap or avoidance witness.  Radii, distances and
 Hausdorff distances are read as two monotone bound streams (a left- and a
 right-c.e. real) computed from the enumerated hits, covers and complement
 parts themselves, through the space's distance bounds (``far``, ``near``,
-``clearance``, ``hausdorff_pair``); :class:`BoundsReal` reads both streams
-once per real.  One unit of fuel is one stage of the streams, which reads
-one stage of every name they consume.  No description is needed: a set
-given only by its names gets the same streams.
+``clearance`` and the Hausdorff tracker ``hausdorff_cells``);
+:class:`BoundsReal` reads both streams once per real.  One unit of fuel is
+one stage of the streams, which reads one stage of every name they
+consume.  No description is needed: a set given only by its names gets
+the same streams.
+
+A read costs what is new since the previous one: a bound stream hands the
+space its running best, so that a cell that cannot improve on it costs an
+integer test and builds no Fraction, and each Hausdorff tracker takes in
+each new hit cell once and keeps its bounds as it goes.
 
 A request for precision k reads until the bracket closes to width 2**-k
 or the fuel budget runs out (an ordinary Pending).  Answers depend only
@@ -147,13 +153,15 @@ class BoundsReal(CReal):
 class _BoundStream(MonotoneEnumerator[Fraction]):
     """Running best of per-item bounds read off an enumerated name.
 
-    Stage t reads stage t of the name and maps each new item to a
-    candidate bound (None for no bound); only improvements are emitted, so
-    the listing stays short.  ``start`` is emitted at stage 0.
+    Stage t reads stage t of the name and maps each new item and the
+    running best (None before the first bound) to a candidate bound (None
+    for no bound, which is also allowed for a candidate that would not
+    strictly improve on the best); only improvements are emitted, so the
+    listing stays short.  ``start`` is emitted at stage 0.
     """
 
     def __init__(self, items: MonotoneEnumerator,
-                 bound: Callable[[object], Fraction | None],
+                 bound: Callable[[object, Fraction | None], Fraction | None],
                  lower: bool, start: Fraction | None = None):
         super().__init__()
         self._reader = items.cursor()
@@ -164,11 +172,12 @@ class _BoundStream(MonotoneEnumerator[Fraction]):
     def step(self, t: int) -> Iterable[Fraction]:
         best = self._best
         for item in self._reader.upto(t + 1):
-            b = self._bound(item)
+            b = self._bound(item, best)
             if b is not None and (best is None
                                   or (b > best if self._lower else b < best)):
                 best = b
-        if best is not None and (t == 0 or best != self._best):
+        # a new best is a strict improvement, hence a new object
+        if best is not None and (t == 0 or best is not self._best):
             self._best = best
             return (best,)
         return ()
@@ -447,11 +456,17 @@ def radius(m: MetricStructure, x: MetricPoint, k: CompactSet, v: OvertSet,
     space = m.space
     xv = _exact_center(x)
 
-    def widest(cover) -> Fraction | None:
-        fars = [space.far(xv, space.decode(n)) for n in cover]
-        return None if None in fars else max(fars, default=Fraction(0))
+    def widest(cover, best: Fraction | None) -> Fraction | None:
+        # the cover improves on best only if each of its cells does
+        fars = []
+        for n in cover:
+            f = space.far(xv, space.decode(n), best)
+            if f is None:
+                return None
+            fars.append(f)
+        return max(fars, default=Fraction(0))
 
-    lower = _BoundStream(v.hits, lambda n: space.near(xv, space.decode(n)),
+    lower = _BoundStream(v.hits, lambda n, best: space.near(xv, space.decode(n), best),
                          lower=True, start=Fraction(0))
     upper = _BoundStream(k.covers, widest, lower=False)
     return BoundsReal(LowerReal(lower), UpperReal(upper))
@@ -580,9 +595,10 @@ def distance_to_located(m: MetricStructure, e: Ercs, x: MetricPoint,
     xv = _exact_center(x)
     clear = space.clearance(xv)
     lower = _BoundStream(a.closed_part.complement.parts,
-                         lambda n: clear(space.decode(n)),
+                         lambda n, best: clear(space.decode(n)),
                          lower=True, start=Fraction(0))
-    upper = _BoundStream(a.overt_part.hits, lambda n: space.far(xv, space.decode(n)),
+    upper = _BoundStream(a.overt_part.hits,
+                         lambda n, best: space.far(xv, space.decode(n), best),
                          lower=False)
     return BoundsReal(LowerReal(lower), UpperReal(upper))
 
@@ -612,38 +628,45 @@ class _Hull:
                 self.cdesc = got
 
 
+def _reads_at(t: int) -> bool:
+    """The stages t = 2**k - 1, the only ones at which a Hausdorff stream
+    reads its names: stage t + 1 is one that :class:`BoundsReal` reads."""
+    return not t & (t + 1)
+
+
 class _HausdorffBounds(MonotoneEnumerator[tuple[bool, Fraction]]):
     """Both bound streams of a Hausdorff distance, as items (True, lower
     bound) and (False, upper bound); only improvements are emitted.
 
-    At the stages 1, 2, 4, ... that :class:`BoundsReal` reads, each
-    direction asks the space for the ``hausdorff_pair`` of one set's hull
-    and the other set's hit cells so far: the lower bound is the larger of
-    the two lower bounds, the upper bound the larger of the two upper
-    bounds.
+    Each direction feeds the hit cells of one set to a tracker of the
+    space (see :meth:`Space.hausdorff_cells`) and, at the stages 1, 2, 4,
+    ... that :class:`BoundsReal` reads, asks it for its bounds against the
+    other set's hull: the lower bound is the larger of the two lower
+    bounds, the upper bound the larger of the two upper bounds.
     """
 
     def __init__(self, space: Space, hits_a: MonotoneEnumerator[int],
                  hits_b: MonotoneEnumerator[int], hull_a: _Hull, hull_b: _Hull):
         super().__init__()
-        self.space = space
-        # (one set's hull, the hits of the other set, their cells still kept)
-        self._sides = [(hull_a, hits_b.cursor(), {}), (hull_b, hits_a.cursor(), {})]
+        # (one set's hull, the hits of the other set, the tracker of those)
+        self._sides = [(hull_a, hits_b.cursor(), space.hausdorff_cells()),
+                       (hull_b, hits_a.cursor(), space.hausdorff_cells())]
         self._lo: Fraction | None = None
         self._hi: Fraction | None = None
 
     def step(self, t: int) -> Iterable[tuple[bool, Fraction]]:
-        if t & (t + 1):
+        if not _reads_at(t):
             return ()
         lows, highs = [], []
         for hull, hits, cells in self._sides:
+            if cells is None:
+                continue
             hull.read(t + 1)
-            for n in hits.upto(t + 1):
-                cells.setdefault(n, None)
-            got = None if hull.cdesc is None else self.space.hausdorff_pair(hull.cdesc, cells)
-            if got is not None:
-                lows.append(got[0])
-                highs.append(got[1])
+            cells.add(hits.upto(t + 1))
+            if hull.cdesc is not None:
+                lo, hi = cells.bounds(hull.cdesc)
+                lows.append(lo)
+                highs.append(hi)
         out = []
         lo = max(lows, default=None)
         if lo is not None and (self._lo is None or lo > self._lo):
@@ -658,7 +681,8 @@ class _HausdorffBounds(MonotoneEnumerator[tuple[bool, Fraction]]):
 
 
 class _Side(MonotoneEnumerator[Fraction]):
-    """The bounds of one side of a stream of (is lower, bound) items."""
+    """The bounds of one side of a :class:`_HausdorffBounds` stream; it
+    reads the stream only at the stages where the stream can emit."""
 
     def __init__(self, both: MonotoneEnumerator[tuple[bool, Fraction]], lower: bool):
         super().__init__()
@@ -666,6 +690,8 @@ class _Side(MonotoneEnumerator[Fraction]):
         self._lower = lower
 
     def step(self, t: int) -> Iterable[Fraction]:
+        if not _reads_at(t):
+            return ()
         return [v for is_lower, v in self._both.upto(t + 1)
                 if is_lower == self._lower]
 

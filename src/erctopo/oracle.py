@@ -223,10 +223,10 @@ class OracleSpace(Space):
     def ball_inside_basic(self, x, r: Fraction, d) -> bool:
         return self._open_ball(x, r) <= d
 
-    def far(self, x, d) -> Fraction:
+    def far(self, x, d, below: Fraction | None = None) -> Fraction:
         return max(self.metric.exact(x, p) for p in d)
 
-    def near(self, x, d) -> Fraction:
+    def near(self, x, d, above: Fraction | None = None) -> Fraction:
         return min(self.metric.exact(x, p) for p in d)
 
     def clearance(self, x):
@@ -242,18 +242,8 @@ class OracleSpace(Space):
     def cover_hull(self, descs) -> frozenset:
         return frozenset().union(*descs)
 
-    def hausdorff_pair(self, hull, cells: dict) -> tuple[Fraction, Fraction | None]:
-        """Exact over the points of the hull: the lower bound is the
-        largest least distance between a cell and the hull, the upper
-        bound the largest, over hull points, of the least far distance to
-        a cell."""
-        descs = [self.decode(n) for n in cells]
-        lower = max((min((self.near(z, c) for z in hull), default=Fraction(0))
-                     for c in descs), default=Fraction(0))
-        if not descs:
-            return lower, None
-        return lower, max((min(self.far(z, c) for c in descs) for z in hull),
-                          default=Fraction(0))
+    def hausdorff_cells(self) -> "_OracleHausdorffCells":
+        return _OracleHausdorffCells(self)
 
     def closed_ball_desc(self, x, r: Fraction) -> frozenset:
         return self.annulus_desc(x, Fraction(0), r)
@@ -266,6 +256,50 @@ class OracleSpace(Space):
 
     def witness_candidates(self, x, dist: Fraction, rho: Fraction) -> list:
         return list(self.fs.points)
+
+
+class _OracleHausdorffCells:
+    """Exact over the points of the hull: the lower bound is the largest,
+    over cells, of the least distance between the cell and the hull, and
+    the upper bound the largest, over hull points, of the least far
+    distance to a cell.  Both are kept as running extremes, so a read
+    costs the new cells times the hull's points; a changed hull is
+    measured afresh against every cell."""
+
+    def __init__(self, space: OracleSpace):
+        self._space = space
+        self._seen: set[int] = set()
+        self._cells: list = []   # decoded cells, measured against _hull
+        self._new: list = []
+        self._hull = None
+        self._lower = Fraction(0)
+        self._nearest: dict = {}  # hull point -> least far distance to a cell
+
+    def add(self, indices: Iterable[int]) -> None:
+        for n in indices:
+            if n not in self._seen:
+                self._seen.add(n)
+                self._new.append(self._space.decode(n))
+
+    def bounds(self, hull) -> tuple[Fraction, Fraction | None]:
+        space = self._space
+        if hull != self._hull:
+            self._hull, self._lower, self._nearest = hull, Fraction(0), {}
+            self._new[:0] = self._cells
+            self._cells = []
+        nearest = self._nearest
+        for c in self._new:
+            self._lower = max(self._lower,
+                              min((space.near(z, c) for z in hull), default=Fraction(0)))
+            for z in hull:
+                f = space.far(z, c)
+                if z not in nearest or f < nearest[z]:
+                    nearest[z] = f
+        self._cells += self._new
+        self._new = []
+        if not self._cells:
+            return self._lower, None
+        return self._lower, max(nearest.values(), default=Fraction(0))
 
 
 class _OracleRegion(Region):

@@ -15,8 +15,9 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from itertools import accumulate, zip_longest
+from itertools import chain, zip_longest
 from math import gcd
+from operator import add, sub
 from typing import Callable, Iterable, Sequence
 
 from .kernel import (
@@ -183,6 +184,23 @@ def _cmp(x, y) -> int:
     except AttributeError:
         yn, yd = y.as_integer_ratio()
     return xn * yd - yn * xd
+
+
+def _cmp_diff(u, v, w) -> int:
+    """Negative, zero or positive as the rational u - v is <, == or > w:
+    three operands compared as :func:`_cmp` compares two, with no Fraction
+    built."""
+    un, ud = _ratio(u)
+    vn, vd = _ratio(v)
+    wn, wd = _ratio(w)
+    return (un * vd - vn * ud) * wd - wn * ud * vd
+
+
+def _ratio(q) -> tuple[int, int]:
+    try:
+        return q._numerator, q._denominator
+    except AttributeError:
+        return q.as_integer_ratio()
 
 
 def fiv_nonempty(f: Fiv) -> bool:
@@ -563,13 +581,18 @@ class Space:
         return False
 
     # distances, on exact centers x: each bound is sound in the direction
-    # stated, and None means "unsupported" (no bound)
-    def far(self, x, d) -> Fraction | None:
-        """At least the supremum distance from x to a point of the basic d."""
+    # stated, and None means "unsupported" (no bound).  A bound stream
+    # passes its running best as ``below`` or ``above``: a bound that would
+    # not strictly improve on it may then come back as None, so that a space
+    # can skip building it.
+    def far(self, x, d, below: Fraction | None = None) -> Fraction | None:
+        """At least the supremum distance from x to a point of the basic d;
+        may be None when that bound is not below ``below``."""
         return None
 
-    def near(self, x, d) -> Fraction | None:
-        """At most the infimum distance from x to a point of the basic d."""
+    def near(self, x, d, above: Fraction | None = None) -> Fraction | None:
+        """At most the infimum distance from x to a point of the basic d;
+        may be None when that bound is not above ``above``."""
         return None
 
     def clearance(self, x) -> Callable[[object], Fraction | None]:
@@ -585,16 +608,19 @@ class Space:
         or None if unsupported."""
         return None
 
-    def hausdorff_pair(self, hull, cells: dict) -> tuple[Fraction, Fraction | None] | None:
-        """Bounds between a set X, given by ``hull``, a compact description
-        of a set containing X, and a set Y, given by ``cells``, which maps
-        indices of basics that each meet Y to whatever the space stored for
-        them on an earlier call (None at first): a pair (lower, upper) with
-        lower at most the supremum over y in Y of d(y, X) and upper at
-        least the supremum over x in X of d(x, Y) (None without cells), or
-        None if unsupported.  May store a value for each cell and discard
-        every cell that can never bring an upper bound below the one
-        returned.
+    def hausdorff_cells(self):
+        """A fresh tracker of the bounds between a set X, given at each read
+        by a hull (a compact description of a set containing X), and a set
+        Y, given by indices of basics that each meet Y; None if unsupported.
+
+        ``add(indices)`` feeds such indices as they are enumerated; an index
+        already held is ignored.  ``bounds(hull)`` reads: it returns (lower,
+        upper), lower at most the supremum over y in Y of d(y, X), and upper
+        at least the supremum over x in X of d(x, Y), or None while no cell
+        is held.  A tracker may measure a cell against the hull of the read
+        that first sees it, and may let go of a cell that can never bring an
+        upper bound below the one returned; a read should cost about the
+        cells fed since the previous one.
         """
         return None
 
@@ -925,12 +951,24 @@ class _LineSubspace(Space):
         return self.basic_subset((x - r, x + r), d)
 
     # distances, once over traces ---------------------------------------------
-    def far(self, x, d) -> Fraction:
+    # With a best to beat, the test runs on integers (see _cmp_diff), and
+    # only a bound that improves on it is built as a Fraction.
+    def far(self, x, d, below: Fraction | None = None) -> Fraction | None:
         trace = self.trace(d)  # sorted: the farthest points are its two ends
-        return max(x - trace[0][0], trace[-1][2] - x)
+        lo, hi = trace[0][0], trace[-1][2]
+        if below is not None and (_cmp_diff(x, lo, below) >= 0
+                                  or _cmp_diff(hi, x, below) >= 0):
+            return None
+        return max(x - lo, hi - x)
 
-    def near(self, x, d) -> Fraction:
-        return min(max(lo - x, x - hi, Fraction(0)) for lo, _, hi, _ in self.trace(d))
+    def near(self, x, d, above: Fraction | None = None) -> Fraction | None:
+        trace = self.trace(d)
+        if above is not None and above >= 0:
+            # each piece's bound max(lo - x, x - hi, 0) must exceed above
+            for lo, _, hi, _ in trace:
+                if _cmp_diff(lo, x, above) <= 0 and _cmp_diff(x, hi, above) <= 0:
+                    return None
+        return min(max(lo - x, x - hi, Fraction(0)) for lo, _, hi, _ in trace)
 
     def clearance(self, x) -> Callable[[object], Fraction | None]:
         # the union of the raw intervals: the space has no points beyond a
@@ -949,29 +987,14 @@ class _LineSubspace(Space):
     def cover_hull(self, descs) -> tuple:
         return self.make_cdesc([(f[0], f[2]) for d in descs for f in self.trace(d)])
 
-    def hausdorff_pair(self, hull, cells: dict) -> tuple[Fraction, Fraction | None]:
-        """On the 2**-64 grid, rounded outward: the lower bound is the
-        largest gap between a cell and the hull, the least over hull pieces
-        [p, q] of max(a - q, p - b) for the cell's span (a, b); the upper
-        bound is the cover radius of the hull by the cells (see
-        :func:`_cover_radius2`).  Each cell keeps its span and its gap to
-        the hull it was first seen with.  A cell at least twice as wide as
-        the upper bound can never lower it and is discarded."""
-        pieces = [(_grid_floor(p), _grid_ceil(q)) for p, q in hull]
-        lower = 0
-        for n, seen in cells.items():
-            if seen is None:
-                trace = self.trace(self.decode(n))
-                a, b = _grid_floor(trace[0][0]), _grid_ceil(trace[-1][2])
-                seen = cells[n] = (a, b, min((max(a - q, p - b) for p, q in pieces),
-                                             default=0))
-            lower = max(lower, seen[2])
-        worst = _cover_radius2(pieces, [(a, b) for a, b, _ in cells.values()])
-        if worst is None:
-            return Fraction(lower, 1 << _GRID), None
-        for n in [n for n, (a, b, _) in cells.items() if b - a >= worst]:
-            del cells[n]
-        return Fraction(lower, 1 << _GRID), Fraction(worst, 2 << _GRID)
+    def _grid_span(self, d) -> tuple[int, int]:
+        """The ends of the trace of d on the Hausdorff grid, rounded
+        outward."""
+        trace = self.trace(d)
+        return _grid_floor(trace[0][0]), _grid_ceil(trace[-1][2])
+
+    def hausdorff_cells(self) -> "_LineHausdorffCells":
+        return _LineHausdorffCells(self)
 
     def closed_ball_desc(self, x, r: Fraction):
         return self.make_cdesc([(x - r, x + r)])
@@ -1054,45 +1077,134 @@ def _grid_ceil(q: Fraction) -> int:
     return -((-q.numerator << _GRID) // q.denominator)
 
 
-def _cover_radius2(hull: Sequence[tuple[int, int]],
-                   cells: Iterable[tuple[int, int]]) -> int | None:
-    """Twice the sup, over y in the hull, of the least max(y - a, b - y)
-    over the cells (a, b); None without cells.
+class _CoverCells:
+    """Integer cells (a, b), a <= b, kept as an antichain under containment,
+    for cover radii of hulls on the grid.
 
-    Sorted by midpoint, the cells split the line into segments; on the
-    segment between midpoints i and i+1 the least is min(y - A, B - y),
-    with A the largest left end up to i and B the smallest right end from
-    i+1 on, a tent whose maximum over a range sits at its apex or at the
-    range end nearest to it.
+    A cell that contains another is nowhere the least max(y - a, b - y),
+    so dropping it moves no cover radius.  Sorted by midpoint, the cells
+    of an antichain have increasing left and right ends as well: ``cells``
+    is sorted by both.
     """
-    order = sorted(cells, key=sum)
-    if not order:
-        return None
-    mids = [a + b for a, b in order]
-    pre = list(accumulate((a for a, _ in order), max))
-    suf = list(accumulate((b for _, b in reversed(order)), min))[::-1]
-    worst = 0
-    for p, q in hull:
-        p2, q2 = 2 * p, 2 * q
-        if p2 <= mids[0]:
-            worst = max(worst, 2 * suf[0] - p2)
-        if q2 >= mids[-1]:
-            worst = max(worst, q2 - 2 * pre[-1])
-        first = max(bisect_left(mids, p2) - 1, 0)
-        last = min(bisect_right(mids, q2), len(order) - 1)
-        for i in range(first, last):
-            A, B = pre[i], suf[i + 1]
-            u2, v2 = max(mids[i], p2), min(mids[i + 1], q2)
-            if u2 > v2:
-                continue
-            apex = A + B
-            if apex < u2:
-                worst = max(worst, 2 * B - u2)
-            elif apex > v2:
-                worst = max(worst, v2 - 2 * A)
+
+    def __init__(self) -> None:
+        self.cells: list[tuple[int, int]] = []
+
+    def add(self, spans: list[tuple[int, int]]) -> None:
+        """Add the cells ``spans``, in one merge pass over the cells held:
+        a cell that contains another goes, and so does all but one copy of
+        a cell given twice."""
+        if not spans:
+            return
+        spans.sort()  # so that sorted() below merges two sorted runs
+        kept: list[tuple[int, int]] = []
+        least = None  # the least right end kept so far, scanning leftward
+        for cell in reversed(sorted(chain(self.cells, spans))):
+            a, b = cell
+            if least is None or b < least:
+                if kept and kept[-1][0] == a:  # kept last, it contains (a, b)
+                    kept.pop()
+                kept.append(cell)
+                least = b
+        kept.reverse()
+        self.cells = kept
+
+    def drop_wider(self, width: int) -> None:
+        """Let go of every cell at least ``width`` wide."""
+        self.cells = [cell for cell in self.cells if cell[1] - cell[0] < width]
+
+    def radius2(self, hull: Sequence[tuple[int, int]]) -> int | None:
+        """Twice the sup, over y in the hull, of the least max(y - a, b - y)
+        over the cells (a, b); None without cells.
+
+        The midpoints split the line into segments.  On the segment between
+        midpoints i and i+1 the least is min(y - a_i, b_{i+1} - y), a tent
+        whose apex (a_i + b_{i+1}) / 2 lies inside the segment, since both
+        ends increase.  A segment inside a hull piece thus contributes
+        b_{i+1} - a_i; only the segments cut by a piece's ends, and the
+        rays beyond the first and the last midpoint, need the clipped tent.
+        """
+        if not self.cells:
+            return None
+        los = [a for a, _ in self.cells]
+        his = [b for _, b in self.cells]
+        mids = list(map(add, los, his))
+        worst = 0
+        for p, q in hull:
+            p2, q2 = 2 * p, 2 * q
+            if p2 <= mids[0]:
+                worst = max(worst, 2 * his[0] - p2)
+            if q2 >= mids[-1]:
+                worst = max(worst, q2 - 2 * los[-1])
+            i, j = bisect_left(mids, p2), bisect_right(mids, q2)
+            if j - i >= 2:
+                worst = max(worst, max(map(sub, his[i + 1:j], los[i:j - 1])))
+            for s in {i - 1, j - 1}:
+                if 0 <= s < len(mids) - 1:
+                    u2, v2 = max(mids[s], p2), min(mids[s + 1], q2)
+                    if u2 > v2:
+                        continue
+                    apex = los[s] + his[s + 1]
+                    if apex < u2:
+                        worst = max(worst, 2 * his[s + 1] - u2)
+                    elif apex > v2:
+                        worst = max(worst, v2 - 2 * los[s])
+                    else:
+                        worst = max(worst, his[s + 1] - los[s])
+        return worst
+
+
+class _LineHausdorffCells:
+    """Hausdorff bounds on a subspace of the line, on the 2**-64 grid and
+    rounded outward.
+
+    Each cell is converted once, at the first read that sees it, to its
+    span (a, b) and its gap to that read's hull, the least over hull
+    pieces [p, q] of max(a - q, p - b); the lower bound is the largest gap
+    so far.  The upper bound is the cover radius of the hull by the cells
+    held (see :class:`_CoverCells`).  A cell at least twice as wide as the
+    upper bound can never lower it and is let go, and is held afresh if it
+    is fed again.
+    """
+
+    def __init__(self, space: _LineSubspace):
+        self._space = space
+        self._held: dict[int, tuple[int, int] | None] = {}  # index -> its span
+        self._new: list[int] = []  # indices fed since the last read
+        self._cells = _CoverCells()
+        self._lower = 0
+
+    def add(self, indices: Iterable[int]) -> None:
+        held, new = self._held, self._new
+        for n in indices:
+            if n not in held:
+                held[n] = None
+                new.append(n)
+
+    def bounds(self, hull) -> tuple[Fraction, Fraction | None]:
+        space, held = self._space, self._held
+        pieces = [(_grid_floor(p), _grid_ceil(q)) for p, q in hull]
+        lower = self._lower
+        spans = []
+        for n in self._new:
+            span = a, b = space._grid_span(space.decode(n))
+            # the gap is at most lower when a piece is within lower of the cell
+            for p, q in pieces:
+                if a - q <= lower and p - b <= lower:
+                    break
             else:
-                worst = max(worst, B - A)
-    return worst
+                lower = max(lower, min((max(a - q, p - b) for p, q in pieces), default=0))
+            held[n] = span
+            spans.append(span)
+        self._new.clear()
+        self._lower = lower
+        self._cells.add(spans)
+        worst = self._cells.radius2(pieces)
+        if worst is None:
+            return Fraction(lower, 1 << _GRID), None
+        self._held = {n: span for n, span in held.items() if span[1] - span[0] < worst}
+        self._cells.drop_wider(worst)
+        return Fraction(lower, 1 << _GRID), Fraction(worst, 2 << _GRID)
 
 
 def _cell(mid: int, half: int, den: int) -> int:
@@ -1126,6 +1238,12 @@ class _IntervalSpaceBase(_LineSubspace):
     lo_bound: Fraction | None = None  # carrier bounds for traces
     hi_bound: Fraction | None = None
 
+    def __init__(self) -> None:
+        super().__init__()
+        # the carrier bounds on the Hausdorff grid, for _grid_span
+        self._grid_lo = None if self.lo_bound is None else _grid_floor(self.lo_bound)
+        self._grid_hi = None if self.hi_bound is None else _grid_ceil(self.hi_bound)
+
     def _trace_nonempty(self, a: Fraction, b: Fraction) -> bool:
         if _cmp(a, b) >= 0:
             return False
@@ -1148,6 +1266,18 @@ class _IntervalSpaceBase(_LineSubspace):
 
     def trace(self, d) -> tuple[Fiv]:
         return (self.fiv(d),)
+
+    def _grid_span(self, d) -> tuple[int, int]:
+        # fiv(d) clamped on the grid, as rounding commutes with the clamps;
+        # decoded ends are Fractions, whose slots are read as _cmp reads them
+        a, b = d
+        lo = (a._numerator << _GRID) // a._denominator
+        hi = -((-b._numerator << _GRID) // b._denominator)
+        if self._grid_lo is not None and lo < self._grid_lo:
+            lo = self._grid_lo
+        if self._grid_hi is not None and hi > self._grid_hi:
+            hi = self._grid_hi
+        return lo, hi
 
     def basic_in_closure(self, d1, d2) -> bool:
         # the closure of the trace of (a, b) is [a, b] clamped to the carrier
@@ -1846,11 +1976,11 @@ class StarSpace(Space):
         eps = Fraction(1, 2 ** (slot + 1))
         return self.encode_ball(x, r - eps) if eps < r else None
 
-    def far(self, x, d) -> Fraction:
+    def far(self, x, d, below: Fraction | None = None) -> Fraction:
         _, c, q = d
         return self.metric.exact(x, c) + q
 
-    def near(self, x, d) -> Fraction:
+    def near(self, x, d, above: Fraction | None = None) -> Fraction:
         _, c, q = d
         return max(self.metric.exact(x, c) - q, Fraction(0))
 

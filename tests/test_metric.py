@@ -21,7 +21,7 @@ from erctopo.metric import (
     nice_radius,
     radius,
 )
-from erctopo.spaces import _cover_radius2
+from erctopo.spaces import _CoverCells
 from erctopo.oracle import lift_finite, standard_oracle_spaces
 from erctopo.sets import (
     ClosedSet,
@@ -433,20 +433,145 @@ def test_hausdorff_symmetry_exact():
 
 # -- bound streams, the race path and replay -----------------------------------------------
 
+def _cover_radius2_brute(hull, cells):
+    # twice the least max(y - a, b - y) is max(y2 - 2a, 2b - y2) at
+    # y = y2 / 2; every breakpoint sits at an integer y2
+    return max((min(max(y2 - 2 * a, 2 * b - y2) for a, b in cells)
+                for p, q in hull for y2 in range(2 * p, 2 * q + 1)), default=0)
+
+
 def test_cover_radius_matches_brute_force():
+    """Cells arrive in batches, nested in or around cells already given,
+    given twice, or outside the hull, and the hull changes between reads;
+    every read equals the brute force on the cells given so far, less
+    those let go by the tracker's width rule."""
     rng = random.Random(5)
     for _ in range(300):
-        cells = []
+        cover, cells = _CoverCells(), []
         for _ in range(rng.randint(1, 5)):
-            a = rng.randint(-10, 30)
-            cells.append((a, a + rng.randint(1, 8)))
-        ends = sorted(rng.sample(range(0, 24), 4))
-        hull = [(ends[0], ends[1]), (ends[2], ends[3])]
-        # twice the least max(y - a, b - y) is max(y2 - 2a, 2b - y2) at
-        # y = y2 / 2; every breakpoint sits at an integer y2
-        want = max(min(max(y2 - 2 * a, 2 * b - y2) for a, b in cells)
-                   for p, q in hull for y2 in range(2 * p, 2 * q + 1))
-        assert _cover_radius2(hull, cells) == want, (hull, cells)
+            batch = []
+            for _ in range(rng.randint(0, 6)):
+                kind = rng.random()
+                if cells and kind < 0.2:
+                    batch.append(rng.choice(cells))
+                elif cells and kind < 0.4:
+                    a, b = rng.choice(cells)
+                    lo, hi = rng.randint(-2, 2), rng.randint(-2, 2)
+                    batch.append((min(a + lo, b - hi), b - hi))
+                else:
+                    a = rng.randint(-10, 30)
+                    batch.append((a, a + rng.randint(0, 8)))
+            cells += batch
+            cover.add(list(batch))
+            ends = sorted(rng.sample(range(0, 24), 4))
+            hull = [(ends[0], ends[1]), (ends[2], ends[3])][:rng.randint(0, 2)]
+            want = _cover_radius2_brute(hull, cells) if cells else None
+            assert cover.radius2(hull) == want, (hull, cells)
+            # an antichain: both ends strictly increasing, every cell given
+            held = cover.cells
+            assert all(u[0] < v[0] and u[1] < v[1] for u, v in zip(held, held[1:]))
+            assert set(held) <= set(cells)
+            if want is not None and rng.random() < 0.5:
+                cells = [(a, b) for a, b in cells if b - a < want]
+                cover.drop_wider(want)
+
+
+class _LineCellsFromScratch:
+    """The bounds a line space's Hausdorff tracker must give, recomputed
+    from scratch in exact Fractions at every read.  A cell is held from the
+    read that first sees it, measured against that read's hull, until it is
+    at least twice as wide as an upper bound read; the upper bound is found
+    among the hull ends and the points where the distance functions of two
+    held cells cross."""
+
+    def __init__(self, space):
+        self.space = space
+        self.held = {}
+        self.new = []
+        self.lower = F(0)
+
+    def add(self, indices):
+        for n in indices:
+            if n not in self.held and n not in self.new:
+                self.new.append(n)
+
+    def bounds(self, hull):
+        for n in self.new:
+            trace = self.space.trace(self.space.decode(n))
+            a, b = self.held[n] = trace[0][0], trace[-1][2]
+            self.lower = max(self.lower, min((max(a - q, p - b) for p, q in hull),
+                                             default=F(0)))
+        self.new = []
+        if not self.held:
+            return self.lower, None
+        spans = set(self.held.values())
+        ys = [y for p, q in hull
+              for y in [p, q] + [(a + b) / 2 for a, _ in spans for _, b in spans]
+              if p <= y <= q]
+        upper = max((min(max(y - a, b - y) for a, b in spans) for y in ys), default=F(0))
+        self.held = {n: (a, b) for n, (a, b) in self.held.items() if b - a < 2 * upper}
+        return self.lower, upper
+
+
+class _OracleCellsFromScratch:
+    """The bounds an oracle space's Hausdorff tracker must give, recomputed
+    from every cell fed at every read."""
+
+    def __init__(self, space):
+        self.space = space
+        self.cells = []
+
+    def add(self, indices):
+        for n in indices:
+            if n not in self.cells:
+                self.cells.append(n)
+
+    def bounds(self, hull):
+        space = self.space
+        descs = [space.decode(n) for n in self.cells]
+        lower = max((min((space.near(z, c) for z in hull), default=F(0)) for c in descs),
+                    default=F(0))
+        if not descs:
+            return lower, None
+        return lower, max((min(space.far(z, c) for c in descs) for z in hull),
+                          default=F(0))
+
+
+def _check_tracker(space, pool, hulls, reference, rng, trials=40):
+    for _ in range(trials):
+        cells, want, hull = space.hausdorff_cells(), reference(space), rng.choice(hulls)
+        fed = []
+        for _ in range(rng.randint(1, 6)):
+            batch = [rng.choice(fed if fed and rng.random() < 0.3 else pool)
+                     for _ in range(rng.randint(0, 8))]
+            fed += batch
+            if rng.random() < 0.5:
+                hull = rng.choice(hulls)
+            cells.add(batch)
+            want.add(batch)
+            assert cells.bounds(hull) == want.bounds(hull), (space, hull, fed)
+
+
+def test_hausdorff_cells_match_from_scratch():
+    """Every read of every space's tracker equals the bounds recomputed
+    from scratch on the cells fed so far, with hull changes between reads:
+    the unit interval and a two-piece space on dyadic cells and hulls, where
+    the 2**-64 grid is exact, and every metric oracle space."""
+    rng = random.Random(8)
+    sixteenths = [F(k, 16) for k in range(-4, 21)]
+    for space in (_ui, PiecewiseSpace([(F(0), F(1, 4)), (F(1, 2), F(1))], name="gap")):
+        pool = [n for n in (encode_interval(*sorted(rng.sample(sixteenths, 2)))
+                            for _ in range(60)) if space.decode(n) is not None]
+        hulls = [space.make_cdesc(sorted([tuple(sorted(rng.sample(sixteenths, 2)))
+                                          for _ in range(rng.randint(1, 2))]))
+                 for _ in range(8)]
+        _check_tracker(space, pool, hulls, _LineCellsFromScratch, rng)
+    for fs in standard_oracle_spaces():
+        if fs.metric_table is None:
+            continue
+        space, _ = lift_finite(fs)
+        _check_tracker(space, list(range(space.finite_basic_count)),
+                       space_subsets(fs), _OracleCellsFromScratch, rng)
 
 
 def test_streamed_brackets_sound_at_every_stage():

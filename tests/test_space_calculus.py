@@ -90,6 +90,24 @@ def test_line_ball_calculus_against_brute_force(basic, x, r):
     assert space.far(x, d) == _supremum(space, d, x)
 
 
+bests = st.one_of(st.none(), st.fractions(min_value=-1, max_value=4, max_denominator=8))
+
+
+@PROPERTY
+@given(line_basics(), rationals, bests)
+@example((_ui, (F(0), F(1, 2))), F(1, 4), F(1, 4))
+@example((_gap, (F(1, 4), F(3, 4))), F(3, 8), F(1, 8))
+def test_far_and_near_with_a_best_to_beat(basic, x, best):
+    """With a best, far and near give the unbounded bound exactly when it
+    strictly improves on the best (below it for far, above it for near),
+    and None otherwise."""
+    space, d = basic
+    assume(space.in_carrier(x))
+    far, near = space.far(x, d), space.near(x, d)
+    assert space.far(x, d, best) == (far if best is None or far < best else None)
+    assert space.near(x, d, best) == (near if best is None or near > best else None)
+
+
 def test_oracle_ball_calculus_exhaustive():
     for fs in standard_oracle_spaces():
         if fs.metric_table is None:
@@ -104,6 +122,13 @@ def test_oracle_ball_calculus_exhaustive():
                 ds = [dist(x, p) for p in d]
                 assert space.near(x, d) == min(ds)
                 assert space.far(x, d) == max(ds)
+                for best in values:
+                    assert space.far(x, d, best) in (None, max(ds))
+                    assert space.near(x, d, best) in (None, min(ds))
+                    if max(ds) < best:
+                        assert space.far(x, d, best) == max(ds)
+                    if min(ds) > best:
+                        assert space.near(x, d, best) == min(ds)
                 for r in rs:
                     ball = {p for p in fs.points if dist(x, p) < r}
                     assert space.in_open_ball(x, d, r) == all(v < r for v in ds)
