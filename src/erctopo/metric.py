@@ -14,10 +14,12 @@ one stage of the streams, which reads one stage of every name they
 consume.  No description is needed: a set given only by its names gets
 the same streams.
 
-A read costs what is new since the previous one: a bound stream hands the
-space its running best, so that a cell that cannot improve on it costs an
-integer test and builds no Fraction, and each Hausdorff tracker takes in
-each new hit cell once and keeps its bounds as it goes.
+A bound stream hands the space its running best, so that a cell that
+cannot improve on it costs an integer test and builds no Fraction.  The
+Hausdorff tracker of a line subspace converts each hit cell once and keeps
+the lower bound as a running maximum; a read then makes a few linear
+passes over the cells still held (a merge, the cover radius, the width
+drop), none of them a sort or a conversion.
 
 A request for precision k reads until the bracket closes to width 2**-k
 or the fuel budget runs out (an ordinary Pending).  Answers depend only
@@ -628,12 +630,6 @@ class _Hull:
                 self.cdesc = got
 
 
-def _reads_at(t: int) -> bool:
-    """The stages t = 2**k - 1, the only ones at which a Hausdorff stream
-    reads its names: stage t + 1 is one that :class:`BoundsReal` reads."""
-    return not t & (t + 1)
-
-
 class _HausdorffBounds(MonotoneEnumerator[tuple[bool, Fraction]]):
     """Both bound streams of a Hausdorff distance, as items (True, lower
     bound) and (False, upper bound); only improvements are emitted.
@@ -655,7 +651,7 @@ class _HausdorffBounds(MonotoneEnumerator[tuple[bool, Fraction]]):
         self._hi: Fraction | None = None
 
     def step(self, t: int) -> Iterable[tuple[bool, Fraction]]:
-        if not _reads_at(t):
+        if t & (t + 1):
             return ()
         lows, highs = [], []
         for hull, hits, cells in self._sides:
@@ -680,19 +676,17 @@ class _HausdorffBounds(MonotoneEnumerator[tuple[bool, Fraction]]):
         return out
 
 
-class _Side(MonotoneEnumerator[Fraction]):
-    """The bounds of one side of a :class:`_HausdorffBounds` stream; it
-    reads the stream only at the stages where the stream can emit."""
+class _Side:
+    """The bounds of one side of a stream of (is lower, bound) items, read
+    as :class:`LowerReal` and :class:`UpperReal` read a stream: through
+    ``listing``, which filters the stream's listing at the stage read."""
 
     def __init__(self, both: MonotoneEnumerator[tuple[bool, Fraction]], lower: bool):
-        super().__init__()
-        self._both = both.cursor()
+        self._both = both
         self._lower = lower
 
-    def step(self, t: int) -> Iterable[Fraction]:
-        if not _reads_at(t):
-            return ()
-        return [v for is_lower, v in self._both.upto(t + 1)
+    def listing(self, stage: int) -> list[Fraction]:
+        return [v for is_lower, v in self._both.listing(stage)
                 if is_lower == self._lower]
 
 

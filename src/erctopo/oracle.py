@@ -259,47 +259,28 @@ class OracleSpace(Space):
 
 
 class _OracleHausdorffCells:
-    """Exact over the points of the hull: the lower bound is the largest,
-    over cells, of the least distance between the cell and the hull, and
-    the upper bound the largest, over hull points, of the least far
-    distance to a cell.  Both are kept as running extremes, so a read
-    costs the new cells times the hull's points; a changed hull is
-    measured afresh against every cell."""
+    """Exact over the points of the hull, recomputed from every cell at
+    each read: the lower bound is the largest, over cells, of the least
+    distance between the cell and the hull, and the upper bound the
+    largest, over hull points, of the least far distance to a cell."""
 
     def __init__(self, space: OracleSpace):
         self._space = space
-        self._seen: set[int] = set()
-        self._cells: list = []   # decoded cells, measured against _hull
-        self._new: list = []
-        self._hull = None
-        self._lower = Fraction(0)
-        self._nearest: dict = {}  # hull point -> least far distance to a cell
+        self._cells: dict = {}  # index -> decoded cell, in the order fed
 
     def add(self, indices: Iterable[int]) -> None:
         for n in indices:
-            if n not in self._seen:
-                self._seen.add(n)
-                self._new.append(self._space.decode(n))
+            if n not in self._cells:
+                self._cells[n] = self._space.decode(n)
 
     def bounds(self, hull) -> tuple[Fraction, Fraction | None]:
-        space = self._space
-        if hull != self._hull:
-            self._hull, self._lower, self._nearest = hull, Fraction(0), {}
-            self._new[:0] = self._cells
-            self._cells = []
-        nearest = self._nearest
-        for c in self._new:
-            self._lower = max(self._lower,
-                              min((space.near(z, c) for z in hull), default=Fraction(0)))
-            for z in hull:
-                f = space.far(z, c)
-                if z not in nearest or f < nearest[z]:
-                    nearest[z] = f
-        self._cells += self._new
-        self._new = []
-        if not self._cells:
-            return self._lower, None
-        return self._lower, max(nearest.values(), default=Fraction(0))
+        space, descs = self._space, self._cells.values()
+        lower = max((min((space.near(z, c) for z in hull), default=Fraction(0))
+                     for c in descs), default=Fraction(0))
+        if not descs:
+            return lower, None
+        return lower, max((min(space.far(z, c) for c in descs) for z in hull),
+                          default=Fraction(0))
 
 
 class _OracleRegion(Region):

@@ -190,17 +190,10 @@ def _cmp_diff(u, v, w) -> int:
     """Negative, zero or positive as the rational u - v is <, == or > w:
     three operands compared as :func:`_cmp` compares two, with no Fraction
     built."""
-    un, ud = _ratio(u)
-    vn, vd = _ratio(v)
-    wn, wd = _ratio(w)
+    un, ud = u.as_integer_ratio()
+    vn, vd = v.as_integer_ratio()
+    wn, wd = w.as_integer_ratio()
     return (un * vd - vn * ud) * wd - wn * ud * vd
-
-
-def _ratio(q) -> tuple[int, int]:
-    try:
-        return q._numerator, q._denominator
-    except AttributeError:
-        return q.as_integer_ratio()
 
 
 def fiv_nonempty(f: Fiv) -> bool:
@@ -619,8 +612,7 @@ class Space:
         at least the supremum over x in X of d(x, Y), or None while no cell
         is held.  A tracker may measure a cell against the hull of the read
         that first sees it, and may let go of a cell that can never bring an
-        upper bound below the one returned; a read should cost about the
-        cells fed since the previous one.
+        upper bound below the one returned.
         """
         return None
 
@@ -1069,12 +1061,15 @@ def _grid_lane(cdesc):
 _GRID = 64
 
 
+# Every end put on the grid is a Fraction (a decoded end, a carrier bound
+# or a description's end), whose slots are read as _cmp reads them: the
+# property pair numerator/denominator would cost two Python-level calls.
 def _grid_floor(q: Fraction) -> int:
-    return (q.numerator << _GRID) // q.denominator
+    return (q._numerator << _GRID) // q._denominator
 
 
 def _grid_ceil(q: Fraction) -> int:
-    return -((-q.numerator << _GRID) // q.denominator)
+    return -((-q._numerator << _GRID) // q._denominator)
 
 
 class _CoverCells:
@@ -1268,11 +1263,9 @@ class _IntervalSpaceBase(_LineSubspace):
         return (self.fiv(d),)
 
     def _grid_span(self, d) -> tuple[int, int]:
-        # fiv(d) clamped on the grid, as rounding commutes with the clamps;
-        # decoded ends are Fractions, whose slots are read as _cmp reads them
+        # fiv(d) clamped on the grid, as rounding commutes with the clamps
         a, b = d
-        lo = (a._numerator << _GRID) // a._denominator
-        hi = -((-b._numerator << _GRID) // b._denominator)
+        lo, hi = _grid_floor(a), _grid_ceil(b)
         if self._grid_lo is not None and lo < self._grid_lo:
             lo = self._grid_lo
         if self._grid_hi is not None and hi > self._grid_hi:
