@@ -75,6 +75,14 @@ class Bracket(tuple):
         return got
 
 
+def _within(width: Fraction, k: int) -> bool:
+    """width <= 2**-k for k >= 0, read on the width's numerator and
+    denominator: no power of two longer than the denominator is built, so
+    a huge k costs no more than a small one."""
+    num, den = width.numerator, width.denominator
+    return num <= 0 or (k <= den.bit_length() and num << k <= den)
+
+
 class CReal:
     """A real as nested rational brackets of width at most 2**-k."""
 
@@ -142,11 +150,10 @@ class BoundsReal(CReal):
 
     def approx(self, k: int, fuel: int | None = None) -> Bracket | None:
         budget = DEFAULT_APPROX_FUEL if fuel is None else fuel
-        width = Fraction(1, 2 ** k)
         stage = 1
         while stage <= budget:
             got = self.bracket(stage)
-            if got is not None and got[1] - got[0] <= width:
+            if got is not None and _within(got[1] - got[0], k):
                 return Bracket(*got, stage)
             stage *= 2
         return None
@@ -210,16 +217,15 @@ class BracketReal(CReal):
 
     def approx(self, k: int, fuel: int | None = None) -> Bracket | None:
         budget = DEFAULT_APPROX_FUEL if fuel is None else fuel
-        width = Fraction(1, 2 ** k)
         for steps, (lo, hi) in self._history:
-            if hi - lo <= width:
+            if _within(hi - lo, k):
                 return Bracket(lo, hi, steps) if steps <= budget else None
         while self._steps < budget:
             self._steps += 1
             self.machine.poll(self._steps)
             if self._record():
                 lo, hi = self._history[-1][1]
-                if hi - lo <= width:
+                if _within(hi - lo, k):
                     return Bracket(lo, hi, self._steps)
         return None
 

@@ -103,6 +103,7 @@ def open_from_fixture(space: Space, desc) -> OpenSet:
     """Canonical open name of a basic-open description: the description
     itself first, a generated shrinking core, and the filter of every basic
     formally inside it."""
+    inside = space.basic_subset_test(desc)
 
     def step(t: int):
         out = []
@@ -112,7 +113,7 @@ def open_from_fixture(space: Space, desc) -> OpenSet:
             if core is not None and space.decode(core) is not None:
                 out.append(core)
         d = space.decode(t)
-        if d is not None and space.basic_subset(d, desc):
+        if d is not None and inside(d):
             out.append(t)
         return out
 

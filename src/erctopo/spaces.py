@@ -245,10 +245,36 @@ def fiv_hull(a: Fiv, b: Fiv) -> Fiv:
     return (lo[0], lo[1], hi[2], hi[3])
 
 
+def _bisect(a: list, x, right: int = 0) -> int:
+    """``bisect_left(a, x)``, or ``bisect_right(a, x)`` when ``right`` is
+    1, for a sorted list ``a`` of rationals: each probe compares as
+    :func:`_cmp` does, with x's numerator and denominator read once and no
+    ``Fraction.__lt__`` call."""
+    try:
+        xn, xd = x._numerator, x._denominator
+    except AttributeError:
+        xn, xd = x.as_integer_ratio()
+    lo, hi = 0, len(a)
+    while lo < hi:
+        mid = (lo + hi) >> 1
+        y = a[mid]
+        try:
+            yn, yd = y._numerator, y._denominator
+        except AttributeError:
+            yn, yd = y.as_integer_ratio()
+        # a[mid] < x for bisect_left, a[mid] <= x for bisect_right: the
+        # integer sign of a[mid] - x is below 0 or below 1
+        if yn * xd - xn * yd < right:
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo
+
+
 def _lo_key_left(los: list[Fraction], fivs: list[Fiv], f: Fiv) -> int:
     """First position whose lo key is >= f's, in fivs sorted by lo key
     (``los`` holds their lo endpoints)."""
-    k = bisect_left(los, f[0])
+    k = _bisect(los, f[0])
     while k < len(fivs) and fivs[k][1] < f[1] and _cmp(fivs[k][0], f[0]) == 0:
         k += 1
     return k
@@ -256,7 +282,7 @@ def _lo_key_left(los: list[Fraction], fivs: list[Fiv], f: Fiv) -> int:
 
 def _lo_key_right(los: list[Fraction], fivs: list[Fiv], f: Fiv) -> int:
     """First position whose lo key is > f's."""
-    k = bisect_right(los, f[0])
+    k = _bisect(los, f[0], 1)
     while k and fivs[k - 1][1] > f[1] and _cmp(fivs[k - 1][0], f[0]) == 0:
         k -= 1
     return k
@@ -279,7 +305,7 @@ class FivUnion:
         if not fiv_nonempty(f):
             return
         parts, los = self._parts, self._los
-        k = bisect_left(los, f[0])
+        k = _bisect(los, f[0])
         i = k
         while i > 0 and fiv_mergeable(parts[i - 1], f):
             i -= 1
@@ -298,7 +324,7 @@ class FivUnion:
     def covers(self, f: Fiv) -> bool:
         if not fiv_nonempty(f):
             return True
-        k = bisect_right(self._los, f[0])
+        k = _bisect(self._los, f[0], 1)
         return k > 0 and fiv_subset(f, self._parts[k - 1])
 
     def covers_point(self, x: Fraction) -> bool:
@@ -306,7 +332,7 @@ class FivUnion:
 
     def part_at(self, x: Fraction) -> Fiv | None:
         """The component of the union that contains the point x, if any."""
-        k = bisect_right(self._los, x)
+        k = _bisect(self._los, x, 1)
         if k and fiv_member(x, self._parts[k - 1]):
             return self._parts[k - 1]
         return None
@@ -387,6 +413,12 @@ class Space:
 
     def basic_subset(self, d1, d2) -> bool:
         raise NotImplementedError
+
+    def basic_subset_test(self, d2) -> Callable[[object], bool]:
+        """The predicate ``d1 -> basic_subset(d1, d2)``, for a filter that
+        tests many basics against one fixed d2; a space may prepare d2
+        once."""
+        return lambda d1: self.basic_subset(d1, d2)
 
     def basic_disjoint(self, d1, d2) -> bool:
         raise NotImplementedError
@@ -857,6 +889,10 @@ class _LineSubspace(Space):
         q = Fraction(value)
         if not self.in_carrier(q):
             raise OutOfSpace(f"{q} outside carrier of {self.name}")
+        # point_in_basic(q, d) with q's carrier test done above: a < q < b
+        # on the integers of the decoded ends
+        qn, qd = q.numerator, q.denominator
+        decode = self.decode
 
         def step(t: int):
             out = []
@@ -864,9 +900,12 @@ class _LineSubspace(Space):
             if s is not None:
                 eps = Fraction(1, 2 ** s)
                 out.append(encode_interval(q - eps, q + eps))
-            d = self.decode(t)
-            if d is not None and self.point_in_basic(q, d):
-                out.append(t)
+            d = decode(t)
+            if d is not None:
+                a, b = d
+                if (a._numerator * qd < qn * a._denominator
+                        and qn * b._denominator < b._numerator * qd):
+                    out.append(t)
             return out
 
         return PointName(self, enumerate_step(step), value=q)
@@ -1247,6 +1286,26 @@ class _IntervalSpaceBase(_LineSubspace):
         if self.hi_bound is not None and _cmp(a, self.hi_bound) >= 0:
             return False
         return True
+
+    def basic_subset_test(self, d2) -> Callable[[object], bool]:
+        # fiv_subset(fiv(d1), fiv(d2)) compares lo keys (value, flag) and
+        # hi keys (value, 1 - flag).  fiv's lo key for (a, b) is the larger
+        # of (a, 1) and (lo_bound, 0), its hi key the smaller of (b, 0) and
+        # (hi_bound, 1).  Where fiv(d2) is clamped, its key is that bound
+        # key, which no trace's key passes: the side always holds.  Where it
+        # is not, its key (a2, 1) (or (b2, 0)) lies on the carrier's side of
+        # the bound key, so the side holds exactly when a2 <= a1 (b1 <= b2).
+        lo, lof, hi, hif = self.fiv(d2)
+        lo_n, lo_d = (None, None) if not lof else lo.as_integer_ratio()
+        hi_n, hi_d = (None, None) if not hif else hi.as_integer_ratio()
+
+        def test(d1) -> bool:
+            a, b = d1
+            if lo_n is not None and a._numerator * lo_d < lo_n * a._denominator:
+                return False
+            return hi_n is None or b._numerator * hi_d <= hi_n * b._denominator
+
+        return test
 
     def fiv(self, d) -> Fiv:
         """Effective endpoints of the trace of the open interval d."""

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import io
+import time
 from contextlib import redirect_stdout
 from fractions import Fraction
 
@@ -192,6 +193,17 @@ def test_fuel_used_is_the_closing_stage():
                            "--fuel", "100"])
     assert code == 2 and payload["result"] == "Pending"
     assert payload["fuelUsed"] == 100
+
+
+def test_huge_precision_ends_pending_at_once():
+    for argv in (["distance", "--space", "unit-interval", "--x", "1/4",
+                  "--located", "[0,1/2]"],
+                 ["hausdorff", "--space", "unit-interval", "--a", "[0,1/2]",
+                  "--b", "[0,1/2]"]):
+        start = time.perf_counter()
+        code, payload = _json(argv + ["--precision", str(10 ** 20), "--fuel", "64"])
+        assert time.perf_counter() - start < 1, argv
+        assert code == 2 and payload["result"] == "Pending", argv
 
 
 def test_readme_metric_brackets_are_dyadic():

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import random
 from fractions import Fraction
 from itertools import product
@@ -352,3 +353,72 @@ def test_forall_oracle_agreement_with_bruteforce():
         truth = all(semantic(a) for a in fix.closed_subsets)
         got = isinstance(run_process(forall_located(e, pred), 2 * 10 ** 5), Accepted)
         assert got == truth, (trial, o1, o2, truth)
+
+
+# -- pinned answers --------------------------------------------------------------
+
+# criterion 8's broken specs: a realized one-piece spec with one disjoint
+# basic (a flip) flipped to touched, the base shifted by 0, 1/16 and 2/16;
+# the flip (0, 1) leaves no room for a base
+_FLIPS = ((F(0), F(1, 2)), (F(1, 2), F(1)), (F(0), F(1)), (F(1, 4), F(3, 4)),
+          (F(0), F(1, 4)))
+
+
+def _broken_specs():
+    for flip in _FLIPS:
+        for shift in (F(s, 16) for s in range(3)):
+            if flip[1] < F(3, 4):
+                base = _ui.make_cdesc([(flip[1] + F(1, 8) + shift,
+                                        flip[1] + F(3, 8) + shift)])
+            else:
+                base = _ui.make_cdesc([(F(0), flip[0] - F(1, 8) - shift)])
+            if base and not _ui.basic_meets_cdesc(flip, base):
+                yield flip, base
+
+
+def _tautologies():
+    """Criterion 7's four tautology forms."""
+    return (
+        ("ui:subset-widened", _ui_ercs,
+         lambda: subset_predicate(_ui_ercs, compact_from_cdesc(_ui, ()))),
+        ("ui:isEmptyOr-meets-whole", _ui_ercs,
+         lambda: empty_or_predicate(
+             _ui_ercs, _UI_WHOLE,
+             meets_predicate(_ui_ercs, open_from_fixture(_ui, (F(-1), F(2)))))),
+        ("cantor:isEmptyOr-meets-root", _cantor_ercs,
+         lambda: empty_or_predicate(
+             _cantor_ercs, compact_from_cdesc(_cantor, ("",)),
+             meets_predicate(_cantor_ercs, open_from_fixture(_cantor, "")))),
+        ("cantor:zero-or-one", _cantor_ercs,
+         lambda: or_predicate(
+             subset_predicate(_cantor_ercs, compact_from_cdesc(_cantor, ("1",))),
+             meets_predicate(_cantor_ercs, open_from_fixture(_cantor, "1")))),
+    )
+
+
+def _hyperspace_answers() -> list[str]:
+    lines = []
+    for flip, base in _broken_specs():
+        bits = flipped_bits(realized_bits(_ui, base), {encode_interval(*flip): 1})
+        cond = consistency_refute(_ui_ercs, bits, 10 ** 5)
+        assert cond is not None, (flip, base)
+        lines.append(f"broken:{flip!r}:{base!r}:"
+                     f"{cond.n},{cond.kid},{sorted(cond.cover)}")
+    for label, e, make in _tautologies():
+        search = forall_located(e, make())
+        got = run_process(search, 10 ** 6)
+        assert isinstance(got, Accepted), label
+        lines.append(f"tautology:{label}:{got.stage}:{search.closing_depth}")
+    return lines
+
+
+# sha256 of _hyperspace_answers(), recorded while the interval unions and
+# indexes still searched with bisect over Fractions: the refuting
+# conditions, acceptance stages and closing depths are answers
+HYPERSPACE_PIN = "1e73411fa055c4c8c3e2e4004630cb127328b8eb88989a76f8157d6eb92bd631"
+
+
+def test_hyperspace_answers_are_pinned():
+    lines = _hyperspace_answers()
+    assert len(lines) == 12 + 4
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == HYPERSPACE_PIN

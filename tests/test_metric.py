@@ -18,6 +18,7 @@ from erctopo.metric import (
     ercs_from_compact_ball,
     exact_metric_point,
     hausdorff_distance,
+    _within,
     nice_radius,
     radius,
 )
@@ -305,6 +306,26 @@ def test_nice_radius_unit_interval_any():
     assert got is not None
     lo, hi = got
     assert 0 < lo <= hi < F(1, 2)
+
+
+def test_width_test_matches_the_power_of_two():
+    widths = [F(0), F(-1, 3), F(1), F(3), F(1, 3), F(5, 1024), F(1, 1024),
+              F(2 ** 70 + 1, 2 ** 140), F(7, 2 ** 64)]
+    for w in widths:
+        for k in range(160):
+            assert _within(w, k) == (w <= F(2) ** -k), (w, k)
+
+
+def test_huge_precision_is_pending_on_its_fuel():
+    # a precision of 10**20 builds no power of two of that length: it reads
+    # the same stages as any precision the brackets cannot reach
+    x = exact_metric_point(_ui.metric, F(0))
+    k = compact_from_cdesc(_ui, _ui.make_cdesc([(F(-1, 2), F(1, 2))]))
+    assert nice_radius(_ui.metric, x, F(1, 2), k).approx(10 ** 20, fuel=64) is None
+    located = located_from_cdesc(_ui, _ui.make_cdesc([(F(0), F(1, 2))]))
+    x = exact_metric_point(_ui.metric, F(1, 4))
+    real = distance_to_located(_ui.metric, _ui_ercs, x, located)
+    assert real.approx(10 ** 20, fuel=64) is None
 
 
 def test_nice_radius_oracle_property():

@@ -21,6 +21,7 @@ from erctopo.spaces import (
     LineSpace,
     PiecewiseSpace,
     UnitIntervalSpace,
+    emission_slot,
     encode_interval,
 )
 
@@ -154,3 +155,52 @@ def test_encode_basic_inverts_decode_on_oracles():
         space, _ = lift_finite(fs)
         for n in range(space.finite_basic_count):
             assert space.encode_basic(space.decode(n)) == n
+
+
+# -- prepared filters ------------------------------------------------------------
+
+@PROPERTY
+@given(line_basics(), rationals, rationals)
+# the unit interval with the fixed basic clamped at one end or both, and a
+# basic ending on a carrier end
+@example((_ui, (F(-1), F(1, 2))), F(-1, 2), F(1, 4))
+@example((_ui, (F(1, 2), F(2))), F(1, 2), F(3, 2))
+@example((_ui, (F(-1), F(2))), F(0), F(1))
+@example((_ui, (F(0), F(1))), F(-1), F(1))
+def test_prepared_subset_test_matches_basic_subset(case, a, b):
+    space, d2 = case
+    inside = space.basic_subset_test(d2)
+    d1 = space.decode(encode_interval(min(a, b), max(a, b)))
+    assume(d1 is not None)
+    assert inside(d1) == space.basic_subset(d1, d2)
+    assert inside(d2)
+
+
+def test_prepared_subset_test_on_oracles():
+    for fs in standard_oracle_spaces():
+        space, _ = lift_finite(fs)
+        basics = [space.decode(n) for n in range(space.finite_basic_count)]
+        for d2 in basics:
+            inside = space.basic_subset_test(d2)
+            assert [inside(d1) for d1 in basics] == \
+                [space.basic_subset(d1, d2) for d1 in basics]
+
+
+@settings(PROPERTY, max_examples=60)
+@given(st.sampled_from([_line, _ui, _gap]), rationals)
+@example(_ui, F(0))
+@example(_ui, F(1))
+@example(_gap, F(1, 3))
+def test_point_filter_lists_the_basics_containing_the_point(space, q):
+    assume(space.in_carrier(q))
+    stages = 1500
+    want = []
+    for t in range(stages):
+        s = emission_slot(t)
+        if s is not None:
+            eps = F(1, 2 ** s)
+            want.append(encode_interval(q - eps, q + eps))
+        d = space.decode(t)
+        if d is not None and space.point_in_basic(q, d):
+            want.append(t)
+    assert list(space.point_name(q).neighborhoods.listing(stages)) == want

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 
 import pytest
@@ -208,6 +209,34 @@ def test_integer_fiv_calculus_matches_fraction_reference(a, b, x):
         assert fiv_subset(a, b) == _ref_subset(a, b)
 
 
+@PROPERTY
+@given(st.lists(rationals, max_size=12), rationals)
+def test_integer_bisect_matches_bisect(values, x):
+    # ints and Fractions mixed, with frequent ties
+    a = sorted(values)
+    assert spaces._bisect(a, x) == bisect_left(a, x)
+    assert spaces._bisect(a, x, 1) == bisect_right(a, x)
+
+
+def _ref_components(fivs_added):
+    """The components of a union of fivs: merge mergeable pairs until none
+    is left."""
+    comps = list(fivs_added)
+    merged = True
+    while merged:
+        merged = False
+        for i in range(len(comps)):
+            for j in range(i):
+                if _ref_mergeable(comps[i], comps[j]):
+                    comps[j] = _ref_hull(comps[i], comps[j])
+                    del comps[i]
+                    merged = True
+                    break
+            if merged:
+                break
+    return comps
+
+
 @settings(PROPERTY, max_examples=150)
 @given(st.lists(st.tuples(fivs(), fivs()), max_size=25))
 def test_fiv_indexes_match_bruteforce(steps):
@@ -221,10 +250,14 @@ def test_fiv_indexes_match_bruteforce(steps):
             added.append(f)
         if not fiv_nonempty(q):
             continue
+        comps = _ref_components(added)
         assert cover.contains(q) == any(_ref_subset(q, m) for m in added)
         assert inside.some_inside(q) == any(_ref_subset(m, q) for m in added)
+        assert union.covers(q) == any(_ref_subset(q, c) for c in comps)
         for x in (q[0], q[2]):
             assert union.covers_point(x) == any(_ref_member(x, m) for m in added)
+            assert union.part_at(x) == next(
+                (c for c in comps if _ref_member(x, c)), None)
 
 
 def test_decode_caches_are_bounded(monkeypatch):
