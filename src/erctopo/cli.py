@@ -4,6 +4,10 @@ machine-readable output.
 Exit codes: 0 verified success, 1 parse error, 2 pending (fuel ran out),
 3 domain error (unknown space, missing structure).  With ``--format json``
 the output is byte-identical across runs of the same invocation.
+
+The argument parser is built once per process and reused by every call of
+:func:`main`; the default of ``--fuel`` is read from ``ERCTOPO_DEFAULT_FUEL``
+at each call, so a change of the environment between calls applies.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from functools import cache
 
 from .ercs import compact_base
 from .hyperspace import (
@@ -335,8 +340,10 @@ def cmd_radius(args) -> int:
 
 # ---------------------------------------------------------------------------
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
-    default_fuel = int(os.environ.get(DEFAULT_FUEL_ENV, "100000"))
+    """The parser of every command, built once; ``--fuel`` defaults to None,
+    which :func:`main` resolves from the environment."""
     top = argparse.ArgumentParser(
         prog="erctopo",
         description="Exact computation with effectively locally compact spaces")
@@ -344,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--space", required=True)
-        p.add_argument("--fuel", type=int, default=default_fuel)
+        p.add_argument("--fuel", type=int)
         p.add_argument("--precision", type=int, default=10)
         p.add_argument("--format", choices=("text", "json"), default="text")
 
@@ -385,11 +392,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return PARSE_ERROR if exc.code not in (0, None) else 0
+    if args.fuel is None:
+        text = os.environ.get(DEFAULT_FUEL_ENV, "100000")
+        try:
+            args.fuel = int(text)
+        except ValueError:
+            sys.stderr.write(f"parse error: {DEFAULT_FUEL_ENV} is not an integer: "
+                             f"{text!r}\n")
+            return PARSE_ERROR
     if args.fuel < 0 or args.precision < 0:
         sys.stderr.write("fuel and precision must be nonnegative\n")
         return PARSE_ERROR

@@ -58,9 +58,11 @@ def realized_bits(space: Space, cdesc) -> SpecBits:
     """The specification of an exactly described set: a basic gets bit 1
     exactly when it intersects the set (invalid indices get 0)."""
 
+    meets = space.basic_meets_cdesc_test(cdesc)
+
     def bit(n: int) -> int:
         d = space.decode(n)
-        return 1 if d is not None and space.basic_meets_cdesc(d, cdesc) else 0
+        return 1 if d is not None and meets(d) else 0
 
     return SpecBits(bit)
 

@@ -18,8 +18,10 @@ A bound stream hands the space its running best, so that a cell that
 cannot improve on it costs an integer test and builds no Fraction.  The
 Hausdorff tracker of a line subspace converts each hit cell once and keeps
 the lower bound as a running maximum; a read then makes a few linear
-passes over the cells still held (a merge, the cover radius, the width
-drop), none of them a sort or a conversion.
+passes over the antichain of cells kept for the cover radius (a merge,
+the radius, the width drop), none of them a sort or a conversion, and
+looks at no other cell held: only a cell fed again is tested against the
+widths let go since it was converted.
 
 A request for precision k reads until the bracket closes to width 2**-k
 or the fuel budget runs out (an ordinary Pending).  Answers depend only

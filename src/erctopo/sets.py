@@ -15,6 +15,7 @@ code paths remain available when a description is absent.
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import Sequence
 
 from .kernel import (
@@ -217,15 +218,15 @@ def overt_from_cdesc(space: Space, cdesc) -> OvertSet:
     reach 2**-12 after about 1,400 stages per piece.
     """
     seeds = _steady_seeds(space, cdesc)
+    decode, meets = space.decode, space.basic_meets_cdesc_test(cdesc)
 
     def step(t: int):
         out = []
-        for _ in range(4):
-            c = next(seeds, None)
-            if c is not None and space.decode(c) is not None:
+        for c in islice(seeds, 4):
+            if decode(c) is not None:
                 out.append(c)
-        d = space.decode(t)
-        if d is not None and space.basic_meets_cdesc(d, cdesc):
+        d = decode(t)
+        if d is not None and meets(d):
             out.append(t)
         return out
 

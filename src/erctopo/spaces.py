@@ -15,9 +15,10 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
+from functools import partial
 from itertools import chain, zip_longest
 from math import gcd
-from operator import add, sub
+from operator import add, is_not, sub
 from typing import Callable, Iterable, Sequence
 
 from .kernel import (
@@ -96,12 +97,6 @@ def encode_rational(q: Fraction) -> int:
     if not isinstance(q, Fraction):
         q = Fraction(q)
     return pair(zigzag_inv(q.numerator), q.denominator - 1)
-
-
-def encode_ratio(num: int, den: int) -> int:
-    """The code of num / den (den > 0) without building a Fraction."""
-    g = gcd(num, den)
-    return pair(zigzag_inv(num // g), den // g - 1)
 
 
 def decode_interval(n: int) -> tuple[Fraction, Fraction]:
@@ -188,11 +183,20 @@ def _cmp(x, y) -> int:
 
 def _cmp_diff(u, v, w) -> int:
     """Negative, zero or positive as the rational u - v is <, == or > w:
-    three operands compared as :func:`_cmp` compares two, with no Fraction
-    built."""
-    un, ud = u.as_integer_ratio()
-    vn, vd = v.as_integer_ratio()
-    wn, wd = w.as_integer_ratio()
+    three operands read and compared as :func:`_cmp` reads and compares
+    two, with no Fraction built."""
+    try:
+        un, ud = u._numerator, u._denominator
+    except AttributeError:
+        un, ud = u.as_integer_ratio()
+    try:
+        vn, vd = v._numerator, v._denominator
+    except AttributeError:
+        vn, vd = v.as_integer_ratio()
+    try:
+        wn, wd = w._numerator, w._denominator
+    except AttributeError:
+        wn, wd = w.as_integer_ratio()
     return (un * vd - vn * ud) * wd - wn * ud * vd
 
 
@@ -441,6 +445,12 @@ class Space:
     def basic_meets_cdesc(self, d, cdesc) -> bool:
         """Sound (exact on instances): the basic intersects the described set."""
         raise NotImplementedError
+
+    def basic_meets_cdesc_test(self, cdesc) -> Callable[[object], bool]:
+        """The predicate ``d -> basic_meets_cdesc(d, cdesc)``, for a filter
+        that tests many basics against one fixed description; a space may
+        prepare the description once."""
+        return lambda d: self.basic_meets_cdesc(d, cdesc)
 
     def basic_avoids_cdesc(self, d, cdesc) -> bool:
         """Sound (exact on instances): the basic misses the described set.
@@ -859,6 +869,22 @@ class _LineSubspace(Space):
         return any(not fiv_disjoint(f, (p, 0, q, 0))
                    for f in self.trace(d) for p, q in cdesc)
 
+    def basic_meets_cdesc_test(self, cdesc) -> Callable[[object], bool]:
+        # Every piece [p, q] lies inside the carrier, so the trace of (a, b)
+        # meets it exactly when (a, b) does: a < q and p < b, tested on the
+        # integers of the ends.
+        ends = [(*p.as_integer_ratio(), *q.as_integer_ratio()) for p, q in cdesc]
+
+        def test(d) -> bool:
+            a, b = d
+            an, ad, bn, bd = a._numerator, a._denominator, b._numerator, b._denominator
+            for pn, pd, qn, qd in ends:
+                if an * qd < qn * ad and pn * bd < bn * pd:
+                    return True
+            return False
+
+        return test
+
     def cdesc_intersect(self, c1, c2):
         out = []
         for p1, q1 in c1:
@@ -962,8 +988,8 @@ class _LineSubspace(Space):
         seeds, either running on alone once the other is spent: see
         :func:`_endpoint_lane` and :func:`_grid_lane`."""
         grid = _grid_lane(cdesc)  # passed three times: three seeds a round
-        for batch in zip_longest(_endpoint_lane(cdesc), grid, grid, grid):
-            yield from (c for c in batch if c is not None)
+        rounds = zip_longest(_endpoint_lane(cdesc), grid, grid, grid)
+        return filter(partial(is_not, None), chain.from_iterable(rounds))
 
     # ball calculus, once over traces ------------------------------------------
     def in_open_ball(self, x, d, r: Fraction) -> bool:
@@ -1018,11 +1044,14 @@ class _LineSubspace(Space):
     def cover_hull(self, descs) -> tuple:
         return self.make_cdesc([(f[0], f[2]) for d in descs for f in self.trace(d)])
 
-    def _grid_span(self, d) -> tuple[int, int]:
-        """The ends of the trace of d on the Hausdorff grid, rounded
-        outward."""
-        trace = self.trace(d)
-        return _grid_floor(trace[0][0]), _grid_ceil(trace[-1][2])
+    def _grid_spans(self, indices: Iterable[int]) -> list[tuple[int, int]]:
+        """The ends of the trace of each decoded basic on the Hausdorff
+        grid, rounded outward."""
+        spans = []
+        for n in indices:
+            trace = self.trace(self.decode(n))
+            spans.append((_grid_floor(trace[0][0]), _grid_ceil(trace[-1][2])))
+        return spans
 
     def hausdorff_cells(self) -> "_LineHausdorffCells":
         return _LineHausdorffCells(self)
@@ -1071,7 +1100,8 @@ def _endpoint_lane(cdesc):
         for p, q in cdesc:
             for x in sorted({p, q}):
                 # over the denominator 2**s * den(x): x and the half-width
-                yield _cell(x.numerator << slot, x.denominator, x.denominator << slot)
+                yield from _cells((x.numerator << slot,), x.denominator,
+                                  x.denominator << slot)
 
 
 def _grid_lane(cdesc):
@@ -1089,8 +1119,32 @@ def _grid_lane(cdesc):
             lo = p.numerator * q.denominator
             span = q.numerator * p.denominator - lo
             first, den = lo << (slot + 1), unit << (slot + 1)
-            for j in range((1 << slot) + 1 if span else 1):
-                yield _cell(first + 2 * j * span, unit, den)
+            step = 2 * span or 1  # a singleton has the one anchor p
+            yield from _cells(range(first, first + (span << slot + 1) + 1, step),
+                              unit, den)
+
+
+def _cells(mids: Iterable[int], half: int, den: int):
+    """The codes encode_interval gives of the open intervals ((mid - half) /
+    den, (mid + half) / den), den > 0, one for each mid: each end is put in
+    lowest terms, zigzagged and paired with its denominator, and the two
+    ends are paired, all on integers in one loop, with no Fraction built
+    and no call but gcd."""
+    for mid in mids:
+        num = mid - half
+        g = gcd(num, den)
+        i, j = num // g, den // g - 1
+        i = i + i if i >= 0 else -i - i - 1
+        s = i + j
+        left = (s * s + s >> 1) + j
+        num = mid + half
+        g = gcd(num, den)
+        i, j = num // g, den // g - 1
+        i = i + i if i >= 0 else -i - i - 1
+        s = i + j
+        right = (s * s + s >> 1) + j
+        s = left + right
+        yield (s * s + s >> 1) + right
 
 
 # Hausdorff bounds on subspaces of the line work on an integer grid of
@@ -1199,52 +1253,59 @@ class _LineHausdorffCells:
     held (see :class:`_CoverCells`).  A cell at least twice as wide as the
     upper bound can never lower it and is let go, and is held afresh if it
     is fed again.
+
+    A read does not look at the cells it lets go of: each converted cell
+    keeps only the number of the read that converted it, and a cell fed
+    again is converted again and tested against the widths at which the
+    reads since then let cells go.
     """
 
     def __init__(self, space: _LineSubspace):
         self._space = space
-        self._held: dict[int, tuple[int, int] | None] = {}  # index -> its span
-        self._new: list[int] = []  # indices fed since the last read
+        # index -> the read that converted it; None until then
+        self._fed: dict[int, int | None] = {}
+        self._new: list[int] = []  # indices to convert at the next read
+        self._drops: list[int] = []  # per read with cells: cells this wide go
         self._cells = _CoverCells()
         self._lower = 0
 
     def add(self, indices: Iterable[int]) -> None:
-        held, new = self._held, self._new
+        fed, new, drops = self._fed, self._new, self._drops
         for n in indices:
-            if n not in held:
-                held[n] = None
+            if n not in fed:
+                fed[n] = None
                 new.append(n)
+                continue
+            read = fed[n]
+            if read is not None:
+                (a, b), = self._space._grid_spans((n,))
+                if b - a >= min(drops[read:]):
+                    fed[n] = None  # let go since its read: held afresh
+                    new.append(n)
 
     def bounds(self, hull) -> tuple[Fraction, Fraction | None]:
-        space, held = self._space, self._held
+        fed, new = self._fed, self._new
         pieces = [(_grid_floor(p), _grid_ceil(q)) for p, q in hull]
         lower = self._lower
-        spans = []
-        for n in self._new:
-            span = a, b = space._grid_span(space.decode(n))
+        read = len(self._drops)
+        spans = self._space._grid_spans(new)
+        for n, (a, b) in zip(new, spans):
             # the gap is at most lower when a piece is within lower of the cell
             for p, q in pieces:
                 if a - q <= lower and p - b <= lower:
                     break
             else:
                 lower = max(lower, min((max(a - q, p - b) for p, q in pieces), default=0))
-            held[n] = span
-            spans.append(span)
-        self._new.clear()
+            fed[n] = read
+        new.clear()
         self._lower = lower
         self._cells.add(spans)
         worst = self._cells.radius2(pieces)
-        if worst is None:
+        if worst is None:  # no cells, none converted at this read
             return Fraction(lower, 1 << _GRID), None
-        self._held = {n: span for n, span in held.items() if span[1] - span[0] < worst}
+        self._drops.append(worst)
         self._cells.drop_wider(worst)
         return Fraction(lower, 1 << _GRID), Fraction(worst, 2 << _GRID)
-
-
-def _cell(mid: int, half: int, den: int) -> int:
-    """Code of the open interval ((mid - half) / den, (mid + half) / den),
-    den > 0: the code encode_interval gives, without building Fractions."""
-    return pair(encode_ratio(mid - half, den), encode_ratio(mid + half, den))
 
 
 class _TraceRegion(Region):
@@ -1274,7 +1335,7 @@ class _IntervalSpaceBase(_LineSubspace):
 
     def __init__(self) -> None:
         super().__init__()
-        # the carrier bounds on the Hausdorff grid, for _grid_span
+        # the carrier bounds on the Hausdorff grid, for _grid_spans
         self._grid_lo = None if self.lo_bound is None else _grid_floor(self.lo_bound)
         self._grid_hi = None if self.hi_bound is None else _grid_ceil(self.hi_bound)
 
@@ -1321,15 +1382,22 @@ class _IntervalSpaceBase(_LineSubspace):
     def trace(self, d) -> tuple[Fiv]:
         return (self.fiv(d),)
 
-    def _grid_span(self, d) -> tuple[int, int]:
-        # fiv(d) clamped on the grid, as rounding commutes with the clamps
-        a, b = d
-        lo, hi = _grid_floor(a), _grid_ceil(b)
-        if self._grid_lo is not None and lo < self._grid_lo:
-            lo = self._grid_lo
-        if self._grid_hi is not None and hi > self._grid_hi:
-            hi = self._grid_hi
-        return lo, hi
+    def _grid_spans(self, indices: Iterable[int]) -> list[tuple[int, int]]:
+        # fiv(d) clamped on the grid, as rounding commutes with the clamps;
+        # _grid_floor and _grid_ceil inline, and the decode cache read first
+        cached, decode = self._decode_cache.get, self.decode
+        grid_lo, grid_hi = self._grid_lo, self._grid_hi
+        spans = []
+        for n in indices:
+            a, b = cached(n) or decode(n)
+            lo = (a._numerator << _GRID) // a._denominator
+            hi = -((-b._numerator << _GRID) // b._denominator)
+            if grid_lo is not None and lo < grid_lo:
+                lo = grid_lo
+            if grid_hi is not None and hi > grid_hi:
+                hi = grid_hi
+            spans.append((lo, hi))
+        return spans
 
     def basic_in_closure(self, d1, d2) -> bool:
         # the closure of the trace of (a, b) is [a, b] clamped to the carrier

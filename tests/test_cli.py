@@ -1,12 +1,17 @@
 from __future__ import annotations
 
 import io
+import os
+import subprocess
+import sys
 import time
 from contextlib import redirect_stdout
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import erctopo
 from erctopo.cli import main, parse_located, parse_open_interval, parse_rational
 from erctopo.spaces import UnitIntervalSpace
 
@@ -252,3 +257,33 @@ def test_empty_located_literal_is_a_domain_error():
 
 def test_star_point_literal_is_a_domain_error():
     assert run_cli(["radius", "--space", "star", "--x", "0", "--ball", "[0,1]"])[0] == 3
+
+
+# -- the fuel default from the environment -------------------------------------
+
+_DISTANCE = ["distance", "--space", "unit-interval", "--x", "0",
+             "--located", "[1/2,1]", "--precision", "2"]
+
+
+def test_malformed_default_fuel_exits_one_without_a_traceback():
+    env = dict(os.environ, ERCTOPO_DEFAULT_FUEL="abc",
+               PYTHONPATH=str(Path(erctopo.__file__).parents[1]))
+    got = subprocess.run([sys.executable, "-m", "erctopo.cli", *_DISTANCE],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert got.returncode == 1
+    assert "Traceback" not in got.stderr
+    assert got.stderr.count("\n") == 1 and "ERCTOPO_DEFAULT_FUEL" in got.stderr
+    assert got.stdout == ""
+
+
+def test_default_fuel_is_read_at_each_call(monkeypatch):
+    # the parser is built once per process, so each call must still see the
+    # environment as it is at that call
+    for fuel in (64, 65, 64):
+        monkeypatch.setenv("ERCTOPO_DEFAULT_FUEL", str(fuel))
+        code, payload = _json(_DISTANCE)
+        assert code == 0 and payload["config"]["fuel"] == fuel
+    code, payload = _json(_DISTANCE + ["--fuel", "7"])
+    assert code == 0 and payload["config"]["fuel"] == 7
+    monkeypatch.delenv("ERCTOPO_DEFAULT_FUEL")
+    assert _json(_DISTANCE)[1]["config"]["fuel"] == 100000

@@ -593,6 +593,24 @@ def test_hausdorff_cells_match_from_scratch():
         space, _ = lift_finite(fs)
         _check_tracker(space, list(range(space.finite_basic_count)),
                        space_subsets(fs), _OracleCellsFromScratch, rng)
+    # Two cases of a cell fed again, with hull changes between the reads.
+    # A cell let go at one read, fed again after a later read with a larger
+    # upper bound, is held afresh and sets the last upper bound.  A cell fed
+    # again while still held, after an earlier read let cells of its width
+    # go, is not measured again: its gap to the last hull would raise the
+    # lower bound.
+    wide, narrow, right, near = [encode_interval(a, b) for a, b in (
+        (F(0), F(1, 2)), (F(1, 8), F(1, 4)), (F(3, 4), F(1)), (F(1, 2), F(9, 16)))]
+    point, upper_half, zero = (((F(3, 16), F(3, 16)),), ((F(1, 2), F(1)),),
+                               ((F(0), F(0)),))
+    for steps in ([([wide, narrow, right, near], point), ([], upper_half),
+                   ([wide], upper_half), ([], zero)],
+                  [([narrow, near], point), ([right], upper_half), ([right], zero)]):
+        cells, want = _ui.hausdorff_cells(), _LineCellsFromScratch(_ui)
+        for batch, hull in steps:
+            cells.add(batch)
+            want.add(batch)
+            assert cells.bounds(hull) == want.bounds(hull), (steps, hull)
 
 
 def test_streamed_brackets_sound_at_every_stage():

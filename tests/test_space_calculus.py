@@ -21,6 +21,8 @@ from erctopo.spaces import (
     LineSpace,
     PiecewiseSpace,
     UnitIntervalSpace,
+    _cells,
+    _cmp_diff,
     emission_slot,
     encode_interval,
 )
@@ -184,6 +186,58 @@ def test_prepared_subset_test_on_oracles():
             inside = space.basic_subset_test(d2)
             assert [inside(d1) for d1 in basics] == \
                 [space.basic_subset(d1, d2) for d1 in basics]
+
+
+@PROPERTY
+@given(line_basics(), st.lists(st.tuples(rationals, rationals), min_size=1, max_size=3))
+# the unit interval with the basic clamped at a carrier end that a piece
+# touches, pieces touching the basic's ends, and a piece in each part of
+# the gap space
+@example((_ui, (F(-1), F(1, 4))), [(F(0), F(0))])
+@example((_ui, (F(3, 4), F(2))), [(F(1), F(1))])
+@example((_ui, (F(1, 4), F(1, 2))), [(F(1, 2), F(3, 4))])
+@example((_ui, (F(1, 4), F(1, 2))), [(F(0), F(1, 4))])
+@example((_gap, (F(1, 4), F(3, 4))), [(F(0), F(1, 4)), (F(3, 4), F(1))])
+def test_prepared_meets_test_matches_basic_meets_cdesc(case, pieces):
+    space, d = case
+    cdesc = space.make_cdesc([(min(u, v), max(u, v)) for u, v in pieces])
+    assume(cdesc)
+    meets = space.basic_meets_cdesc_test(cdesc)
+    assert meets(d) == space.basic_meets_cdesc(d, cdesc)
+
+
+def test_prepared_meets_test_on_oracles():
+    for fs in standard_oracle_spaces():
+        space, _ = lift_finite(fs)
+        basics = [space.decode(n) for n in range(space.finite_basic_count)]
+        points = sorted(fs.points)
+        for mask in range(1, 1 << len(points)):
+            cdesc = frozenset(p for i, p in enumerate(points) if mask >> i & 1)
+            meets = space.basic_meets_cdesc_test(cdesc)
+            assert [meets(d) for d in basics] == \
+                [space.basic_meets_cdesc(d, cdesc) for d in basics]
+
+
+operands = st.one_of(st.fractions(min_value=-3, max_value=3, max_denominator=6),
+                     st.integers(-3, 3))
+
+
+@PROPERTY
+@given(operands, operands, operands)
+@example(F(1, 2), 0, F(1, 2))
+@example(1, F(1, 3), F(2, 3))
+def test_cmp_diff_has_the_sign_of_the_difference(u, v, w):
+    got, want = _cmp_diff(u, v, w), F(u) - F(v) - F(w)
+    assert (got > 0, got < 0) == (want > 0, want < 0)
+
+
+@PROPERTY
+@given(st.lists(st.integers(-10 ** 6, 10 ** 6), max_size=4),
+       st.integers(0, 10 ** 4), st.integers(1, 10 ** 6))
+@example([-3, 3, 9], 3, 24)  # an end at 0
+def test_cells_give_the_codes_of_encode_interval(mids, half, den):
+    want = [encode_interval(F(m - half, den), F(m + half, den)) for m in mids]
+    assert list(_cells(mids, half, den)) == want
 
 
 @settings(PROPERTY, max_examples=60)

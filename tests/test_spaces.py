@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import random
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from erctopo import spaces
+from erctopo.sets import overt_from_cdesc
 from erctopo.spaces import (
     INF,
     CantorSpace,
@@ -17,6 +19,7 @@ from erctopo.spaces import (
     FivUnion,
     LineSpace,
     OutOfSpace,
+    PiecewiseSpace,
     QhatSpace,
     StarSpace,
     UnitIntervalSpace,
@@ -503,6 +506,29 @@ def test_qhat_region_covers_whole_space():
     assert not r.covers_cdesc(("all",))
     r.add(("iv", F(-1), F(2)))
     assert r.covers_cdesc(("all",))
+
+
+# The overt seed lanes and the first 4,096 stages of the overt names of six
+# descriptions, recorded when each seed code was still built through
+# Fractions: the unit interval with dyadic ends, non-dyadic ends, a singleton
+# and two pieces, the real line, and a description cut into two pieces by a
+# gap in the carrier.
+SEED_LANES_SHA256 = "4041a8a9ef55dbb46e22046d9b8969d0242e40c3b822dc6081ee98fe1955f6bb"
+
+
+def test_overt_seed_lanes_and_names_are_pinned():
+    ui, line = UnitIntervalSpace(), LineSpace()
+    gap = PiecewiseSpace([(0, F(1, 3)), (F(1, 2), 1)], name="two-pieces")
+    cases = [(ui, [(0, F(1, 2))]), (ui, [(F(1, 3), F(2, 3))]),
+             (ui, [(F(1, 4), F(1, 4))]), (ui, [(0, F(1, 8)), (F(1, 2), F(3, 4))]),
+             (line, [(1, 2)]), (gap, [(F(1, 4), F(3, 4))])]
+    h = hashlib.sha256()
+    for space, pieces in cases:
+        cdesc = space.make_cdesc(pieces)
+        seeds = list(space.overt_seeds(cdesc))
+        hits = list(overt_from_cdesc(space, cdesc).hits.listing(4096))
+        h.update(repr((space.name, cdesc, seeds, hits)).encode())
+    assert h.hexdigest() == SEED_LANES_SHA256
 
 
 def test_all_basics_enumerates_valid_indices_only():
