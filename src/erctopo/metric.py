@@ -252,10 +252,18 @@ class MetricPoint:
 
 
 def exact_metric_point(metric: MetricStructure, value) -> MetricPoint:
-    """Fixture point taken from the dense sequence itself."""
-    idx = metric.dense_index(value)
-    return MetricPoint(metric, lambda k: idx, metric.space.point_name(value),
-                       value=value)
+    """Fixture point taken from the dense sequence itself.  Its index there
+    is found at the first read of ``cauchy``, which the bound streams of an
+    exact center never make: walking the dense sequence up to a point costs
+    time quadratic in its denominator.  The point name checks the value."""
+    index: list[int] = []
+
+    def cauchy(k: int) -> int:
+        if not index:
+            index.append(metric.dense_index(value))
+        return index[0]
+
+    return MetricPoint(metric, cauchy, metric.space.point_name(value), value=value)
 
 
 # ---------------------------------------------------------------------------

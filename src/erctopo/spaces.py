@@ -17,7 +17,7 @@ from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import partial
 from itertools import chain, zip_longest
-from math import gcd
+from math import gcd, isqrt
 from operator import add, is_not, sub
 from typing import Callable, Iterable, Sequence
 
@@ -45,9 +45,29 @@ class ParseError(Exception):
     pass
 
 
+# A rational literal may have at most this many digits plus the magnitude of
+# its decimal exponent, so that no integer it builds has more digits.  The
+# answers print the ends they compute, CPython prints no integer of more
+# than 4,300 digits (sys.get_int_max_str_digits), and building 10**e for a
+# huge exponent e would not end.
+LITERAL_DIGITS = 1000
+
+
 def parse_rational(text: str) -> Fraction:
+    t = text.strip()
+    mantissa, _, exponent = t.lower().partition("e")
+    size = sum(c.isdigit() for c in mantissa)
+    magnitude = exponent.lstrip("+-").replace("_", "").lstrip("0")
+    if magnitude.isdigit():
+        # more digits than the bound has: beyond it, with no int() built
+        size += (int(magnitude) if len(magnitude) <= len(str(LITERAL_DIGITS))
+                 else LITERAL_DIGITS + 1)
+    if size > LITERAL_DIGITS:
+        shown = t if len(t) <= 40 else f"{t[:20]}...{t[-12:]}"
+        raise ParseError(f"rational literal {shown!r} is beyond {LITERAL_DIGITS} "
+                         f"digits, exponent included")
     try:
-        return Fraction(text.strip())
+        return Fraction(t)
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"bad rational literal {text!r}") from exc
 
@@ -99,9 +119,51 @@ def encode_rational(q: Fraction) -> int:
     return pair(zigzag_inv(q.numerator), q.denominator - 1)
 
 
-def decode_interval(n: int) -> tuple[Fraction, Fraction]:
-    i, j = unpair(n)
-    return decode_rational(i), decode_rational(j)
+_new_object = object.__new__
+
+
+def _lowest(num: int, den: int) -> Fraction:
+    """num / den, den > 0, as a Fraction in lowest terms: one gcd, and the
+    slots set directly, as Fraction._from_coprime_ints does on CPython
+    3.12 and later.  Fraction(num, den) would add about 0.3 us of type
+    dispatch and normalising per end (CPython 3.11)."""
+    g = gcd(num, den)
+    q = _new_object(Fraction)
+    q._numerator, q._denominator = num // g, den // g
+    return q
+
+
+def interval_ends(n: int, lo: tuple[int, int] | None = None,
+                  hi: tuple[int, int] | None = None):
+    """The ends (a, b) of the open interval coded by n (the inverse of
+    :func:`encode_interval`) when a < b, lo < b and a < hi, or None.
+
+    The code is unpaired and zigzagged to the integers of both ends, and
+    the bounds, given as (numerator, denominator) pairs or None for no
+    bound, are tested on those integers: an invalid code builds no
+    Fraction, and only a valid one gets its two ends, in lowest terms.
+    """
+    # unpair(n), then unpair each half and zigzag its first part, inline
+    s = (isqrt(8 * n + 1) - 1) >> 1
+    j = n - (s * s + s >> 1)
+    i = s - j
+    s = (isqrt(8 * i + 1) - 1) >> 1
+    ad = i - (s * s + s >> 1)
+    an = s - ad
+    an = an >> 1 if not an & 1 else -(an + 1 >> 1)
+    ad += 1
+    s = (isqrt(8 * j + 1) - 1) >> 1
+    bd = j - (s * s + s >> 1)
+    bn = s - bd
+    bn = bn >> 1 if not bn & 1 else -(bn + 1 >> 1)
+    bd += 1
+    if an * bd >= bn * ad:
+        return None
+    if lo is not None and bn * lo[1] <= lo[0] * bd:
+        return None
+    if hi is not None and an * hi[1] >= hi[0] * ad:
+        return None
+    return _lowest(an, ad), _lowest(bn, bd)
 
 
 def encode_interval(lo, hi) -> int:
@@ -801,25 +863,33 @@ class _LineSubspace(Space):
     (p, q), p <= q, inside the carrier.
     """
 
+    # The least and greatest points of the carrier as (numerator,
+    # denominator) pairs, None on an unbounded side; and whether the
+    # carrier has gaps, where an interval meeting its hull may miss it.
+    _hull: tuple[tuple[int, int] | None, tuple[int, int] | None] = (None, None)
+    _gaps = False
+
     def __init__(self) -> None:
         self._decode_cache: dict[int, object] = {}
         dense, dense_index = _rational_dense(self, self.in_carrier)
         self.metric = MetricStructure(self, dense, dense_index,
                                       lambda p, q: abs(p - q))
 
-    # raw decode: open interval with rational endpoints
     def decode(self, n: int):
+        """The open interval (a, b) coded by n, or None when its trace is
+        empty.  The code is tested on integers, a < b and against the
+        carrier's hull (see :func:`interval_ends`); Fractions are built
+        only for a valid code, and only a carrier with gaps then tests the
+        trace itself."""
         try:
             return self._decode_cache[n]
         except KeyError:
             pass
-        a, b = decode_interval(n)
-        d = (a, b) if self._trace_nonempty(a, b) else None
+        d = interval_ends(n, *self._hull)
+        if d is not None and self._gaps and not self.trace(d):
+            d = None
         _remember(self._decode_cache, n, d)
         return d
-
-    def _trace_nonempty(self, a: Fraction, b: Fraction) -> bool:
-        raise NotImplementedError
 
     def trace(self, d) -> Sequence[Fiv]:
         raise NotImplementedError
@@ -901,8 +971,14 @@ class _LineSubspace(Space):
         return all(any(p2 <= p1 and q1 <= q2 for p2, q2 in c2) for p1, q1 in c1)
 
     def basic_intersection_code(self, d1, d2) -> int | None:
+        # the trace of a basic is nonempty, so each of d1 and d2 has its
+        # left end below the carrier's greatest point and its right end
+        # above the least, and so do a and b: only a < b and the gaps are
+        # left to test
         a, b = max(d1[0], d2[0]), min(d1[1], d2[1])
-        return encode_interval(a, b) if self._trace_nonempty(a, b) else None
+        if _cmp(a, b) >= 0 or self._gaps and not self.trace((a, b)):
+            return None
+        return encode_interval(a, b)
 
     def region(self) -> Region:
         return _TraceRegion(self)
@@ -968,20 +1044,32 @@ class _LineSubspace(Space):
     def envelope_covers(self, cdesc, slot: int) -> list[frozenset]:
         if not cdesc:
             return []
-        # one margin envelope per piece; margins sweep down from coarse
-        eps = Fraction(4, 2 ** slot)
-        out = [frozenset(encode_interval(p - eps, q + eps) for p, q in cdesc)]
-        # partition refinements of each piece at dyadic granularity
-        pieces = []
+        # Coded with _cells, as the seed lanes are.  Each piece [p, q] is put
+        # over unit = den(p) * den(q), at p = lo / unit and q = (lo + span) /
+        # unit.  One margin envelope per piece, (p - eps, q + eps) with eps =
+        # 4 / 2**slot: margins sweep down from coarse.
+        envelope, cells = [], []
+        m = min(slot, 6)
         for p, q in cdesc:
-            n = 2 ** min(slot, 6)
-            width = (q - p) / n if q > p else Fraction(0)
-            delta = (width or Fraction(1, 2 ** slot)) / 4
-            for i in range(n):
-                pieces.append(encode_interval(p + i * width - delta,
-                                              p + (i + 1) * width + delta))
-        out.append(frozenset(pieces))
-        return out
+            unit = p.denominator * q.denominator
+            lo = p.numerator * q.denominator
+            span = q.numerator * p.denominator - lo
+            # over unit * 2**(slot + 1): mid (p + q) / 2, half (q - p) / 2 + eps
+            envelope.extend(_cells((lo + lo + span << slot,),
+                                   (span << slot) + 8 * unit, unit << slot + 1))
+            if span:
+                # a partition of the piece into 2**m cells of width w =
+                # (q - p) / 2**m, each widened by w / 4 on both sides: over
+                # unit * 2**(m + 2), cell i has mid (lo << m + 2) + (4i + 2)
+                # * span and half 3 * span
+                first = (lo << m + 2) + 2 * span
+                cells.extend(_cells(range(first, first + (span << m + 2), 4 * span),
+                                    3 * span, unit << m + 2))
+            else:
+                # a singleton: the cell of half-width 2**-(slot + 2) around it
+                cells.extend(_cells((p.numerator << slot + 2,), p.denominator,
+                                    p.denominator << slot + 2))
+        return [frozenset(envelope), frozenset(cells)]
 
     def overt_seeds(self, cdesc) -> Iterable[int]:
         """Two finite lanes dovetailed, one endpoint seed to three grid
@@ -1335,18 +1423,11 @@ class _IntervalSpaceBase(_LineSubspace):
 
     def __init__(self) -> None:
         super().__init__()
+        self._hull = tuple(None if e is None else e.as_integer_ratio()
+                           for e in (self.lo_bound, self.hi_bound))
         # the carrier bounds on the Hausdorff grid, for _grid_spans
         self._grid_lo = None if self.lo_bound is None else _grid_floor(self.lo_bound)
         self._grid_hi = None if self.hi_bound is None else _grid_ceil(self.hi_bound)
-
-    def _trace_nonempty(self, a: Fraction, b: Fraction) -> bool:
-        if _cmp(a, b) >= 0:
-            return False
-        if self.lo_bound is not None and _cmp(b, self.lo_bound) <= 0:
-            return False
-        if self.hi_bound is not None and _cmp(a, self.hi_bound) >= 0:
-            return False
-        return True
 
     def basic_subset_test(self, d2) -> Callable[[object], bool]:
         # fiv_subset(fiv(d1), fiv(d2)) compares lo keys (value, flag) and
@@ -1546,6 +1627,9 @@ class PiecewiseSpace(_LineSubspace):
             raise ValueError("carrier needs nonempty closed pieces")
         self.name = name
         super().__init__()
+        self._hull = (self.pieces[0][0].as_integer_ratio(),
+                      max(q for _, q in self.pieces).as_integer_ratio())
+        self._gaps = len(self.pieces) > 1
         self.whole_compact_desc = self.make_cdesc(self.pieces)
 
     def in_carrier(self, x: Fraction) -> bool:
@@ -1561,9 +1645,6 @@ class PiecewiseSpace(_LineSubspace):
             if fiv_nonempty(f):
                 out.append(f)
         return out
-
-    def _trace_nonempty(self, a: Fraction, b: Fraction) -> bool:
-        return a < b and bool(self.trace((a, b)))
 
     def _clip(self, u: Fraction, v: Fraction):
         return [(max(u, p), min(v, q)) for p, q in self.pieces
@@ -2186,8 +2267,8 @@ class QhatSpace(Space):
         except KeyError:
             pass
         if n % 2 == 0:
-            a, b = decode_interval(n // 2)
-            d = ("iv", a, b) if a < b else None
+            ends = interval_ends(n // 2)
+            d = None if ends is None else ("iv", *ends)
         else:
             d = ("cof", decode_rational_set(n // 2))
         _remember(self._decode_cache, n, d)

@@ -287,3 +287,67 @@ def test_default_fuel_is_read_at_each_call(monkeypatch):
     assert code == 0 and payload["config"]["fuel"] == 7
     monkeypatch.delenv("ERCTOPO_DEFAULT_FUEL")
     assert _json(_DISTANCE)[1]["config"]["fuel"] == 100000
+
+
+# -- hostile literals and exact centers -----------------------------------------
+
+_HOSTILE = {
+    "compact-base-1e5000": ["compact-base", "--space", "unit-interval", "--x", "1e5000",
+                            "--u", "(0,1)"],
+    "distance-1e5000": ["distance", "--space", "real-line", "--x", "0",
+                        "--located", "[0,1e5000]"],
+    "hausdorff-1e-5000": ["hausdorff", "--space", "unit-interval", "--a", "[0,1e-5000]",
+                          "--b", "[1/2,1]"],
+    # refused before 10**99999999 is built, which would not end
+    "distance-1e99999999": ["distance", "--space", "real-line", "--x", "1e99999999",
+                            "--located", "[0,1]"],
+    "distance-5001-digits": ["distance", "--space", "real-line", "--x", "1" + "0" * 5000,
+                             "--located", "[0,1]"],
+}
+
+
+@pytest.mark.parametrize("argv", _HOSTILE.values(), ids=_HOSTILE.keys())
+def test_hostile_literal_exits_one_with_one_line(argv):
+    env = dict(os.environ, PYTHONPATH=str(Path(erctopo.__file__).parents[1]))
+    start = time.perf_counter()
+    got = subprocess.run([sys.executable, "-m", "erctopo.cli", *argv],
+                         env=env, capture_output=True, text=True, timeout=30)
+    assert time.perf_counter() - start < 10
+    assert got.returncode == 1
+    assert "Traceback" not in got.stderr
+    assert got.stderr.count("\n") == 1 and got.stderr.startswith("parse error:")
+    assert got.stdout == ""
+
+
+def test_literal_digits_are_bounded():
+    from erctopo.cli import ParseError
+    from erctopo.spaces import LITERAL_DIGITS
+    assert LITERAL_DIGITS == 1000
+    assert parse_rational("1e999") == 10 ** 999
+    assert parse_rational("-2.5E-998") == F(-25, 10 ** 999)
+    assert parse_rational("9" * 1000) == 10 ** 1000 - 1
+    assert parse_rational("1e+00000000000000000003") == 1000
+    for text in ("1e1000", "1e-1000", "9" * 1001, "1/" + "3" * 1000,
+                 "0." + "0" * 999 + "1", "1e" + "9" * 5000, "1e99999999"):
+        start = time.perf_counter()
+        with pytest.raises(ParseError):
+            parse_rational(text)
+        assert time.perf_counter() - start < 0.1
+
+
+@pytest.mark.parametrize("space", ["unit-interval", "real-line"])
+def test_exact_centers_never_walk_the_dense_sequence(monkeypatch, space):
+    from erctopo.registry import registry_get
+
+    def dense_index(q):
+        raise AssertionError(f"dense_index({q}) read for an exact center")
+
+    monkeypatch.setattr(registry_get(space).metric, "dense_index", dense_index)
+    x = F(1, 1009)
+    for argv, value in ((["distance", "--x", "1/1009", "--located", "[1/2,1]"], F(1, 2) - x),
+                        (["radius", "--x", "1/1009", "--ball", "[1/2,1]"], 1 - x)):
+        start = time.perf_counter()
+        code, payload = _json(argv + ["--space", space])
+        assert time.perf_counter() - start < 2, argv
+        assert code == 0, argv
+        assert F(payload["result"]["lo"]) <= value <= F(payload["result"]["hi"]), argv

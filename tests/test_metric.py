@@ -3,6 +3,8 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+import pytest
+
 from erctopo.ercs import check_main_property, compact_neighborhood_search, interval_ercs
 from erctopo.kernel import Accepted, PENDING, run_process
 from erctopo.metric import (
@@ -43,6 +45,8 @@ from erctopo.kernel import enumerate_function
 from erctopo.spaces import (
     INF,
     LineSpace,
+    MetricStructure,
+    OutOfSpace,
     PiecewiseSpace,
     StarSpace,
     UnitIntervalSpace,
@@ -97,6 +101,21 @@ def test_bounds_real_nested_and_converging():
         if prev:
             assert prev[0] <= lo and hi <= prev[1]
         prev = (lo, hi)
+
+
+def test_exact_point_finds_its_dense_index_at_the_first_cauchy_read():
+    calls = []
+    m = _ui.metric
+    counted = MetricStructure(_ui, m.dense, lambda q: calls.append(q) or m.dense_index(q),
+                              m.exact)
+    for q in (F(0), F(1, 3), F(5, 7), F(1)):
+        x = exact_metric_point(counted, q)
+        assert not calls
+        assert [m.dense(x.cauchy(k)) for k in range(4)] == [q] * 4
+        assert calls == [q]
+        calls.clear()
+    with pytest.raises(OutOfSpace):
+        exact_metric_point(counted, F(3, 2))
 
 
 # -- balls in three roles ------------------------------------------------------------

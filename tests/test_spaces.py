@@ -4,12 +4,14 @@ import hashlib
 import random
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from erctopo import spaces
+from erctopo.kernel import unpair
 from erctopo.sets import overt_from_cdesc
 from erctopo.spaces import (
     INF,
@@ -24,7 +26,6 @@ from erctopo.spaces import (
     StarSpace,
     UnitIntervalSpace,
     cantor_point,
-    decode_interval,
     decode_rational,
     decode_rational_set,
     encode_interval,
@@ -60,9 +61,17 @@ def test_rational_decode_total():
         decode_rational(n)  # never raises, always canonical via Fraction
 
 
+def decode_interval(n):
+    """The ends of interval code n built as Fractions, valid or not: the
+    reference for the integer decoder."""
+    i, j = unpair(n)
+    return decode_rational(i), decode_rational(j)
+
+
 def test_interval_code_roundtrip():
     n = encode_interval(F(-1, 4), F(3, 4))
     assert decode_interval(n) == (F(-1, 4), F(3, 4))
+    assert LineSpace().decode(n) == (F(-1, 4), F(3, 4))
 
 
 def test_word_rank_roundtrip():
@@ -286,6 +295,55 @@ def test_line_decode_validity():
     assert line.decode(n) == (F(0), F(1))
     bad = encode_interval(F(1), F(0))
     assert line.decode(bad) is None
+
+
+def _ref_trace_nonempty(space, a, b):
+    """Whether the trace of (a, b) is nonempty, on Fractions: the test the
+    decoders ran before they tested codes on integers."""
+    if isinstance(space, PiecewiseSpace):
+        return a < b and bool(space.trace((a, b)))
+    return (a < b and (space.lo_bound is None or b > space.lo_bound)
+            and (space.hi_bound is None or a < space.hi_bound))
+
+
+_DECODE_SPACES = (LineSpace(), UnitIntervalSpace(),
+                  PiecewiseSpace([(0, F(1, 3)), (F(1, 2), 1)], name="gap"),
+                  PiecewiseSpace([(0, 0), (1, 2)], name="point-and-piece"),
+                  PiecewiseSpace([(0, 5), (1, 2)], name="nested"))
+_qhat = QhatSpace()
+
+
+def _assert_same_ends(got, want):
+    assert got == want
+    for x, y in zip(got, want):
+        assert type(x) is Fraction
+        assert x.denominator > 0 and gcd(x.numerator, x.denominator) == 1
+        assert (x.numerator, x.denominator) == (y.numerator, y.denominator)
+        assert hash(x) == hash(y)
+
+
+# codes of every size, and codes of coarse ends, which often sit on a
+# carrier bound or on each other
+interval_codes = (st.integers(0, 10 ** 40) | st.integers(0, 10 ** 5)
+                  | st.builds(encode_interval, rationals, rationals))
+
+
+@settings(PROPERTY, max_examples=1000)
+@given(interval_codes)
+def test_integer_decoder_matches_fraction_reference(n):
+    a, b = decode_interval(n)
+    for space in _DECODE_SPACES:
+        d = space.decode(n)
+        if not _ref_trace_nonempty(space, a, b):
+            assert d is None, (space.name, n)
+        else:
+            _assert_same_ends(d, (a, b))
+    d = _qhat.decode(2 * n)
+    if a < b:
+        assert d[0] == "iv"
+        _assert_same_ends(d[1:], (a, b))
+    else:
+        assert d is None
 
 
 def test_line_point_name_soundness_and_completeness():
@@ -529,6 +587,36 @@ def test_overt_seed_lanes_and_names_are_pinned():
         hits = list(overt_from_cdesc(space, cdesc).hits.listing(4096))
         h.update(repr((space.name, cdesc, seeds, hits)).encode())
     assert h.hexdigest() == SEED_LANES_SHA256
+
+
+# The envelope covers of thirteen descriptions at slots 0 .. 64, recorded
+# while each cover was still built through Fractions: the unit interval whole,
+# with dyadic and non-dyadic ends, two singletons and two multi-piece
+# descriptions (one mixing singletons and a piece), the real line with one
+# piece, a singleton, three pieces and huge ends, and a description cut into
+# two pieces by a gap in the carrier.
+ENVELOPE_COVERS_SHA256 = "1ef69aebfbcc788ce13eb56e694561d1a5ee3a212593d0a2d6cb3de3b2ccf4cd"
+
+
+def test_envelope_covers_are_pinned():
+    ui, line = UnitIntervalSpace(), LineSpace()
+    gap = PiecewiseSpace([(0, F(1, 3)), (F(1, 2), 1)], name="two-pieces")
+    cases = [(ui, [(0, 1)]), (ui, [(0, F(1, 2))]), (ui, [(F(1, 3), F(2, 3))]),
+             (ui, [(F(1, 4), F(1, 4))]), (ui, [(F(2, 7), F(2, 7))]),
+             (ui, [(0, F(1, 8)), (F(1, 2), F(3, 4))]),
+             (ui, [(0, 0), (F(1, 5), F(2, 9)), (1, 1)]),
+             (line, [(1, 2)]), (line, [(F(-3, 7), F(5, 11))]), (line, [(-2, -2)]),
+             (line, [(-5, -1), (0, F(1, 3)), (F(7, 2), 9)]),
+             (line, [(F(-10**12, 3), F(10**12 + 1, 7))]),
+             (gap, [(F(1, 4), F(3, 4))])]
+    h = hashlib.sha256()
+    for space, pieces in cases:
+        cdesc = space.make_cdesc(pieces)
+        for slot in range(65):
+            covers = space.envelope_covers(cdesc, slot)
+            h.update(repr((space.name, cdesc, slot,
+                           [sorted(c) for c in covers])).encode())
+    assert h.hexdigest() == ENVELOPE_COVERS_SHA256
 
 
 def test_all_basics_enumerates_valid_indices_only():
