@@ -92,9 +92,6 @@ class SemidecisionProcess:
         stage = self.poll(fuel)
         return PENDING if stage is None else Accepted(stage)
 
-    def accepts(self, fuel: int) -> bool:
-        return self.poll(fuel) is not None
-
     def poll(self, fuel: int) -> int | None:
         """Acceptance stage if it is ``< fuel``, else None."""
         raise NotImplementedError

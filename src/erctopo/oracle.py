@@ -131,9 +131,6 @@ class OracleSpace(Space):
     def basic_subset(self, d1, d2) -> bool:
         return d1 <= d2
 
-    def basic_disjoint(self, d1, d2) -> bool:
-        return not (d1 & d2)
-
     def point_in_basic(self, value, d) -> bool:
         return value in d
 
@@ -149,14 +146,8 @@ class OracleSpace(Space):
     def cdesc_union(self, c1, c2):
         return c1 | c2
 
-    def cdesc_subset(self, c1, c2) -> bool:
-        return c1 <= c2
-
     def region(self) -> Region:
         return _OracleRegion()
-
-    def sigma_piece_descs(self):
-        return (frozenset(self.fs.points),)
 
     def local_pinch(self, vdesc, pdesc):
         if vdesc <= pdesc:

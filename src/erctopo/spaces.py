@@ -486,9 +486,6 @@ class Space:
         once."""
         return lambda d1: self.basic_subset(d1, d2)
 
-    def basic_disjoint(self, d1, d2) -> bool:
-        raise NotImplementedError
-
     def point_in_basic(self, value, d) -> bool:
         raise NotImplementedError
 
@@ -528,10 +525,6 @@ class Space:
         """Exact union of compact descriptions, or None if unsupported."""
         return None
 
-    def cdesc_subset(self, c1, c2) -> bool:
-        """Sound: the set described by c1 lies inside the one described by c2."""
-        return False
-
     # aggregate helpers ------------------------------------------------------
     def region(self) -> "Region":
         """Tracker for a growing union of basics."""
@@ -564,10 +557,6 @@ class Space:
     # optional structure -------------------------------------------------------
     metric: "MetricStructure | None" = None
     whole_compact_desc = None
-
-    def sigma_piece_descs(self) -> Sequence[object]:
-        """Compact pieces exhausting the space, when the space provides them."""
-        return ()
 
     def local_pinch(self, vdesc, pdesc):
         """Given basics v (a candidate neighborhood) and p (a target), return
@@ -832,9 +821,9 @@ class PointName:
 class MetricStructure:
     """Dense sequence with an exactly computable distance.
 
-    ``distance(i, j, k)`` returns a rational within 2**-k of the true
-    distance between dense points i and j; every registered instance is
-    exact, so the precision argument only caps the reported error.
+    ``exact(p, q)`` is the distance between two points of the space as a
+    rational; ``dense(i)`` is the i-th dense point and ``dense_index`` its
+    inverse.
     """
 
     def __init__(self, space: Space, dense: Callable[[int], object],
@@ -844,9 +833,6 @@ class MetricStructure:
         self.dense = dense
         self.dense_index = dense_index
         self.exact = exact
-
-    def distance(self, i: int, j: int, k: int) -> Fraction:
-        return self.exact(self.dense(i), self.dense(j))
 
 
 # ---------------------------------------------------------------------------
@@ -913,10 +899,6 @@ class _LineSubspace(Space):
                 return False
         return True
 
-    def basic_disjoint(self, d1, d2) -> bool:
-        return all(fiv_disjoint(f1, f2)
-                   for f1 in self.trace(d1) for f2 in self.trace(d2))
-
     def point_in_basic(self, value, d) -> bool:
         return self.in_carrier(value) and _cmp(d[0], value) < 0 < _cmp(d[1], value)
 
@@ -966,9 +948,6 @@ class _LineSubspace(Space):
 
     def cdesc_union(self, c1, c2):
         return self.make_cdesc(list(c1) + list(c2))
-
-    def cdesc_subset(self, c1, c2) -> bool:
-        return all(any(p2 <= p1 and q1 <= q2 for p2, q2 in c2) for p1, q1 in c1)
 
     def basic_intersection_code(self, d1, d2) -> int | None:
         # the trace of a basic is nonempty, so each of d1 and d2 has its
@@ -1609,9 +1588,6 @@ class UnitIntervalSpace(_IntervalSpaceBase):
         super().__init__()
         self.whole_compact_desc = self.make_cdesc([(0, 1)])
 
-    def sigma_piece_descs(self):
-        return (self.whole_compact_desc,)
-
 
 class PiecewiseSpace(_LineSubspace):
     """Finite unions of closed rational intervals as a subspace of the line.
@@ -1650,9 +1626,6 @@ class PiecewiseSpace(_LineSubspace):
         return [(max(u, p), min(v, q)) for p, q in self.pieces
                 if max(u, p) <= min(v, q)]
 
-    def sigma_piece_descs(self):
-        return tuple(((p, q),) for p, q in self.pieces)
-
     def local_pinch(self, vdesc, pdesc):
         if not self.basic_subset(vdesc, pdesc):
             return None
@@ -1687,9 +1660,6 @@ class CantorSpace(Space):
     def basic_subset(self, d1: str, d2: str) -> bool:
         return d1.startswith(d2)
 
-    def basic_disjoint(self, d1: str, d2: str) -> bool:
-        return not d1.startswith(d2) and not d2.startswith(d1)
-
     def point_in_basic(self, value, w: str) -> bool:
         prefix, period = value
         return _cantor_word(value, len(w)) == w
@@ -1707,7 +1677,7 @@ class CantorSpace(Space):
         return all(w.startswith(d) for w in cdesc)
 
     def basic_meets_cdesc(self, d: str, cdesc) -> bool:
-        return any(not self.basic_disjoint(d, w) for w in cdesc)
+        return any(w.startswith(d) or d.startswith(w) for w in cdesc)
 
     def cdesc_intersect(self, c1, c2):
         out = []
@@ -1742,9 +1712,6 @@ class CantorSpace(Space):
         return _CantorInsideIndex()
 
     whole_compact_desc = ("",)
-
-    def sigma_piece_descs(self):
-        return (("",),)
 
     def local_pinch(self, vdesc: str, pdesc: str):
         if vdesc.startswith(pdesc):
@@ -1850,7 +1817,7 @@ class _CantorRegion(Region):
         self.version = 0
 
     def add(self, w: str) -> None:
-        if self._covered(w):
+        if self._has_marked_ancestor(w):
             return
         self.version += 1
         self.marked.add(w)
@@ -1869,11 +1836,8 @@ class _CantorRegion(Region):
                 return True
         return False
 
-    def _covered(self, w: str) -> bool:
-        return self._has_marked_ancestor(w)
-
     def covers_cdesc(self, cdesc) -> bool:
-        return all(self._covered(w) for w in cdesc)
+        return all(self._has_marked_ancestor(w) for w in cdesc)
 
 
 class _CantorCoverIndex:
@@ -1946,7 +1910,8 @@ class StarSpace(Space):
     """Countably many unit-interval arms glued at a single center point.
 
     Basic opens are metric balls around dense points.  Compact pieces are
-    the center singleton and closed arm segments.
+    the center singleton and closed arm segments.  As a negative fixture
+    it has points, basics, the pinch calculus and the metric only.
     """
 
     name = "star"
@@ -2014,11 +1979,6 @@ class StarSpace(Space):
         _, c2, r2 = d2
         return star_distance(c1, c2) + r1 <= r2
 
-    def basic_disjoint(self, d1, d2) -> bool:
-        _, c1, r1 = d1
-        _, c2, r2 = d2
-        return star_distance(c1, c2) >= r1 + r2
-
     def point_in_basic(self, value, d) -> bool:
         _, c, r = d
         return star_distance(value, c) < r
@@ -2068,51 +2028,8 @@ class StarSpace(Space):
                     return True
         return False
 
-    def make_cdesc(self, pieces) -> tuple:
-        has_inf = any(p == ("pt_inf",) for p in pieces)
-        by_arm: dict[int, list] = {}
-        for p in pieces:
-            if p == ("pt_inf",):
-                continue
-            _, n, lo, hi = p
-            lo, hi = max(Fraction(lo), Fraction(0)), min(Fraction(hi), Fraction(1))
-            if lo <= hi:
-                by_arm.setdefault(n, []).append((lo, hi))
-        out: list = [("pt_inf",)] if has_inf else []
-        for n in sorted(by_arm):
-            merged: list[tuple[Fraction, Fraction]] = []
-            for lo, hi in sorted(by_arm[n]):
-                if merged and lo <= merged[-1][1]:
-                    merged[-1] = (merged[-1][0], max(merged[-1][1], hi))
-                else:
-                    merged.append((lo, hi))
-            out.extend(("seg", n, lo, hi) for lo, hi in merged)
-        return tuple(out)
-
-    def cdesc_intersect(self, c1, c2):
-        out = []
-        inf1 = ("pt_inf",) in c1
-        if inf1 and ("pt_inf",) in c2:
-            out.append(("pt_inf",))
-        for p1 in c1:
-            if p1 == ("pt_inf",):
-                continue
-            for p2 in c2:
-                if p2 == ("pt_inf",) or p1[1] != p2[1]:
-                    continue
-                lo, hi = max(p1[2], p2[2]), min(p1[3], p2[3])
-                if lo <= hi:
-                    out.append(("seg", p1[1], lo, hi))
-        return self.make_cdesc(out)
-
-    def cdesc_union(self, c1, c2):
-        return self.make_cdesc(tuple(c1) + tuple(c2))
-
     def region(self) -> Region:
         return _StarRegion(self)
-
-    def sigma_piece_descs(self):
-        return _StarSigma(self)
 
     def pinch_candidate(self, vdesc) -> bool:
         _, c, r = vdesc
@@ -2141,65 +2058,11 @@ class StarSpace(Space):
         """Star points have no literal form."""
         raise OutOfSpace(f"no point literals on {self.name}: {text!r}")
 
-    def envelope_covers(self, cdesc, slot: int) -> list[frozenset]:
-        parts = []
-        for piece in cdesc:
-            if piece == ("pt_inf",):
-                parts.append(self.encode_ball(INF, Fraction(1, 2 ** slot)))
-            else:
-                _, n, lo, hi = piece
-                r = (hi - lo) / 2 + Fraction(1, 2 ** (slot + 2))
-                parts.append(self.encode_ball((n, (lo + hi) / 2), r))
-        return [frozenset(parts)] if parts else []
-
-    def overt_seeds(self, cdesc) -> Iterable[int]:
-        for slot in range(13):
-            eps = Fraction(1, 2 ** slot)
-            for piece in cdesc:
-                if piece == ("pt_inf",):
-                    yield self.encode_ball(INF, eps)
-                else:
-                    _, n, lo, hi = piece
-                    for anchor in {lo, (lo + hi) / 2, hi}:
-                        yield self.encode_ball((n, anchor), eps)
-
-    # balls are basics: d(x, .) < r holds on all of the basic B(c, q) when
-    # d(x, c) + q <= r, and fails on all of it when d(x, c) - q >= r
-    def in_open_ball(self, x, d, r: Fraction) -> bool:
-        _, c, q = d
-        return self.metric.exact(x, c) + q <= r
-
-    def outside_closed_ball(self, x, d, r: Fraction) -> bool:
-        _, c, q = d
-        return self.metric.exact(x, c) - q >= r
-
-    def ball_core(self, x, r: Fraction, slot: int) -> int | None:
-        eps = Fraction(1, 2 ** (slot + 1))
-        return self.encode_ball(x, r - eps) if eps < r else None
-
-    def far(self, x, d, below: Fraction | None = None) -> Fraction:
-        _, c, q = d
-        return self.metric.exact(x, c) + q
-
-    def near(self, x, d, above: Fraction | None = None) -> Fraction:
-        _, c, q = d
-        return max(self.metric.exact(x, c) - q, Fraction(0))
-
-
-class _StarSigma:
-    """Lazy infinite family: center singleton, then one arm per index."""
-
-    def __getitem__(self, i: int):
-        if i == 0:
-            return (("pt_inf",),)
-        return (("seg", i - 1, Fraction(0), Fraction(1)),)
-
 
 class _StarRegion(Region):
     def __init__(self, space: StarSpace):
         self.space = space
         self.inf_covered = False
-        self.arms: dict[int, FivUnion] = {}
         self.balls: list = []
         self.version = 0
 
@@ -2253,7 +2116,8 @@ def star_point(space: StarSpace, p) -> PointName:
 class QhatSpace(Space):
     """The rationals plus a point at infinity whose neighborhoods are
     cofinite.  Basic opens: rational-interval traces on Q (even indices)
-    and sets {inf} + (Q minus a finite exclusion list) (odd indices)."""
+    and sets {inf} + (Q minus a finite exclusion list) (odd indices).  As
+    a negative fixture it has points, basics and the pinch calculus only."""
 
     name = "qhat"
 
@@ -2291,14 +2155,6 @@ class QhatSpace(Space):
             return d2[1] <= d1[1]
         return False  # a cofinite basic never fits inside an interval trace
 
-    def basic_disjoint(self, d1, d2) -> bool:
-        k1, k2 = d1[0], d2[0]
-        if k1 == "iv" and k2 == "iv":
-            return d1[2] <= d2[1] or d2[2] <= d1[1]
-        # an interval trace contains infinitely many rationals, a cofinite
-        # basic excludes finitely many; and two cofinite basics share inf
-        return False
-
     def point_in_basic(self, value, d) -> bool:
         if d[0] == "iv":
             return value != INF and d[1] < value < d[2]
@@ -2328,46 +2184,8 @@ class QhatSpace(Space):
         # and any cofinite basic shares the point at infinity
         return True
 
-    def basic_avoids_cdesc(self, d, cdesc) -> bool:
-        if cdesc[0] == "fin":
-            return not any(self.point_in_basic(p, d) for p in cdesc[1])
-        return False
-
-    def cdesc_intersect(self, c1, c2):
-        if c1[0] == "all":
-            return c2
-        if c2[0] == "all":
-            return c1
-        if c1[0] == "fin" and c2[0] == "fin":
-            return ("fin", c1[1] & c2[1])
-        if c1[0] == "cof" and c2[0] == "cof":
-            return ("cof", c1[1] | c2[1])
-        fin, cof = (c1, c2) if c1[0] == "fin" else (c2, c1)
-        return ("fin", frozenset(p for p in fin[1] if p == INF or p not in cof[1]))
-
-    def cdesc_union(self, c1, c2):
-        if c1[0] == "all" or c2[0] == "all":
-            return ("all",)
-        if c1[0] == "fin" and c2[0] == "fin":
-            return ("fin", c1[1] | c2[1])
-        if c1[0] == "cof" and c2[0] == "cof":
-            return ("cof", c1[1] & c2[1])
-        fin, cof = (c1, c2) if c1[0] == "fin" else (c2, c1)
-        return ("cof", cof[1] - frozenset(p for p in fin[1] if p != INF))
-
-    def basic_intersection_code(self, d1, d2) -> int | None:
-        if d1[0] == "iv" and d2[0] == "iv":
-            a, b = max(d1[1], d2[1]), min(d1[2], d2[2])
-            return self.encode_iv(a, b) if a < b else None
-        if d1[0] == "cof" and d2[0] == "cof":
-            return self.encode_cof(d1[1] | d2[1])
-        return None
-
     def region(self) -> Region:
         return _QhatRegion(self)
-
-    def sigma_piece_descs(self):
-        return (("all",),)
 
     def pinch_candidate(self, vdesc) -> bool:
         return vdesc[0] == "cof"
@@ -2383,19 +2201,6 @@ class QhatSpace(Space):
 
     def encode_basic(self, d) -> int:
         return self.encode_iv(d[1], d[2]) if d[0] == "iv" else self.encode_cof(d[1])
-
-    def envelope_covers(self, cdesc, slot: int) -> list[frozenset]:
-        kind = cdesc[0]
-        if kind == "all":
-            return [frozenset([self.encode_cof(frozenset())])]
-        if kind == "cof":
-            return [frozenset([self.encode_cof(cdesc[1])])]
-        if not cdesc[1]:
-            return []
-        eps = Fraction(1, 2 ** slot)
-        return [frozenset(self.encode_cof(frozenset()) if p == INF
-                          else self.encode_iv(p - eps, p + eps)
-                          for p in sorted(cdesc[1], key=str))]
 
 
 class _QhatRegion(Region):

@@ -1,15 +1,17 @@
-"""Golden answers of the CLI metric commands.
+"""Golden answers of the CLI commands.
 
-Each command's exact JSON output was recorded before the Hausdorff bounds
-became an incremental tracker and the bound streams started testing
+Each metric command's exact JSON output was recorded before the Hausdorff
+bounds became an incremental tracker and the bound streams started testing
 improvements on integers.  Those changes may move no bracket and no
-``fuelUsed``, so any difference here is a changed answer.
+``fuelUsed``, so any difference here is a changed answer.  The ``forall``
+forms, the domain errors and the bit-literal errors were recorded before
+the space interface was cut to the methods its consumers call.
 """
 
 from __future__ import annotations
 
 import io
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
@@ -141,3 +143,88 @@ def test_metric_command_answers_are_unchanged(argv, code, want):
     with redirect_stdout(buf):
         got = main(argv.split() + ["--format", "json"])
     assert (got, buf.getvalue().strip()) == (code, want)
+
+
+# (argv, exit code, stdout, stderr)
+OTHER_GOLDEN = [
+    # the forall predicate forms: isEmptyOr on Cantor space, and and/or
+    # over subset on the unit interval
+    ('forall --space cantor --pred isEmptyOr(meets(open([e])))',
+     0,
+     ('{"command":"forall","config":{"fuel":100000,"precision":10,"space":"cantor"}'
+      ',"fuelUsed":12,"result":"Accepted","witness":{"closingDepth":1}}\n'),
+     ''),
+    ('forall --space unit-interval --pred and(subset(open(-1,2)),subset(open(-0.5,1.5)))',
+     0,
+     ('{"command":"forall","config":{"fuel":100000,"precision":10'
+      ',"space":"unit-interval"},"fuelUsed":2,"result":"Accepted"'
+      ',"witness":{"closingDepth":0}}\n'),
+     ''),
+    ('forall --space unit-interval --pred or(subset(open(0,1/2)),subset(open(-1,2)))',
+     0,
+     ('{"command":"forall","config":{"fuel":100000,"precision":10'
+      ',"space":"unit-interval"},"fuelUsed":2,"result":"Accepted"'
+      ',"witness":{"closingDepth":0}}\n'),
+     ''),
+    # a false subset claim on Cantor space: its compact complement and the
+    # compact-name lanes run until the fuel is spent
+    ('forall --space cantor --pred subset(open([0])) --fuel 3000',
+     2,
+     ('{"command":"forall","config":{"fuel":3000,"precision":10,"space":"cantor"}'
+      ',"fuelUsed":3000,"result":"Pending","witness":null}\n'),
+     ''),
+    # domain errors: no system on the negative fixtures, no metric on
+    # Cantor space, no compact whole on the line
+    ('consistency --space star --bits (0,1)=1',
+     3,
+     ('{"command":"consistency","config":{"fuel":100000,"precision":10,"space":"star"}'
+      ',"fuelUsed":0,"result":"error: space has no relatively compact system"'
+      ',"witness":null}\n'),
+     ''),
+    ('forall --space qhat --pred meets(open(0,1))',
+     3,
+     ('{"command":"forall","config":{"fuel":100000,"precision":10,"space":"qhat"}'
+      ',"fuelUsed":0,"result":"error: space has no relatively compact system"'
+      ',"witness":null}\n'),
+     ''),
+    ('distance --space cantor --x 0 --located [0,1]',
+     3,
+     ('{"command":"distance","config":{"fuel":100000,"precision":10,"space":"cantor"}'
+      ',"fuelUsed":0,"result":"error: needs a metric and a relatively compact system"'
+      ',"witness":null}\n'),
+     ''),
+    ('hausdorff --space real-line --a [0,1] --b [1,2]',
+     3,
+     ('{"command":"hausdorff","config":{"fuel":100000,"precision":10'
+      ',"space":"real-line"},"fuelUsed":0'
+      ',"result":"error: needs a compact metric space with a system","witness":null}\n'),
+     ''),
+    ('radius --space cantor --x 0 --ball [0,1]',
+     3,
+     ('{"command":"radius","config":{"fuel":100000,"precision":10,"space":"cantor"}'
+      ',"fuelUsed":0,"result":"error: needs a metric space","witness":null}\n'),
+     ''),
+    # a radius that runs out of fuel
+    ('radius --space unit-interval --x 1/2 --ball [0,1] --fuel 1 --precision 20',
+     2,
+     ('{"command":"radius","config":{"fuel":1,"precision":20,"space":"unit-interval"}'
+      ',"fuelUsed":1,"result":"Pending","witness":null}\n'),
+     ''),
+    # bit literals: each error is one line on stderr
+    ('consistency --space unit-interval --bits (0,1)',
+     1, '', "parse error: bit assignment needs '=': '(0,1)'\n"),
+    ('consistency --space unit-interval --bits (0,1)=2',
+     1, '', "parse error: bit must be 0 or 1: '(0,1)=2'\n"),
+    # an interval is no basic of a finite space
+    ('consistency --space finite:{a,b;d(a,b)=1} --bits (0,1)=1',
+     1, '', "parse error: no index for the basic '(0,1)'\n"),
+]
+
+
+@pytest.mark.parametrize("argv, code, want_out, want_err", OTHER_GOLDEN,
+                         ids=[row[0] for row in OTHER_GOLDEN])
+def test_other_command_answers_are_unchanged(argv, code, want_out, want_err):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        got = main(argv.split() + ["--format", "json"])
+    assert (got, out.getvalue(), err.getvalue()) == (code, want_out, want_err)

@@ -4,11 +4,16 @@ Each space owns its calculus (see README, "each space owns its calculus"),
 so ``metric``, ``sets``, ``ercs`` and ``cli`` ask the space instead of
 testing which class it is.  ``registry`` and ``oracle`` construct spaces
 and are exempt.
+
+Contract guard: the ``Space`` interface holds only methods that some code
+of the package reads, and README's list of what a new space implements
+names only ``Space`` methods.
 """
 
 from __future__ import annotations
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -92,3 +97,28 @@ def r_step(space, dm, dk):
 '''
     assert len(_violations(reads, ERCS_FORBIDDEN)) == 4
     assert _violations(reads) == []
+
+
+def _space_methods() -> list[str]:
+    tree = ast.parse((SRC / "spaces.py").read_text())
+    space = next(node for node in tree.body
+                 if isinstance(node, ast.ClassDef) and node.name == "Space")
+    return [node.name for node in space.body
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("__")]
+
+
+def test_every_space_method_is_read():
+    read = {node.attr for path in SRC.glob("*.py")
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute)}
+    assert [name for name in _space_methods() if name not in read] == []
+
+
+def test_readme_contract_names_space_methods():
+    readme = (SRC.parent.parent / "README.md").read_text()
+    contract = readme.split("A new space implements", 1)[1]
+    contract = contract.split("Every test and bound is sound", 1)[0]
+    names = re.findall(r"`(\w+)(?:\(\))?`", contract)
+    methods = set(_space_methods())
+    assert len(names) > 30
+    assert [name for name in names if name not in methods] == []

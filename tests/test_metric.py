@@ -5,7 +5,13 @@ from fractions import Fraction
 
 import pytest
 
-from erctopo.ercs import check_main_property, compact_neighborhood_search, interval_ercs
+from erctopo.ercs import (
+    Ercs,
+    basis_search,
+    check_main_property,
+    compact_neighborhood_search,
+    interval_ercs,
+)
 from erctopo.kernel import Accepted, PENDING, run_process
 from erctopo.metric import (
     BoundsReal,
@@ -272,6 +278,29 @@ def test_ercs_from_compact_ball_main_property():
         assert all(F(1, 4) < p and q < F(3, 4) for p, q in patch)
 
 
+def _without_descriptions(e: Ercs) -> Ercs:
+    """The same system with no patch description: a basis search then
+    certifies each patch by running ``compact_subset`` on its value."""
+    return Ercs(e.space, e.u_stream, e.k_stream, e.r_stream,
+                lambda kid: None, e.compact_value)
+
+
+def test_basis_search_certifies_undescribed_patches():
+    u = open_from_fixture(_ui, (F(1, 4), F(3, 4)))
+    balls = ercs_from_compact_ball(_ui.metric, _ui_compact_ball_provider())
+    for e, probes in ((interval_ercs(_ui), (F(1, 2), F(3, 8))), (balls, (F(1, 2),))):
+        bare = _without_descriptions(e)
+        for q in probes:
+            w = basis_search(bare, point_from_rational(_ui, q), u, 10 ** 5)
+            assert w is not None and bare.compact_cdesc(w.kid) is None
+            a, b = _ui.decode(w.n)
+            assert a < q < b
+            patch_inside = compact_subset(bare.compact_value(w.kid), u)
+            assert isinstance(run_process(patch_inside, 10 ** 5), Accepted)
+            # the described system finds the same basic
+            assert w.n == basis_search(e, point_from_rational(_ui, q), u, 10 ** 5).n
+
+
 # -- radius ----------------------------------------------------------------------------------
 
 def test_radius_line_half():
@@ -423,6 +452,28 @@ def test_metric_brackets_match_brute_force_on_oracle_spaces():
                 real = hausdorff_distance(m, e, located_from_cdesc(space, a),
                                           located_from_cdesc(space, b), hint)
                 _bracket_contains(real, 10, want, fuel=10 ** 5)
+
+
+def test_undescribed_hausdorff_matches_brute_force_on_oracle_spaces():
+    # without descriptions each hull is read off the enumerated covers
+    # through cover_hull
+    for fs in standard_oracle_spaces():
+        if fs.metric_table is None:
+            continue
+        space, e = lift_finite(fs)
+        hull, hulled = space.cover_hull, []
+        space.cover_hull = lambda descs: hulled.append(descs) or hull(descs)
+        hint = (2 ** len(fs.points) - 2,)
+        sets = [a for a in space_subsets(fs) if a]
+        for a in sets:
+            for b in sets:
+                want = max(max(min(fs.distance(p, q) for q in b) for p in a),
+                           max(min(fs.distance(p, q) for q in a) for p in b))
+                real = hausdorff_distance(space.metric, e,
+                                          _undescribed(located_from_cdesc(space, a)),
+                                          _undescribed(located_from_cdesc(space, b)), hint)
+                _bracket_contains(real, 10, want, fuel=10 ** 5)
+        assert hulled
 
 
 def space_subsets(fs):

@@ -16,7 +16,8 @@ from erctopo.oracle import (
     parse_finite_literal,
     standard_oracle_spaces,
 )
-from erctopo.sets import compact_subset, member_open, open_from_fixture
+from erctopo.ercs import compact_neighborhood_search
+from erctopo.sets import compact_subset, member_open, open_from_fixture, open_of_basic
 from erctopo.kernel import Accepted, run_process
 
 F = Fraction
@@ -100,3 +101,18 @@ def test_non_discrete_topology_closed_subsets():
     located = brute_located(fs)
     assert {a.cdesc for a in located} == {frozenset(), frozenset("0"),
                                           frozenset("01")}
+
+
+def test_pinch_search_accepts_every_point_in_every_basic():
+    # every subset of a finite space is compact, so each basic around a
+    # point pinches with itself
+    for fs in standard_oracle_spaces():
+        space, _ = lift_finite(fs)
+        for n in range(space.finite_basic_count):
+            basic = space.decode(n)
+            for p in sorted(basic):
+                search = compact_neighborhood_search(space, oracle_point(space, p),
+                                                     open_of_basic(space, n))
+                assert isinstance(run_process(search, 100), Accepted), (fs.name, p, n)
+                v, k = search.found
+                assert p in v and v <= k <= basic

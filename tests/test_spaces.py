@@ -429,8 +429,21 @@ def test_cantor_subset_disjoint():
     c = CantorSpace()
     assert c.basic_subset("010", "01")
     assert not c.basic_subset("01", "010")
-    assert c.basic_disjoint("00", "01")
-    assert not c.basic_disjoint("0", "01")
+    assert not c.basic_meets_cdesc("00", ("01",))
+    assert c.basic_meets_cdesc("0", ("01",))
+
+
+def test_cantor_meets_matches_shared_leaves():
+    # two cylinders of depth at most 3 meet when they share a leaf at depth 3
+    c = CantorSpace()
+    words = [""] + [format(i, "b").zfill(k) for k in range(1, 4) for i in range(2 ** k)]
+
+    def leaves(w):
+        return {v for v in words if len(v) == 3 and v.startswith(w)}
+
+    for d in words:
+        for w in words:
+            assert c.basic_meets_cdesc(d, (w,)) == bool(leaves(d) & leaves(w))
 
 
 def test_cantor_region_split_cover():
@@ -552,9 +565,6 @@ def test_qhat_subset_and_disjoint_rules():
     assert qhat.basic_subset(cof2, cof)
     assert not qhat.basic_subset(cof, cof2)
     assert not qhat.basic_subset(cof, iv)
-    assert qhat.basic_disjoint(iv, ("iv", F(2), F(3)))
-    assert not qhat.basic_disjoint(iv, cof)
-    assert not qhat.basic_disjoint(cof, cof2)
 
 
 def test_qhat_region_covers_whole_space():
