@@ -545,6 +545,27 @@ class ForallSearch(Machine):
         self._stack = [()]
         self._max_depth_seen = 0
 
+    def fast_forward(self, t: int, limit: int) -> int:
+        """Applies the stages at which the top node only takes one more unit
+        of fuel, in one poll of each of its fuel-monotone processes; ``step``
+        then closes or expands the node."""
+        stack = self._stack
+        if not stack or stack[-1] in self._closed:
+            return t
+        accept, refute, fuel_box = self._node(stack[-1])
+        fuel = fuel_box[0]
+        last = fuel + min(limit - t, self._node_fuel - 1 - fuel)
+        if last <= fuel:
+            return t
+        # the node closes just past its least acceptance stage; as in step,
+        # refute runs only below the fuel at which accept closes it
+        for process in (accept, refute):
+            stage = process.poll(last)
+            last = last if stage is None else stage
+        fuel_box[0] = last
+        self._max_depth_seen = max(self._max_depth_seen, len(stack[-1]))
+        return t + last - fuel
+
     def step(self, t: int) -> bool:
         if not self._stack:
             self._start_round()

@@ -21,19 +21,17 @@ not returned yet, and ``quiescent(s)`` says whether the listing can still
 grow.  A cursor keeps its place in the listing, so a read costs one advance
 check and a slice however many consumers share the enumerator.
 
-A ``Machine`` steps its stages in order, but it may skip a stage at which
-its step would provably do nothing (see ``Machine.skip_idle``): a skipped
-stage reads nothing, changes nothing and accepts nothing, so skipping moves
-no acceptance stage and no stall.  ``Cursor.next_emission`` is what lets a
-reader see such stages coming without reading anything.
+A ``Machine`` steps its stages in order, but it may apply a run of them
+itself (``Machine.fast_forward``); ``Cursor.next_emission`` and
+``Cursor.groups`` let it see what the coming stages bring without reading.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from math import isqrt
-from typing import Callable, Generic, Sequence, TypeVar
+from typing import Callable, Generic, Iterator, Sequence, TypeVar
 
 T = TypeVar("T")
 
@@ -111,25 +109,24 @@ def run_process(process: SemidecisionProcess, fuel: int):
 
 
 class Machine(SemidecisionProcess):
-    """Incremental process: ``step(t)`` runs at most once per stage, in
-    increasing stage order, and every stage it skips is idle.
+    """Incremental process: ``step(t)`` applies stage t, at most once per
+    stage, in increasing stage order.
 
     Subclasses implement ``step`` returning True at the accepting stage.
     ``stall()`` declares that no future step can change anything, letting
     large-fuel polls of permanently pending machines return immediately.
 
-    A stage is idle when its step would return False and change nothing a
-    later step reads: it reads no item, accepts nothing and does not stall.
-    A subclass that can see idle stages coming defines the method
-    ``skip_idle(t, limit)``: it returns the least stage s with
-    ``t <= s <= limit`` whose step may not be idle, and ``poll`` then steps
-    s next (s == limit: no stage below the fuel needs a step).  Every stage
-    in ``[t, s)`` must be idle, so skipping moves no acceptance stage and no
-    stall, and the same fuel gives the same answer.  Without it (the
-    default, None) every stage is stepped, at the cost of one test.
+    A subclass that can apply a run of stages for less than one ``step``
+    call each defines ``fast_forward(t, limit)``: it applies the stages
+    ``t .. s - 1`` itself, each exactly as ``step`` would, and returns s,
+    ``t <= s <= limit``; ``poll`` then steps s (s == limit: none is left
+    below the fuel).  No stage it applies may accept or stall, so it moves
+    no acceptance stage and no stall, and the same fuel gives the same
+    answer.  Stages are applied, not only skipped: an idle stage is applied
+    by doing nothing.  Without the hook (None) every stage is stepped.
     """
 
-    skip_idle: Callable[[int, int], int] | None = None
+    fast_forward: Callable[[int, int], int] | None = None
 
     def __init__(self) -> None:
         self._stage = 0
@@ -137,11 +134,11 @@ class Machine(SemidecisionProcess):
         self._stalled = False
 
     def poll(self, fuel: int) -> int | None:
-        skip = self.skip_idle
+        forward = self.fast_forward
         while self._hit is None and not self._stalled and self._stage < fuel:
             t = self._stage
-            if skip is not None:
-                t = skip(t, fuel)
+            if forward is not None:
+                t = forward(t, fuel)
                 if t >= fuel:
                     self._stage = fuel
                     break
@@ -341,6 +338,18 @@ class Cursor(Generic[T]):
                 return limit
         return min(marks[m], limit)
 
+    def groups(self, stage: int) -> Iterator[tuple[int, Sequence[T]]]:
+        """(s, items) for each stage s below ``stage`` at which the source
+        emits items this cursor has not returned: a peek; ``upto`` reads."""
+        src = self._source
+        if src._stage < stage and not src._stalled:
+            src.advance(stage)
+        marks, counts, items = src._marks, src._counts, src._items
+        a = self._pos
+        for m in range(self._mark, bisect_left(marks, stage, self._mark)):
+            yield marks[m], items[a:counts[m]]
+            a = counts[m]
+
     def quiescent(self, stage: int) -> bool:
         """Same answer as ``MonotoneEnumerator.quiescent(stage)``."""
         src = self._source
@@ -401,6 +410,63 @@ def enumerate_step(step_fn: Callable[[int], Sequence[T]],
     """Listing emitting ``step_fn(t)`` (possibly nothing) at stage t;
     ``step_fn`` returns a sequence, as ``MonotoneEnumerator.step`` does."""
     return _FromStep(step_fn, stall_after)
+
+
+# Seed slot s fires at the triangular stage (s + 1)(s + 2)/2 - 1: generated
+# items stay square-root-bounded in the stage count, fine slots come at
+# quadratic stages, and slots stop at 64 (2**-64 serves no consumer).
+# emission_slot(t) is the slot firing at stage t, or None.
+_SLOT_STAGES = [(s + 1) * (s + 2) // 2 - 1 for s in range(65)] + [-1]
+_SLOT_AT = {t: s for s, t in enumerate(_SLOT_STAGES[:-1])}
+emission_slot = _SLOT_AT.get
+
+
+class _FilterLane(MonotoneEnumerator[int]):
+    def __init__(self, decode, test, seeds, stall_after) -> None:
+        super().__init__()
+        self._lane = (decode, test, seeds, stall_after,
+                      self._items, self._marks, self._counts)
+        self._at = 0 if seeds is not None else -1   # the next slot stage
+
+    def advance(self, stage: int, to_emission: bool = False) -> None:
+        # once stalled, _stage is stop + 1 and the loop and its else pass
+        decode, test, seeds, stop, items, marks, counts = self._lane
+        end = stage if stop is None or stop > stage else stop
+        at, t = self._at, self._stage
+        while t < end:
+            seeded = ()
+            if t == at:
+                slot = _SLOT_AT[t]
+                seeded = seeds(slot)
+                items.extend(seeded)
+                at = self._at = _SLOT_STAGES[slot + 1]
+            d = decode(t)
+            if d is not None and test(d):
+                items.append(t)
+            elif not seeded:
+                t += 1
+                continue
+            marks.append(t)
+            counts.append(len(items))
+            t += 1
+            if to_emission:
+                break
+        else:
+            if t == stop and t < stage:
+                t += 1   # the stage at which enumerate_step's lane stalls
+                self._stalled = True
+        self._stage = t
+
+
+def filter_lane(decode: Callable[[int], object], test: Callable[[object], bool],
+                seeds: Callable[[int], Sequence[int]] | None = None,
+                stall_after: int | None = None) -> MonotoneEnumerator[int]:
+    """Stage t emits the sequence ``seeds(emission_slot(t))`` at a slot
+    stage, then t when ``decode(t)`` is not None and passes ``test``; it
+    stalls at stage ``stall_after`` (None: never) as ``enumerate_step``
+    does.  ``advance`` applies a run of stages in one loop, calling
+    ``seeds`` at slots only."""
+    return _FilterLane(decode, test, seeds, stall_after)
 
 
 class _Interleave(MonotoneEnumerator[T]):

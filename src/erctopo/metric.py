@@ -38,7 +38,9 @@ from .kernel import (
     Machine,
     MonotoneEnumerator,
     SemidecisionProcess,
+    emission_slot,
     enumerate_step,
+    filter_lane,
     pair,
     unpair,
 )
@@ -58,7 +60,6 @@ from .spaces import (
     OutOfSpace,
     PointName,
     Space,
-    emission_slot,
 )
 
 DEFAULT_APPROX_FUEL = 2 * 10 ** 5
@@ -280,20 +281,13 @@ def ball_open(m: MetricStructure, x: MetricPoint, r) -> OpenSet:
     if x.value is not None:
         xv = x.value
 
-        def step(t: int):
-            out = []
-            s = emission_slot(t)
-            if s is not None:
-                c = space.ball_core(xv, r, s)
-                if c is not None and space.decode(c) is not None:
-                    out.append(c)
-            d = space.decode(t)
-            if d is not None and space.in_open_ball(xv, d, r):
-                out.append(t)
-            return out
+        def seeds(s: int):
+            c = space.ball_core(xv, r, s)
+            return (c,) if c is not None and space.decode(c) is not None else ()
 
-        return OpenSet(space, enumerate_step(step, stall_after=space.finite_basic_count),
-                       label=f"ball:{r}")
+        lane = filter_lane(space.decode, lambda d: space.in_open_ball(xv, d, r), seeds,
+                           space.finite_basic_count)
+        return OpenSet(space, lane, label=f"ball:{r}")
 
     def generic_step(t: int):
         out = []
@@ -555,19 +549,13 @@ class _NiceRadiusMachine(Machine):
             return any(m.exact(xv, z) < lo_dist and space.in_open_ball(z, udesc, rho)
                        for z in space.witness_candidates(xv, lo_dist, rho))
 
-        def step(t: int):
-            out = []
-            if emission_slot(t) == 0:
-                for u in space.annulus_tiles(xv, ann_lo, ann_hi, rho / 4):
-                    if space.decode(u) is not None and witnessed(space.decode(u)):
-                        out.append(u)
-            d = space.decode(t)
-            if d is not None and witnessed(d):
-                out.append(t)
-            return out
+        def seeds(s: int):
+            tiles = space.annulus_tiles(xv, ann_lo, ann_hi, rho / 4) if s == 0 else ()
+            return [u for u in tiles
+                    if space.decode(u) is not None and witnessed(space.decode(u))]
 
-        return OpenSet(space, enumerate_step(step, stall_after=space.finite_basic_count),
-                       label=f"near-sphere:{self.level}")
+        lane = filter_lane(space.decode, witnessed, seeds, space.finite_basic_count)
+        return OpenSet(space, lane, label=f"near-sphere:{self.level}")
 
     def _reseed(self) -> None:
         self._probes = [(a, b, self._certificate(a, b), 0)

@@ -23,10 +23,12 @@ from .kernel import (
     MonotoneEnumerator,
     SemidecisionProcess,
     enumerate_list,
+    emission_slot,
     enumerate_step,
+    filter_lane,
     interleave,
 )
-from .spaces import PointName, Space, emission_slot
+from .spaces import PointName, Space
 
 
 class OpenSet:
@@ -104,22 +106,13 @@ def open_from_fixture(space: Space, desc) -> OpenSet:
     """Canonical open name of a basic-open description: the description
     itself first, a generated shrinking core, and the filter of every basic
     formally inside it."""
-    inside = space.basic_subset_test(desc)
+    def seeds(s: int):
+        core = space.shrunk_core(desc, s)
+        return (core,) if core is not None and space.decode(core) is not None else ()
 
-    def step(t: int):
-        out = []
-        s = emission_slot(t)
-        if s is not None:
-            core = space.shrunk_core(desc, s)
-            if core is not None and space.decode(core) is not None:
-                out.append(core)
-        d = space.decode(t)
-        if d is not None and inside(d):
-            out.append(t)
-        return out
-
-    return OpenSet(space, enumerate_step(step, stall_after=space.finite_basic_count),
-                   label=f"fixture:{desc!r}")
+    lane = filter_lane(space.decode, space.basic_subset_test(desc), seeds,
+                       space.finite_basic_count)
+    return OpenSet(space, lane, label=f"fixture:{desc!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -129,21 +122,12 @@ def closed_from_cdesc(space: Space, cdesc) -> ClosedSet:
     """Closed set with the given exact description; the complement name
     interleaves a generated skeleton of the complement with the filter of
     every basic certified to avoid the set."""
+    def seeds(s: int):
+        return [c for c in space.complement_gaps(cdesc, s) if space.decode(c) is not None]
 
-    def step(t: int):
-        out = []
-        s = emission_slot(t)
-        if s is not None:
-            out.extend(c for c in space.complement_gaps(cdesc, s)
-                       if space.decode(c) is not None)
-        d = space.decode(t)
-        if d is not None and space.basic_avoids_cdesc(d, cdesc):
-            out.append(t)
-        return out
-
-    complement = OpenSet(space,
-                         enumerate_step(step, stall_after=space.finite_basic_count),
-                         label=f"co:{cdesc!r}")
+    lane = filter_lane(space.decode, lambda d: space.basic_avoids_cdesc(d, cdesc), seeds,
+                       space.finite_basic_count)
+    complement = OpenSet(space, lane, label=f"co:{cdesc!r}")
     return ClosedSet(complement, cdesc=cdesc)
 
 

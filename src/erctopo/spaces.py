@@ -23,7 +23,9 @@ from typing import Callable, Iterable, Sequence
 
 from .kernel import (
     MonotoneEnumerator,
+    emission_slot,
     enumerate_step,
+    filter_lane,
     pair,
     unpair,
 )
@@ -197,16 +199,6 @@ def decode_rational_set(n: int) -> frozenset[Fraction]:
         n >>= 1
         i += 1
     return frozenset(out)
-
-
-# Thinned schedule: slot s fires at stage (s + 1)(s + 2)/2 - 1, the s-th
-# triangular stage, so the number of generated items stays
-# square-root-bounded in the stage count while fine slots still arrive at
-# quadratic (not exponential) stages.  Slots stop at 64: dyadic data beyond
-# 2**-64 serves no consumer and its exact arithmetic costs grow with the
-# exponent.  emission_slot(t) is the slot firing at stage t, or None.
-_SLOT_AT = {(s + 1) * (s + 2) // 2 - 1: s for s in range(65)}
-emission_slot = _SLOT_AT.get
 
 
 # ---------------------------------------------------------------------------
@@ -547,8 +539,7 @@ class Space:
 
     def all_basics(self) -> MonotoneEnumerator[int]:
         """Fresh enumeration of every valid basic index, in index order."""
-        return enumerate_step(lambda t: (t,) if self.decode(t) is not None else (),
-                              stall_after=self.finite_basic_count)
+        return filter_lane(self.decode, lambda d: True, stall_after=self.finite_basic_count)
 
     def basic_intersection_code(self, d1, d2) -> int | None:
         """Index of the basic equal to the intersection, when that exists."""
@@ -973,23 +964,17 @@ class _LineSubspace(Space):
         # point_in_basic(q, d) with q's carrier test done above: a < q < b
         # on the integers of the decoded ends
         qn, qd = q.numerator, q.denominator
-        decode = self.decode
 
-        def step(t: int):
-            out = []
-            s = emission_slot(t)
-            if s is not None:
-                eps = Fraction(1, 2 ** s)
-                out.append(encode_interval(q - eps, q + eps))
-            d = decode(t)
-            if d is not None:
-                a, b = d
-                if (a._numerator * qd < qn * a._denominator
-                        and qn * b._denominator < b._numerator * qd):
-                    out.append(t)
-            return out
+        def seeds(s: int):
+            eps = Fraction(1, 2 ** s)
+            return (encode_interval(q - eps, q + eps),)
 
-        return PointName(self, enumerate_step(step), value=q)
+        def test(d) -> bool:
+            a, b = d
+            return (a._numerator * qd < qn * a._denominator
+                    and qn * b._denominator < b._numerator * qd)
+
+        return PointName(self, filter_lane(self.decode, test, seeds), value=q)
 
     def compact_complement(self, d):
         whole = self.whole_compact_desc
@@ -1794,18 +1779,9 @@ def cantor_point(space: CantorSpace, prefix: str, period: str = "0") -> PointNam
     if set(prefix + period) - {"0", "1"} or not period:
         raise OutOfSpace("cantor points need a binary prefix and nonempty period")
     value = (prefix, period)
-
-    def step(t: int):
-        out = []
-        s = emission_slot(t)
-        if s is not None:
-            out.append(word_rank(_cantor_word(value, s)))
-        w = space.decode(t)
-        if w is not None and space.point_in_basic(value, w):
-            out.append(t)
-        return out
-
-    return PointName(space, enumerate_step(step), value=value)
+    lane = filter_lane(space.decode, partial(space.point_in_basic, value),
+                       lambda s: (word_rank(_cantor_word(value, s)),))
+    return PointName(space, lane, value=value)
 
 
 class _CantorRegion(Region):
@@ -2096,18 +2072,9 @@ def star_point(space: StarSpace, p) -> PointName:
     if not space.is_point(p):
         raise OutOfSpace(f"{p!r} is not a star point")
     p = p if p == INF else (p[0], Fraction(p[1]))
-
-    def step(t: int):
-        out = []
-        s = emission_slot(t)
-        if s is not None:
-            out.append(space.encode_ball(p, Fraction(1, 2 ** s)))
-        d = space.decode(t)
-        if d is not None and space.point_in_basic(p, d):
-            out.append(t)
-        return out
-
-    return PointName(space, enumerate_step(step), value=p)
+    lane = filter_lane(space.decode, partial(space.point_in_basic, p),
+                       lambda s: (space.encode_ball(p, Fraction(1, 2 ** s)),))
+    return PointName(space, lane, value=p)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from erctopo.ercs import (
+    Ercs,
     _BasisSearch,
     basis_search,
     check_main_property,
@@ -21,9 +22,10 @@ from erctopo.ercs import (
     sigma_cover,
     whole_space_compact,
 )
-from erctopo.kernel import Accepted, PENDING, run_process
+from erctopo.kernel import Accepted, PENDING, enumerate_step, run_process
 from erctopo.oracle import lift_finite, oracle_point, standard_oracle_spaces
 from erctopo.sets import (
+    OpenSet,
     closed_from_cdesc,
     compact_subset,
     member_open,
@@ -217,6 +219,29 @@ def test_open_subspace_ercs_solves_inner_search():
     assert F(0) < ka and kb < F(1)  # the patch is certified inside the subspace
 
 
+# sha256 of one "stage:item" line per item of the restricted system's
+# u_stream, k_stream and r_stream, read stage by stage, recorded while every
+# unknown patch was tested again whenever any part arrived; the last
+# subspace, (-2, 2) listed at stage 300 only, certifies patches seen before
+OPEN_SUBSPACE_PIN = "b3a864be1a7b91d1156f271d0c775bd22794d8a841e8c98bc4e39d652e4a633a"
+
+
+def test_open_subspace_ercs_listing_is_pinned():
+    late = OpenSet(_line, enumerate_step(
+        lambda t: (encode_interval(F(-2), F(2)),) if t == 300 else ()), label="late")
+    lines = []
+    for space, e, y, stages in ((_line, interval_ercs(_line), (F(0), F(1)), 4000),
+                                (_ui, interval_ercs(_ui), (F(1, 4), F(3, 4)), 6000),
+                                (_cantor, cantor_ercs(_cantor), "01", 1000),
+                                (_line, interval_ercs(_line), late, 1000)):
+        sub = open_subspace_ercs(e, y if y is late else open_from_fixture(space, y))
+        for name, stream in (("u", sub.u_stream), ("k", sub.k_stream), ("r", sub.r_stream)):
+            reader = stream.cursor()
+            lines += [f"{space.name}:{name}:{t}:{item!r}"
+                      for t in range(stages) for item in reader.upto(t + 1)]
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == OPEN_SUBSPACE_PIN
+
+
 def test_locally_closed_compact_base():
     a = closed_from_cdesc(_line, _line.make_cdesc([(F(0), F(2))]))
     y = open_from_fixture(_line, (F(-1), F(1)))
@@ -355,7 +380,7 @@ def test_pinch_search_qhat_at_infinity_accepts_in_whole_space():
     assert isinstance(run_process(proc, 10 ** 4), Accepted)
 
 
-# -- stage pins and idle-stage skipping -----------------------------------------
+# -- stage pins and the stages fast_forward applies -----------------------------------------
 
 def _criterion4_literals(kind: str) -> list[tuple]:
     """Every distinct literal of criterion 4's compact-base generator with
@@ -405,8 +430,9 @@ def test_criterion4_stages_and_witnesses_are_pinned():
 
 
 class _EveryStage(_BasisSearch):
-    """The basis search stepping every stage: the schedule without skipping."""
-    skip_idle = None
+    """The basis search stepping every stage: the schedule without
+    ``fast_forward``."""
+    fast_forward = None
 
 
 class _CountedSteps(_BasisSearch):
@@ -457,6 +483,25 @@ def _skip_cases():
                ("cantor-outside", _cantor_ercs, lambda: cantor_point(_cantor, "1", "0"),
                 lambda: open_from_fixture(_cantor, "0"))]
     cases += [(*case, 2000) for case in outside]
+    # patches with no description, certified by their own processes
+    bare = Ercs(_ui, _ui_ercs.u_stream, _ui_ercs.k_stream, _ui_ercs.r_stream,
+                lambda kid: None, _ui_ercs.compact_value)
+    for q in (F(3, 8), F(9, 10)):
+        cases.append((f"ui-undescribed:{q}", bare, lambda q=q: point_from_rational(_ui, q),
+                      lambda: open_from_fixture(_ui, (F(1, 4), F(3, 4))), 1000))
+    # hand-made pair streams on the line, at stages where neither name emits:
+    # the patch [-1/2, 1/2] is certified with a pair whose basic misses 0,
+    # and a later pair of it accepts, alone or behind a pair of another patch
+    patch, wide = encode_interval(F(-1, 2), F(1, 2)), encode_interval(F(-3), F(3))
+    miss, hold = encode_interval(F(1, 4), F(1, 3)), encode_interval(F(-1, 8), F(1, 8))
+    for label, table in (("certified-patch", {102: ((miss, patch),), 140: ((hold, patch),)}),
+                         ("two-pairs", {102: ((miss, patch),),
+                                        131: ((miss, wide), (hold, patch))})):
+        e = Ercs(_line, _line_ercs.u_stream, _line_ercs.k_stream,
+                 enumerate_step(lambda t, table=table: table.get(t, ())),
+                 _line_ercs.compact_cdesc, _line_ercs.compact_value)
+        cases.append((f"line-{label}", e, lambda: point_from_rational(_line, F(0)),
+                      lambda: open_from_fixture(_line, (F(-1), F(1))), 400))
     for fs in standard_oracle_spaces():
         space, e = lift_finite(fs)
         for p in fs.points:
@@ -486,11 +531,12 @@ def test_skipping_idle_stages_moves_no_answer():
         if first is not None:
             assert not _answer(_BasisSearch, *case, first - 1)[2], label
             assert _answer(_BasisSearch, *case, first)[2], label
-    # and the comparison is not vacuous: most stages of a line search are idle
+    # and the comparison is not vacuous: fast_forward applies more than
+    # three quarters of the stages of a line search
     e, make_x, make_u = _criterion4_case("line", (F(-2, 3), F(1, 4)))
     counted = _CountedSteps(e, make_x(), make_u())
     assert counted.poll(10 ** 5) == 1900
-    assert counted.steps < 1900 // 2
+    assert counted.steps < 1900 // 4
 
 
 # -- open intersection helper ------------------------------------------------------------

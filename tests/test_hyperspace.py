@@ -7,6 +7,7 @@ from itertools import product
 
 from erctopo.ercs import cantor_ercs, interval_ercs
 from erctopo.hyperspace import (
+    ForallSearch,
     SpecBits,
     consistency_refute,
     empty_or_predicate,
@@ -22,7 +23,7 @@ from erctopo.hyperspace import (
     subset_predicate,
 )
 from erctopo.kernel import Accepted, PENDING, run_process
-from erctopo.oracle import standard_oracle_spaces
+from erctopo.oracle import lift_finite, standard_oracle_spaces
 from erctopo.sets import (
     check_located_coherence,
     compact_from_cdesc,
@@ -422,3 +423,78 @@ def test_hyperspace_answers_are_pinned():
     lines = _hyperspace_answers()
     assert len(lines) == 12 + 4
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == HYPERSPACE_PIN
+
+
+# -- the stages fast_forward applies ---------------------------------------------
+
+class _EveryStageForall(ForallSearch):
+    """The forall search stepping every stage: the schedule without
+    ``fast_forward``."""
+    fast_forward = None
+
+
+def _forall_answer(cls, e, make, fuel: int, bigger: int | None = None):
+    """(stage, closing depth, stalled) of a fresh search polled at
+    ``fuel``, after a poll at ``bigger`` when given."""
+    search = cls(e, make())
+    if bigger is not None:
+        search.poll(bigger)
+    stage = search.poll(fuel)
+    return stage, None if stage is None else search.closing_depth, search.stalled
+
+
+def _forall_cases():
+    """(label, ercs, predicate maker): on every standard oracle space the
+    three predicate kinds (subset, isEmptyOr(meets), subset or meets) over
+    the first, a middle and the last open, and criterion 7's tautologies."""
+    cases = []
+    for fs in standard_oracle_spaces():
+        space, e = lift_finite(fs)
+        points = frozenset(fs.points)
+        opens = sorted(fs.opens, key=sorted)
+        for o in {opens[0], opens[len(opens) // 2], opens[-1]}:
+            other = opens[-1] if o != opens[-1] else opens[0]
+
+            def outside(o=o, space=space, points=points):
+                return compact_from_cdesc(space, points - o)
+
+            def meets(o, space=space, e=e):
+                return meets_predicate(e, open_from_fixture(space, o))
+
+            label = f"{fs.name}:{''.join(sorted(o))}"
+            cases += [
+                (f"{label}:subset", e, lambda e=e, outside=outside: subset_predicate(e, outside())),
+                (f"{label}:isEmptyOr", e,
+                 lambda e=e, space=space, points=points, o=o, meets=meets: empty_or_predicate(
+                     e, compact_from_cdesc(space, points), meets(o))),
+                (f"{label}:or", e,
+                 lambda e=e, outside=outside, other=other, meets=meets: or_predicate(
+                     subset_predicate(e, outside()), meets(other))),
+            ]
+    return cases + list(_tautologies())
+
+
+def test_forall_fast_forward_moves_no_answer():
+    accepted = 0
+    for label, e, make in _forall_cases():
+        for fuel in (50, 4000):
+            want = _forall_answer(_EveryStageForall, e, make, fuel)
+            assert _forall_answer(ForallSearch, e, make, fuel) == want, (label, fuel)
+            stage = want[0]
+            if stage is not None:
+                accepted += 1
+                # monotone in fuel: pending below the stage, the same answer above
+                assert _forall_answer(ForallSearch, e, make, stage)[0] is None, label
+                assert _forall_answer(ForallSearch, e, make, stage + 1) == want, label
+            # replay: the same fuel after a larger poll gives the same answer
+            assert _forall_answer(ForallSearch, e, make, fuel, bigger=4 * fuel) == want, \
+                (label, fuel)
+    # and the comparison is not vacuous: searches accept, at stages where the
+    # hook applied most of the stages
+    assert accepted > 30
+    search = ForallSearch(_ui_ercs, _tautologies()[1][2]())
+    steps = []
+    step = search.step
+    search.step = lambda t: steps.append(t) or step(t)
+    assert search.poll(10 ** 6) == 3013
+    assert len(steps) < 3013 // 4

@@ -14,9 +14,11 @@ from erctopo.kernel import (
     any_accepts,
     both_accept,
     dovetail_any,
+    emission_slot,
     enumerate_function,
     enumerate_list,
     enumerate_step,
+    filter_lane,
     interleave,
     never,
     pair,
@@ -283,6 +285,81 @@ def test_next_emission_is_the_next_unread_stage(items, stall_after, moves):
         assert list(reader.upto(stage + step)) == list(plain_reader.upto(stage + step))
         stage += step
         assert reader.quiescent(stage) == plain_reader.quiescent(stage)
+
+
+@PROPERTY
+@given(emissions, stall_stages, queried_reads)
+def test_groups_are_the_unread_stages_and_read_nothing(items, stall_after, moves):
+    src = _source(items, stall_after)
+    plain = _source(items, stall_after)   # the same reads without groups
+    ref = _source(items, stall_after)
+    reader, plain_reader = src.cursor(), plain.cursor()
+    stage = 0
+    for step, _, span in moves:
+        got = reader.groups(stage + span)
+        want = [(s, list(ref.between(s, s + 1))) for s in range(stage, stage + span)]
+        assert [(s, list(g)) for s, g in got] == [(s, g) for s, g in want if g]
+        assert list(reader.upto(stage + step)) == list(plain_reader.upto(stage + step))
+        stage += step
+
+
+# a filter lane: per stage the decoded basic (None: an invalid code), per
+# slot the seeds generated then (None: no seed lane), a stall stage (or
+# None), and the advance calls made: stages to move on, and to_emission
+decoded = st.lists(st.none() | st.integers(0, 20), max_size=80)
+slot_seeds = st.none() | st.lists(st.lists(st.integers(100, 199), max_size=2), max_size=12)
+lane_stalls = st.none() | st.integers(0, 90)
+advances = st.lists(st.tuples(st.integers(0, 40), st.booleans()), max_size=12)
+
+
+def _lane_parts(decodes, seed_table):
+    def decode(t):
+        return decodes[t] if t < len(decodes) else None
+
+    def test(d):
+        return d % 3 != 0
+
+    seeds = None
+    if seed_table is not None:
+        def seeds(s):
+            return seed_table[s] if s < len(seed_table) else ()
+    return decode, test, seeds
+
+
+def _lane_state(lane):
+    return (list(lane._items), lane._marks, lane._counts, lane._stage, lane.stalled)
+
+
+@PROPERTY
+@given(decoded, slot_seeds, lane_stalls, advances)
+def test_filter_lane_batches_equal_stage_by_stage_steps(decodes, seed_table,
+                                                        stall_after, moves):
+    decode, test, seeds = _lane_parts(decodes, seed_table)
+
+    def step(t):
+        # the lane as a step function, as the names wrote it by hand
+        s = emission_slot(t)
+        out = list(seeds(s)) if seeds is not None and s is not None else []
+        d = decode(t)
+        if d is not None and test(d):
+            out.append(t)
+        return out
+
+    lane = filter_lane(decode, test, seeds, stall_after)
+    ref = enumerate_step(step, stall_after=stall_after)
+    single = filter_lane(decode, test, seeds, stall_after)
+    stage = 0
+    for move, to_emission in moves:
+        stage += move
+        lane.advance(stage, to_emission)
+        ref.advance(stage, to_emission)
+        assert _lane_state(lane) == _lane_state(ref)
+        # one stage per call reaches the same state
+        while single._stage < lane._stage and not single.stalled:
+            single.advance(single._stage + 1)
+        assert _lane_state(single) == _lane_state(lane)
+    assert list(lane.listing(stage + 5)) == list(ref.listing(stage + 5))
+    assert lane.quiescent(stage + 5) == ref.quiescent(stage + 5)
 
 
 class _StallAt(Machine):

@@ -301,6 +301,28 @@ def test_basis_search_certifies_undescribed_patches():
             assert w.n == basis_search(e, point_from_rational(_ui, q), u, 10 ** 5).n
 
 
+# (system, probe) -> (stage, n, kid) of the basis search with no patch
+# description, inside (1/4, 3/4), recorded while every uncertified patch
+# process was polled again at every stage: stage numbers are answers
+UNDESCRIBED_SEARCH_PIN = {
+    ("interval", F(1, 2)): (1326, 653, 653),
+    ("interval", F(3, 8)): (395, 197, 197),
+    ("interval", F(5, 8)): (1326, 653, 653),
+    ("balls", F(1, 2)): (971, 527427, 18),
+    ("balls", F(3, 8)): (11545, 217383535, 69),
+    ("balls", F(5, 8)): (34839, 482332495, 123),
+}
+
+
+def test_undescribed_basis_search_stages_are_pinned():
+    for (kind, q), want in UNDESCRIBED_SEARCH_PIN.items():
+        e = (interval_ercs(_ui) if kind == "interval" else
+             ercs_from_compact_ball(_ui.metric, _ui_compact_ball_provider()))
+        u = open_from_fixture(_ui, (F(1, 4), F(3, 4)))
+        w = basis_search(_without_descriptions(e), point_from_rational(_ui, q), u, 10 ** 5)
+        assert (w.stage, w.n, w.kid) == want, (kind, q)
+
+
 # -- radius ----------------------------------------------------------------------------------
 
 def test_radius_line_half():
