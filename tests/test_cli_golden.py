@@ -5,7 +5,9 @@ bounds became an incremental tracker and the bound streams started testing
 improvements on integers.  Those changes may move no bracket and no
 ``fuelUsed``, so any difference here is a changed answer.  The ``forall``
 forms, the domain errors and the bit-literal errors were recorded before
-the space interface was cut to the methods its consumers call.
+the space interface was cut to the methods its consumers call; the
+``compact-base`` and ``consistency`` rows and the text envelope were
+recorded before the six commands became one table and one runner.
 """
 
 from __future__ import annotations
@@ -218,6 +220,42 @@ OTHER_GOLDEN = [
     # an interval is no basic of a finite space
     ('consistency --space finite:{a,b;d(a,b)=1} --bits (0,1)=1',
      1, '', "parse error: no index for the basic '(0,1)'\n"),
+    # compact-base: the README call verified with its witness, a point
+    # outside U that runs out of fuel, a space without a system and a
+    # literal that is no rational
+    ('compact-base --space real-line --x 0 --u (-1,1)',
+     0,
+     ('{"command":"compact-base","config":{"fuel":100000,"precision":10'
+      ',"space":"real-line"},"fuelUsed":100000,"result":"verified"'
+      ',"witness":{"memberStage":2,"neighborhood":"(-1/2,1/2)"'
+      ',"patch":["[-1/2,1/2]"],"subsetStage":0}}\n'),
+     ''),
+    ('compact-base --space real-line --x 2 --u (-1,1) --fuel 1000',
+     2,
+     ('{"command":"compact-base","config":{"fuel":1000,"precision":10'
+      ',"space":"real-line"},"fuelUsed":1000,"result":"Pending","witness":null}\n'),
+     ''),
+    ('compact-base --space star --x 0 --u (-1,1)',
+     3,
+     ('{"command":"compact-base","config":{"fuel":100000,"precision":10,"space":"star"}'
+      ',"fuelUsed":0,"result":"error: space has no relatively compact system"'
+      ',"witness":null}\n'),
+     ''),
+    ('compact-base --space real-line --x zero --u (-1,1)',
+     1, '', "parse error: bad rational literal 'zero'\n"),
+    # consistency: the README bits refuted with the cover witness, and a
+    # satisfiable specification that stays NoneYet
+    ('consistency --space cantor --bits [e]=1,[0]=0,[1]=0',
+     0,
+     ('{"command":"consistency","config":{"fuel":100000,"precision":10'
+      ',"space":"cantor"},"fuelUsed":100000,"result":"Refuted"'
+      ',"witness":{"cover":["\'0\'","\'1\'"],"patch":"(\'\',)","touched":"\'\'"}}\n'),
+     ''),
+    ('consistency --space cantor --bits [e]=0 --fuel 2000',
+     2,
+     ('{"command":"consistency","config":{"fuel":2000,"precision":10'
+      ',"space":"cantor"},"fuelUsed":2000,"result":"NoneYet","witness":null}\n'),
+     ''),
 ]
 
 
@@ -228,3 +266,56 @@ def test_other_command_answers_are_unchanged(argv, code, want_out, want_err):
     with redirect_stdout(out), redirect_stderr(err):
         got = main(argv.split() + ["--format", "json"])
     assert (got, out.getvalue(), err.getvalue()) == (code, want_out, want_err)
+
+
+# (argv, exit code, stdout): the text envelope, sorted keys without the
+# config, of each command's answer, a Pending and a domain error
+TEXT_GOLDEN = [
+    ('compact-base --space real-line --x 0 --u (-1,1) --format text',
+     0,
+     "command: compact-base\nfuelUsed: 100000\nresult: verified\n"
+     "witness: {'neighborhood': '(-1/2,1/2)', 'patch': ['[-1/2,1/2]'], "
+     "'memberStage': 2, 'subsetStage': 0}\n"),
+    ('consistency --space cantor --bits [e]=1,[0]=0,[1]=0 --format text',
+     0,
+     "command: consistency\nfuelUsed: 100000\nresult: Refuted\n"
+     "witness: {'touched': \"''\", 'patch': \"('',)\", "
+     "'cover': [\"'0'\", \"'1'\"]}\n"),
+    ('forall --space unit-interval --pred subset(open(-0.5,1.5)) --format text',
+     0,
+     "command: forall\nfuelUsed: 2\nresult: Accepted\n"
+     "witness: {'closingDepth': 0}\n"),
+    ('distance --space real-line --x 0 --located [1,2] --format text',
+     0,
+     "command: distance\nfuelUsed: 4\nresult: {'value': '32769/32768', "
+     "'lo': '1', 'hi': '16385/16384', 'tolerance': '2^-10'}\nwitness: None\n"),
+    ('hausdorff --space unit-interval --a [0,1/2] --b [1/2,1] --format text',
+     0,
+     "command: hausdorff\nfuelUsed: 2\nresult: {'value': '1/2', "
+     "'lo': '4095/8192', 'hi': '4097/8192', 'tolerance': '2^-10'}\n"
+     "witness: None\n"),
+    ('radius --space unit-interval --x 1/2 --ball [0,1] --format text',
+     0,
+     "command: radius\nfuelUsed: 1\nresult: {'value': '8191/16384', "
+     "'lo': '4095/8192', 'hi': '1/2', 'tolerance': '2^-10'}\nwitness: None\n"),
+    ('radius --space unit-interval --x 1/2 --ball [0,1] --fuel 1 --precision 20 '
+     '--format text',
+     2,
+     "command: radius\nfuelUsed: 1\nresult: Pending\nwitness: None\n"),
+    ('forall --space cantor --pred subset(open([0])) --fuel 3000 --format text',
+     2,
+     "command: forall\nfuelUsed: 3000\nresult: Pending\nwitness: None\n"),
+    ('radius --space cantor --x 0 --ball [0,1] --format text',
+     3,
+     "command: radius\nfuelUsed: 0\nresult: error: needs a metric space\n"
+     "witness: None\n"),
+]
+
+
+@pytest.mark.parametrize("argv, code, want", TEXT_GOLDEN,
+                         ids=[row[0] for row in TEXT_GOLDEN])
+def test_text_output_is_unchanged(argv, code, want):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        got = main(argv.split())
+    assert (got, out.getvalue(), err.getvalue()) == (code, want, '')
