@@ -1,6 +1,14 @@
 """Command-line surface: demos and conformance runs with reproducible,
 machine-readable output.
 
+The six commands are one table, :data:`COMMANDS`: each entry holds its
+help string, its literal flags, the bundle structure it needs with the
+error text when some of it is missing, and a ``run(bundle, args)`` that
+reads the literals and returns ``(result, witness, fuelUsed, exit code)``.
+One runner, :func:`run_command`, looks up the space, checks the structure,
+runs the command and emits the report ``command``, ``config``, ``result``,
+``witness``, ``fuelUsed``; the parser is built by a loop over the table.
+
 Exit codes: 0 verified success, 1 parse error, 2 pending (fuel ran out),
 3 domain error (unknown space, missing structure).  With ``--format json``
 the output is byte-identical across runs of the same invocation.
@@ -18,6 +26,7 @@ import os
 import sys
 from fractions import Fraction
 from functools import cache
+from typing import Callable, NamedTuple
 
 from .ercs import compact_base
 from .hyperspace import (
@@ -123,9 +132,11 @@ def parse_predicate(bundle, text: str):
         t = t.strip()
         head, args = _split_call(t)
         if head == "subset":
-            desc = _parse_open_literal(args[0])
-            outside = _outside_compact(bundle, desc)
-            return subset_predicate(e, outside)
+            outside = space.compact_complement(_parse_open_literal(args[0]))
+            if outside is None:
+                raise ParseError("subset(...) needs a compact ambient space "
+                                 "that can complement its basics")
+            return subset_predicate(e, compact_from_cdesc(space, outside))
         if head == "meets":
             desc = _parse_open_literal(args[0])
             return meets_predicate(e, open_from_fixture(space, desc))
@@ -158,14 +169,6 @@ def parse_predicate(bundle, text: str):
     return parse_expr(text)
 
 
-def _outside_compact(bundle, desc):
-    outside = bundle.space.compact_complement(desc)
-    if outside is None:
-        raise ParseError("subset(...) needs a compact ambient space that can "
-                         "complement its basics")
-    return compact_from_cdesc(bundle.space, outside)
-
-
 # ---------------------------------------------------------------------------
 # Reports
 
@@ -183,162 +186,130 @@ def emit(args, payload: dict) -> None:
                 sys.stdout.write(f"{key}: {payload[key]}\n")
 
 
-def _config(args) -> dict:
-    return {"space": args.space, "fuel": args.fuel, "precision": args.precision}
-
-
-def _bracket_payload(got, k: int):
-    lo, hi = got
-    mid = (lo + hi) / 2
-    return {"value": _fr(mid), "lo": _fr(lo), "hi": _fr(hi),
-            "tolerance": f"2^-{k}"}
-
-
 # ---------------------------------------------------------------------------
-# Commands
+# Commands: each reads its literals from ``args`` and returns
+# ``(result, witness, fuelUsed, exit code)``
 
-def cmd_compact_base(args) -> int:
-    bundle = registry_get(args.space)
-    if bundle.ercs is None:
-        emit(args, {"command": "compact-base", "config": _config(args),
-                    "result": "error: space has no relatively compact system",
-                    "witness": None, "fuelUsed": 0})
-        return DOMAIN_ERROR
-    x = point_from_rational(bundle.space, parse_rational(args.x))
-    u_desc = parse_open_interval(args.u)
-    u = open_from_fixture(bundle.space, u_desc)
-    got = compact_base(bundle.ercs, x, u, args.fuel)
+def _pending(args, result="Pending"):
+    return result, None, args.fuel, PENDING_EXIT
+
+
+def _approx(real, args):
+    """The bracket of ``real`` at ``--precision`` within ``--fuel``, or Pending."""
+    got = real.approx(args.precision, fuel=args.fuel)
     if got is None:
-        emit(args, {"command": "compact-base", "config": _config(args),
-                    "result": "Pending", "witness": None, "fuelUsed": args.fuel})
-        return PENDING_EXIT
+        return _pending(args)
+    lo, hi = got
+    return ({"value": _fr((lo + hi) / 2), "lo": _fr(lo), "hi": _fr(hi),
+             "tolerance": f"2^-{args.precision}"}, None, got.stage, OK)
+
+
+def _compact_base(bundle, args):
+    space = bundle.space
+    x = point_from_rational(space, parse_rational(args.x))
+    u_desc = parse_open_interval(args.u)
+    got = compact_base(bundle.ercs, x, open_from_fixture(space, u_desc), args.fuel)
+    if got is None:
+        return _pending(args)
     v, k = got
     inner = run_process(member_open(x, v), args.fuel)
-    outer = run_process(compact_subset(k, open_from_fixture(bundle.space, u_desc)),
+    outer = run_process(compact_subset(k, open_from_fixture(space, u_desc)),
                         args.fuel)
     ok = isinstance(inner, Accepted) and isinstance(outer, Accepted)
-    vdesc = bundle.space.decode(v.parts.listing(2)[0])
-    emit(args, {"command": "compact-base", "config": _config(args),
-                "result": "verified" if ok else "unverified",
-                "witness": {"neighborhood": f"({_fr(vdesc[0])},{_fr(vdesc[1])})",
-                            "patch": [f"[{_fr(p)},{_fr(q)}]" for p, q in k.cdesc],
-                            "memberStage": inner.stage,
-                            "subsetStage": outer.stage},
-                "fuelUsed": args.fuel})
-    return OK if ok else PENDING_EXIT
+    vdesc = space.decode(v.parts.listing(2)[0])
+    return ("verified" if ok else "unverified",
+            {"neighborhood": f"({_fr(vdesc[0])},{_fr(vdesc[1])})",
+             "patch": [f"[{_fr(p)},{_fr(q)}]" for p, q in k.cdesc],
+             "memberStage": inner.stage, "subsetStage": outer.stage},
+            args.fuel, OK if ok else PENDING_EXIT)
 
 
-def cmd_consistency(args) -> int:
-    bundle = registry_get(args.space)
-    if bundle.ercs is None:
-        emit(args, {"command": "consistency", "config": _config(args),
-                    "result": "error: space has no relatively compact system",
-                    "witness": None, "fuelUsed": 0})
-        return DOMAIN_ERROR
-    bits = parse_bits(bundle.space, args.bits)
-    cond = consistency_refute(bundle.ercs, bits, args.fuel)
-    if cond is None:
-        emit(args, {"command": "consistency", "config": _config(args),
-                    "result": "NoneYet", "witness": None, "fuelUsed": args.fuel})
-        return PENDING_EXIT
+def _consistency(bundle, args):
     space = bundle.space
-    emit(args, {"command": "consistency", "config": _config(args),
-                "result": "Refuted",
-                "witness": {"touched": repr(space.decode(cond.n)),
-                            "patch": repr(bundle.ercs.compact_cdesc(cond.kid)),
-                            "cover": sorted(repr(space.decode(i))
-                                            for i in cond.cover)},
-                "fuelUsed": args.fuel})
-    return OK
+    cond = consistency_refute(bundle.ercs, parse_bits(space, args.bits), args.fuel)
+    if cond is None:
+        return _pending(args, "NoneYet")
+    return ("Refuted",
+            {"touched": repr(space.decode(cond.n)),
+             "patch": repr(bundle.ercs.compact_cdesc(cond.kid)),
+             "cover": sorted(repr(space.decode(i)) for i in cond.cover)},
+            args.fuel, OK)
 
 
-def cmd_forall(args) -> int:
-    bundle = registry_get(args.space)
-    if bundle.ercs is None:
-        emit(args, {"command": "forall", "config": _config(args),
-                    "result": "error: space has no relatively compact system",
-                    "witness": None, "fuelUsed": 0})
-        return DOMAIN_ERROR
-    pred = parse_predicate(bundle, args.pred)
-    search = forall_located(bundle.ercs, pred)
+def _forall(bundle, args):
+    search = forall_located(bundle.ercs, parse_predicate(bundle, args.pred))
     res = run_process(search, args.fuel)
-    if isinstance(res, Accepted):
-        emit(args, {"command": "forall", "config": _config(args),
-                    "result": "Accepted",
-                    "witness": {"closingDepth": search.closing_depth},
-                    "fuelUsed": res.stage + 1})
-        return OK
-    emit(args, {"command": "forall", "config": _config(args),
-                "result": "Pending", "witness": None, "fuelUsed": args.fuel})
-    return PENDING_EXIT
+    if not isinstance(res, Accepted):
+        return _pending(args)
+    return ("Accepted", {"closingDepth": search.closing_depth}, res.stage + 1, OK)
 
 
-def cmd_distance(args) -> int:
+def _distance(bundle, args):
+    space = bundle.space
+    x = exact_metric_point(bundle.metric, space.parse_point(args.x))
+    a = located_from_cdesc(space, parse_located(space, args.located))
+    return _approx(distance_to_located(bundle.metric, bundle.ercs, x, a), args)
+
+
+def _hausdorff(bundle, args):
+    space = bundle.space
+    a = located_from_cdesc(space, parse_located(space, args.a))
+    b = located_from_cdesc(space, parse_located(space, args.b))
+    return _approx(hausdorff_distance(bundle.metric, bundle.ercs, a, b,
+                                      bundle.whole_hint), args)
+
+
+def _radius(bundle, args):
+    space = bundle.space
+    x = exact_metric_point(bundle.metric, space.parse_point(args.x))
+    cdesc = parse_located(space, args.ball)
+    return _approx(radius(bundle.metric, x, compact_from_cdesc(space, cdesc),
+                          overt_from_cdesc(space, cdesc)), args)
+
+
+class Command(NamedTuple):
+    help: str
+    flags: tuple[str, ...]      # the command's literals, each a required --flag
+    needs: tuple[str, ...]      # the bundle structure it runs on
+    missing: str                # the domain error when some of it is None
+    run: Callable
+
+
+_NO_SYSTEM = "space has no relatively compact system"
+
+COMMANDS = {
+    "compact-base": Command("find x in V inside K inside U", ("x", "u"),
+                            ("ercs",), _NO_SYSTEM, _compact_base),
+    "consistency": Command("refute a bit specification", ("bits",),
+                           ("ercs",), _NO_SYSTEM, _consistency),
+    "forall": Command("universally quantify over located sets", ("pred",),
+                      ("ercs",), _NO_SYSTEM, _forall),
+    "distance": Command("distance from a point to a located set",
+                        ("x", "located"), ("ercs", "metric"),
+                        "needs a metric and a relatively compact system", _distance),
+    "hausdorff": Command("Hausdorff distance of located sets", ("a", "b"),
+                         ("ercs", "metric", "whole_hint"),
+                         "needs a compact metric space with a system", _hausdorff),
+    "radius": Command("radius of a named closed ball", ("x", "ball"),
+                      ("metric",), "needs a metric space", _radius),
+}
+
+
+def run_command(args) -> int:
+    """Run ``args.command`` on the named space and emit its report; the exit
+    code is the command's, or a domain error when the space lacks the
+    structure the command needs."""
+    cmd = COMMANDS[args.command]
     bundle = registry_get(args.space)
-    if bundle.ercs is None or bundle.metric is None:
-        emit(args, {"command": "distance", "config": _config(args),
-                    "result": "error: needs a metric and a relatively compact system",
-                    "witness": None, "fuelUsed": 0})
-        return DOMAIN_ERROR
-    x = exact_metric_point(bundle.metric, bundle.space.parse_point(args.x))
-    a = located_from_cdesc(bundle.space, parse_located(bundle.space, args.located))
-    real = distance_to_located(bundle.metric, bundle.ercs, x, a)
-    got = real.approx(args.precision, fuel=args.fuel)
-    if got is None:
-        emit(args, {"command": "distance", "config": _config(args),
-                    "result": "Pending", "witness": None, "fuelUsed": args.fuel})
-        return PENDING_EXIT
-    emit(args, {"command": "distance", "config": _config(args),
-                "result": _bracket_payload(got, args.precision),
-                "witness": None, "fuelUsed": got.stage})
-    return OK
+    if any(getattr(bundle, name) is None for name in cmd.needs):
+        result, witness, used, code = f"error: {cmd.missing}", None, 0, DOMAIN_ERROR
+    else:
+        result, witness, used, code = cmd.run(bundle, args)
+    config = {"space": args.space, "fuel": args.fuel, "precision": args.precision}
+    emit(args, {"command": args.command, "config": config, "result": result,
+                "witness": witness, "fuelUsed": used})
+    return code
 
-
-def cmd_hausdorff(args) -> int:
-    bundle = registry_get(args.space)
-    if bundle.ercs is None or bundle.metric is None or bundle.whole_hint is None:
-        emit(args, {"command": "hausdorff", "config": _config(args),
-                    "result": "error: needs a compact metric space with a system",
-                    "witness": None, "fuelUsed": 0})
-        return DOMAIN_ERROR
-    a = located_from_cdesc(bundle.space, parse_located(bundle.space, args.a))
-    b = located_from_cdesc(bundle.space, parse_located(bundle.space, args.b))
-    real = hausdorff_distance(bundle.metric, bundle.ercs, a, b, bundle.whole_hint)
-    got = real.approx(args.precision, fuel=args.fuel)
-    if got is None:
-        emit(args, {"command": "hausdorff", "config": _config(args),
-                    "result": "Pending", "witness": None, "fuelUsed": args.fuel})
-        return PENDING_EXIT
-    emit(args, {"command": "hausdorff", "config": _config(args),
-                "result": _bracket_payload(got, args.precision),
-                "witness": None, "fuelUsed": got.stage})
-    return OK
-
-
-def cmd_radius(args) -> int:
-    bundle = registry_get(args.space)
-    if bundle.metric is None:
-        emit(args, {"command": "radius", "config": _config(args),
-                    "result": "error: needs a metric space",
-                    "witness": None, "fuelUsed": 0})
-        return DOMAIN_ERROR
-    x = exact_metric_point(bundle.metric, bundle.space.parse_point(args.x))
-    cdesc = parse_located(bundle.space, args.ball)
-    k = compact_from_cdesc(bundle.space, cdesc)
-    v = overt_from_cdesc(bundle.space, cdesc)
-    real = radius(bundle.metric, x, k, v)
-    got = real.approx(args.precision, fuel=args.fuel)
-    if got is None:
-        emit(args, {"command": "radius", "config": _config(args),
-                    "result": "Pending", "witness": None, "fuelUsed": args.fuel})
-        return PENDING_EXIT
-    emit(args, {"command": "radius", "config": _config(args),
-                "result": _bracket_payload(got, args.precision),
-                "witness": None, "fuelUsed": got.stage})
-    return OK
-
-
-# ---------------------------------------------------------------------------
 
 @cache
 def build_parser() -> argparse.ArgumentParser:
@@ -348,46 +319,14 @@ def build_parser() -> argparse.ArgumentParser:
         prog="erctopo",
         description="Exact computation with effectively locally compact spaces")
     sub = top.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    for name, cmd in COMMANDS.items():
+        p = sub.add_parser(name, help=cmd.help)
         p.add_argument("--space", required=True)
         p.add_argument("--fuel", type=int)
         p.add_argument("--precision", type=int, default=10)
         p.add_argument("--format", choices=("text", "json"), default="text")
-
-    p = sub.add_parser("compact-base", help="find x in V inside K inside U")
-    common(p)
-    p.add_argument("--x", required=True)
-    p.add_argument("--u", required=True)
-    p.set_defaults(run=cmd_compact_base)
-
-    p = sub.add_parser("consistency", help="refute a bit specification")
-    common(p)
-    p.add_argument("--bits", required=True)
-    p.set_defaults(run=cmd_consistency)
-
-    p = sub.add_parser("forall", help="universally quantify over located sets")
-    common(p)
-    p.add_argument("--pred", required=True)
-    p.set_defaults(run=cmd_forall)
-
-    p = sub.add_parser("distance", help="distance from a point to a located set")
-    common(p)
-    p.add_argument("--x", required=True)
-    p.add_argument("--located", required=True)
-    p.set_defaults(run=cmd_distance)
-
-    p = sub.add_parser("hausdorff", help="Hausdorff distance of located sets")
-    common(p)
-    p.add_argument("--a", required=True)
-    p.add_argument("--b", required=True)
-    p.set_defaults(run=cmd_hausdorff)
-
-    p = sub.add_parser("radius", help="radius of a named closed ball")
-    common(p)
-    p.add_argument("--x", required=True)
-    p.add_argument("--ball", required=True)
-    p.set_defaults(run=cmd_radius)
+        for flag in cmd.flags:
+            p.add_argument(f"--{flag}", required=True)
     return top
 
 
@@ -408,7 +347,7 @@ def main(argv=None) -> int:
         sys.stderr.write("fuel and precision must be nonnegative\n")
         return PARSE_ERROR
     try:
-        return args.run(args)
+        return run_command(args)
     except ParseError as exc:
         sys.stderr.write(f"parse error: {exc}\n")
         return PARSE_ERROR

@@ -297,8 +297,10 @@ class _BasisSearch(Machine):
                     return True
                 still_w.append(pair_)
             self._waiting = still_w
+        # quiescent sources and stalled patch processes: nothing can change
         if (self._parts.quiescent(t + 1) and self._nbs.quiescent(t + 1)
-                and self._pairs.quiescent(t + 1) and not self._kid_proc):
+                and self._pairs.quiescent(t + 1)
+                and all(self._kid_proc[kid].stalled for kid in self._live)):
             if not self._recheck_all(t):
                 self.stall()
                 return False

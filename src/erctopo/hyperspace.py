@@ -21,6 +21,7 @@ from .kernel import (
     MonotoneEnumerator,
     SemidecisionProcess,
     any_accepts,
+    enumerate_list,
     enumerate_step,
 )
 from .sets import (
@@ -333,9 +334,8 @@ class _TruthDriver:
         self._hits_version = 0
         self._region = self.space.region()
         self._region_version = -1
-        self._kids_of: dict[int, list[int]] = {}
-        self._registered: list[int] = []
-        self._registered_set: set[int] = set()
+        self._kids_of: dict[int, list[int]] = {}   # every pair read, by n
+        self._registered: set[int] = set()
         self._unresolved: set[int] = set()
         self._hits = a.overt_part.hits.cursor()
         self._co_parts = a.closed_part.complement.parts.cursor()
@@ -343,18 +343,13 @@ class _TruthDriver:
         self._us = e.u_stream.cursor()
 
     def register(self, n: int) -> None:
-        if n in self._registered_set:
+        if n in self._registered:
             return
-        self._registered_set.add(n)
-        self._registered.append(n)
-        if self.space.decode(n) is None:
+        self._registered.add(n)
+        d = self.space.decode(n)
+        if d is None:
             return
         self._unresolved.add(n)
-        # replay the stream prefix consumed before this index existed
-        for m, kid in self.e.r_stream.listing(self._stage):
-            if m == n:
-                self._kids_of.setdefault(n, []).append(kid)
-        d = self.space.decode(n)
         t = max(self._stage - 1, 0)
         if self._hit_index.some_inside(d):
             self._mark(n, "one", t)
@@ -393,10 +388,9 @@ class _TruthDriver:
         for p in new_parts:
             self._region.add(sp.decode(p))
         for n, kid in self._pairs.upto(t + 1):
-            if n in self._registered_set:
-                self._kids_of.setdefault(n, []).append(kid)
-                if n in self._unresolved and self._kid_avoids(kid):
-                    self._mark(n, "zero", t)
+            self._kids_of.setdefault(n, []).append(kid)
+            if n in self._unresolved and self._kid_avoids(kid):
+                self._mark(n, "zero", t)
         region_changed = self._region.version != self._region_version
         self._region_version = self._region.version
         for n in sorted(self._unresolved) if (new_hits or region_changed) else ():
@@ -619,19 +613,42 @@ def subset_predicate(e: Ercs, outside_compact: CompactSet):
     avoided basics swallow the region."""
 
     def build(oracle: PrefixOracle) -> SemidecisionProcess:
-        zeros = oracle.zero_indices()
-
-        class _ZeroUnion(MonotoneEnumerator[int]):
-            def step(self, t: int):
-                if t < len(zeros):
-                    return (zeros[t],)
-                self.stall()
-                return ()
-
-        return compact_subset(outside_compact,
-                              OpenSet(e.space, _ZeroUnion(), label="zero-bits"))
+        zeros = enumerate_list(oracle.zero_indices())
+        return compact_subset(outside_compact, OpenSet(e.space, zeros, label="zero-bits"))
 
     return build
+
+
+class _Meets(Machine):
+    """Accepts once a pair (n, kid) with n touched has its patch inside u."""
+
+    def __init__(self, e: Ercs, u: OpenSet, ones: set[int]) -> None:
+        super().__init__()
+        self.e = e
+        self.space = e.space
+        self._ones = ones
+        self._region = self.space.region()
+        self._region_version = -1
+        self._kids: list[int] = []
+        self._parts = u.parts.cursor()
+        self._pairs = e.r_stream.cursor()
+
+    def step(self, t: int) -> bool:
+        for p in self._parts.upto(t + 1):
+            self._region.add(self.space.decode(p))
+        for n, kid in self._pairs.upto(t + 1):
+            if n in self._ones:
+                self._kids.append(kid)
+                if self._kid_in(kid):
+                    return True
+        if self._region.version != self._region_version:
+            self._region_version = self._region.version
+            return any(self._kid_in(k) for k in self._kids)
+        return False
+
+    def _kid_in(self, kid: int) -> bool:
+        cdesc = self.e.compact_cdesc(kid)
+        return cdesc is not None and self._region.covers_cdesc(cdesc)
 
 
 def meets_predicate(e: Ercs, u: OpenSet):
@@ -639,35 +656,7 @@ def meets_predicate(e: Ercs, u: OpenSet):
     a patch inside it."""
 
     def build(oracle: PrefixOracle) -> SemidecisionProcess:
-        ones = set(oracle.one_indices())
-
-        class _Meets(Machine):
-            def __init__(self) -> None:
-                super().__init__()
-                self._region = e.space.region()
-                self._region_version = -1
-                self._kids: list[int] = []
-                self._parts = u.parts.cursor()
-                self._pairs = e.r_stream.cursor()
-
-            def step(self, t: int) -> bool:
-                for p in self._parts.upto(t + 1):
-                    self._region.add(e.space.decode(p))
-                for n, kid in self._pairs.upto(t + 1):
-                    if n in ones:
-                        self._kids.append(kid)
-                        if self._kid_in(kid):
-                            return True
-                if self._region.version != self._region_version:
-                    self._region_version = self._region.version
-                    return any(self._kid_in(k) for k in self._kids)
-                return False
-
-            def _kid_in(self, kid: int) -> bool:
-                cdesc = e.compact_cdesc(kid)
-                return cdesc is not None and self._region.covers_cdesc(cdesc)
-
-        return _Meets()
+        return _Meets(e, u, set(oracle.one_indices()))
 
     return build
 

@@ -539,6 +539,34 @@ def test_skipping_idle_stages_moves_no_answer():
     assert counted.steps < 1900 // 4
 
 
+def test_undescribed_search_stalls_where_the_described_one_does():
+    """With its patch descriptions dropped, a search on a finite space
+    accepts where the described one accepts and stalls where it stalls:
+    once the point, the open and the pairs are read, every patch process
+    left uncertified stalls, and so does the search."""
+    for fs in standard_oracle_spaces():
+        space, e = lift_finite(fs)
+        bare = Ercs(space, e.u_stream, e.k_stream, e.r_stream,
+                    lambda kid: None, e.compact_value)
+        for p in fs.points:
+            for o in sorted(fs.opens, key=sorted):
+                case = (lambda p=p, sp=space: oracle_point(sp, p),
+                        lambda o=o, sp=space: open_from_fixture(sp, o), 2000)
+                stage, _, stalled = _answer(_BasisSearch, e, *case)
+                bare_stage, _, bare_stalled = _answer(_BasisSearch, bare, *case)
+                assert (bare_stage is None, bare_stalled) == (stage is None, stalled), \
+                    (fs.name, p, sorted(o))
+    # point a against the empty open of finite:triangle: the described
+    # search stalls at fuel 20, the undescribed one soon after
+    fs = standard_oracle_spaces()[3]
+    space, e = lift_finite(fs)
+    bare = Ercs(space, e.u_stream, e.k_stream, e.r_stream, lambda kid: None, e.compact_value)
+    case = (lambda: oracle_point(space, "a"), lambda: open_from_fixture(space, frozenset()))
+    assert _first_stalled_fuel(_BasisSearch, e, *case, 300) == 20
+    first = _first_stalled_fuel(_BasisSearch, bare, *case, 300)
+    assert first is not None and _answer(_BasisSearch, bare, *case, 20000) == (None, None, True)
+
+
 # -- open intersection helper ------------------------------------------------------------
 
 def test_open_intersect_soundness_and_witnesses():

@@ -234,6 +234,27 @@ def test_roundtrip_unit_interval_probes():
     assert _accepts(member_open(probe, back.closed_part.complement), 10 ** 5)
 
 
+# sha256 of the roundtrip of [0, 1/2] read to stage 2000, with every mark
+# and its stage, recorded while a newly registered index replayed the pairs
+# read before it; three indices are asked for after the reading
+TRUTH_ROUNDTRIP_PIN = "59098e7b960b78463ce61145c4d4a36ca2face253e2b14b8c47e35647f121570"
+
+
+def test_truth_roundtrip_marks_are_pinned():
+    a = located_from_cdesc(_ui, _ui.make_cdesc([(F(0), F(1, 2))]))
+    t = spec_from_located(_ui_ercs, a)
+    back = located_from_truth(_ui_ercs, t)
+    co = back.closed_part.complement.parts.listing(2000)
+    hits = back.overt_part.hits.listing(2000)
+    late = [t.entry(encode_interval(p, q), 2000)
+            for p, q in ((F(3, 5), F(4, 5)), (F(1, 3), F(2, 3)), (F(-1, 7), F(1, 9)))]
+    assert late == [None, ("one", 652), ("one", 1999)]
+    marks = sorted(t._driver.marks.items())
+    assert (len(co), len(hits), len(marks)) == (3, 448, 523)
+    digest = hashlib.sha256(repr((co, hits, marks)).encode()).hexdigest()
+    assert digest == TRUTH_ROUNDTRIP_PIN
+
+
 def test_roundtrip_empty_located_set():
     a = located_from_cdesc(_ui, _ui.make_cdesc([]))
     back = located_from_truth(_ui_ercs, spec_from_located(_ui_ercs, a))
