@@ -24,7 +24,6 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 from functools import cache
 from typing import Callable, NamedTuple
 
@@ -61,9 +60,7 @@ from .spaces import (
     OutOfSpace,
     ParseError,
     UnknownSpace,
-    parse_open_interval,
-    parse_rational,
-    point_from_rational,
+    rational_text,
 )
 
 DEFAULT_FUEL_ENV = "ERCTOPO_DEFAULT_FUEL"
@@ -103,8 +100,8 @@ def parse_located(space, text: str):
 
 def parse_bits(space, text: str) -> SpecBits:
     """Comma-separated assignments ``basic=bit``; unassigned bits are 0.
-    Basics are ``[word]`` cylinders on cantor (``[e]`` is the root) and
-    ``(a,b)`` intervals elsewhere."""
+    Basics are ``[word]`` cylinders on cantor (``[e]`` is the root), point
+    sets ``{p,...}`` on finite spaces and ``(a,b)`` intervals elsewhere."""
     assigned: dict[int, int] = {}
     for chunk in _split_top(text):
         t = chunk.strip()
@@ -172,10 +169,6 @@ def parse_predicate(bundle, text: str):
 # ---------------------------------------------------------------------------
 # Reports
 
-def _fr(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
-
-
 def emit(args, payload: dict) -> None:
     if args.format == "json":
         sys.stdout.write(json.dumps(payload, sort_keys=True,
@@ -200,14 +193,15 @@ def _approx(real, args):
     if got is None:
         return _pending(args)
     lo, hi = got
-    return ({"value": _fr((lo + hi) / 2), "lo": _fr(lo), "hi": _fr(hi),
+    return ({"value": rational_text((lo + hi) / 2), "lo": rational_text(lo),
+             "hi": rational_text(hi),
              "tolerance": f"2^-{args.precision}"}, None, got.stage, OK)
 
 
 def _compact_base(bundle, args):
     space = bundle.space
-    x = point_from_rational(space, parse_rational(args.x))
-    u_desc = parse_open_interval(args.u)
+    x = space.point_name(space.parse_point(args.x))
+    u_desc = space.parse_basic(args.u)
     got = compact_base(bundle.ercs, x, open_from_fixture(space, u_desc), args.fuel)
     if got is None:
         return _pending(args)
@@ -218,8 +212,8 @@ def _compact_base(bundle, args):
     ok = isinstance(inner, Accepted) and isinstance(outer, Accepted)
     vdesc = space.decode(v.parts.listing(2)[0])
     return ("verified" if ok else "unverified",
-            {"neighborhood": f"({_fr(vdesc[0])},{_fr(vdesc[1])})",
-             "patch": [f"[{_fr(p)},{_fr(q)}]" for p, q in k.cdesc],
+            {"neighborhood": space.format_basic(vdesc),
+             "patch": space.format_located(k.cdesc),
              "memberStage": inner.stage, "subsetStage": outer.stage},
             args.fuel, OK if ok else PENDING_EXIT)
 

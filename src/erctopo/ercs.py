@@ -148,8 +148,10 @@ class _BasisSearch(Machine):
     point's name contributes a genuinely smaller neighborhood; patch
     certifications are retested only when the target's covered region
     changes, or, without description, when the patch's process advances.
-    These rules keep pending searches near-linear, and leave the stages at
-    which only pairs arrive so little to do that ``fast_forward`` parks them.
+    These rules keep pending searches near-linear, and leave the stages
+    between two parts of the target so little to do that ``fast_forward``
+    applies them in one loop: the point's neighborhoods, and the pairs,
+    parked under their patch or kept waiting.
     """
 
     def __init__(self, e: Ercs, x: PointName, u: OpenSet):
@@ -193,9 +195,20 @@ class _BasisSearch(Machine):
             self._live.remove(kid)
         return self._absorb_certified(self._parked.pop(kid, ()), t)
 
-    def _n_holds(self, n: int) -> bool:
-        d = self.space.decode(n)
-        return d is not None and self._x_index.some_inside(d)
+    def _n_holds(self, n: int, new=()) -> bool:
+        """Whether the point is known to lie in basic n, once the basics
+        ``new`` join its index: ``some_inside(d)`` then holds exactly when
+        it held or one of them is a ``basic_subset`` of d."""
+        sp = self.space
+        d = sp.decode(n)
+        if d is None:
+            return False
+        if self._x_index.some_inside(d):
+            return True
+        for nd in new:
+            if sp.basic_subset(nd, d):
+                return True
+        return False
 
     def _absorb_certified(self, pairs, t: int) -> bool:
         for pair_ in pairs:
@@ -206,38 +219,72 @@ class _BasisSearch(Machine):
         return False
 
     def fast_forward(self, t: int, limit: int) -> int:
-        """Parks the pairs of the stages before the next emission of the
-        point or the open, up to the first stage with several pairs or one
-        that could accept (a certified kid whose n holds; a fresh kid the
-        region covers or without description).  While a patch process runs
-        or once a source is quiescent, ``step`` takes every stage."""
+        """Applies the stages before the next part of the open, as ``step``
+        would: a stage's neighborhoods, then its pair, parked under a fresh
+        kid the region does not cover, under a parked kid, or kept waiting
+        under a certified kid whose basic misses the point.  Stops at the
+        first stage with several pairs or one that could accept: a fresh
+        kid the region covers or without description, a certified kid whose
+        basic holds the point, or an informative neighborhood that makes a
+        waiting pair's basic hold it, tested before the index holds it.
+        The point's name is read one emission ahead, no further than when
+        each of its emissions ended a run.  While a patch process runs, or
+        once the pairs are quiescent, ``step`` takes every stage."""
         if self._live:
             return t
-        parts, nbs, pairs = self._parts, self._nbs, self._pairs
-        s = nbs.next_emission(parts.next_emission(limit))
-        if s == t or parts.quiescent(s) or nbs.quiescent(s) or pairs.quiescent(s):
+        nbs, pairs = self._nbs, self._pairs
+        end = self._parts.next_emission(limit)
+        if end == t or pairs.quiescent(end):
             return t
+        marks, counts, items, m, last, a = pairs.groups(end)
+        nb = nbs.next_emission(end)
+        decode, index, n_holds = self.space.decode, self._x_index, self._n_holds
+        cdesc_of, covers = self.e.compact_cdesc, self._region.covers_cdesc
         ok, parked, waiting = self._kid_ok, self._parked, self._waiting
-        for g, group in pairs.groups(s):
-            if len(group) > 1:
-                s = g
-                break
-            pair_ = group[0]
-            kid = pair_[1]
-            if kid in ok:
-                if self._n_holds(pair_[0]):
+        unknown = self._kid_unknown
+        s = end
+        while True:
+            g = marks[m] if m < last else end
+            new = ()
+            if nb <= g:
+                if nb == end:
+                    break
+                g = nb
+                _, nb_counts, nb_items, k, _, b = nbs.groups(nb + 1)
+                new = [d for d in map(decode, nb_items[b:nb_counts[k]])
+                       if not index.some_inside(d)]
+                if new and any(n_holds(n, new) for n, _ in waiting):
                     s = g
                     break
-                waiting.append(pair_)
-            elif kid in parked:
-                parked[kid].append(pair_)
-            else:
-                cdesc = self.e.compact_cdesc(kid)
-                if cdesc is None or self._region.covers_cdesc(cdesc):
+            if m < last and marks[m] == g:
+                c = counts[m]
+                if c - a > 1:
                     s = g
                     break
-                parked[kid] = [pair_]
-                self._kid_unknown.append(kid)
+                pair_ = items[a]
+                kid = pair_[1]
+                if kid in ok:
+                    if n_holds(pair_[0], new):
+                        s = g
+                        break
+                    waiting.append(pair_)
+                elif kid in parked:
+                    parked[kid].append(pair_)
+                else:
+                    cdesc = cdesc_of(kid)
+                    if cdesc is None or covers(cdesc):
+                        s = g
+                        break
+                    parked[kid] = [pair_]
+                    unknown.append(kid)
+                m += 1
+                a = c
+            if g == nb:
+                for d in new:
+                    if not index.some_inside(d):
+                        index.add(d)
+                nbs.upto(nb + 1)
+                nb = nbs.next_emission(end)
         pairs.upto(s)
         return s
 

@@ -31,7 +31,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from math import isqrt
-from typing import Callable, Generic, Iterator, Sequence, TypeVar
+from typing import Callable, Generic, Sequence, TypeVar
 
 T = TypeVar("T")
 
@@ -338,17 +338,18 @@ class Cursor(Generic[T]):
                 return limit
         return min(marks[m], limit)
 
-    def groups(self, stage: int) -> Iterator[tuple[int, Sequence[T]]]:
-        """(s, items) for each stage s below ``stage`` at which the source
-        emits items this cursor has not returned: a peek; ``upto`` reads."""
+    def groups(self, stage: int) -> tuple[list[int], list[int], list[T], int, int, int]:
+        """The unread items below ``stage``, grouped by the stage that
+        emitted them, as index ranges for a caller that walks them in one
+        loop: ``(marks, counts, items, m, n, a)``, where stage ``marks[i]``,
+        m <= i < n, emitted ``items[counts[i - 1]:counts[i]]``, read from
+        ``items[a]`` on for i = m.  A peek: the lists are the source's own,
+        to be read and never changed, and ``upto`` reads."""
         src = self._source
         if src._stage < stage and not src._stalled:
             src.advance(stage)
-        marks, counts, items = src._marks, src._counts, src._items
-        a = self._pos
-        for m in range(self._mark, bisect_left(marks, stage, self._mark)):
-            yield marks[m], items[a:counts[m]]
-            a = counts[m]
+        marks, m = src._marks, self._mark
+        return marks, src._counts, src._items, m, bisect_left(marks, stage, m), self._pos
 
     def quiescent(self, stage: int) -> bool:
         """Same answer as ``MonotoneEnumerator.quiescent(stage)``."""

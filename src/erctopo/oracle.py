@@ -171,6 +171,22 @@ class OracleSpace(Space):
             raise OutOfSpace(f"{p!r} is not a point of {self.name}")
         return p
 
+    def parse_basic(self, text: str) -> frozenset:
+        """A basic written as its point set ``{p,...}``."""
+        t = text.strip()
+        d = None
+        if t.startswith("{") and t.endswith("}"):
+            d = frozenset(p.strip() for p in t[1:-1].split(",") if p.strip())
+        if d not in self.fs.base:
+            raise ParseError(f"no index for the basic {text!r}")
+        return d
+
+    def format_basic(self, d) -> str:
+        return "{" + ",".join(p for p in self.fs.points if p in d) + "}"
+
+    def format_located(self, cdesc) -> list[str]:
+        return [self.format_basic(cdesc)]
+
     def parse_located(self, text: str) -> frozenset:
         """Point sets ``{p,...}`` joined with '+'."""
         points = []

@@ -74,6 +74,11 @@ def parse_rational(text: str) -> Fraction:
         raise ParseError(f"bad rational literal {text!r}") from exc
 
 
+def rational_text(x: Fraction) -> str:
+    """``p/q``, or ``p`` for an integer: a literal parse_rational reads."""
+    return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
+
+
 def parse_open_interval(text: str):
     t = text.strip()
     if not (t.startswith("(") and t.endswith(")")):
@@ -587,6 +592,16 @@ class Space:
         """The exact point written in ``text``; the default reads a
         rational.  Raises ParseError or OutOfSpace."""
         return parse_rational(text)
+
+    def format_basic(self, d) -> str:
+        """The literal that ``parse_basic`` reads as the basic d; the
+        default writes an open interval ``(a,b)``."""
+        return f"({rational_text(d[0])},{rational_text(d[1])})"
+
+    def format_located(self, cdesc) -> list[str]:
+        """The chunks of a literal, joined with '+', that ``parse_located``
+        reads as cdesc; the default writes closed intervals ``[p,q]``."""
+        return [f"[{rational_text(p)},{rational_text(q)}]" for p, q in cdesc]
 
     def parse_located(self, text: str):
         """The compact description written in ``text``; the default reads
@@ -1374,7 +1389,29 @@ class _TraceRegion(Region):
             self.union.add(f)
 
     def covers_cdesc(self, cdesc) -> bool:
-        return all(self.union.covers((p, 0, q, 0)) for p, q in cdesc)
+        # Each closed piece [p, q] (nonempty by contract) against the one
+        # component that can hold p, the last whose left end is at most p
+        # (components are pairwise apart), with its ends compared on the
+        # integers as _cmp compares them.
+        parts, los = self.union._parts, self.union._los
+        for p, q in cdesc:
+            k = _bisect(los, p, 1)
+            if not k:
+                return False
+            lo, lo_open, hi, hi_open = parts[k - 1]
+            try:
+                pn, pd, qn, qd = p._numerator, p._denominator, q._numerator, q._denominator
+                ln, ld, hn, hd = lo._numerator, lo._denominator, hi._numerator, hi._denominator
+            except AttributeError:
+                (pn, pd), (qn, qd) = p.as_integer_ratio(), q.as_integer_ratio()
+                (ln, ld), (hn, hd) = lo.as_integer_ratio(), hi.as_integer_ratio()
+            # lo <= p by the bisection: only an open end at p fails
+            if lo_open and ln * pd == pn * ld:
+                return False
+            c = qn * hd - hn * qd
+            if c > 0 or c == 0 and hi_open:
+                return False
+        return True
 
 
 class _IntervalSpaceBase(_LineSubspace):
@@ -1426,6 +1463,30 @@ class _IntervalSpaceBase(_LineSubspace):
 
     def trace(self, d) -> tuple[Fiv]:
         return (self.fiv(d),)
+
+    def _ends(self, d):
+        """The ends of ``fiv(d)`` without its flags or the tuple."""
+        a, b = d
+        if self.lo_bound is not None and _cmp(a, self.lo_bound) < 0:
+            a = self.lo_bound
+        if self.hi_bound is not None and _cmp(b, self.hi_bound) > 0:
+            b = self.hi_bound
+        return a, b
+
+    # far and near as on _LineSubspace, over the one trace piece
+    def far(self, x, d, below: Fraction | None = None) -> Fraction | None:
+        lo, hi = self._ends(d)
+        if below is not None and (_cmp_diff(x, lo, below) >= 0
+                                  or _cmp_diff(hi, x, below) >= 0):
+            return None
+        return max(x - lo, hi - x)
+
+    def near(self, x, d, above: Fraction | None = None) -> Fraction | None:
+        lo, hi = self._ends(d)
+        if (above is not None and above >= 0 and _cmp_diff(lo, x, above) <= 0
+                and _cmp_diff(x, hi, above) <= 0):
+            return None
+        return max(lo - x, x - hi, Fraction(0))
 
     def _grid_spans(self, indices: Iterable[int]) -> list[tuple[int, int]]:
         # fiv(d) clamped on the grid, as rounding commutes with the clamps;

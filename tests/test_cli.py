@@ -12,8 +12,8 @@ from pathlib import Path
 import pytest
 
 import erctopo
-from erctopo.cli import main, parse_located, parse_open_interval, parse_rational
-from erctopo.spaces import UnitIntervalSpace
+from erctopo.cli import main, parse_located
+from erctopo.spaces import UnitIntervalSpace, parse_open_interval, parse_rational
 
 F = Fraction
 

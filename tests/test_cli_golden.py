@@ -7,7 +7,11 @@ improvements on integers.  Those changes may move no bracket and no
 forms, the domain errors and the bit-literal errors were recorded before
 the space interface was cut to the methods its consumers call; the
 ``compact-base`` and ``consistency`` rows and the text envelope were
-recorded before the six commands became one table and one runner.
+recorded before the six commands became one table and one runner.  The
+two ``compact-base`` rows and the point-set ``consistency`` row on a finite
+space were recorded when finite spaces began reading their basics as point
+sets and ``compact-base`` its point and basic through the space; the Cantor
+``compact-base`` row's output is the same before and after that change.
 """
 
 from __future__ import annotations
@@ -220,6 +224,13 @@ OTHER_GOLDEN = [
     # an interval is no basic of a finite space
     ('consistency --space finite:{a,b;d(a,b)=1} --bits (0,1)=1',
      1, '', "parse error: no index for the basic '(0,1)'\n"),
+    # a point set is: the set {a} meets {a} and {a,b} and misses {b}
+    ('consistency --space finite:{a,b;d(a,b)=1} --bits {a}=1,{a,b}=1 --fuel 2000',
+     2,
+     ('{"command":"consistency","config":{"fuel":2000,"precision":10'
+      ',"space":"finite:{a,b;d(a,b)=1}"},"fuelUsed":2000,"result":"NoneYet"'
+      ',"witness":null}\n'),
+     ''),
     # compact-base: the README call verified with its witness, a point
     # outside U that runs out of fuel, a space without a system and a
     # literal that is no rational
@@ -243,6 +254,20 @@ OTHER_GOLDEN = [
      ''),
     ('compact-base --space real-line --x zero --u (-1,1)',
      1, '', "parse error: bad rational literal 'zero'\n"),
+    # compact-base reads its point and basic through the space: on a finite
+    # space a point name and a point set, verified with its witness, and a
+    # set that is no basic; Cantor space names no exact point
+    ('compact-base --space finite:{a,b;d(a,b)=1} --x a --u {a}',
+     0,
+     ('{"command":"compact-base","config":{"fuel":100000,"precision":10'
+      ',"space":"finite:{a,b;d(a,b)=1}"},"fuelUsed":100000,"result":"verified"'
+      ',"witness":{"memberStage":0,"neighborhood":"{a}","patch":["{a}"]'
+      ',"subsetStage":0}}\n'),
+     ''),
+    ('compact-base --space finite:{a,b;d(a,b)=1} --x a --u {c}',
+     1, '', "parse error: no index for the basic '{c}'\n"),
+    ('compact-base --space cantor --x 0 --u [0]',
+     3, '', 'domain error: no exact points for cantor\n'),
     # consistency: the README bits refuted with the cover witness, and a
     # satisfiable specification that stays NoneYet
     ('consistency --space cantor --bits [e]=1,[0]=0,[1]=0',

@@ -35,6 +35,7 @@ from erctopo.sets import (
 from erctopo.spaces import (
     CantorSpace,
     LineSpace,
+    PointName,
     QhatSpace,
     UnitIntervalSpace,
     cantor_point,
@@ -502,6 +503,23 @@ def _skip_cases():
                  _line_ercs.compact_cdesc, _line_ercs.compact_value)
         cases.append((f"line-{label}", e, lambda: point_from_rational(_line, F(0)),
                       lambda: open_from_fixture(_line, (F(-1), F(1))), 400))
+    # hand-made names of 0 whose neighborhood (-1/64, 1/64) arrives at
+    # stage 160, inside a run (parts of (-1, 1) come at 156 and 162): it
+    # makes the basic (-1/16, 1/16) hold the point, for a pair kept waiting
+    # since 102, or for a pair of stage 160 itself, behind the neighborhood
+    small = encode_interval(F(-1, 16), F(1, 16))
+    names = {0: (encode_interval(F(-1, 2), F(1, 2)),),
+             160: (encode_interval(F(-1, 64), F(1, 64)),)}
+    for label, table in (("waiting-pair-holds", {102: ((small, patch),)}),
+                         ("shared-stage", {102: ((miss, patch),), 160: ((small, patch),)})):
+        e = Ercs(_line, _line_ercs.u_stream, _line_ercs.k_stream,
+                 enumerate_step(lambda t, table=table: table.get(t, ())),
+                 _line_ercs.compact_cdesc, _line_ercs.compact_value)
+        cases.append((f"line-{label}", e,
+                      lambda: PointName(_line, enumerate_step(lambda t: names.get(t, ())), F(0)),
+                      lambda: open_from_fixture(_line, (F(-1), F(1))), 400))
+    # the costliest criterion-4 literal, accepting at stage 49,786
+    cases.append(("line:(1, 1/4)", *_criterion4_case("line", (F(1), F(1, 4))), 10 ** 5))
     for fs in standard_oracle_spaces():
         space, e = lift_finite(fs)
         for p in fs.points:
@@ -531,12 +549,18 @@ def test_skipping_idle_stages_moves_no_answer():
         if first is not None:
             assert not _answer(_BasisSearch, *case, first - 1)[2], label
             assert _answer(_BasisSearch, *case, first)[2], label
-    # and the comparison is not vacuous: fast_forward applies more than
-    # three quarters of the stages of a line search
+    # and the comparison is not vacuous: of the 1,901 stages of a line
+    # search, step takes at most 69 and fast_forward applies the rest
     e, make_x, make_u = _criterion4_case("line", (F(-2, 3), F(1, 4)))
     counted = _CountedSteps(e, make_x(), make_u())
     assert counted.poll(10 ** 5) == 1900
-    assert counted.steps < 1900 // 4
+    assert counted.steps <= 69
+    # a run reads the point's name one emission ahead, no further than when
+    # every run ended at its next emission: for x = 1, to stage 49,792
+    e, make_x, make_u = _criterion4_case("line", (F(1), F(1, 4)))
+    x = make_x()
+    assert _BasisSearch(e, x, make_u()).poll(10 ** 5) == 49786
+    assert x.neighborhoods._stage <= 49792
 
 
 def test_undescribed_search_stalls_where_the_described_one_does():

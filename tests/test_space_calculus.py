@@ -258,3 +258,45 @@ def test_point_filter_lists_the_basics_containing_the_point(space, q):
         if d is not None and space.point_in_basic(q, d):
             want.append(t)
     assert list(space.point_name(q).neighborhoods.listing(stages)) == want
+
+
+# a region of up to four basics and up to three closed pieces, None for a
+# singleton; every end a quarter in [-2, 2], so that pieces often touch a
+# component's end, open, or closed at a clamp end of the unit interval
+# or of a piece of the gapped space
+_basics = st.lists(st.tuples(rationals, rationals).filter(lambda ab: ab[0] != ab[1]),
+                   max_size=4)
+_pieces = st.lists(st.tuples(rationals, rationals | st.none()), max_size=3)
+
+
+@PROPERTY
+@given(st.sampled_from([_line, _ui, _gap]), _basics, _pieces)
+@example(_line, [], [(F(0), F(1))])                     # the empty region
+@example(_line, [], [])
+@example(_line, [(F(0), F(1))], [(F(0), F(1, 2))])        # an open end at p
+@example(_line, [(F(0), F(1))], [(F(1), None)])           # a singleton at an open end
+@example(_ui, [(F(-1), F(1, 2))], [(F(0), F(1, 4))])      # a closed clamp end at p
+@example(_ui, [(F(1, 2), F(2))], [(F(3, 4), F(1))])       # and at q
+@example(_ui, [(F(0), F(1, 2)), (F(1, 4), F(2))], [(F(0), None), (F(1, 2), F(1))])
+@example(_gap, [(F(-1), F(2))], [(F(0), F(1, 3)), (F(1, 2), F(1))])
+@example(_gap, [(F(-1), F(1, 2))], [(F(1, 4), F(1, 2))])  # the trace ends at 1/3
+def test_region_covers_pieces_on_integers_as_on_fractions(space, basics, pieces):
+    region = space.region()
+    for a, b in basics:
+        d = space.decode(encode_interval(min(a, b), max(a, b)))
+        if d is not None:
+            region.add(d)
+    cdesc = space.make_cdesc([(p, p) if q is None else (min(p, q), max(p, q))
+                              for p, q in pieces])
+    # the reference: each piece as a closed fiv against the union
+    want = all(region.union.covers((p, 0, q, 0)) for p, q in cdesc)
+    assert region.covers_cdesc(cdesc) == want
+
+
+def test_region_covers_pieces_with_integer_ends():
+    """Ends that are ints, not Fractions, are read as _cmp reads them."""
+    region = _line.region()
+    region.add((0, 2))
+    assert region.covers_cdesc(((F(1, 2), 1), (1, 1)))
+    assert not region.covers_cdesc(((0, 1),))
+    assert not region.covers_cdesc(((1, 2),))
