@@ -224,9 +224,9 @@ def _consistency(bundle, args):
     if cond is None:
         return _pending(args, "NoneYet")
     return ("Refuted",
-            {"touched": repr(space.decode(cond.n)),
-             "patch": repr(bundle.ercs.compact_cdesc(cond.kid)),
-             "cover": sorted(repr(space.decode(i)) for i in cond.cover)},
+            {"touched": space.format_basic(space.decode(cond.n)),
+             "patch": space.format_located(bundle.ercs.compact_cdesc(cond.kid)),
+             "cover": sorted(space.format_basic(space.decode(i)) for i in cond.cover)},
             args.fuel, OK)
 
 

@@ -466,8 +466,101 @@ def filter_lane(decode: Callable[[int], object], test: Callable[[object], bool],
     stage, then t when ``decode(t)`` is not None and passes ``test``; it
     stalls at stage ``stall_after`` (None: never) as ``enumerate_step``
     does.  ``advance`` applies a run of stages in one loop, calling
-    ``seeds`` at slots only."""
+    ``seeds`` at slots only.  A lane whose test factors over the two
+    halves of ``t = pair(i, j)`` is :func:`pair_lane`, which finds the
+    same items without visiting every stage."""
     return _FilterLane(decode, test, seeds, stall_after)
+
+
+class _PairLane(MonotoneEnumerator[int]):
+    def __init__(self, left, right, join, seeds) -> None:
+        super().__init__()
+        self._lane = (left, right, join, seeds)
+        self._s = -1        # the diagonal whose events are loaded
+        self._next = 0      # its end: the first stage of diagonal s + 1
+        self._lmask = 0     # bit j: left(s - j)
+        self._rmask = 0     # bit j: right(j)
+        self._events: list[int] = []   # its stages that may emit, ascending
+        self._k = 0         # events already applied
+        self._slot = -1     # its slot stage, or -1
+        self._slot_hit = False   # whether that stage is t = pair(0, s) itself
+
+    def _diagonal(self) -> None:
+        """Loads diagonal s + 1: the codes pair(s + 1 - j, j), j = 0 .. s + 1."""
+        left, right, join, seeds = self._lane
+        s = self._s = self._s + 1
+        lmask = self._lmask = self._lmask << 1 | left(s)
+        rmask = self._rmask = self._rmask | right(s) << s
+        base = s * (s + 1) >> 1
+        events = []
+        c = lmask & rmask
+        while c:
+            low = c & -c
+            c ^= low
+            j = low.bit_length() - 1
+            if join is None or join(s - j, j):
+                events.append(base + j)
+        last = base + s
+        self._next = last + 1
+        self._slot_hit = hit = bool(events) and events[-1] == last
+        self._slot = -1
+        if seeds is not None and last in _SLOT_AT:
+            self._slot = last
+            if not hit:
+                events.append(last)
+        self._events, self._k = events, 0
+
+    def advance(self, stage: int, to_emission: bool = False) -> None:
+        # as _FilterLane.advance, stage by stage, but only the stages in
+        # _events can emit
+        items, marks, counts = self._items, self._marks, self._counts
+        while self._stage < stage:
+            events, k = self._events, self._k
+            n = len(events)
+            while k < n:
+                e = events[k]
+                if e >= stage:
+                    self._k, self._stage = k, stage
+                    return
+                k += 1
+                if e == self._slot:
+                    seeded = self._lane[3](self._s)
+                    items.extend(seeded)
+                    if self._slot_hit:
+                        items.append(e)
+                    elif not seeded:
+                        continue
+                else:
+                    items.append(e)
+                marks.append(e)
+                counts.append(len(items))
+                if to_emission:
+                    self._k, self._stage = k, e + 1
+                    return
+            self._k = k
+            if self._next >= stage:
+                self._stage = stage
+                return
+            self._stage = self._next
+            self._diagonal()
+
+
+def pair_lane(left: Callable[[int], bool], right: Callable[[int], bool],
+              join: Callable[[int, int], bool] | None,
+              seeds: Callable[[int], Sequence[int]] | None = None
+              ) -> MonotoneEnumerator[int]:
+    """The never-stalling :func:`filter_lane` whose code t = pair(i, j)
+    passes exactly when ``left(i)``, ``right(j)`` and ``join(i, j)`` hold
+    (None: always), with the same items, change points and stages.
+
+    Stage order walks the pairing's diagonals: diagonal s holds the codes
+    pair(s - j, j), j = 0 .. s, at stages s(s + 1)/2 + j, and ends at the
+    slot stage of seed slot s.  Each diagonal calls ``left(s)`` and
+    ``right(s)`` once, into truth masks of i and of j, and its candidates,
+    the j where both hold, are ``rmask & lmask`` with ``lmask = lmask << 1
+    | left(s)``; only they are joined.  The lane's work grows with its
+    candidates and diagonals, not with its stages."""
+    return _PairLane(left, right, join, seeds)
 
 
 class _Interleave(MonotoneEnumerator[T]):

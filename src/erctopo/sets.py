@@ -110,9 +110,7 @@ def open_from_fixture(space: Space, desc) -> OpenSet:
         core = space.shrunk_core(desc, s)
         return (core,) if core is not None and space.decode(core) is not None else ()
 
-    lane = filter_lane(space.decode, space.basic_subset_test(desc), seeds,
-                       space.finite_basic_count)
-    return OpenSet(space, lane, label=f"fixture:{desc!r}")
+    return OpenSet(space, space.subset_lane(desc, seeds), label=f"fixture:{desc!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,7 @@ from .kernel import (
     enumerate_step,
     filter_lane,
     pair,
+    pair_lane,
     unpair,
 )
 
@@ -124,6 +125,21 @@ def encode_rational(q: Fraction) -> int:
     if not isinstance(q, Fraction):
         q = Fraction(q)
     return pair(zigzag_inv(q.numerator), q.denominator - 1)
+
+
+# Entry i is decode_rational(i) as (numerator, denominator), not always in
+# lowest terms: the end tests of the diagonal lanes read the ends of
+# interval codes here, one table for every lane, grown as they reach
+# further diagonals.
+_ENDS: list[tuple[int, int]] = []
+
+
+def _end(i: int) -> tuple[int, int]:
+    ends = _ENDS
+    while len(ends) <= i:
+        u, v = unpair(len(ends))
+        ends.append((zigzag(u), v + 1))
+    return ends[i]
 
 
 _new_object = object.__new__
@@ -477,11 +493,13 @@ class Space:
     def basic_subset(self, d1, d2) -> bool:
         raise NotImplementedError
 
-    def basic_subset_test(self, d2) -> Callable[[object], bool]:
-        """The predicate ``d1 -> basic_subset(d1, d2)``, for a filter that
-        tests many basics against one fixed d2; a space may prepare d2
-        once."""
-        return lambda d1: self.basic_subset(d1, d2)
+    def subset_lane(self, desc, seeds) -> MonotoneEnumerator[int]:
+        """The lane of ``open_from_fixture``: at each slot stage the codes
+        ``seeds(slot)``, then each code t whose basic is a ``basic_subset``
+        of the basic desc; it stalls at ``finite_basic_count``.  A space
+        may find the same stages more cheaply."""
+        return filter_lane(self.decode, lambda d1: self.basic_subset(d1, desc), seeds,
+                           self.finite_basic_count)
 
     def point_in_basic(self, value, d) -> bool:
         raise NotImplementedError
@@ -976,20 +994,26 @@ class _LineSubspace(Space):
         q = Fraction(value)
         if not self.in_carrier(q):
             raise OutOfSpace(f"{q} outside carrier of {self.name}")
-        # point_in_basic(q, d) with q's carrier test done above: a < q < b
-        # on the integers of the decoded ends
+        # The filter of point_in_basic(q, decode(t)), q's carrier test done
+        # above: a < q on the code of a and q < b on the code of b.  They
+        # imply a < b, and a trace that holds q, so decode passes every
+        # such code, even on a carrier with gaps: the lane walks diagonals
+        # with no join.
         qn, qd = q.numerator, q.denominator
 
         def seeds(s: int):
             eps = Fraction(1, 2 ** s)
             return (encode_interval(q - eps, q + eps),)
 
-        def test(d) -> bool:
-            a, b = d
-            return (a._numerator * qd < qn * a._denominator
-                    and qn * b._denominator < b._numerator * qd)
+        def left(i: int) -> bool:
+            n, d = _end(i)
+            return n * qd < qn * d
 
-        return PointName(self, filter_lane(self.decode, test, seeds), value=q)
+        def right(j: int) -> bool:
+            n, d = _end(j)
+            return qn * d < n * qd
+
+        return PointName(self, pair_lane(left, right, None, seeds), value=q)
 
     def compact_complement(self, d):
         whole = self.whole_compact_desc
@@ -1430,25 +1454,36 @@ class _IntervalSpaceBase(_LineSubspace):
         self._grid_lo = None if self.lo_bound is None else _grid_floor(self.lo_bound)
         self._grid_hi = None if self.hi_bound is None else _grid_ceil(self.hi_bound)
 
-    def basic_subset_test(self, d2) -> Callable[[object], bool]:
-        # fiv_subset(fiv(d1), fiv(d2)) compares lo keys (value, flag) and
+    def subset_lane(self, desc, seeds) -> MonotoneEnumerator[int]:
+        # fiv_subset(fiv(d1), fiv(desc)) compares lo keys (value, flag) and
         # hi keys (value, 1 - flag).  fiv's lo key for (a, b) is the larger
         # of (a, 1) and (lo_bound, 0), its hi key the smaller of (b, 0) and
-        # (hi_bound, 1).  Where fiv(d2) is clamped, its key is that bound
+        # (hi_bound, 1).  Where fiv(desc) is clamped, its key is that bound
         # key, which no trace's key passes: the side always holds.  Where it
         # is not, its key (a2, 1) (or (b2, 0)) lies on the carrier's side of
-        # the bound key, so the side holds exactly when a2 <= a1 (b1 <= b2).
-        lo, lof, hi, hif = self.fiv(d2)
-        lo_n, lo_d = (None, None) if not lof else lo.as_integer_ratio()
-        hi_n, hi_d = (None, None) if not hif else hi.as_integer_ratio()
+        # the bound key, so the side holds exactly when a2 <= a (b <= b2).
+        # Add decode's a < b, lo_bound < b and a < hi_bound: with lo, hi
+        # the ends of fiv(desc), a code passes exactly when lo <= a (on an
+        # unclamped side) and a < hi, lo < b and b <= hi (on an unclamped
+        # side), and a < b.  (a < hi follows from b <= b2 or the carrier,
+        # lo < b from a2 <= a or the carrier.)  Only a < b joins the ends.
+        lo, lof, hi, hif = self.fiv(desc)
+        (ln, ld), (hn, hd) = lo.as_integer_ratio(), hi.as_integer_ratio()
+        ends = _ENDS
 
-        def test(d1) -> bool:
-            a, b = d1
-            if lo_n is not None and a._numerator * lo_d < lo_n * a._denominator:
-                return False
-            return hi_n is None or b._numerator * hi_d <= hi_n * b._denominator
+        def left(i: int) -> bool:
+            n, d = _end(i)
+            return n * hd < hn * d and (not lof or ln * d <= n * ld)
 
-        return test
+        def right(j: int) -> bool:
+            n, d = _end(j)
+            return ln * d < n * ld and (not hif or n * hd <= hn * d)
+
+        def join(i: int, j: int) -> bool:
+            (an, ad), (bn, bd) = ends[i], ends[j]
+            return an * bd < bn * ad
+
+        return pair_lane(left, right, join, seeds)
 
     def fiv(self, d) -> Fiv:
         """Effective endpoints of the trace of the open interval d."""
@@ -1567,15 +1602,64 @@ class _FivBasicCoverIndex:
 
 
 class _FivBasicInsideIndex:
+    """``FivInsideIndex`` over the traces ``fiv(d)`` of basics, with each
+    trace held as an integer key ``(lo numerator, lo denominator, lo flag,
+    hi numerator, hi denominator, hi flag)``: a query reads the ends of d,
+    clamps them to the carrier and compares them on integers, with no fiv
+    built."""
+
     def __init__(self, space: _IntervalSpaceBase):
-        self.space = space
-        self.index = FivInsideIndex()
+        self._hull = space._hull
+        self._keys: list[tuple[int, int, int, int, int, int]] = []
+
+    def _find(self, d):
+        """The key of ``fiv(d)``, and the first member whose lo key is at
+        least its lo key: the member with the least hi key among those, as
+        hi keys grow with lo keys (see ``FivInsideIndex``)."""
+        a, b = d
+        try:
+            an, ad, bn, bd = a._numerator, a._denominator, b._numerator, b._denominator
+        except AttributeError:
+            (an, ad), (bn, bd) = a.as_integer_ratio(), b.as_integer_ratio()
+        lf = hf = 1
+        lo, hi = self._hull
+        if lo is not None and an * lo[1] < lo[0] * ad:
+            (an, ad), lf = lo, 0
+        if hi is not None and bn * hi[1] > hi[0] * bd:
+            (bn, bd), hf = hi, 0
+        keys = self._keys
+        k, top = 0, len(keys)
+        while k < top:
+            mid = (k + top) >> 1
+            m = keys[mid]
+            c = m[0] * ad - an * m[1]
+            if c < 0 or c == 0 and m[2] < lf:
+                k = mid + 1
+            else:
+                top = mid
+        return k, (an, ad, lf, bn, bd, hf)
 
     def add(self, d) -> None:
-        self.index.add(self.space.fiv(d))
+        k, key = self._find(d)
+        keys = self._keys
+        if k < len(keys) and _key_hi_within(keys[k], key):
+            return
+        j = k
+        while j and _key_hi_within(key, keys[j - 1]):
+            j -= 1
+        keys[j:k] = [key]
 
     def some_inside(self, d) -> bool:
-        return self.index.some_inside(self.space.fiv(d))
+        k, key = self._find(d)
+        keys = self._keys
+        return k < len(keys) and _key_hi_within(keys[k], key)
+
+
+def _key_hi_within(m, f) -> bool:
+    """The hi key of m is at most f's: its end is left of f's, or at it
+    and open or f's closed."""
+    c = m[3] * f[4] - f[3] * m[4]
+    return c < 0 or c == 0 and m[5] >= f[5]
 
 
 class _FivHullInsideIndex:
@@ -1776,6 +1860,13 @@ class CantorSpace(Space):
         if set(word) - {"0", "1"}:
             raise ParseError(f"cylinder word must be binary: {text!r}")
         return word
+
+    def format_basic(self, d: str) -> str:
+        return f"[{d or 'e'}]"
+
+    def format_located(self, cdesc) -> list[str]:
+        """The cylinders of cdesc, each written as a basic."""
+        return [self.format_basic(w) for w in cdesc]
 
     def compact_complement(self, d: str):
         return self.make_cdesc(_cantor_complement((d,)))

@@ -12,6 +12,11 @@ two ``compact-base`` rows and the point-set ``consistency`` row on a finite
 space were recorded when finite spaces began reading their basics as point
 sets and ``compact-base`` its point and basic through the space; the Cantor
 ``compact-base`` row's output is the same before and after that change.
+The ``consistency`` witness was written with ``repr`` of the decoded
+basics until it was written through the space's ``format_basic`` and
+``format_located``, so that a finite space's point sets print in one
+order: the two Cantor ``consistency`` Refuted rows (JSON and text) changed
+then, and the finite-space Refuted row was added.
 """
 
 from __future__ import annotations
@@ -274,7 +279,15 @@ OTHER_GOLDEN = [
      0,
      ('{"command":"consistency","config":{"fuel":100000,"precision":10'
       ',"space":"cantor"},"fuelUsed":100000,"result":"Refuted"'
-      ',"witness":{"cover":["\'0\'","\'1\'"],"patch":"(\'\',)","touched":"\'\'"}}\n'),
+      ',"witness":{"cover":["[0]","[1]"],"patch":["[e]"],"touched":"[e]"}}\n'),
+     ''),
+    # a point-set witness on a finite space, written as the space writes
+    # its literals: the same bytes whatever the string hashing
+    ('consistency --space finite:{a,b;d(a,b)=1} --bits {a}=1,{b}=1,{a,b}=0',
+     0,
+     ('{"command":"consistency","config":{"fuel":100000,"precision":10'
+      ',"space":"finite:{a,b;d(a,b)=1}"},"fuelUsed":100000,"result":"Refuted"'
+      ',"witness":{"cover":["{a,b}"],"patch":["{a}"],"touched":"{a}"}}\n'),
      ''),
     ('consistency --space cantor --bits [e]=0 --fuel 2000',
      2,
@@ -304,8 +317,7 @@ TEXT_GOLDEN = [
     ('consistency --space cantor --bits [e]=1,[0]=0,[1]=0 --format text',
      0,
      "command: consistency\nfuelUsed: 100000\nresult: Refuted\n"
-     "witness: {'touched': \"''\", 'patch': \"('',)\", "
-     "'cover': [\"'0'\", \"'1'\"]}\n"),
+     "witness: {'touched': '[e]', 'patch': ['[e]'], 'cover': ['[0]', '[1]']}\n"),
     ('forall --space unit-interval --pred subset(open(-0.5,1.5)) --format text',
      0,
      "command: forall\nfuelUsed: 2\nresult: Accepted\n"

@@ -46,6 +46,7 @@ from erctopo.spaces import (
 )
 
 from oracle_harness import OracleFixture
+from test_kernel import assert_fast_forward_twin
 
 F = Fraction
 
@@ -430,12 +431,6 @@ def test_criterion4_stages_and_witnesses_are_pinned():
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == CRITERION4_PIN
 
 
-class _EveryStage(_BasisSearch):
-    """The basis search stepping every stage: the schedule without
-    ``fast_forward``."""
-    fast_forward = None
-
-
 class _CountedSteps(_BasisSearch):
     steps = 0
 
@@ -530,25 +525,14 @@ def _skip_cases():
     return cases
 
 
+def _witness(m: _BasisSearch):
+    return None if m.witness is None else (m.witness.n, m.witness.kid, m.witness.stage)
+
+
 def test_skipping_idle_stages_moves_no_answer():
     for label, e, make_x, make_u, fuel in _skip_cases():
-        case = (e, make_x, make_u)
-        want = _answer(_EveryStage, *case, fuel)
-        assert _answer(_BasisSearch, *case, fuel) == want, label
-        stage, _, stalled = want
-        if stage is not None:
-            # monotone in fuel: pending below the stage, the same answer above
-            assert _answer(_BasisSearch, *case, stage)[0] is None, label
-            assert _answer(_BasisSearch, *case, stage + 1) == want, label
-        # replay: the same fuel after a larger poll gives the same answer
-        assert _answer(_BasisSearch, *case, fuel, bigger=4 * fuel) == want, label
-        # stalled becomes true at the same fuel
-        first = _first_stalled_fuel(_EveryStage, *case, fuel)
-        assert _first_stalled_fuel(_BasisSearch, *case, fuel) == first, label
-        assert stalled == (first is not None), label
-        if first is not None:
-            assert not _answer(_BasisSearch, *case, first - 1)[2], label
-            assert _answer(_BasisSearch, *case, first)[2], label
+        assert_fast_forward_twin(lambda: _BasisSearch(e, make_x(), make_u()), fuel,
+                                 _witness, label)
     # and the comparison is not vacuous: of the 1,901 stages of a line
     # search, step takes at most 69 and fast_forward applies the rest
     e, make_x, make_u = _criterion4_case("line", (F(-2, 3), F(1, 4)))

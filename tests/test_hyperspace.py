@@ -41,6 +41,7 @@ from erctopo.spaces import (
 )
 
 from oracle_harness import OracleFixture
+from test_kernel import assert_fast_forward_twin
 
 F = Fraction
 
@@ -448,22 +449,6 @@ def test_hyperspace_answers_are_pinned():
 
 # -- the stages fast_forward applies ---------------------------------------------
 
-class _EveryStageForall(ForallSearch):
-    """The forall search stepping every stage: the schedule without
-    ``fast_forward``."""
-    fast_forward = None
-
-
-def _forall_answer(cls, e, make, fuel: int, bigger: int | None = None):
-    """(stage, closing depth, stalled) of a fresh search polled at
-    ``fuel``, after a poll at ``bigger`` when given."""
-    search = cls(e, make())
-    if bigger is not None:
-        search.poll(bigger)
-    stage = search.poll(fuel)
-    return stage, None if stage is None else search.closing_depth, search.stalled
-
-
 def _forall_cases():
     """(label, ercs, predicate maker): on every standard oracle space the
     three predicate kinds (subset, isEmptyOr(meets), subset or meets) over
@@ -498,18 +483,9 @@ def _forall_cases():
 def test_forall_fast_forward_moves_no_answer():
     accepted = 0
     for label, e, make in _forall_cases():
-        for fuel in (50, 4000):
-            want = _forall_answer(_EveryStageForall, e, make, fuel)
-            assert _forall_answer(ForallSearch, e, make, fuel) == want, (label, fuel)
-            stage = want[0]
-            if stage is not None:
-                accepted += 1
-                # monotone in fuel: pending below the stage, the same answer above
-                assert _forall_answer(ForallSearch, e, make, stage)[0] is None, label
-                assert _forall_answer(ForallSearch, e, make, stage + 1) == want, label
-            # replay: the same fuel after a larger poll gives the same answer
-            assert _forall_answer(ForallSearch, e, make, fuel, bigger=4 * fuel) == want, \
-                (label, fuel)
+        want = assert_fast_forward_twin(lambda: ForallSearch(e, make()), 4000,
+                                        lambda search: search.closing_depth, label)
+        accepted += sum(want[fuel][0] is not None for fuel in (50, 4000))
     # and the comparison is not vacuous: searches accept, at stages where the
     # hook applied most of the stages
     assert accepted > 30

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -22,6 +23,7 @@ from erctopo.kernel import (
     interleave,
     never,
     pair,
+    pair_lane,
     process_from_check,
     run_process,
     search,
@@ -364,6 +366,113 @@ def test_filter_lane_batches_equal_stage_by_stage_steps(decodes, seed_table,
         assert _lane_state(single) == _lane_state(lane)
     assert list(lane.listing(stage + 5)) == list(ref.listing(stage + 5))
     assert lane.quiescent(stage + 5) == ref.quiescent(stage + 5)
+
+
+# a diagonal lane: the truth tables of the two ends, the joined pairs
+# (i + j) % join_mod != 0 (0: no join), per slot the seeds, and the reads
+# made: stages to move on, and whether to stop at an emission
+end_tables = st.lists(st.booleans(), min_size=60, max_size=60)
+join_mods = st.integers(0, 4)
+diagonal_moves = st.lists(st.tuples(st.integers(0, 120), st.booleans()), max_size=25)
+
+
+@PROPERTY
+@given(end_tables, end_tables, join_mods, slot_seeds, diagonal_moves)
+def test_pair_lane_equals_the_filter_lane(lefts, rights, join_mod, seed_table, moves):
+    # stages up to 1,770, the first 59 diagonals, so every end index is
+    # below 60
+    join = None if not join_mod else (lambda i, j: (i + j) % join_mod != 0)
+    seeds = _lane_parts([], seed_table)[2]
+
+    def test(d):
+        i, j = d
+        return lefts[i] and rights[j] and (join is None or join(i, j))
+
+    lane = pair_lane(lefts.__getitem__, rights.__getitem__, join, seeds)
+    ref = filter_lane(unpair, test, seeds)
+    stage = 0
+    for move, to_emission in moves:
+        stage = min(stage + move, 1770)
+        lane.advance(stage, to_emission)
+        ref.advance(stage, to_emission)
+        assert _lane_state(lane) == _lane_state(ref)
+    assert list(lane.listing(1770)) == list(ref.listing(1770))
+    assert _lane_state(lane) == _lane_state(ref)
+
+
+# -- runs applied by fast_forward --------------------------------------------------
+
+def _machine_state(m: Machine, observe):
+    return m._stage, m._hit, m._stalled, observe(m)
+
+
+def assert_fast_forward_twin(make, fuel: int, observe=lambda m: None, label=None):
+    """Checks that the ``fast_forward`` hook of the machines ``make()``
+    builds moves no answer: beside a twin whose hook is set to None, so
+    that it steps every stage, it compares the poll answer and ``stalled``
+    at every fuel from 0 to ``fuel``, and the final state (stage, hit,
+    stall and ``observe(machine)``), for one machine polled at every fuel,
+    one polled at doubling fuels and one polled at ``fuel`` alone; fresh
+    machines polled just below and at the acceptance stage and at the
+    first stalled fuel; and a replay of ``fuel`` after a poll at four
+    times it.  Returns the twin's (answer, stalled) at every fuel."""
+    twin = make()
+    twin.fast_forward = None
+    want = [(twin.poll(f), twin.stalled) for f in range(fuel + 1)]
+    final = _machine_state(twin, observe)
+    doubling = sorted({0, fuel} | {1 << k for k in range(fuel.bit_length())})
+    for fuels in (range(fuel + 1), doubling, (fuel,)):
+        m = make()
+        for f in fuels:
+            assert (m.poll(f), m.stalled) == want[f], (label, f)
+        assert _machine_state(m, observe) == final, label
+    stage = want[fuel][0]
+    if stage is not None:
+        assert make().poll(stage) is None, label
+        m = make()
+        assert m.poll(stage + 1) == stage and observe(m) == final[3], label
+    first = next((f for f, (_, stalled) in enumerate(want) if stalled), None)
+    if first is not None:
+        m = make()
+        assert m.poll(first) is None and m.stalled, label
+        if first:
+            m = make()
+            assert m.poll(first - 1) is None and not m.stalled, label
+    m = make()
+    m.poll(4 * fuel)
+    assert m.poll(fuel) == stage, label
+    return want
+
+
+class _Runs(Machine):
+    """Accepts at ``hit`` and stalls at ``stall``; its hook applies the
+    idle stages before the next of those two, or, when ``overrun``, runs
+    on past them to the limit."""
+
+    def __init__(self, hit=None, stall=None, overrun=False):
+        super().__init__()
+        self._accept, self._stall_at, self._overrun = hit, stall, overrun
+
+    def fast_forward(self, t: int, limit: int) -> int:
+        if self._overrun:
+            return limit
+        busy = [s for s in (self._accept, self._stall_at) if s is not None and s >= t]
+        return min(busy + [limit])
+
+    def step(self, t: int) -> bool:
+        if t == self._stall_at:
+            self.stall()
+        return t == self._accept
+
+
+def test_fast_forward_twin_harness():
+    assert assert_fast_forward_twin(lambda: _Runs(hit=37), 100)[-1] == (37, False)
+    assert assert_fast_forward_twin(lambda: _Runs(stall=21), 100)[-1] == (None, True)
+    assert assert_fast_forward_twin(lambda: _Runs(), 50)[-1] == (None, False)
+    # a hook that applies the accepting or the stalling stage is caught
+    for bad in (lambda: _Runs(hit=37, overrun=True), lambda: _Runs(stall=21, overrun=True)):
+        with pytest.raises(AssertionError):
+            assert_fast_forward_twin(bad, 100)
 
 
 class _StallAt(Machine):

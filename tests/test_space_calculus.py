@@ -169,23 +169,28 @@ def test_encode_basic_inverts_decode_on_oracles():
 @example((_ui, (F(1, 2), F(2))), F(1, 2), F(3, 2))
 @example((_ui, (F(-1), F(2))), F(0), F(1))
 @example((_ui, (F(0), F(1))), F(-1), F(1))
-def test_prepared_subset_test_matches_basic_subset(case, a, b):
+def test_subset_lane_lists_the_basic_subsets(case, a, b):
+    # without seeds, code n is listed, at stage n, exactly when its basic
+    # is a basic_subset of the lane's basic
     space, d2 = case
-    inside = space.basic_subset_test(d2)
     d1 = space.decode(encode_interval(min(a, b), max(a, b)))
     assume(d1 is not None)
-    assert inside(d1) == space.basic_subset(d1, d2)
-    assert inside(d2)
+    lane = space.subset_lane(d2, None)
+    n1, n2 = space.encode_basic(d1), space.encode_basic(d2)
+    assert (n1 in lane.listing(n1 + 1)) == space.basic_subset(d1, d2)
+    assert n2 in lane.listing(n2 + 1)
 
 
-def test_prepared_subset_test_on_oracles():
+def test_subset_lane_on_oracles():
     for fs in standard_oracle_spaces():
         space, _ = lift_finite(fs)
-        basics = [space.decode(n) for n in range(space.finite_basic_count)]
+        count = space.finite_basic_count
+        basics = [space.decode(n) for n in range(count)]
         for d2 in basics:
-            inside = space.basic_subset_test(d2)
-            assert [inside(d1) for d1 in basics] == \
-                [space.basic_subset(d1, d2) for d1 in basics]
+            lane = space.subset_lane(d2, None)
+            assert list(lane.listing(count + 1)) == \
+                [n for n, d1 in enumerate(basics) if space.basic_subset(d1, d2)]
+            assert lane.quiescent(count + 1)
 
 
 @PROPERTY

@@ -4,15 +4,16 @@ import hashlib
 import random
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
+from functools import partial
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from erctopo import spaces
-from erctopo.kernel import unpair
-from erctopo.sets import overt_from_cdesc
+from erctopo.kernel import filter_lane, unpair
+from erctopo.sets import open_from_fixture, overt_from_cdesc
 from erctopo.spaces import (
     INF,
     CantorSpace,
@@ -45,6 +46,8 @@ from erctopo.spaces import (
     word_rank,
     word_unrank,
 )
+
+from test_kernel import _lane_state
 
 F = Fraction
 
@@ -270,6 +273,92 @@ def test_fiv_indexes_match_bruteforce(steps):
             assert union.covers_point(x) == any(_ref_member(x, m) for m in added)
             assert union.part_at(x) == next(
                 (c for c in comps if _ref_member(x, c)), None)
+
+
+_LANE_SPACES = {"line": LineSpace(), "unit-interval": UnitIntervalSpace(),
+                "gap": PiecewiseSpace([(F(0), F(1, 3)), (F(1, 2), F(1))], name="gap")}
+# points at and near the unit interval's ends; fixtures clamped by it
+lane_points = st.sampled_from([F(0), F(1), F(1, 1000), F(999, 1000), F(-1, 1000),
+                               F(1001, 1000), F(1, 2), F(-5, 7), F(3, 2)])
+lane_fixtures = st.sampled_from([(F(-1), F(1, 2)), (F(1, 2), F(2)), (F(-1), F(2)),
+                                 (F(0), F(1)), (F(3, 4), F(5, 4)), (F(1, 4), F(1, 3)),
+                                 (F(-1, 1000), F(1, 1000)), (F(999, 1000), F(1001, 1000))]) \
+    | st.tuples(rationals, rationals).filter(lambda ab: ab[0] < ab[1])
+lane_names = lane_points.map(lambda q: ("point", q)) | lane_fixtures.map(lambda d: ("fixture", d))
+# reads: stages to move on, and how to read; a last advance passes stage 60,000
+lane_reads = st.lists(st.tuples(st.integers(0, 3000),
+                                st.sampled_from(["advance", "emission", "groups", "upto",
+                                                 "next"])), max_size=12)
+
+
+@settings(PROPERTY, max_examples=40)
+@given(st.sampled_from(sorted(_LANE_SPACES)), lane_names, lane_reads)
+@example("unit-interval", ("point", F(1)), [(49_000, "emission"), (5, "groups")])
+@example("unit-interval", ("point", F(0)), [(1, "upto"), (2, "next"), (30, "emission")])
+@example("unit-interval", ("fixture", (F(-1), F(1, 2))), [(2_080, "emission")])
+@example("line", ("fixture", (F(3, 4), F(5, 4))), [(2_000, "next"), (17, "upto")])
+def test_diagonal_lanes_equal_the_filter_lanes(space_name, name, reads):
+    """The point names of the line subspaces and the fixture opens of the
+    line and the unit interval walk the pairing's diagonals: the same
+    items, change points and stage as the filter lane of their test, under
+    every kind of read."""
+    space = _LANE_SPACES[space_name]
+    kind, value = name
+    if kind == "point":
+        assume(space.in_carrier(value))
+        lane = space.point_name(value).neighborhoods
+
+        def seeds(s):
+            eps = F(1, 2 ** s)
+            return (encode_interval(value - eps, value + eps),)
+
+        ref = filter_lane(space.decode, partial(space.point_in_basic, value), seeds)
+    else:
+        assume(space_name != "gap")   # a carrier with gaps keeps the filter lane
+        lane = open_from_fixture(space, value).parts
+
+        def seeds(s):
+            core = space.shrunk_core(value, s)
+            return (core,) if space.decode(core) is not None else ()
+
+        ref = filter_lane(space.decode, lambda d: space.basic_subset(d, value), seeds)
+    reader, ref_reader = lane.cursor(), ref.cursor()
+    stage = 0
+    for move, how in reads + [(60_001, "advance")]:
+        stage += move
+        if how == "advance":
+            lane.advance(stage)
+            ref.advance(stage)
+        elif how == "emission":
+            lane.advance(stage, True)
+            ref.advance(stage, True)
+        elif how == "groups":
+            assert reader.groups(stage) == ref_reader.groups(stage)
+        elif how == "upto":
+            assert list(reader.upto(stage)) == list(ref_reader.upto(stage))
+        else:
+            assert reader.next_emission(stage) == ref_reader.next_emission(stage)
+        assert _lane_state(lane) == _lane_state(ref)
+    assert lane._stage > 60_000
+
+
+@settings(PROPERTY, max_examples=200)
+@given(st.sampled_from([LineSpace(), UnitIntervalSpace()]),
+       st.lists(st.tuples(st.booleans(), rationals, rationals), max_size=30))
+def test_integer_inside_index_matches_the_fiv_index(space, steps):
+    index, ref = space.basic_inside_index(), FivInsideIndex()
+    for add, a, b in steps:
+        a, b = sorted((a, b))
+        d = space.decode(encode_interval(a, b))
+        if d is None:
+            continue
+        f = space.fiv(d)
+        # the decoded Fractions, and the ends as drawn (ints among them)
+        assert index.some_inside(d) == ref.some_inside(f)
+        assert index.some_inside((a, b)) == ref.some_inside(f)
+        if add:
+            index.add(d)
+            ref.add(f)
 
 
 def test_decode_caches_are_bounded(monkeypatch):
