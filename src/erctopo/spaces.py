@@ -444,28 +444,6 @@ class FivCoverIndex:
         return k > 0 and fiv_subset(f, self._fivs[k - 1])
 
 
-class FivInsideIndex:
-    """Antichain of minimal fivs answering: is SOME member inside a query?"""
-
-    def __init__(self) -> None:
-        self._los: list[Fraction] = []
-        self._fivs: list[Fiv] = []
-
-    def add(self, f: Fiv) -> None:
-        if not fiv_nonempty(f) or self.some_inside(f):
-            return
-        k = _lo_key_left(self._los, self._fivs, f)
-        j = k
-        while j > 0 and fiv_subset(f, self._fivs[j - 1]):
-            j -= 1
-        self._los[j:k] = [f[0]]
-        self._fivs[j:k] = [f]
-
-    def some_inside(self, f: Fiv) -> bool:
-        k = _lo_key_left(self._los, self._fivs, f)
-        return k < len(self._fivs) and fiv_subset(self._fivs[k], f)
-
-
 # ---------------------------------------------------------------------------
 # Space interface
 
@@ -1564,11 +1542,6 @@ class _IntervalSpaceBase(_LineSubspace):
             return False
         return True
 
-    def cdesc_hull(self, cdesc) -> Fiv | None:
-        if not cdesc:
-            return None
-        return (cdesc[0][0], 0, cdesc[-1][1], 0)
-
     def cover_index(self):
         return _FivBasicCoverIndex(self)
 
@@ -1602,31 +1575,36 @@ class _FivBasicCoverIndex:
 
 
 class _FivBasicInsideIndex:
-    """``FivInsideIndex`` over the traces ``fiv(d)`` of basics, with each
-    trace held as an integer key ``(lo numerator, lo denominator, lo flag,
-    hi numerator, hi denominator, hi flag)``: a query reads the ends of d,
-    clamps them to the carrier and compares them on integers, with no fiv
-    built."""
+    """Antichain of the minimal traces ``fiv(d)`` of basics, answering: is
+    SOME member inside a query?  Each trace is held as an integer key
+    ``(lo numerator, lo denominator, lo flag, hi numerator, hi denominator,
+    hi flag)``: a query reads the ends of d, clamps them to the carrier and
+    compares them on integers, with no fiv built."""
 
     def __init__(self, space: _IntervalSpaceBase):
         self._hull = space._hull
         self._keys: list[tuple[int, int, int, int, int, int]] = []
 
-    def _find(self, d):
-        """The key of ``fiv(d)``, and the first member whose lo key is at
-        least its lo key: the member with the least hi key among those, as
-        hi keys grow with lo keys (see ``FivInsideIndex``)."""
-        a, b = d
-        try:
-            an, ad, bn, bd = a._numerator, a._denominator, b._numerator, b._denominator
-        except AttributeError:
-            (an, ad), (bn, bd) = a.as_integer_ratio(), b.as_integer_ratio()
-        lf = hf = 1
-        lo, hi = self._hull
-        if lo is not None and an * lo[1] < lo[0] * ad:
-            (an, ad), lf = lo, 0
-        if hi is not None and bn * hi[1] > hi[0] * bd:
-            (bn, bd), hf = hi, 0
+    def _find(self, d, key=None):
+        """The key of ``fiv(d)``, or ``key`` when given, and the first
+        member whose lo key is at least its lo key: the member with the
+        least hi key among those, as in an antichain hi keys grow with lo
+        keys (see ``FivCoverIndex``)."""
+        if key is None:
+            a, b = d
+            try:
+                an, ad, bn, bd = a._numerator, a._denominator, b._numerator, b._denominator
+            except AttributeError:
+                (an, ad), (bn, bd) = a.as_integer_ratio(), b.as_integer_ratio()
+            lf = hf = 1
+            lo, hi = self._hull
+            if lo is not None and an * lo[1] < lo[0] * ad:
+                (an, ad), lf = lo, 0
+            if hi is not None and bn * hi[1] > hi[0] * bd:
+                (bn, bd), hf = hi, 0
+            key = (an, ad, lf, bn, bd, hf)
+        else:
+            an, ad, lf = key[0], key[1], key[2]
         keys = self._keys
         k, top = 0, len(keys)
         while k < top:
@@ -1637,10 +1615,12 @@ class _FivBasicInsideIndex:
                 k = mid + 1
             else:
                 top = mid
-        return k, (an, ad, lf, bn, bd, hf)
+        return k, key
 
     def add(self, d) -> None:
-        k, key = self._find(d)
+        self._add(*self._find(d))
+
+    def _add(self, k: int, key) -> None:
         keys = self._keys
         if k < len(keys) and _key_hi_within(keys[k], key):
             return
@@ -1662,18 +1642,14 @@ def _key_hi_within(m, f) -> bool:
     return c < 0 or c == 0 and m[5] >= f[5]
 
 
-class _FivHullInsideIndex:
-    def __init__(self, space: _IntervalSpaceBase):
-        self.space = space
-        self.index = FivInsideIndex()
+class _FivHullInsideIndex(_FivBasicInsideIndex):
+    """The same index over the closed hulls [first lo, last hi] of compact
+    descriptions, asked whether some hull lies inside ``fiv(d)``."""
 
     def add(self, cdesc) -> None:
-        hull = self.space.cdesc_hull(cdesc)
-        if hull is not None:
-            self.index.add(hull)
-
-    def some_inside(self, d) -> bool:
-        return self.index.some_inside(self.space.fiv(d))
+        if cdesc:
+            (an, ad), (bn, bd) = cdesc[0][0].as_integer_ratio(), cdesc[-1][1].as_integer_ratio()
+            self._add(*self._find(None, (an, ad, 0, bn, bd, 0)))
 
 
 def _rational_dense(space: Space, carrier: Callable[[Fraction], bool]):

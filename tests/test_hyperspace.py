@@ -484,7 +484,7 @@ def test_forall_fast_forward_moves_no_answer():
     accepted = 0
     for label, e, make in _forall_cases():
         want = assert_fast_forward_twin(lambda: ForallSearch(e, make()), 4000,
-                                        lambda search: search.closing_depth, label)
+                                        lambda search: search.closing_depth, label, fresh=(50,))
         accepted += sum(want[fuel][0] is not None for fuel in (50, 4000))
     # and the comparison is not vacuous: searches accept, at stages where the
     # hook applied most of the stages

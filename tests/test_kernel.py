@@ -406,31 +406,41 @@ def _machine_state(m: Machine, observe):
     return m._stage, m._hit, m._stalled, observe(m)
 
 
-def assert_fast_forward_twin(make, fuel: int, observe=lambda m: None, label=None):
+def assert_fast_forward_twin(make, fuel: int, observe=lambda m: None, label=None, fresh=()):
     """Checks that the ``fast_forward`` hook of the machines ``make()``
     builds moves no answer: beside a twin whose hook is set to None, so
     that it steps every stage, it compares the poll answer and ``stalled``
     at every fuel from 0 to ``fuel``, and the final state (stage, hit,
     stall and ``observe(machine)``), for one machine polled at every fuel,
     one polled at doubling fuels and one polled at ``fuel`` alone; fresh
-    machines polled just below and at the acceptance stage and at the
-    first stalled fuel; and a replay of ``fuel`` after a poll at four
-    times it.  Returns the twin's (answer, stalled) at every fuel."""
+    machines polled just below and at the acceptance stage, at the first
+    stalled fuel and at each fuel of ``fresh``; and, for ``fuel`` and each
+    of ``fresh``, a replay after a poll at four times it, beside a twin
+    polled there.  Wherever a poll accepts, ``observe`` is compared too.
+    Returns the twin's (answer, stalled) at every fuel."""
     twin = make()
     twin.fast_forward = None
     want = [(twin.poll(f), twin.stalled) for f in range(fuel + 1)]
     final = _machine_state(twin, observe)
+
+    def answer(m, f):
+        stage = m.poll(f)
+        return stage, m.stalled, None if stage is None else observe(m)
+
+    def wanted(f):
+        stage, stalled = want[f]
+        return stage, stalled, None if stage is None else final[3]
+
     doubling = sorted({0, fuel} | {1 << k for k in range(fuel.bit_length())})
     for fuels in (range(fuel + 1), doubling, (fuel,)):
         m = make()
         for f in fuels:
-            assert (m.poll(f), m.stalled) == want[f], (label, f)
+            assert answer(m, f) == wanted(f), (label, f)
         assert _machine_state(m, observe) == final, label
     stage = want[fuel][0]
     if stage is not None:
         assert make().poll(stage) is None, label
-        m = make()
-        assert m.poll(stage + 1) == stage and observe(m) == final[3], label
+        assert answer(make(), stage + 1) == wanted(fuel), label
     first = next((f for f, (_, stalled) in enumerate(want) if stalled), None)
     if first is not None:
         m = make()
@@ -438,9 +448,14 @@ def assert_fast_forward_twin(make, fuel: int, observe=lambda m: None, label=None
         if first:
             m = make()
             assert m.poll(first - 1) is None and not m.stalled, label
-    m = make()
-    m.poll(4 * fuel)
-    assert m.poll(fuel) == stage, label
+    for f in fresh:
+        assert answer(make(), f) == wanted(f), (label, f)
+    for f in sorted({fuel, *fresh}):
+        big = make()
+        big.fast_forward = None
+        m = make()
+        assert answer(m, 4 * f) == answer(big, 4 * f), (label, 4 * f)
+        assert answer(m, f) == answer(big, f), (label, f)
     return want
 
 
@@ -469,6 +484,8 @@ def test_fast_forward_twin_harness():
     assert assert_fast_forward_twin(lambda: _Runs(hit=37), 100)[-1] == (37, False)
     assert assert_fast_forward_twin(lambda: _Runs(stall=21), 100)[-1] == (None, True)
     assert assert_fast_forward_twin(lambda: _Runs(), 50)[-1] == (None, False)
+    # a fresh fuel below the stall, replayed after a poll past it
+    assert assert_fast_forward_twin(lambda: _Runs(stall=21), 100, fresh=(10,))[10] == (None, False)
     # a hook that applies the accepting or the stalling stage is caught
     for bad in (lambda: _Runs(hit=37, overrun=True), lambda: _Runs(stall=21, overrun=True)):
         with pytest.raises(AssertionError):

@@ -18,7 +18,6 @@ from erctopo.spaces import (
     INF,
     CantorSpace,
     FivCoverIndex,
-    FivInsideIndex,
     FivUnion,
     LineSpace,
     OutOfSpace,
@@ -26,6 +25,7 @@ from erctopo.spaces import (
     QhatSpace,
     StarSpace,
     UnitIntervalSpace,
+    _lo_key_left,
     cantor_point,
     decode_rational,
     decode_rational_set,
@@ -158,6 +158,29 @@ def test_fiv_indexes_against_bruteforce():
         cover.add(f)
         inside.add(f)
         seen.append(f)
+
+
+class FivInsideIndex:
+    """Antichain of minimal fivs answering: is SOME member inside a query?
+    The reference for the spaces' integer-key inside indexes."""
+
+    def __init__(self) -> None:
+        self._los: list[Fraction] = []
+        self._fivs: list[tuple] = []
+
+    def add(self, f) -> None:
+        if not fiv_nonempty(f) or self.some_inside(f):
+            return
+        k = _lo_key_left(self._los, self._fivs, f)
+        j = k
+        while j > 0 and fiv_subset(f, self._fivs[j - 1]):
+            j -= 1
+        self._los[j:k] = [f[0]]
+        self._fivs[j:k] = [f]
+
+    def some_inside(self, f) -> bool:
+        k = _lo_key_left(self._los, self._fivs, f)
+        return k < len(self._fivs) and fiv_subset(self._fivs[k], f)
 
 
 # Fraction references for the integer calculus: endpoints compared as
@@ -347,18 +370,28 @@ def test_diagonal_lanes_equal_the_filter_lanes(space_name, name, reads):
        st.lists(st.tuples(st.booleans(), rationals, rationals), max_size=30))
 def test_integer_inside_index_matches_the_fiv_index(space, steps):
     index, ref = space.basic_inside_index(), FivInsideIndex()
+    hulls, hull_ref = space.cdesc_inside_index(), FivInsideIndex()
     for add, a, b in steps:
         a, b = sorted((a, b))
         d = space.decode(encode_interval(a, b))
         if d is None:
+            # a closed piece, a point when a == b, clipped to the carrier
+            cdesc = space.make_cdesc([(a, b)])
+            hulls.add(cdesc)
+            if cdesc:
+                hull_ref.add((cdesc[0][0], 0, cdesc[-1][1], 0))
             continue
         f = space.fiv(d)
         # the decoded Fractions, and the ends as drawn (ints among them)
         assert index.some_inside(d) == ref.some_inside(f)
         assert index.some_inside((a, b)) == ref.some_inside(f)
+        assert hulls.some_inside(d) == hull_ref.some_inside(f)
         if add:
             index.add(d)
             ref.add(f)
+            cdesc = space.make_cdesc([(a, b), (b + 1, b + 2)] if a < 0 else [(a, b)])
+            hulls.add(cdesc)
+            hull_ref.add((cdesc[0][0], 0, cdesc[-1][1], 0))
 
 
 def test_decode_caches_are_bounded(monkeypatch):
