@@ -7,13 +7,10 @@ hyperspace of located (closed-and-overt) sets with its compactness search.
 
 from .kernel import (
     Accepted,
-    CANTOR,
     MonotoneEnumerator,
     PENDING,
-    PairingScheme,
     SemidecisionProcess,
     both_accept,
-    dovetail_any,
     run_process,
 )
 from .spaces import (

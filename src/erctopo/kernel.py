@@ -52,15 +52,6 @@ def unpair(n: int) -> tuple[int, int]:
     return s - j, j
 
 
-@dataclass(frozen=True)
-class PairingScheme:
-    encode: Callable[[int, int], int]
-    decode: Callable[[int], tuple[int, int]]
-
-
-CANTOR = PairingScheme(encode=pair, decode=unpair)
-
-
 # ---------------------------------------------------------------------------
 # Semidecision processes
 
@@ -582,84 +573,3 @@ class _Interleave(MonotoneEnumerator[T]):
 def interleave(sources: Sequence[MonotoneEnumerator[T]]) -> MonotoneEnumerator[T]:
     """Fair round-robin merge; stalls when every source has been drained."""
     return _Interleave(sources)
-
-
-# ---------------------------------------------------------------------------
-# Dovetailing
-
-class _DovetailAny(Machine):
-    """Existential search over an enumerated family of processes.
-
-    Schedule: at global step t, decode t = (i, j) and run process i for its
-    j-th step; acceptance stage is the global step of the first acceptance.
-    """
-
-    def __init__(self, processes: MonotoneEnumerator[SemidecisionProcess]):
-        super().__init__()
-        self._reader = processes.cursor()
-        self._listed: list[SemidecisionProcess] = []
-
-    def step(self, t: int) -> bool:
-        i, j = unpair(t)
-        listed = self._listed
-        listed.extend(self._reader.upto(t + 1))
-        if i < len(listed):
-            stage = listed[i].poll(j + 1)
-            if stage is not None and stage <= j:
-                return True
-        # Periodically check whether progress is still possible at all.
-        if t & (t + 1) == 0 and self._reader.quiescent(t + 1):
-            if all(p.stalled for p in listed):
-                self.stall()
-        return False
-
-
-def dovetail_any(processes: MonotoneEnumerator[SemidecisionProcess]) -> SemidecisionProcess:
-    """Accepts iff some enumerated process accepts."""
-    return _DovetailAny(processes)
-
-
-# ---------------------------------------------------------------------------
-# Round-robin search over spawned processes
-
-class SearchEnumerator(MonotoneEnumerator[T]):
-    """Emits each candidate whose spawned process accepts.
-
-    Candidates arrive from ``candidates``; one live process is advanced by
-    one fuel unit per stage, cycling deterministically.  Accepted candidates
-    are emitted at the stage of detection and retired.
-    """
-
-    def __init__(self, candidates: MonotoneEnumerator[T],
-                 spawn: Callable[[T], SemidecisionProcess]):
-        super().__init__()
-        self._candidates = candidates.cursor()
-        self._spawn = spawn
-        self._live: list[tuple[T, SemidecisionProcess, int]] = []
-        self._next = 0
-
-    def step(self, t: int) -> Sequence[T]:
-        for cand in self._candidates.upto(t + 1):
-            self._live.append((cand, self._spawn(cand), 0))
-        out = []
-        if self._live:
-            self._next %= len(self._live)
-            cand, proc, fuel = self._live[self._next]
-            fuel += 1
-            stage = proc.poll(fuel)
-            if stage is not None:
-                out.append(cand)
-                self._live.pop(self._next)
-            elif proc.stalled:
-                self._live.pop(self._next)
-            else:
-                self._live[self._next] = (cand, proc, fuel)
-                self._next += 1
-        elif self._candidates.quiescent(t + 1):
-            self.stall()
-        return out
-
-
-def search(candidates: MonotoneEnumerator[T],
-           spawn: Callable[[T], SemidecisionProcess]) -> MonotoneEnumerator[T]:
-    return SearchEnumerator(candidates, spawn)

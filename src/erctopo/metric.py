@@ -38,7 +38,6 @@ from .kernel import (
     Machine,
     MonotoneEnumerator,
     SemidecisionProcess,
-    emission_slot,
     enumerate_step,
     filter_lane,
     pair,
@@ -270,57 +269,39 @@ def exact_metric_point(metric: MetricStructure, value) -> MetricPoint:
 # ---------------------------------------------------------------------------
 # Balls in their three roles
 
+def _exact_center(x: MetricPoint):
+    if x.value is None:
+        raise OutOfSpace("metric balls and brackets need a center with an exact value")
+    return x.value
+
+
 def ball_open(m: MetricStructure, x: MetricPoint, r) -> OpenSet:
-    """Open ball as an open set.  Around an exact center: the space's
-    growing cores plus the filter of every basic certified inside;
-    otherwise balls around the center's Cauchy representatives."""
+    """Open ball as an open set: the space's growing cores around the
+    exact center plus the filter of every basic certified inside.  Raises
+    OutOfSpace for a center without an exact value."""
     r = Fraction(r)
     if r <= 0:
         raise ValueError("ball radius must be positive")
     space = m.space
-    if x.value is not None:
-        xv = x.value
+    xv = _exact_center(x)
 
-        def seeds(s: int):
-            c = space.ball_core(xv, r, s)
-            return (c,) if c is not None and space.decode(c) is not None else ()
+    def seeds(s: int):
+        c = space.ball_core(xv, r, s)
+        return (c,) if c is not None and space.decode(c) is not None else ()
 
-        lane = filter_lane(space.decode, lambda d: space.in_open_ball(xv, d, r), seeds,
-                           space.finite_basic_count)
-        return OpenSet(space, lane, label=f"ball:{r}")
-
-    def generic_step(t: int):
-        out = []
-        s = emission_slot(t)
-        if s is not None:
-            rho = r - 2 * Fraction(1, 2 ** s)
-            if rho > 0:
-                out.append(space.encode_ball(m.dense(x.cauchy(s)), rho))
-        return [c for c in out if c is not None and space.decode(c) is not None]
-
-    return OpenSet(space, enumerate_step(generic_step), label=f"ball:{r}")
+    lane = filter_lane(space.decode, lambda d: space.in_open_ball(xv, d, r), seeds,
+                       space.finite_basic_count)
+    return OpenSet(space, lane, label=f"ball:{r}")
 
 
 def closed_ball_closed(m: MetricStructure, x: MetricPoint, r) -> ClosedSet:
-    """Closed ball as a closed set: the complement enumerates every basic
-    certified to avoid it."""
-    r = Fraction(r)
-    space = m.space
-    cdesc = space.closed_ball_desc(x.value, r) if x.value is not None else None
-    if cdesc is not None:
-        return closed_from_cdesc(space, cdesc)
-
-    def step(t: int):
-        out = []
-        n, k = unpair(t)
-        d = space.decode(n)
-        if d is not None and x.value is not None:
-            if space.outside_closed_ball(x.value, d, r):
-                out.append(n)
-        return out
-
-    return ClosedSet(OpenSet(space, enumerate_step(step), label=f"co-ball:{r}"),
-                     cdesc=None)
+    """Closed ball as a closed set, named from the space's exact
+    description of it.  Raises OutOfSpace for a center without an exact
+    value or a space that does not describe its closed balls."""
+    cdesc = m.space.closed_ball_desc(_exact_center(x), Fraction(r))
+    if cdesc is None:
+        raise OutOfSpace(f"no closed-ball descriptions on {m.space.name}")
+    return closed_from_cdesc(m.space, cdesc)
 
 
 def cl_ball_overt(m: MetricStructure, x: MetricPoint, r) -> OvertSet:
@@ -330,20 +311,18 @@ def cl_ball_overt(m: MetricStructure, x: MetricPoint, r) -> OvertSet:
     if r <= 0:
         raise ValueError("ball radius must be positive")
     space = m.space
-    if x.value is None:
-        raise OutOfSpace("overt balls need an exact fixture center")
-
-    seeds = iter(space.ball_seeds(x.value, r))
+    xv = _exact_center(x)
+    seeds = iter(space.ball_seeds(xv, r))
 
     def step(t: int):
         out = []
         c = next(seeds, None)
         if c is not None:
             d = space.decode(c)
-            if d is not None and space.meets_open_ball(x.value, d, r):
+            if d is not None and space.meets_open_ball(xv, d, r):
                 out.append(c)
         d = space.decode(t)
-        if d is not None and space.meets_open_ball(x.value, d, r):
+        if d is not None and space.meets_open_ball(xv, d, r):
             out.append(t)
         return out
 
@@ -360,7 +339,9 @@ def compact_ball(e: Ercs, m: MetricStructure, x: MetricPoint,
 
     Runs the compact-base search in the whole space, shrinks a dyadic ball
     into the found neighborhood, and prunes the patch to the closed ball.
+    Raises OutOfSpace for a center without an exact value.
     """
+    xv = _exact_center(x)
     got = compact_base(e, x.name, whole_open(m.space), fuel)
     if got is None:
         return None
@@ -369,7 +350,7 @@ def compact_ball(e: Ercs, m: MetricStructure, x: MetricPoint,
     n = 0
     while n < 64:
         rho = Fraction(1, 2 ** n)
-        if x.value is not None and m.space.ball_inside_basic(x.value, rho, vdesc):
+        if m.space.ball_inside_basic(xv, rho, vdesc):
             break
         n += 1
     else:
@@ -445,12 +426,6 @@ def ercs_from_compact_ball(m: MetricStructure,
 
 # ---------------------------------------------------------------------------
 # Radius
-
-def _exact_center(x: MetricPoint):
-    if x.value is None:
-        raise OutOfSpace("metric brackets need a center with an exact value")
-    return x.value
-
 
 def radius(m: MetricStructure, x: MetricPoint, k: CompactSet, v: OvertSet,
            hi_seed=None) -> BoundsReal:

@@ -218,9 +218,6 @@ class OracleSpace(Space):
     def in_open_ball(self, x, d, r: Fraction) -> bool:
         return all(self.metric.exact(x, p) < r for p in d)
 
-    def outside_closed_ball(self, x, d, r: Fraction) -> bool:
-        return all(self.metric.exact(x, p) > r for p in d)
-
     def meets_open_ball(self, x, d, r: Fraction) -> bool:
         return any(self.metric.exact(x, p) < r for p in d)
 

@@ -656,10 +656,6 @@ class Space:
         """Sound: the basic d lies inside the open ball B(x, r)."""
         return False
 
-    def outside_closed_ball(self, x, d, r: Fraction) -> bool:
-        """Sound: the basic d misses the closed ball of radius r around x."""
-        return False
-
     def meets_open_ball(self, x, d, r: Fraction) -> bool:
         """Sound: the basic d meets B(x, r)."""
         return False
@@ -1064,10 +1060,6 @@ class _LineSubspace(Space):
     def in_open_ball(self, x, d, r: Fraction) -> bool:
         ball = (x - r, 1, x + r, 1)
         return all(fiv_subset(f, ball) for f in self.trace(d))
-
-    def outside_closed_ball(self, x, d, r: Fraction) -> bool:
-        ball = (x - r, 0, x + r, 0)
-        return all(fiv_disjoint(f, ball) for f in self.trace(d))
 
     def meets_open_ball(self, x, d, r: Fraction) -> bool:
         ball = (x - r, 1, x + r, 1)
@@ -1814,9 +1806,6 @@ class CantorSpace(Space):
     def basic_inside_index(self):
         return _CantorBasicInsideIndex()
 
-    def cdesc_inside_index(self):
-        return _CantorInsideIndex()
-
     whole_compact_desc = ("",)
 
     def local_pinch(self, vdesc: str, pdesc: str):
@@ -1847,9 +1836,6 @@ class CantorSpace(Space):
     def compact_complement(self, d: str):
         return self.make_cdesc(_cantor_complement((d,)))
 
-    def complement_gaps(self, cdesc, slot: int) -> list[int]:
-        return [word_rank(w) for w in _cantor_complement(cdesc)] if slot == 0 else []
-
     def envelope_covers(self, cdesc, slot: int) -> list[frozenset]:
         if not cdesc:
             return []
@@ -1862,10 +1848,6 @@ class CantorSpace(Space):
             out.append(frozenset(word_rank(w + format(u, "b").zfill(slot) if slot else w)
                                  for w in cdesc for u in range(2 ** slot)))
         return out
-
-    def overt_seeds(self, cdesc) -> Iterable[int]:
-        for _ in range(13):
-            yield from (word_rank(w) for w in cdesc)
 
 
 def _cantor_complement(words) -> tuple:
@@ -1967,21 +1949,6 @@ class _CantorBasicInsideIndex:
         return d in self.prefixes
 
 
-class _CantorInsideIndex:
-    def __init__(self) -> None:
-        self.prefixes: set[str] = set()
-
-    def add(self, cdesc) -> None:
-        if not cdesc:
-            return
-        lcp = _common_prefix(cdesc)
-        for k in range(len(lcp) + 1):
-            self.prefixes.add(lcp[:k])
-
-    def some_inside(self, d: str) -> bool:
-        return d in self.prefixes
-
-
 # ---------------------------------------------------------------------------
 # Star space: arms {n} x [0,1] glued at a center point
 
@@ -2013,9 +1980,11 @@ def star_distance(p1, p2, k: int | None = None) -> Fraction:
 class StarSpace(Space):
     """Countably many unit-interval arms glued at a single center point.
 
-    Basic opens are metric balls around dense points.  Compact pieces are
-    the center singleton and closed arm segments.  As a negative fixture
-    it has points, basics, the pinch calculus and the metric only.
+    Basic opens are metric balls around dense points; the only compact
+    descriptions are the closed arm segments that ``local_pinch`` returns.
+    As a negative fixture it has points, basics, the pinch calculus and the
+    metric only: it has no region, no ``make_cdesc`` and no relatively
+    compact system, and the CLI refuses it before any search.
     """
 
     name = "star"
@@ -2107,33 +2076,13 @@ class StarSpace(Space):
         _, c, r = d
         return star_distance(INF, c) < r
 
-    # compact descriptions: tuples of ("pt_inf",) and ("seg", n, lo, hi)
+    # compact descriptions: tuples of closed arm segments ("seg", n, lo, hi)
     def cdesc_in_basic(self, cdesc, d) -> bool:
-        for piece in cdesc:
-            if piece == ("pt_inf",):
-                if not self._ball_contains_inf(d):
-                    return False
-            else:
-                _, n, lo, hi = piece
-                trace = self._ball_arm_trace(d, n)
-                if trace is None or not fiv_subset((lo, 0, hi, 0), trace):
-                    return False
+        for _, n, lo, hi in cdesc:
+            trace = self._ball_arm_trace(d, n)
+            if trace is None or not fiv_subset((lo, 0, hi, 0), trace):
+                return False
         return True
-
-    def basic_meets_cdesc(self, d, cdesc) -> bool:
-        for piece in cdesc:
-            if piece == ("pt_inf",):
-                if self._ball_contains_inf(d):
-                    return True
-            else:
-                _, n, lo, hi = piece
-                trace = self._ball_arm_trace(d, n)
-                if trace is not None and not fiv_disjoint(trace, (lo, 0, hi, 0)):
-                    return True
-        return False
-
-    def region(self) -> Region:
-        return _StarRegion(self)
 
     def pinch_candidate(self, vdesc) -> bool:
         _, c, r = vdesc
@@ -2163,39 +2112,6 @@ class StarSpace(Space):
         raise OutOfSpace(f"no point literals on {self.name}: {text!r}")
 
 
-class _StarRegion(Region):
-    def __init__(self, space: StarSpace):
-        self.space = space
-        self.inf_covered = False
-        self.balls: list = []
-        self.version = 0
-
-    def add(self, d) -> None:
-        self.balls.append(d)
-        self.version += 1
-        if self.space._ball_contains_inf(d):
-            self.inf_covered = True
-
-    def _arm_union(self, n: int) -> FivUnion:
-        u = FivUnion()
-        for d in self.balls:
-            tr = self.space._ball_arm_trace(d, n)
-            if tr is not None:
-                u.add(tr)
-        return u
-
-    def covers_cdesc(self, cdesc) -> bool:
-        for piece in cdesc:
-            if piece == ("pt_inf",):
-                if not self.inf_covered:
-                    return False
-            else:
-                _, n, lo, hi = piece
-                if not self._arm_union(n).covers((lo, 0, hi, 0)):
-                    return False
-        return True
-
-
 def star_point(space: StarSpace, p) -> PointName:
     if not space.is_point(p):
         raise OutOfSpace(f"{p!r} is not a star point")
@@ -2212,7 +2128,9 @@ class QhatSpace(Space):
     """The rationals plus a point at infinity whose neighborhoods are
     cofinite.  Basic opens: rational-interval traces on Q (even indices)
     and sets {inf} + (Q minus a finite exclusion list) (odd indices).  As
-    a negative fixture it has points, basics and the pinch calculus only."""
+    a negative fixture it has points, basics, the pinch calculus and the
+    compact calculus of its whole compact and its clopen cofinite basics;
+    it has no relatively compact system."""
 
     name = "qhat"
 
@@ -2255,28 +2173,17 @@ class QhatSpace(Space):
             return value != INF and d[1] < value < d[2]
         return value == INF or value not in d[1]
 
-    # compact descriptions: ("all",) | ("fin", frozenset of points)
-    # | ("cof", excluded rationals)  (a clopen cofinite basic is compact)
+    # compact descriptions: ("all",) | ("cof", excluded rationals)
+    # (a clopen cofinite basic is compact)
     def cdesc_in_basic(self, cdesc, d) -> bool:
-        if cdesc[0] == "fin":
-            return all(self.point_in_basic(p, d) for p in cdesc[1])
         if cdesc[0] == "cof":
             return d[0] == "cof" and d[1] <= cdesc[1]
         return d[0] == "cof" and not d[1]  # ("all",) fits only in the full basic
 
-    def cdesc_nonempty(self, cdesc) -> bool:
-        if cdesc[0] == "fin":
-            return bool(cdesc[1])
-        return True
-
     def basic_meets_cdesc(self, d, cdesc) -> bool:
-        kind = cdesc[0]
-        if kind == "all":
-            return True  # valid basics are nonempty
-        if kind == "fin":
-            return any(self.point_in_basic(p, d) for p in cdesc[1])
-        # cofinite compact: an interval trace keeps infinitely many rationals,
-        # and any cofinite basic shares the point at infinity
+        # every valid basic meets both kinds: a cofinite basic shares their
+        # point at infinity, and an interval trace holds infinitely many
+        # rationals, of which they miss finitely many
         return True
 
     def region(self) -> Region:
@@ -2304,11 +2211,9 @@ class _QhatRegion(Region):
         self.ivs = FivUnion()
         self.has_cof = False
         self.cof_excluded: frozenset = frozenset()
-        self.descs: list = []
         self.version = 0
 
     def add(self, d) -> None:
-        self.descs.append(d)
         if d[0] == "iv":
             before = self.ivs.version
             self.ivs.add((d[1], 1, d[2], 1))
@@ -2331,15 +2236,9 @@ class _QhatRegion(Region):
         return self.ivs.covers_point(q)
 
     def covers_cdesc(self, cdesc) -> bool:
-        kind = cdesc[0]
-        if kind == "fin":
-            return all(
-                (self.has_cof if p == INF else self._covers_rational(p))
-                for p in cdesc[1]
-            )
         if not self.has_cof:
             return False
-        leftovers = self.cof_excluded - cdesc[1] if kind == "cof" else self.cof_excluded
+        leftovers = self.cof_excluded - cdesc[1] if cdesc[0] == "cof" else self.cof_excluded
         return all(self._covers_rational(q) for q in sorted(leftovers))
 
 

@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from erctopo.ercs import (
     Ercs,
@@ -22,7 +24,7 @@ from erctopo.ercs import (
     sigma_cover,
     whole_space_compact,
 )
-from erctopo.kernel import Accepted, PENDING, enumerate_step, run_process
+from erctopo.kernel import Accepted, PENDING, enumerate_list, enumerate_step, run_process
 from erctopo.oracle import lift_finite, oracle_point, standard_oracle_spaces
 from erctopo.sets import (
     OpenSet,
@@ -35,6 +37,7 @@ from erctopo.sets import (
 from erctopo.spaces import (
     CantorSpace,
     LineSpace,
+    PiecewiseSpace,
     PointName,
     QhatSpace,
     UnitIntervalSpace,
@@ -47,6 +50,7 @@ from erctopo.spaces import (
 
 from oracle_harness import OracleFixture
 from test_kernel import assert_fast_forward_twin
+from test_spaces import CANTOR_WORDS, cantor_leaves
 
 F = Fraction
 
@@ -360,6 +364,34 @@ def test_pinch_search_positive_control_unit_interval():
     assert isinstance(run_process(proc, 10 ** 4), Accepted)
 
 
+def test_pinch_search_positive_control_cantor():
+    """Every cylinder is compact: the search pinches the first cylinder of
+    the point inside the target to itself, and pends on a target that
+    misses the point."""
+    x = cantor_point(_cantor, "01", "1")
+    proc = compact_neighborhood_search(_cantor, x, open_from_fixture(_cantor, "01"))
+    assert isinstance(run_process(proc, 10 ** 4), Accepted)
+    v, k = proc.found
+    assert v.startswith("01") and _cantor.point_in_basic(x.value, v) and k == (v,)
+    away = compact_neighborhood_search(_cantor, x, open_from_fixture(_cantor, "00"))
+    assert run_process(away, 2000) is PENDING
+
+
+def test_pinch_search_positive_control_gap_space():
+    """At 1/3, the right end of the first carrier piece, the target
+    (1/4, 1/2) traces to (1/4, 1/3]; the pinch clips the closure of a
+    neighbourhood to the carrier, so it finds a compact [a, 1/3] inside."""
+    gap = PiecewiseSpace([(0, F(1, 3)), (F(1, 2), 1)], name="two-pieces")
+    target = (F(1, 4), F(1, 2))
+    proc = compact_neighborhood_search(gap, point_from_rational(gap, F(1, 3)),
+                                       open_from_fixture(gap, target))
+    assert isinstance(run_process(proc, 10 ** 4), Accepted)
+    v, k = proc.found
+    [(a, b)] = k
+    assert gap.point_in_basic(F(1, 3), v) and gap.basic_subset(v, target)
+    assert F(1, 4) < a <= v[0] and b == F(1, 3) < v[1] < F(1, 2)
+
+
 def test_pinch_search_qhat_inside_rationals_pending():
     qhat = QhatSpace()
     x = qhat_point_name(qhat, F(1, 2))
@@ -588,6 +620,34 @@ def test_open_intersect_soundness_and_witnesses():
         assert F(1, 2) <= a and b <= F(1)
     x = point_from_rational(_line, F(3, 4))
     assert _accepts(member_open(x, open_intersect(u1, u2)))
+
+
+def _cantor_open(words) -> OpenSet:
+    """The open set that lists the cylinder words[t] at stage t."""
+    return OpenSet(_cantor, enumerate_list([word_rank(w) for w in words]), label="words")
+
+
+def test_open_intersect_emits_a_cylinder_met_later():
+    """[01] arrives first and [0] later: only the intersection code of the
+    pair lists [01], since no part of the other set holds [01] when it
+    arrives."""
+    late = OpenSet(_cantor, enumerate_step(lambda t: (word_rank("0"),) if t == 5 else ()),
+                   label="late")
+    meet = open_intersect(_cantor_open(["01"]), late)
+    assert [_cantor.decode(n) for n in meet.parts.listing(50)] == ["01"]
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(st.lists(st.sampled_from(CANTOR_WORDS), max_size=6),
+       st.lists(st.sampled_from(CANTOR_WORDS), max_size=6))
+def test_open_intersect_matches_depth3_leaves_on_cantor(ws1, ws2):
+    """The listed intersection of two enumerated unions of cylinders holds
+    exactly the leaves that both unions hold, whatever the order of
+    arrival."""
+    meet = open_intersect(_cantor_open(ws1), _cantor_open(ws2)).parts
+    words = [_cantor.decode(n) for n in meet.listing(20)]
+    assert meet.quiescent(20)
+    assert cantor_leaves(words) == cantor_leaves(ws1) & cantor_leaves(ws2)
 
 
 def test_open_intersect_oracle():

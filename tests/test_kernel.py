@@ -1,20 +1,16 @@
 from __future__ import annotations
 
-import itertools
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from erctopo.kernel import (
     Accepted,
-    CANTOR,
     PENDING,
     Machine,
     accept_at,
     any_accepts,
     both_accept,
-    dovetail_any,
     emission_slot,
     enumerate_function,
     enumerate_list,
@@ -26,7 +22,6 @@ from erctopo.kernel import (
     pair_lane,
     process_from_check,
     run_process,
-    search,
     unpair,
 )
 
@@ -41,10 +36,6 @@ def test_pairing_roundtrip_naturals():
     for n in range(5000):
         i, j = unpair(n)
         assert pair(i, j) == n
-
-
-def test_pairing_scheme_object():
-    assert CANTOR.decode(CANTOR.encode(7, 11)) == (7, 11)
 
 
 def test_run_process_always_pending():
@@ -91,66 +82,6 @@ def test_any_accepts():
     assert run_process(any_accepts(never(), never()), 100) is PENDING
 
 
-# -- dovetailing ------------------------------------------------------------
-
-def schedule_oracle(process_stages, appear_at, max_step):
-    """Exhaustive run of the fixed schedule, independent of dovetail_any.
-
-    process_stages[i] is the acceptance stage of process i (None = never);
-    appear_at[i] is the enumeration stage at which process i is listed.
-    Returns the first global step t = pair(i, j) whose decoded process is
-    already listed and accepts with stage <= j.
-    """
-    for t in range(max_step):
-        i, j = unpair(t)
-        listed = [k for k in range(len(appear_at)) if appear_at[k] <= t]
-        if i < len(listed):
-            s = process_stages[listed[i]]
-            if s is not None and s <= j:
-                return t
-    return None
-
-
-def test_dovetail_finds_immediate_acceptor():
-    ps = enumerate_list([accept_at(0)])
-    res = run_process(dovetail_any(ps), 100)
-    assert isinstance(res, Accepted)
-    assert res.stage == schedule_oracle([0], [0], 100) == 0
-
-
-def test_dovetail_all_pending():
-    ps = enumerate_list([never(), never(), never()])
-    assert run_process(dovetail_any(ps), 10 ** 4) is PENDING
-
-
-def test_dovetail_late_acceptor_matches_schedule_oracle():
-    # acceptor first appears at enumeration stage 5
-    def step(t):
-        if t == 5:
-            return (accept_at(0),)
-        if t < 5:
-            return (never(),)
-        return ()
-
-    ps = enumerate_step(step)
-    res = run_process(dovetail_any(ps), 10 ** 4)
-    assert isinstance(res, Accepted)
-    expected = schedule_oracle([None] * 5 + [0], [0, 1, 2, 3, 4, 5], 10 ** 4)
-    assert res.stage == expected
-    assert res.stage >= 5
-
-
-def test_dovetail_order_insensitive_acceptance():
-    # permuting a finite enumeration changes the stage but not acceptance
-    base = [accept_at(2), never(), accept_at(7)]
-    for perm in itertools.permutations(range(3)):
-        ps = enumerate_list([base[k] for k in perm])
-        assert isinstance(run_process(dovetail_any(ps), 10 ** 4), Accepted)
-    for perm in itertools.permutations(range(3)):
-        ps = enumerate_list([never(), never(), never()][k] for k in perm)
-        assert run_process(dovetail_any(enumerate_list([never()] * 3)), 2000) is PENDING
-
-
 # -- enumerators ------------------------------------------------------------
 
 def test_listing_prefix_monotone():
@@ -190,19 +121,6 @@ def test_interleave_of_infinite_sources():
     items = list(merged.listing(40))
     assert ("a", 0) in items and ("b", 0) in items
     assert items.index(("a", 0)) < items.index(("a", 1))
-
-
-def test_search_emits_accepted_candidates():
-    cands = enumerate_list([0, 1, 2, 3])
-    found = search(cands, lambda c: accept_at(c) if c % 2 == 0 else never())
-    listing = found.listing(4000)
-    assert set(listing) == {0, 2}
-
-
-def test_search_on_empty_candidates_stalls():
-    found = search(enumerate_list([]), lambda c: accept_at(0))
-    assert tuple(found.listing(100)) == ()
-    assert found.quiescent(100)
 
 
 # -- cursors ----------------------------------------------------------------
@@ -515,21 +433,3 @@ def test_stalled_is_part_of_the_process_protocol():
     both = both_accept(_StallAt(0), _StallAt(0))
     assert both.poll(10) is None and not both.stalled
     assert not any_accepts(_StallAt(0)).stalled
-
-
-def test_dovetail_stalls_once_every_listed_process_stalled():
-    ps = enumerate_list([_StallAt(1), _StallAt(4)])
-    proc = dovetail_any(ps)
-    assert proc.poll(10 ** 6) is None
-    assert proc.stalled
-    # a composite process keeps the search alive
-    ps = enumerate_list([_StallAt(1), both_accept(_StallAt(0), _StallAt(0))])
-    proc = dovetail_any(ps)
-    assert proc.poll(500) is None and not proc.stalled
-
-
-def test_search_retires_stalled_processes_and_stalls():
-    found = search(enumerate_list([0, 1, 2]),
-                   lambda c: _StallAt(5, hit=1) if c == 1 else _StallAt(c))
-    assert tuple(found.listing(200)) == (1,)
-    assert found.quiescent(200)

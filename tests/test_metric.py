@@ -12,7 +12,7 @@ from erctopo.ercs import (
     compact_neighborhood_search,
     interval_ercs,
 )
-from erctopo.kernel import Accepted, PENDING, run_process
+from erctopo.kernel import Accepted, PENDING, run_process, unpair
 from erctopo.metric import (
     BoundsReal,
     ExactReal,
@@ -239,6 +239,14 @@ def test_star_compact_search_on_arm_accepts():
     assert isinstance(run_process(proc, 10 ** 4), Accepted)
 
 
+def test_star_exact_point_is_named_by_star_point():
+    star = StarSpace()
+    for p in (INF, (0, F(1, 2)), (3, F(1, 4)), (1, F(1))):
+        name, want = exact_metric_point(star.metric, p).name, star_point(star, p)
+        assert name.value == want.value
+        assert name.neighborhoods.listing(500) == want.neighborhoods.listing(500)
+
+
 # -- system from compact balls -------------------------------------------------------------
 
 def _ui_compact_ball_provider():
@@ -276,6 +284,18 @@ def test_ercs_from_compact_ball_main_property():
         assert a < rep.probe.value < b
         patch = e2.compact_cdesc(rep.witness.kid)
         assert all(F(1, 4) < p and q < F(3, 4) for p, q in patch)
+
+
+def test_ercs_from_compact_ball_u_and_k_streams():
+    """Stage t = pair(n, i) of the u stream lists the ball B(dense(n), 2**-i)
+    whenever it is a basic; the k stream lists the kid t at stage t."""
+    e2 = ercs_from_compact_ball(_ui.metric, _ui_compact_ball_provider())
+    for t in range(400):
+        n, i = unpair(t)
+        x, r = _ui.metric.dense(n), F(1, 2 ** i)
+        want = [] if _ui.decode(encode_interval(x - r, x + r)) is None else [(x - r, x + r)]
+        assert [_ui.decode(c) for c in e2.u_stream.between(t, t + 1)] == want
+    assert e2.k_stream.listing(400) == list(range(400))
 
 
 def _without_descriptions(e: Ercs) -> Ercs:
@@ -828,6 +848,30 @@ def test_center_without_exact_value_is_out_of_space():
         distance_to_located(_ui.metric, _ui_ercs, x, located_from_cdesc(_ui, cd))
     with pytest.raises(OutOfSpace):
         radius(_ui.metric, x, compact_from_cdesc(_ui, cd), overt_from_cdesc(_ui, cd))
+    for ball in (ball_open, closed_ball_closed, cl_ball_overt):
+        with pytest.raises(OutOfSpace):
+            ball(_ui.metric, x, F(1, 2))
+    with pytest.raises(OutOfSpace):
+        compact_ball(_ui_ercs, _ui.metric, x, 10 ** 4)
+
+
+def test_nice_radius_on_every_finite_metric_fixture():
+    """In a finite space an open ball is closed, so a radius is nice exactly
+    when no point lies at that distance from the center: around every
+    point, the bracket lies in (0, r) and holds no distance."""
+    r = F(3, 2)
+    for fs in standard_oracle_spaces():
+        if fs.metric_table is None:
+            continue
+        space, _ = lift_finite(fs)
+        k = compact_from_cdesc(space, frozenset(fs.points))
+        for p in fs.points:
+            x = exact_metric_point(space.metric, p)
+            got = nice_radius(space.metric, x, r, k).approx(8, fuel=20_000)
+            assert got is not None, (fs.name, p)
+            lo, hi = got
+            assert 0 < lo <= hi < r
+            assert not any(lo <= fs.distance(p, q) <= hi for q in fs.points), (fs.name, p)
 
 
 def test_distance_race_without_descriptions():

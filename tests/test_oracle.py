@@ -116,3 +116,22 @@ def test_pinch_search_accepts_every_point_in_every_basic():
                 assert isinstance(run_process(search, 100), Accepted), (fs.name, p, n)
                 v, k = search.found
                 assert p in v and v <= k <= basic
+
+
+def test_point_in_basic_agrees_with_the_point_names():
+    for fs in standard_oracle_spaces():
+        space, _ = lift_finite(fs)
+        count = space.finite_basic_count
+        for p in fs.points:
+            listed = oracle_point(space, p).neighborhoods.listing(count + 1)
+            assert listed == [n for n in range(count) if space.point_in_basic(p, space.decode(n))]
+
+
+def test_dense_sequence_round_trips():
+    for fs in standard_oracle_spaces():
+        if fs.metric_table is None:
+            continue
+        m = lift_finite(fs)[0].metric
+        assert [m.dense(m.dense_index(p)) for p in fs.points] == list(fs.points)
+        assert [m.dense_index(m.dense(i)) for i in range(len(fs.points))] == list(
+            range(len(fs.points)))

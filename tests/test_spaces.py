@@ -12,8 +12,19 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from erctopo import spaces
-from erctopo.kernel import filter_lane, unpair
-from erctopo.sets import open_from_fixture, overt_from_cdesc
+from erctopo.kernel import Accepted, filter_lane, run_process, unpair
+from erctopo.registry import registry_get
+from erctopo.sets import (
+    closed_from_cdesc,
+    compact_from_cdesc,
+    compact_subset,
+    intersect_closed_compact,
+    open_from_fixture,
+    open_of_basic,
+    open_union,
+    overt_from_cdesc,
+    union_compact,
+)
 from erctopo.spaces import (
     INF,
     CantorSpace,
@@ -568,6 +579,33 @@ def test_cantor_meets_matches_shared_leaves():
             assert c.basic_meets_cdesc(d, (w,)) == bool(leaves(d) & leaves(w))
 
 
+CANTOR_WORDS = [""] + [format(i, "b").zfill(k) for k in range(1, 4) for i in range(2 ** k)]
+
+
+def cantor_leaves(words) -> set[str]:
+    """The cylinders of depth 3 inside the union of the cylinders ``words``
+    (each of length at most 3): two such unions are equal exactly when
+    their leaf sets are."""
+    return {v for v in CANTOR_WORDS if len(v) == 3 and any(v.startswith(w) for w in words)}
+
+
+@PROPERTY
+@given(st.lists(st.sampled_from(CANTOR_WORDS), max_size=5),
+       st.lists(st.sampled_from(CANTOR_WORDS), max_size=5))
+def test_cantor_intersection_and_union_match_depth3_leaves(ws1, ws2):
+    """The exact intersection and union that ``intersect_closed_compact``
+    and ``union_compact`` take from ``cdesc_intersect`` and
+    ``cdesc_union`` hold the leaves that both or either description holds,
+    and come back prefix-reduced."""
+    c = CantorSpace()
+    c1, c2 = c.make_cdesc(ws1), c.make_cdesc(ws2)
+    meet = intersect_closed_compact(closed_from_cdesc(c, c1), compact_from_cdesc(c, c2)).cdesc
+    join = union_compact(compact_from_cdesc(c, c1), compact_from_cdesc(c, c2)).cdesc
+    assert cantor_leaves(meet) == cantor_leaves(c1) & cantor_leaves(c2)
+    assert cantor_leaves(join) == cantor_leaves(c1) | cantor_leaves(c2)
+    assert meet == c.make_cdesc(meet) and join == c.make_cdesc(join)
+
+
 def test_cantor_region_split_cover():
     c = CantorSpace()
     r = c.region()
@@ -696,6 +734,54 @@ def test_qhat_region_covers_whole_space():
     assert not r.covers_cdesc(("all",))
     r.add(("iv", F(-1), F(2)))
     assert r.covers_cdesc(("all",))
+
+
+def _qhat_covers_whole(basics) -> bool:
+    """Closed form: finitely many basics cover Q-hat when one of them is
+    cofinite, for the point at infinity, and each rational that every
+    cofinite one excludes lies in an interval trace."""
+    cofs = [d[1] for d in basics if d[0] == "cof"]
+    if not cofs:
+        return False
+    return all(any(d[0] == "iv" and d[1] < q < d[2] for d in basics)
+               for q in frozenset.intersection(*cofs))
+
+
+def test_qhat_whole_compact_inside_finite_unions_of_basics():
+    bundle = registry_get("qhat")
+    qhat, whole = bundle.space, bundle.whole_compact()
+    cases = [[("cof", frozenset())],
+             [("cof", frozenset({F(0), F(1)})), ("iv", F(-1), F(2))],
+             [("cof", frozenset({F(0)}))],
+             [("cof", frozenset({F(0), F(1)})), ("iv", F(-1), F(1))],
+             [("iv", F(-5), F(5))]]
+    assert [_qhat_covers_whole(basics) for basics in cases] == [True, True, False, False, False]
+    for basics in cases:
+        u = open_union(qhat, [open_of_basic(qhat, qhat.encode_basic(d)) for d in basics])
+        got = run_process(compact_subset(whole, u), 2000)
+        assert isinstance(got, Accepted) == _qhat_covers_whole(basics), basics
+    # every listed cover covers, and the one basic that covers alone is the
+    # full cofinite basic
+    covers = whole.covers.listing(400)
+    assert all(_qhat_covers_whole([qhat.decode(n) for n in f]) for f in covers)
+    assert {n for f in covers if len(f) == 1 for n in f} == {qhat.encode_cof(frozenset())}
+
+
+def test_qhat_compacts_meet_every_basic():
+    """Both kinds of compact description hold the point at infinity and
+    all but finitely many rationals, so their overt names list every basic;
+    each is checked on a witness point."""
+    qhat = QhatSpace()
+    for cdesc in (("all",), ("cof", frozenset({F(0), F(1, 2), F(1, 4)}))):
+        excluded = cdesc[1] if cdesc[0] == "cof" else frozenset()
+        hits = overt_from_cdesc(qhat, cdesc).hits.listing(300)
+        assert hits == [n for n in range(300) if qhat.decode(n) is not None]
+        for n in hits:
+            d = qhat.decode(n)
+            witness = INF if d[0] == "cof" else next(
+                q for q in (d[1] + (d[2] - d[1]) * F(j, 5) for j in (1, 2, 3, 4))
+                if q not in excluded)
+            assert qhat.point_in_basic(witness, d)
 
 
 # The overt seed lanes and the first 4,096 stages of the overt names of six
