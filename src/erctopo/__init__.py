@@ -68,9 +68,7 @@ from .ercs import (
 )
 from .metric import (
     CReal,
-    LowerReal,
     MetricPoint,
-    UpperReal,
     ball_open,
     cl_ball_overt,
     closed_ball_closed,

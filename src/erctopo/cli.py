@@ -93,7 +93,7 @@ def parse_located(space, text: str):
     :meth:`Space.parse_located`); a set empty in the space raises
     EmptySetArgument."""
     cdesc = space.parse_located(text)
-    if not space.cdesc_nonempty(cdesc):
+    if not cdesc:
         raise EmptySetArgument(f"{text!r} names the empty set in {space.name}")
     return cdesc
 
@@ -206,15 +206,15 @@ def _compact_base(bundle, args):
     if got is None:
         return _pending(args)
     v, k = got
-    inner = run_process(member_open(x, v), args.fuel)
-    outer = run_process(compact_subset(k, open_from_fixture(space, u_desc)),
-                        args.fuel)
-    ok = isinstance(inner, Accepted) and isinstance(outer, Accepted)
+    # each check's acceptance stage, or None (null) while it is Pending
+    inner = member_open(x, v).poll(args.fuel)
+    outer = compact_subset(k, open_from_fixture(space, u_desc)).poll(args.fuel)
+    ok = inner is not None and outer is not None
     vdesc = space.decode(v.parts.listing(2)[0])
     return ("verified" if ok else "unverified",
             {"neighborhood": space.format_basic(vdesc),
              "patch": space.format_located(k.cdesc),
-             "memberStage": inner.stage, "subsetStage": outer.stage},
+             "memberStage": inner, "subsetStage": outer},
             args.fuel, OK if ok else PENDING_EXIT)
 
 

@@ -7,6 +7,11 @@ property states that every open set is the union of the basics formally
 below some patch it swallows; everything in this module is a fuel-bounded
 exploitation of that property: neighborhood search, compact local bases,
 subspace transfers, sigma-covers and whole-space compactness.
+
+The pairs (n, kid) of the formal containment whose patch an open is
+certified to contain are the pairs that open swallows.  One enumeration,
+:func:`swallowed_pairs`, lists them; the open-subspace system and the
+``meets`` predicate of the hyperspace search read it.
 """
 
 from __future__ import annotations
@@ -470,91 +475,92 @@ def closed_subspace_compact_base(e: Ercs, a: ClosedSet, x: PointName,
     return open_intersect(v, u), intersect_closed_compact(a, k)
 
 
-class _SubspaceUStream(MonotoneEnumerator[int]):
-    """Basics kept for the open-subspace system: those formally below a
-    patch certified inside the subspace."""
-
-    def __init__(self, e: Ercs, y: OpenSet, emit_pairs: bool):
+class _SwallowedPairs(MonotoneEnumerator[tuple[int, int]]):
+    def __init__(self, e: Ercs, u: OpenSet):
         super().__init__()
         self.e = e
         self.space = e.space
-        self._parts = y.parts.cursor()
+        self._parts = u.parts.cursor()
         self._pairs = e.r_stream.cursor()
-        self.emit_pairs = emit_pairs
         self._region = self.space.region()
         self._region_version = self._region.version
         self._kid_ok: set[int] = set()
-        self._kid_seen: set[int] = set()
-        self._kid_unknown: list[int] = []
-        self._pairs_by_kid: dict[int, list[tuple[int, int]]] = {}
-        self._emitted: set = set()
+        self._waiting: dict[int, list[tuple[int, int]]] = {}  # kid -> its pairs
+        self._emitted: set[tuple[int, int]] = set()
+
+    def _covered(self, kid: int) -> bool:
+        cdesc = self.e.compact_cdesc(kid)
+        return cdesc is not None and self._region.covers_cdesc(cdesc)
 
     def step(self, t: int):
         sp = self.space
-        out = []
+        ok, waiting = self._kid_ok, self._waiting
+        fresh = []
         for p in self._parts.upto(t + 1):
             self._region.add(sp.decode(p))
-        for n, kid in self._pairs.upto(t + 1):
-            self._pairs_by_kid.setdefault(kid, []).append((n, kid))
-            if kid in self._kid_ok:
-                out.extend(self._fresh((n, kid)))
-            elif kid not in self._kid_seen:
-                self._kid_seen.add(kid)
-                cdesc = self.e.compact_cdesc(kid)
-                if cdesc is not None and self._region.covers_cdesc(cdesc):
-                    self._kid_ok.add(kid)
-                    out.extend(self._fresh((n, kid)))
-                else:
-                    self._kid_unknown.append(kid)
-        # unknown kids were tested against the region as it was: test them
+        for pair_ in self._pairs.upto(t + 1):
+            kid = pair_[1]
+            if kid in ok:
+                fresh.append(pair_)
+            elif kid in waiting:
+                waiting[kid].append(pair_)
+            elif self._covered(kid):
+                ok.add(kid)
+                fresh.append(pair_)
+            else:
+                waiting[kid] = [pair_]
+        # waiting kids were tested against the region as it was: test them
         # again only when it grew
         if self._region.version != self._region_version:
             self._region_version = self._region.version
-            still = []
-            for kid in self._kid_unknown:
-                cdesc = self.e.compact_cdesc(kid)
-                if cdesc is not None and self._region.covers_cdesc(cdesc):
-                    self._kid_ok.add(kid)
-                    for pair_ in self._pairs_by_kid.get(kid, ()):
-                        out.extend(self._fresh(pair_))
-                else:
-                    still.append(kid)
-            self._kid_unknown = still
+            for kid in [kid for kid in waiting if self._covered(kid)]:
+                ok.add(kid)
+                fresh.extend(waiting.pop(kid))
         if self._parts.quiescent(t + 1) and self._pairs.quiescent(t + 1):
             self.stall()  # certification state can no longer change
+        out = []
+        for pair_ in fresh:
+            if pair_ not in self._emitted:
+                self._emitted.add(pair_)
+                out.append(pair_)
         return out
 
-    def _fresh(self, pair_: tuple[int, int]):
-        key = pair_ if self.emit_pairs else pair_[0]
-        if key in self._emitted:
-            return ()
-        self._emitted.add(key)
-        return (key,)
+
+def swallowed_pairs(e: Ercs, u: OpenSet) -> MonotoneEnumerator[tuple[int, int]]:
+    """The pairs the open swallows: each pair (n, kid) of ``e.r_stream``
+    whose patch is certified inside u, listed once, at the stage whose
+    parts of u and pairs first certify it.  By the reconstruction property
+    u is the union of the basics n of these pairs."""
+    return _SwallowedPairs(e, u)
+
+
+class _Projection(MonotoneEnumerator[int]):
+    """One side of a listing of pairs, each value listed once."""
+
+    def __init__(self, pairs: MonotoneEnumerator[tuple[int, int]], side: int):
+        super().__init__()
+        self._pairs = pairs.cursor()
+        self._side = side
+        self._seen: set[int] = set()
+
+    def step(self, t: int):
+        out = []
+        for pair_ in self._pairs.upto(t + 1):
+            v = pair_[self._side]
+            if v not in self._seen:
+                self._seen.add(v)
+                out.append(v)
+        if self._pairs.quiescent(t + 1):
+            self.stall()
+        return out
 
 
 def open_subspace_ercs(e: Ercs, y: OpenSet) -> Ercs:
-    """Restriction of the system to a computably open subspace."""
-    kept_pairs = _SubspaceUStream(e, y, emit_pairs=True)
-    kept_us = _SubspaceUStream(e, y, emit_pairs=False)
-
-    class _Kids(MonotoneEnumerator[int]):
-        def __init__(self, source: MonotoneEnumerator):
-            super().__init__()
-            self._pairs = source.cursor()
-            self._seen: set[int] = set()
-
-        def step(self, t: int):
-            out = []
-            for _, kid in self._pairs.upto(t + 1):
-                if kid not in self._seen:
-                    self._seen.add(kid)
-                    out.append(kid)
-            if self._pairs.quiescent(t + 1):
-                self.stall()
-            return out
-
-    return Ercs(e.space, kept_us, _Kids(_SubspaceUStream(e, y, emit_pairs=True)),
-                kept_pairs, e.compact_cdesc, e.compact_value)
+    """Restriction of the system to a computably open subspace: its pairs
+    are the pairs y swallows, its basics and patches their two sides."""
+    kept = swallowed_pairs(e, y)
+    return Ercs(e.space, _Projection(kept, 0), _Projection(kept, 1), kept,
+                e.compact_cdesc, e.compact_value)
 
 
 def locally_closed_compact_base(e: Ercs, a: ClosedSet, y: OpenSet,

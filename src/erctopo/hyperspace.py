@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .ercs import Ercs
+from .ercs import Ercs, swallowed_pairs
 from .kernel import (
     Cursor,
     Machine,
@@ -620,43 +620,27 @@ def subset_predicate(e: Ercs, outside_compact: CompactSet):
 
 
 class _Meets(Machine):
-    """Accepts once a pair (n, kid) with n touched has its patch inside u."""
+    """Accepts at the first pair the open swallows whose basic is touched."""
 
-    def __init__(self, e: Ercs, u: OpenSet, ones: set[int]) -> None:
+    def __init__(self, swallowed: MonotoneEnumerator[tuple[int, int]],
+                 ones: set[int]) -> None:
         super().__init__()
-        self.e = e
-        self.space = e.space
+        self._swallowed = swallowed.cursor()
         self._ones = ones
-        self._region = self.space.region()
-        self._region_version = -1
-        self._kids: list[int] = []
-        self._parts = u.parts.cursor()
-        self._pairs = e.r_stream.cursor()
 
     def step(self, t: int) -> bool:
-        for p in self._parts.upto(t + 1):
-            self._region.add(self.space.decode(p))
-        for n, kid in self._pairs.upto(t + 1):
-            if n in self._ones:
-                self._kids.append(kid)
-                if self._kid_in(kid):
-                    return True
-        if self._region.version != self._region_version:
-            self._region_version = self._region.version
-            return any(self._kid_in(k) for k in self._kids)
-        return False
-
-    def _kid_in(self, kid: int) -> bool:
-        cdesc = self.e.compact_cdesc(kid)
-        return cdesc is not None and self._region.covers_cdesc(cdesc)
+        ones = self._ones
+        return any(n in ones for n, _ in self._swallowed.upto(t + 1))
 
 
 def meets_predicate(e: Ercs, u: OpenSet):
     """P(A): A intersects the open set: certified by a touched basic below
-    a patch inside it."""
+    a patch inside it, read off the pairs u swallows, listed once for
+    every node of the search."""
+    swallowed = swallowed_pairs(e, u)
 
     def build(oracle: PrefixOracle) -> SemidecisionProcess:
-        return _Meets(e, u, set(oracle.one_indices()))
+        return _Meets(swallowed, set(oracle.one_indices()))
 
     return build
 

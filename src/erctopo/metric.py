@@ -5,16 +5,17 @@ Hausdorff distance.
 Exact reals are nested rational brackets.  A bracket owes its bounds to
 the names: an upper bound comes from a covering that was seen to succeed,
 a lower bound from an overlap or avoidance witness.  Radii, distances and
-Hausdorff distances are read as two monotone bound streams (a left- and a
-right-c.e. real) computed from the enumerated hits, covers and complement
-parts themselves, through the space's distance bounds (``far``, ``near``,
-``clearance`` and the Hausdorff tracker ``hausdorff_cells``);
-:class:`BoundsReal` reads both streams once per real.  One unit of fuel is
-one stage of the streams, which reads one stage of every name they
-consume.  No description is needed: a set given only by its names gets
-the same streams.
+Hausdorff distances are read as one stream of running bounds (lower,
+upper), the lower side nondecreasing and the upper nonincreasing (a left-
+and a right-c.e. real), computed from the enumerated hits, covers and
+complement parts themselves, through the space's distance bounds
+(``far``, ``near``, ``clearance`` and the Hausdorff tracker
+``hausdorff_cells``); :class:`BoundsReal` reads the last pair the stream
+lists at a stage.  One unit of fuel is one stage of the stream, which
+reads one stage of every name it consumes.  No description is needed: a
+set given only by its names gets the same stream.
 
-A bound stream hands the space its running best, so that a cell that
+A bound stream hands the space each side's running best, so that a cell that
 cannot improve on it costs an integer test and builds no Fraction.  The
 Hausdorff tracker of a line subspace converts each hit cell once and keeps
 the lower bound as a running maximum; a read then makes a few linear
@@ -31,7 +32,7 @@ on k and the fuel, never on what was asked before.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from .ercs import Ercs, compact_base, whole_space_compact
 from .kernel import (
@@ -93,56 +94,31 @@ class CReal:
         raise NotImplementedError
 
 
-class ExactReal(CReal):
-    def __init__(self, value):
-        self.value = Fraction(value)
-
-    def approx(self, k: int, fuel: int | None = None) -> Bracket:
-        return Bracket(self.value, self.value, 0)
-
-
-class LowerReal:
-    """Nondecreasing rational bounds from below."""
-
-    def __init__(self, bounds: MonotoneEnumerator[Fraction]):
-        self.bounds = bounds
-
-    def best(self, stage: int) -> Fraction | None:
-        listed = self.bounds.listing(stage)
-        return max(listed) if listed else None
-
-
-class UpperReal:
-    """Nonincreasing rational bounds from above."""
-
-    def __init__(self, bounds: MonotoneEnumerator[Fraction]):
-        self.bounds = bounds
-
-    def best(self, stage: int) -> Fraction | None:
-        listed = self.bounds.listing(stage)
-        return min(listed) if listed else None
-
-
 class BoundsReal(CReal):
-    """Interleaves a lower and an upper bound stream into nested brackets.
+    """Nested brackets read off one stream of running bounds.
 
-    One unit of fuel is one stage of the streams.  A request reads both
-    streams at the stages 1, 2, 4, ... up to the budget; the bracket at a
-    stage is a function of that stage alone, so the same (k, fuel) always
-    gives the same answer, whose ``stage`` is the stage read.  Bounds that
-    cross (names that disagree about the set) collapse the bracket onto the
+    The stream lists pairs (lower, upper), a side None until it has a
+    bound; each pair is listed at a stage where a side improves, so the
+    last pair listed at a stage holds the best bounds read so far.  One
+    unit of fuel is one stage of the stream.  A request reads it at the
+    stages 1, 2, 4, ... up to the budget; the bracket at a stage is a
+    function of that stage alone, so the same (k, fuel) always gives the
+    same answer, whose ``stage`` is the stage read.  Bounds that cross
+    (names that disagree about the set) collapse the bracket onto the
     midpoint of the crossing gap.
     """
 
-    def __init__(self, lower: LowerReal, upper: UpperReal):
-        self.lower = lower
-        self.upper = upper
+    def __init__(self, bounds: MonotoneEnumerator[tuple[Fraction | None,
+                                                        Fraction | None]]):
+        self.bounds = bounds
 
     def bracket(self, stage: int) -> tuple[Fraction, Fraction] | None:
-        """The bracket both streams give at ``stage``; None until each side
+        """The bracket the stream gives at ``stage``; None until each side
         has a bound."""
-        lo = self.lower.best(stage)
-        hi = self.upper.best(stage)
+        listed = self.bounds.listing(stage)
+        if not listed:
+            return None
+        lo, hi = listed[-1]
         if lo is None or hi is None:
             return None
         if lo > hi:
@@ -161,36 +137,44 @@ class BoundsReal(CReal):
         return None
 
 
-class _BoundStream(MonotoneEnumerator[Fraction]):
-    """Running best of per-item bounds read off an enumerated name.
+_Bound = Callable[[object, Fraction | None], Fraction | None]
 
-    Stage t reads stage t of the name and maps each new item and the
-    running best (None before the first bound) to a candidate bound (None
-    for no bound, which is also allowed for a candidate that would not
-    strictly improve on the best); only improvements are emitted, so the
-    listing stays short.  ``start`` is emitted at stage 0.
+
+class _BoundStream(MonotoneEnumerator[tuple[Fraction, Fraction | None]]):
+    """Running bounds read off two enumerated names, one per side.
+
+    Stage t reads stage t of both names and maps each new item and the
+    side's running best to a candidate bound (None for no bound, which is
+    also allowed for a candidate that would not strictly improve on the
+    best).  The lower side starts at 0, the upper side at None.  Stage 0
+    lists (0, upper), and a later stage lists the new pair when a side
+    improves, so the listing stays short.
     """
 
-    def __init__(self, items: MonotoneEnumerator,
-                 bound: Callable[[object, Fraction | None], Fraction | None],
-                 lower: bool, start: Fraction | None = None):
+    def __init__(self, lower_items: MonotoneEnumerator, lower: _Bound,
+                 upper_items: MonotoneEnumerator, upper: _Bound):
         super().__init__()
-        self._reader = items.cursor()
-        self._bound = bound
+        self._lower_items = lower_items.cursor()
         self._lower = lower
-        self._best = start
+        self._upper_items = upper_items.cursor()
+        self._upper = upper
+        self._lo: Fraction = Fraction(0)
+        self._hi: Fraction | None = None
 
-    def step(self, t: int) -> Iterable[Fraction]:
-        best = self._best
-        for item in self._reader.upto(t + 1):
-            b = self._bound(item, best)
-            if b is not None and (best is None
-                                  or (b > best if self._lower else b < best)):
-                best = b
+    def step(self, t: int):
+        lo, hi = self._lo, self._hi
+        for item in self._lower_items.upto(t + 1):
+            b = self._lower(item, lo)
+            if b is not None and b > lo:
+                lo = b
+        for item in self._upper_items.upto(t + 1):
+            b = self._upper(item, hi)
+            if b is not None and (hi is None or b < hi):
+                hi = b
         # a new best is a strict improvement, hence a new object
-        if best is not None and (t == 0 or best is not self._best):
-            self._best = best
-            return (best,)
+        if t == 0 or lo is not self._lo or hi is not self._hi:
+            self._lo, self._hi = lo, hi
+            return ((lo, hi),)
         return ()
 
 
@@ -453,10 +437,9 @@ def radius(m: MetricStructure, x: MetricPoint, k: CompactSet, v: OvertSet,
             fars.append(f)
         return max(fars, default=Fraction(0))
 
-    lower = _BoundStream(v.hits, lambda n, best: space.near(xv, space.decode(n), best),
-                         lower=True, start=Fraction(0))
-    upper = _BoundStream(k.covers, widest, lower=False)
-    return BoundsReal(LowerReal(lower), UpperReal(upper))
+    return BoundsReal(_BoundStream(
+        v.hits, lambda n, best: space.near(xv, space.decode(n), best),
+        k.covers, widest))
 
 
 # ---------------------------------------------------------------------------
@@ -575,13 +558,9 @@ def distance_to_located(m: MetricStructure, e: Ercs, x: MetricPoint,
     space = m.space
     xv = _exact_center(x)
     clear = space.clearance(xv)
-    lower = _BoundStream(a.closed_part.complement.parts,
-                         lambda n, best: clear(space.decode(n)),
-                         lower=True, start=Fraction(0))
-    upper = _BoundStream(a.overt_part.hits,
-                         lambda n, best: space.far(xv, space.decode(n), best),
-                         lower=False)
-    return BoundsReal(LowerReal(lower), UpperReal(upper))
+    return BoundsReal(_BoundStream(
+        a.closed_part.complement.parts, lambda n, best: clear(space.decode(n)),
+        a.overt_part.hits, lambda n, best: space.far(xv, space.decode(n), best)))
 
 
 # ---------------------------------------------------------------------------
@@ -609,9 +588,9 @@ class _Hull:
                 self.cdesc = got
 
 
-class _HausdorffBounds(MonotoneEnumerator[tuple[bool, Fraction]]):
-    """Both bound streams of a Hausdorff distance, as items (True, lower
-    bound) and (False, upper bound); only improvements are emitted.
+class _HausdorffBounds(MonotoneEnumerator[tuple[Fraction | None, Fraction | None]]):
+    """The running (lower, upper) bounds of a Hausdorff distance, listed
+    as :class:`_BoundStream` lists them, a side None until it has a bound.
 
     Each direction feeds the hit cells of one set to a tracker of the
     space (see :meth:`Space.hausdorff_cells`) and, at the stages 1, 2, 4,
@@ -629,7 +608,7 @@ class _HausdorffBounds(MonotoneEnumerator[tuple[bool, Fraction]]):
         self._lo: Fraction | None = None
         self._hi: Fraction | None = None
 
-    def step(self, t: int) -> Iterable[tuple[bool, Fraction]]:
+    def step(self, t: int):
         if t & (t + 1):
             return ()
         lows, highs = [], []
@@ -642,31 +621,17 @@ class _HausdorffBounds(MonotoneEnumerator[tuple[bool, Fraction]]):
                 lo, hi = cells.bounds(hull.cdesc)
                 lows.append(lo)
                 highs.append(hi)
-        out = []
+        improved = False
         lo = max(lows, default=None)
         if lo is not None and (self._lo is None or lo > self._lo):
             self._lo = lo
-            out.append((True, lo))
+            improved = True
         if len(highs) == 2 and None not in highs:
             hi = max(highs)
             if self._hi is None or hi < self._hi:
                 self._hi = hi
-                out.append((False, hi))
-        return out
-
-
-class _Side:
-    """The bounds of one side of a stream of (is lower, bound) items, read
-    as :class:`LowerReal` and :class:`UpperReal` read a stream: through
-    ``listing``, which filters the stream's listing at the stage read."""
-
-    def __init__(self, both: MonotoneEnumerator[tuple[bool, Fraction]], lower: bool):
-        self._both = both
-        self._lower = lower
-
-    def listing(self, stage: int) -> list[Fraction]:
-        return [v for is_lower, v in self._both.listing(stage)
-                if is_lower == self._lower]
+                improved = True
+        return ((self._lo, self._hi),) if improved else ()
 
 
 def hausdorff_distance(m: MetricStructure, e: Ercs, a: LocatedSet, b: LocatedSet,
@@ -683,9 +648,7 @@ def hausdorff_distance(m: MetricStructure, e: Ercs, a: LocatedSet, b: LocatedSet
     """
     space = m.space
     whole = whole_space_compact(e, whole_hint)
-    both = _HausdorffBounds(
+    return BoundsReal(_HausdorffBounds(
         space, a.overt_part.hits, b.overt_part.hits,
         _Hull(space, intersect_closed_compact(a.closed_part, whole)),
-        _Hull(space, intersect_closed_compact(b.closed_part, whole)))
-    return BoundsReal(LowerReal(_Side(both, lower=True)),
-                      UpperReal(_Side(both, lower=False)))
+        _Hull(space, intersect_closed_compact(b.closed_part, whole))))

@@ -119,11 +119,13 @@ def open_from_fixture(space: Space, desc) -> OpenSet:
 def closed_from_cdesc(space: Space, cdesc) -> ClosedSet:
     """Closed set with the given exact description; the complement name
     interleaves a generated skeleton of the complement with the filter of
-    every basic certified to avoid the set."""
+    every basic that misses the set (``basic_meets_cdesc`` is exact on
+    descriptions)."""
     def seeds(s: int):
         return [c for c in space.complement_gaps(cdesc, s) if space.decode(c) is not None]
 
-    lane = filter_lane(space.decode, lambda d: space.basic_avoids_cdesc(d, cdesc), seeds,
+    meets = space.basic_meets_cdesc_test(cdesc)
+    lane = filter_lane(space.decode, lambda d: not meets(d), seeds,
                        space.finite_basic_count)
     complement = OpenSet(space, lane, label=f"co:{cdesc!r}")
     return ClosedSet(complement, cdesc=cdesc)
@@ -147,7 +149,7 @@ def compact_from_cdesc(space: Space, cdesc) -> CompactSet:
 
     def step(t: int):
         out = []
-        if t == 0 and not space.cdesc_nonempty(cdesc):
+        if t == 0 and not cdesc:
             out.extend(emit(frozenset()))
         s = emission_slot(t)
         if s is not None:

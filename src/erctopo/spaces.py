@@ -486,9 +486,6 @@ class Space:
         """Sound test: compact description included in one basic open."""
         raise NotImplementedError
 
-    def cdesc_nonempty(self, cdesc) -> bool:
-        return bool(cdesc)
-
     def basic_in_closure(self, d1, d2) -> bool:
         """Sound: the basic d1 lies inside the closure of the basic d2.
         False asserts nothing."""
@@ -503,12 +500,6 @@ class Space:
         that tests many basics against one fixed description; a space may
         prepare the description once."""
         return lambda d: self.basic_meets_cdesc(d, cdesc)
-
-    def basic_avoids_cdesc(self, d, cdesc) -> bool:
-        """Sound (exact on instances): the basic misses the described set.
-        The default negates basic_meets_cdesc, so it is sound only where
-        that test is exact."""
-        return not self.basic_meets_cdesc(d, cdesc)
 
     def cdesc_intersect(self, c1, c2):
         """Exact intersection of compact descriptions, or None if unsupported."""
@@ -1955,7 +1946,7 @@ class _CantorBasicInsideIndex:
 INF = ("inf",)
 
 
-def star_distance(p1, p2, k: int | None = None) -> Fraction:
+def star_distance(p1, p2) -> Fraction:
     """Exact distance in the star space.
 
     Points are INF or pairs (n, x) with x a rational in [0, 1]; the center

@@ -59,6 +59,24 @@ def test_compact_base_pending_exit_two():
     assert '"result":"Pending"' in out
 
 
+def test_compact_base_unverified_check_writes_null_stage(monkeypatch, capsys):
+    """A compact base whose membership check stays Pending is reported
+    unverified, exit 2, with a null stage for that check."""
+    import json
+    from erctopo import cli, kernel
+    monkeypatch.setattr(cli, "member_open", lambda x, v: kernel.never())
+    code = main(["compact-base", "--space", "real-line", "--x", "0", "--u", "(-1,1)",
+                 "--format", "json"])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert "Traceback" not in out + err
+    payload = json.loads(out)
+    assert payload["result"] == "unverified"
+    assert payload["witness"]["memberStage"] is None
+    assert payload["witness"]["subsetStage"] == 0
+    assert payload["witness"]["neighborhood"] == "(-1/2,1/2)"
+
+
 def test_compact_base_star_domain_error():
     code, _ = run_cli(["compact-base", "--space", "star",
                        "--x", "0", "--u", "(-1,1)"])

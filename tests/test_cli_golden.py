@@ -165,6 +165,14 @@ OTHER_GOLDEN = [
      ('{"command":"forall","config":{"fuel":100000,"precision":10,"space":"cantor"}'
       ',"fuelUsed":12,"result":"Accepted","witness":{"closingDepth":1}}\n'),
      ''),
+    # meets off Cantor space: isEmptyOr on the unit interval, recorded
+    # while each node of the search read its own pairs and region
+    ('forall --space unit-interval --pred isEmptyOr(meets(open(-1,2)))',
+     0,
+     ('{"command":"forall","config":{"fuel":100000,"precision":10'
+      ',"space":"unit-interval"},"fuelUsed":3014,"result":"Accepted"'
+      ',"witness":{"closingDepth":11}}\n'),
+     ''),
     ('forall --space unit-interval --pred and(subset(open(-1,2)),subset(open(-0.5,1.5)))',
      0,
      ('{"command":"forall","config":{"fuel":100000,"precision":10'

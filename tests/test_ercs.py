@@ -22,6 +22,7 @@ from erctopo.ercs import (
     open_intersect,
     open_subspace_ercs,
     sigma_cover,
+    swallowed_pairs,
     whole_space_compact,
 )
 from erctopo.kernel import Accepted, PENDING, enumerate_list, enumerate_step, run_process
@@ -246,6 +247,65 @@ def test_open_subspace_ercs_listing_is_pinned():
             lines += [f"{space.name}:{name}:{t}:{item!r}"
                       for t in range(stages) for item in reader.upto(t + 1)]
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == OPEN_SUBSPACE_PIN
+
+
+# -- the pairs an open swallows ------------------------------------------------------
+
+# stages at which the listings are compared, around the late open's stage 300
+_SWALLOW_STAGES = (1, 2, 3, 5, 8, 20, 64, 150, 300, 301, 302, 700, 1500)
+
+
+def _swallow_cases():
+    """(label, system, open): fixture opens on the line, the unit interval
+    and Cantor space, and an open whose only part arrives at stage 300."""
+    late = OpenSet(_line, enumerate_step(
+        lambda t: (encode_interval(F(-2), F(2)),) if t == 300 else ()), label="late")
+    return [("line:(0,1)", interval_ercs(_line), open_from_fixture(_line, (F(0), F(1)))),
+            ("ui:(1/4,3/4)", interval_ercs(_ui), open_from_fixture(_ui, (F(1, 4), F(3, 4)))),
+            ("ui:(-1,2)", interval_ercs(_ui), open_from_fixture(_ui, (F(-1), F(2)))),
+            ("cantor:01", cantor_ercs(_cantor), open_from_fixture(_cantor, "01")),
+            ("cantor:e", cantor_ercs(_cantor), open_from_fixture(_cantor, ""))
+            ] + [("line:late", interval_ercs(_line), late)]
+
+
+def _certified_by(e, u, stage: int) -> set:
+    """The pairs of ``e.r_stream`` listed by ``stage`` whose patch the parts
+    of u listed by ``stage`` cover, read from scratch."""
+    region = e.space.region()
+    for p in u.parts.listing(stage):
+        region.add(e.space.decode(p))
+    return {(n, kid) for n, kid in e.r_stream.listing(stage)
+            if e.compact_cdesc(kid) is not None
+            and region.covers_cdesc(e.compact_cdesc(kid))}
+
+
+def test_swallowed_pairs_are_sound():
+    """Every pair listed by stage S is a formal pair listed by S whose
+    patch the parts of the open listed by S cover; no pair is listed
+    twice."""
+    for label, e, u in _swallow_cases():
+        swallowed = swallowed_pairs(e, u)
+        for stage in _SWALLOW_STAGES:
+            listed = swallowed.listing(stage)
+            assert len(set(listed)) == len(listed), (label, stage)
+            assert set(listed) <= _certified_by(e, u, stage), (label, stage)
+
+
+def test_swallowed_pairs_are_complete():
+    """Every formal pair listed by stage S whose patch the parts listed by
+    S cover is listed by S, read stage by stage or in one read."""
+    emitted = 0
+    for label, e, u in _swallow_cases():
+        stepped = swallowed_pairs(e, u).cursor()
+        seen: set = set()
+        for stage in range(1, _SWALLOW_STAGES[-1] + 1):
+            seen.update(stepped.upto(stage))
+            if stage in _SWALLOW_STAGES:
+                want = _certified_by(e, u, stage)
+                assert want <= seen, (label, stage, sorted(want - seen)[:5])
+                assert want <= set(swallowed_pairs(e, u).listing(stage)), (label, stage)
+        emitted += len(seen)
+    assert emitted > 100
 
 
 def test_locally_closed_compact_base():

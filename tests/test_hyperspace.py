@@ -8,6 +8,7 @@ from itertools import product
 from erctopo.ercs import cantor_ercs, interval_ercs
 from erctopo.hyperspace import (
     ForallSearch,
+    PrefixOracle,
     SpecBits,
     consistency_refute,
     empty_or_predicate,
@@ -22,7 +23,7 @@ from erctopo.hyperspace import (
     spec_from_located,
     subset_predicate,
 )
-from erctopo.kernel import Accepted, PENDING, run_process
+from erctopo.kernel import Accepted, Machine, PENDING, run_process
 from erctopo.oracle import lift_finite, standard_oracle_spaces
 from erctopo.sets import (
     check_located_coherence,
@@ -346,6 +347,77 @@ def test_forall_empty_or_meets_accepted_cantor():
     search = forall_located(_cantor_ercs, pred)
     res = run_process(search, 10 ** 5)
     assert isinstance(res, Accepted)
+
+
+class ReferenceMeets(Machine):
+    """The per-node ``meets`` process that the shared stream replaced, kept
+    as a reference: each node holds its own region over the open's parts
+    and its own read of the formal pairs, and accepts once a pair (n, kid)
+    with n touched has its patch inside u."""
+
+    def __init__(self, e, u, ones: set[int]) -> None:
+        super().__init__()
+        self.e = e
+        self.space = e.space
+        self._ones = ones
+        self._region = self.space.region()
+        self._region_version = -1
+        self._kids: list[int] = []
+        self._parts = u.parts.cursor()
+        self._pairs = e.r_stream.cursor()
+
+    def step(self, t: int) -> bool:
+        for p in self._parts.upto(t + 1):
+            self._region.add(self.space.decode(p))
+        for n, kid in self._pairs.upto(t + 1):
+            if n in self._ones:
+                self._kids.append(kid)
+                if self._kid_in(kid):
+                    return True
+        if self._region.version != self._region_version:
+            self._region_version = self._region.version
+            return any(self._kid_in(k) for k in self._kids)
+        return False
+
+    def _kid_in(self, kid: int) -> bool:
+        cdesc = self.e.compact_cdesc(kid)
+        return cdesc is not None and self._region.covers_cdesc(cdesc)
+
+
+def test_shared_meets_accepts_where_the_per_node_reference_does():
+    """On the unit interval and Cantor space, nodes built from one meets
+    predicate share the pairs the open swallows; each accepts at the
+    stage of its own reference, at every fuel of a sweep, whatever the
+    nodes before it read."""
+    fuels = [1, 2, 3, 4, 6, 9, 14, 21, 32, 48, 72, 108, 162, 243, 365, 548, 822,
+             1233, 1850, 2775, 4163, 6245]
+    cases = [(_ui, _ui_ercs, [(F(-1), F(2)), (F(1, 4), F(3, 4)), (F(0), F(1, 2)),
+                              (F(0), F(1, 8))]),
+             (_cantor, _cantor_ercs, ["", "0", "10", "011"])]
+    rng = random.Random(18)
+    outcomes = set()
+    for space, e, opens in cases:
+        pool = [n for n in range(3000) if space.decode(n) is not None]
+        for o in opens:
+            u = open_from_fixture(space, o)
+            build = meets_predicate(e, u)
+            inside = [n for n in pool if space.basic_subset(space.decode(n), o)]
+            nodes = []
+            for _ in range(12):
+                # a few basics inside the open, so that narrow opens accept
+                indices = sorted(set(rng.sample(pool, 10) + rng.sample(inside, min(4, len(inside)))))
+                depth = rng.randrange(1, len(indices) + 1)
+                bits = tuple(rng.randrange(2) for _ in range(depth))
+                oracle = PrefixOracle(bits, tuple(indices[:depth]))
+                nodes.append((build(oracle),
+                              ReferenceMeets(e, u, set(oracle.one_indices())), bits))
+            # later nodes start after earlier ones have read the stream far
+            for shared, reference, bits in nodes:
+                for fuel in fuels:
+                    got = shared.poll(fuel)
+                    assert got == reference.poll(fuel), (space.name, o, bits, fuel)
+                outcomes.add(got is None)
+    assert outcomes == {True, False}
 
 
 def test_forall_oracle_agreement_with_bruteforce():

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from typing import Callable
 
 import pytest
 
@@ -11,13 +12,11 @@ from erctopo.ercs import (
     check_main_property,
     compact_neighborhood_search,
     interval_ercs,
+    whole_space_compact,
 )
 from erctopo.kernel import Accepted, PENDING, run_process, unpair
 from erctopo.metric import (
     BoundsReal,
-    ExactReal,
-    LowerReal,
-    UpperReal,
     ball_open,
     cl_ball_overt,
     closed_ball_closed,
@@ -29,6 +28,7 @@ from erctopo.metric import (
     _within,
     nice_radius,
     radius,
+    _Hull,
 )
 from erctopo.spaces import _CoverCells
 from erctopo.oracle import lift_finite, standard_oracle_spaces
@@ -91,14 +91,9 @@ def _bracket_contains(real, k, value, fuel=None):
 
 # -- exact real plumbing -----------------------------------------------------------
 
-def test_exact_real():
-    assert ExactReal(F(1, 3)).approx(20) == (F(1, 3), F(1, 3))
-
-
 def test_bounds_real_nested_and_converging():
-    lower = LowerReal(enumerate_function(lambda t: F(1) - F(1, t + 1)))
-    upper = UpperReal(enumerate_function(lambda t: F(1) + F(1, t + 1)))
-    real = BoundsReal(lower, upper)
+    real = BoundsReal(enumerate_function(
+        lambda t: (F(1) - F(1, t + 1), F(1) + F(1, t + 1))))
     prev = None
     for k in (2, 4, 6):
         lo, hi = real.approx(k)
@@ -750,6 +745,130 @@ def test_streamed_brackets_sound_at_every_stage():
         _bracket_contains(real, 10, want)
 
 
+class _RunningSides:
+    """Reference reading of a bracket's two sides, each its own listing:
+    the largest lower bound and the smallest upper bound seen by a stage,
+    every bound asked for with no running best."""
+
+    def __init__(self, lower: Callable[[int], list], upper: Callable[[int], list],
+                 lo=F(0)):
+        self._lower, self._upper = lower, upper
+        self.lo, self.hi = lo, None
+
+    def read(self, t: int) -> None:
+        for b in self._lower(t):
+            if b is not None and (self.lo is None or b > self.lo):
+                self.lo = b
+        for b in self._upper(t):
+            if b is not None and (self.hi is None or b < self.hi):
+                self.hi = b
+
+    def bracket(self):
+        if self.lo is None or self.hi is None:
+            return None
+        if self.lo > self.hi:
+            mid = (self.lo + self.hi) / 2
+            return (mid, mid)
+        return (self.lo, self.hi)
+
+
+def _radius_sides(space, xv, k, v):
+    hits, covers = v.hits.cursor(), k.covers.cursor()
+
+    def widest(cover):
+        fars = [space.far(xv, space.decode(n)) for n in cover]
+        return None if None in fars else max(fars, default=F(0))
+
+    return _RunningSides(
+        lambda t: [space.near(xv, space.decode(n)) for n in hits.upto(t + 1)],
+        lambda t: [widest(c) for c in covers.upto(t + 1)])
+
+
+def _distance_sides(space, xv, a):
+    parts, hits = a.closed_part.complement.parts.cursor(), a.overt_part.hits.cursor()
+    clear = space.clearance(xv)
+    return _RunningSides(
+        lambda t: [clear(space.decode(n)) for n in parts.upto(t + 1)],
+        lambda t: [space.far(xv, space.decode(n)) for n in hits.upto(t + 1)])
+
+
+def _hausdorff_sides(space, a, b, whole):
+    # each direction: one set's hull, the hits of the other, their tracker,
+    # read at the stages 0, 1, 3, 7, ... as the brackets read them
+    sides = [(_Hull(space, intersect_closed_compact(a.closed_part, whole)),
+              b.overt_part.hits.cursor(), space.hausdorff_cells()),
+             (_Hull(space, intersect_closed_compact(b.closed_part, whole)),
+              a.overt_part.hits.cursor(), space.hausdorff_cells())]
+    highs: list = []
+
+    def lows(t: int) -> list:
+        # the lower bound of both directions, and their upper bounds kept
+        # for the upper side, which reads the same stage next
+        highs.clear()
+        if t & (t + 1):
+            return []
+        got = []
+        for hull, hits, cells in sides:
+            hull.read(t + 1)
+            cells.add(hits.upto(t + 1))
+            lo, hi = cells.bounds(hull.cdesc)
+            got.append(lo)
+            highs.append(hi)
+        return [max(got)]
+
+    return _RunningSides(
+        lows, lambda t: [max(highs)] if highs and None not in highs else [], lo=None)
+
+
+def test_bracket_is_the_best_of_each_sides_listing():
+    """At every stage up to 3,000, the bracket read off the one stream of
+    running bounds equals the largest lower and smallest upper bound of
+    the two sides, each read as its own listing."""
+    x = exact_metric_point(_ui.metric, F(5, 16))
+    ball = _ui.make_cdesc([(F(1, 16), F(9, 16))])
+    pieces = _ui.make_cdesc([(F(1, 2), F(5, 8)), (F(7, 8), F(1))])
+    other = _ui.make_cdesc([(F(0), F(1, 4))])
+    halves = (_ui.make_cdesc([(F(0), F(1, 2))]), _ui.make_cdesc([(F(1, 2), F(1))]))
+    crossing = LocatedSet(
+        closed_from_cdesc(_ui, _ui.make_cdesc([(F(0), F(1, 8))])),
+        overt_from_cdesc(_ui, _ui.make_cdesc([(F(1, 2), F(1, 2))])))
+    line_x = exact_metric_point(_line.metric, F(0))
+    whole = whole_space_compact(_ui_ercs, _UI_WHOLE_HINT)
+
+    def distance(m, space, x, a):
+        return (distance_to_located(m, _ui_ercs, x, a), _distance_sides(space, x.value, a))
+
+    def hausdorff(a, b):
+        return (hausdorff_distance(_ui.metric, _ui_ercs, a, b, _UI_WHOLE_HINT),
+                _hausdorff_sides(_ui, a, b, whole))
+
+    cases = {
+        "radius": (radius(_ui.metric, x, compact_from_cdesc(_ui, ball),
+                          overt_from_cdesc(_ui, ball)),
+                   _radius_sides(_ui, x.value, compact_from_cdesc(_ui, ball),
+                                 overt_from_cdesc(_ui, ball))),
+        "distance": distance(_ui.metric, _ui, x, located_from_cdesc(_ui, pieces)),
+        "distance-undescribed": distance(_ui.metric, _ui, x,
+                                         _undescribed(located_from_cdesc(_ui, pieces))),
+        "distance-line": distance(_line.metric, _line, line_x, located_from_cdesc(
+            _line, _line.make_cdesc([(F(1), F(2))]))),
+        "distance-crossing": distance(_ui.metric, _ui, x, crossing),
+        "hausdorff": hausdorff(located_from_cdesc(_ui, pieces),
+                               located_from_cdesc(_ui, other)),
+        "hausdorff-halves": hausdorff(*map(lambda c: located_from_cdesc(_ui, c), halves)),
+        "hausdorff-undescribed": hausdorff(
+            *map(lambda c: _undescribed(located_from_cdesc(_ui, c)), halves)),
+    }
+    for label, (real, sides) in cases.items():
+        answered = 0
+        for stage in range(1, 3001):
+            sides.read(stage - 1)
+            got = real.bracket(stage)
+            assert got == sides.bracket(), (label, stage, got, sides.bracket())
+            answered += got is not None
+        assert answered > 2000, label
+
+
 def test_streamed_bounds_that_cross_still_give_a_bracket():
     # the closed name says [0, 1/8], the overt name says {1/2}: the lower
     # bound from the complement (3/8) passes the upper bound from the hits
@@ -835,7 +954,6 @@ def test_answer_stage_is_the_least_answering_fuel():
         assert real.approx(k, fuel=got.stage - 1) is None
         again = real.approx(k, fuel=got.stage)
         assert again == got and again.stage == got.stage
-    assert ExactReal(F(1, 3)).approx(20).stage == 0
 
 
 def test_center_without_exact_value_is_out_of_space():
