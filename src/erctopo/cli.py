@@ -27,7 +27,7 @@ import sys
 from functools import cache
 from typing import Callable, NamedTuple
 
-from .ercs import compact_base
+from .ercs import basis_search
 from .hyperspace import (
     SpecBits,
     consistency_refute,
@@ -53,6 +53,7 @@ from .sets import (
     located_from_cdesc,
     member_open,
     open_from_fixture,
+    open_of_basic,
     overt_from_cdesc,
 )
 from .spaces import (
@@ -202,10 +203,10 @@ def _compact_base(bundle, args):
     space = bundle.space
     x = space.point_name(space.parse_point(args.x))
     u_desc = space.parse_basic(args.u)
-    got = compact_base(bundle.ercs, x, open_from_fixture(space, u_desc), args.fuel)
-    if got is None:
+    w = basis_search(bundle.ercs, x, open_from_fixture(space, u_desc), args.fuel)
+    if w is None:
         return _pending(args)
-    v, k = got
+    v, k = open_of_basic(space, w.n), bundle.ercs.compact_value(w.kid)
     # each check's acceptance stage, or None (null) while it is Pending
     inner = member_open(x, v).poll(args.fuel)
     outer = compact_subset(k, open_from_fixture(space, u_desc)).poll(args.fuel)
@@ -215,7 +216,7 @@ def _compact_base(bundle, args):
             {"neighborhood": space.format_basic(vdesc),
              "patch": space.format_located(k.cdesc),
              "memberStage": inner, "subsetStage": outer},
-            args.fuel, OK if ok else PENDING_EXIT)
+            max(w.stage, inner, outer) + 1 if ok else args.fuel, OK if ok else PENDING_EXIT)
 
 
 def _consistency(bundle, args):
@@ -227,7 +228,7 @@ def _consistency(bundle, args):
             {"touched": space.format_basic(space.decode(cond.n)),
              "patch": space.format_located(bundle.ercs.compact_cdesc(cond.kid)),
              "cover": sorted(space.format_basic(space.decode(i)) for i in cond.cover)},
-            args.fuel, OK)
+            cond.stage + 1, OK)
 
 
 def _forall(bundle, args):

@@ -16,7 +16,7 @@ certified to contain are the pairs that open swallows.  One enumeration,
 
 from __future__ import annotations
 
-from bisect import insort
+from bisect import bisect_right, insort
 from dataclasses import dataclass
 from functools import reduce
 from typing import Callable, Iterable, Sequence
@@ -90,29 +90,67 @@ class Ercs:
 # ---------------------------------------------------------------------------
 # Instance systems
 
+class _Containment(MonotoneEnumerator[tuple[int, int]]):
+    """The formal containment of an interval system, merged from two lanes:
+    stage 2n lists (n, n) for each basic n the basics list at stage n, and
+    stage 2p + 1 lists unpair(p) for each code p the closure lane lists at
+    stage p.  It never stalls.  ``advance`` reads each lane in one
+    ``groups`` peek and one ``upto``, however many items they bring."""
+
+    def __init__(self, basics: MonotoneEnumerator[int],
+                 closure: MonotoneEnumerator[int]) -> None:
+        super().__init__()
+        self._basics = basics.cursor()
+        self._closure = closure.cursor()
+
+    def advance(self, stage: int, to_emission: bool = False) -> None:
+        if self._stage >= stage:
+            return
+        basics, closure = self._basics, self._closure
+        if to_emission:
+            # stop after the first stage below ``stage`` that emits, if any
+            first = min(2 * basics.next_emission((stage + 1) >> 1),
+                        2 * closure.next_emission(stage >> 1) + 1)
+            stage = min(stage, first + 1)
+        # basics of the stages n with 2n < stage, closure codes of the p
+        # with 2p + 1 < stage
+        b_end, c_end = (stage + 1) >> 1, stage >> 1
+        bmarks, bcounts, bitems, i, bn, ba = basics.groups(b_end)
+        cmarks, ccounts, citems, k, cn, ca = closure.groups(c_end)
+        items, marks, counts = self._items, self._marks, self._counts
+        while i < bn or k < cn:
+            # the basics before the next closure stage p (2n < 2p + 1 when
+            # n <= p), all at once, then that stage's pairs
+            j = bisect_right(bmarks, cmarks[k], i, bn) if k < cn else bn
+            if j > i:
+                b = bcounts[j - 1]
+                off = len(items) - ba
+                items.extend(zip(bitems[ba:b], bitems[ba:b]))
+                marks.extend([2 * n for n in bmarks[i:j]])
+                counts.extend([off + c for c in bcounts[i:j]])
+                i, ba = j, b
+            if k < cn:
+                c = ccounts[k]
+                items.extend(map(unpair, citems[ca:c]))
+                marks.append(2 * cmarks[k] + 1)
+                counts.append(len(items))
+                k, ca = k + 1, c
+        basics.upto(b_end)
+        closure.upto(c_end)
+        self._stage = stage
+
+
 def interval_ercs(space) -> Ercs:
     """Basics are rational intervals; patches are their closures (clamped to
     the carrier); the diagonal pair is always formally contained, plus every
-    pair certified by endpoint comparison."""
+    pair of the space's ``closure_pairs``."""
 
     def cdesc(kid: int):
-        d = space.decode(kid)
-        return space.make_cdesc([d])
+        return space.make_cdesc([space.decode(kid)])
 
-    def r_step(t: int):
-        if t % 2 == 0:
-            n = t // 2
-            if space.decode(n) is not None:
-                return ((n, n),)
-            return ()
-        m, k = unpair(t // 2)
-        dm, dk = space.decode(m), space.decode(k)
-        if dm is not None and dk is not None and space.basic_in_closure(dm, dk):
-            return ((m, k),)
-        return ()
-
-    return Ercs(space, space.all_basics(), space.all_basics(),
-                enumerate_step(r_step), cdesc)
+    basics = space.all_basics()
+    return Ercs(space, basics, basics, _Containment(basics, space.closure_pairs()),
+                cdesc)
 
 
 def cantor_ercs(space) -> Ercs:

@@ -81,6 +81,7 @@ class ConsistencyCondition:
     n: int
     kid: int
     cover: frozenset
+    stage: int   # the stage at which the cover was found avoided
 
 
 class _RefuteMachine(Machine):
@@ -112,23 +113,23 @@ class _RefuteMachine(Machine):
         self._checked_version = -1
         self._next_recheck = 0
 
-    def _check_cover(self, kid: int, cover: frozenset) -> bool:
+    def _check_cover(self, kid: int, cover: frozenset, t: int) -> bool:
         if any(self.bits.bit(i) != 0 for i in cover):
             return False
         n = self._kid_ns[kid][0]
-        self.condition = ConsistencyCondition(n, kid, cover)
+        self.condition = ConsistencyCondition(n, kid, cover, t)
         return True
 
     def _eligible(self, kid: int) -> bool:
         cdesc = self.e.compact_cdesc(kid)
         return cdesc is not None and self._zero_region.covers_cdesc(cdesc)
 
-    def _advance_kid(self, kid: int, steps: int) -> bool:
+    def _advance_kid(self, kid: int, steps: int, t: int) -> bool:
         covers = self._kid_covers.get(kid)
         if covers is None:
             covers = self._kid_covers[kid] = self.e.compact_value(kid).covers.cursor()
         for cover in covers.upto(covers.stage + steps):
-            if self._check_cover(kid, cover):
+            if self._check_cover(kid, cover, t):
                 return True
         return False
 
@@ -139,7 +140,7 @@ class _RefuteMachine(Machine):
                     self._kid_ns[kid] = [n]
                     if self._eligible(kid):
                         self._active.append(kid)
-                        if self._advance_kid(kid, 24):
+                        if self._advance_kid(kid, 24, t):
                             return True
                     else:
                         self._pending.append(kid)
@@ -158,7 +159,7 @@ class _RefuteMachine(Machine):
             for kid in self._pending:
                 if self._eligible(kid):
                     self._active.append(kid)
-                    if self._advance_kid(kid, 24):
+                    if self._advance_kid(kid, 24, t):
                         return True
                 else:
                     still.append(kid)
@@ -167,7 +168,7 @@ class _RefuteMachine(Machine):
             self._rr %= len(self._active)
             kid = self._active[self._rr]
             self._rr += 1
-            if self._advance_kid(kid, 1):
+            if self._advance_kid(kid, 1, t):
                 return True
             if self.e.compact_value(kid).covers.stalled:
                 self._active.remove(kid)

@@ -24,6 +24,7 @@ from typing import Callable, Iterable, Sequence
 from .kernel import (
     MonotoneEnumerator,
     emission_slot,
+    enumerate_list,
     enumerate_step,
     filter_lane,
     pair,
@@ -140,6 +141,13 @@ def _end(i: int) -> tuple[int, int]:
         u, v = unpair(len(ends))
         ends.append((zigzag(u), v + 1))
     return ends[i]
+
+
+def _ends_ordered(i: int, j: int) -> bool:
+    """a < b for the rational ends a, b of codes i and j, both already in
+    the table: the join of the diagonal lanes of interval codes."""
+    (an, ad), (bn, bd) = _ENDS[i], _ENDS[j]
+    return an * bd < bn * ad
 
 
 _new_object = object.__new__
@@ -486,10 +494,11 @@ class Space:
         """Sound test: compact description included in one basic open."""
         raise NotImplementedError
 
-    def basic_in_closure(self, d1, d2) -> bool:
-        """Sound: the basic d1 lies inside the closure of the basic d2.
-        False asserts nothing."""
-        return False
+    def closure_pairs(self) -> MonotoneEnumerator[int]:
+        """Fresh lane of the codes p = pair(m, k) whose basic m lies inside
+        the closure of the basic k, each listed at stage p; sound, and the
+        default, an empty stalled lane, asserts nothing."""
+        return enumerate_list(())
 
     def basic_meets_cdesc(self, d, cdesc) -> bool:
         """Sound (exact on instances): the basic intersects the described set."""
@@ -1430,7 +1439,6 @@ class _IntervalSpaceBase(_LineSubspace):
         # lo < b from a2 <= a or the carrier.)  Only a < b joins the ends.
         lo, lof, hi, hif = self.fiv(desc)
         (ln, ld), (hn, hd) = lo.as_integer_ratio(), hi.as_integer_ratio()
-        ends = _ENDS
 
         def left(i: int) -> bool:
             n, d = _end(i)
@@ -1440,11 +1448,49 @@ class _IntervalSpaceBase(_LineSubspace):
             n, d = _end(j)
             return ln * d < n * ld and (not hif or n * hd <= hn * d)
 
-        def join(i: int, j: int) -> bool:
-            (an, ad), (bn, bd) = ends[i], ends[j]
-            return an * bd < bn * ad
+        return pair_lane(left, right, _ends_ordered, seeds)
 
-        return pair_lane(left, right, join, seeds)
+    def all_basics(self) -> MonotoneEnumerator[int]:
+        # decode's own tests, on the end codes: a < hi_bound on i and
+        # lo_bound < b on j, joined by a < b
+        lo, hi = self._hull
+
+        def left(i: int) -> bool:
+            n, d = _end(i)
+            return hi is None or n * hi[1] < hi[0] * d
+
+        def right(j: int) -> bool:
+            n, d = _end(j)
+            return lo is None or lo[0] * d < n * lo[1]
+
+        return pair_lane(left, right, _ends_ordered)
+
+    def closure_pairs(self) -> MonotoneEnumerator[int]:
+        # The closure of the trace of (a, b) is cfiv((a, b)), and
+        # fiv_subset(fiv(dm), cfiv(dk)) compares values only, as the
+        # closure holds its ends: m lies in it exactly when the ends of
+        # cfiv(dk) lie outside those of cfiv(dm), equal ends included.
+        # Each code's clamped ends are kept as integers, None for an
+        # invalid code; the codes m and k of p = pair(m, k) are at most
+        # about the square root of 2p.
+        clamped: list[tuple[int, int, int, int] | None] = []
+
+        def valid(c: int) -> bool:
+            while len(clamped) <= c:
+                d = self.decode(len(clamped))
+                if d is None:
+                    clamped.append(None)
+                else:
+                    a, _, b, _ = self.cfiv(d)
+                    clamped.append((*a.as_integer_ratio(), *b.as_integer_ratio()))
+            return clamped[c] is not None
+
+        def join(m: int, k: int) -> bool:
+            man, mad, mbn, mbd = clamped[m]
+            kan, kad, kbn, kbd = clamped[k]
+            return kan * mad <= man * kad and mbn * kbd <= kbn * mbd
+
+        return pair_lane(valid, valid, join)
 
     def fiv(self, d) -> Fiv:
         """Effective endpoints of the trace of the open interval d."""
@@ -1461,7 +1507,8 @@ class _IntervalSpaceBase(_LineSubspace):
         return (self.fiv(d),)
 
     def _ends(self, d):
-        """The ends of ``fiv(d)`` without its flags or the tuple."""
+        """The ends of ``fiv(d)`` without its flags or the tuple: the ends
+        of d, or of a closed piece, clamped to the carrier."""
         a, b = d
         if self.lo_bound is not None and _cmp(a, self.lo_bound) < 0:
             a = self.lo_bound
@@ -1501,10 +1548,6 @@ class _IntervalSpaceBase(_LineSubspace):
             spans.append((lo, hi))
         return spans
 
-    def basic_in_closure(self, d1, d2) -> bool:
-        # the closure of the trace of (a, b) is [a, b] clamped to the carrier
-        return fiv_subset(self.fiv(d1), self.cfiv(d2))
-
     def cfiv(self, piece) -> Fiv:
         """Closed piece (p, q) as a flagged interval, clamped to the carrier."""
         p, q = piece
@@ -1515,8 +1558,17 @@ class _IntervalSpaceBase(_LineSubspace):
         return (p, 0, q, 0)
 
     def _clip(self, p: Fraction, q: Fraction):
-        p, _, q, _ = self.cfiv((p, q))
-        return ((p, q),) if p <= q else ()
+        p, q = self._ends((p, q))
+        return ((p, q),) if _cmp(p, q) <= 0 else ()
+
+    def make_cdesc(self, pieces) -> tuple:
+        if len(pieces) != 1:
+            return super().make_cdesc(pieces)
+        # one piece, as the patch of a basic: _clip alone, with no sort and
+        # no Fraction rebuilt
+        (p, q), = pieces
+        return self._clip(p if isinstance(p, Fraction) else Fraction(p),
+                          q if isinstance(q, Fraction) else Fraction(q))
 
     def in_carrier(self, x: Fraction) -> bool:
         if self.lo_bound is not None and x < self.lo_bound:

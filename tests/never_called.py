@@ -47,7 +47,6 @@ EXEMPT = frozenset({
     "spaces.py:Region.covers_cdesc",
     "spaces.py:Space.annulus_desc",
     "spaces.py:Space.ball_inside_basic",
-    "spaces.py:Space.basic_in_closure",
     "spaces.py:Space.basic_meets_cdesc",
     "spaces.py:Space.basic_subset",
     "spaces.py:Space.cdesc_in_basic",
@@ -56,6 +55,7 @@ EXEMPT = frozenset({
     "spaces.py:Space.clearance",
     "spaces.py:Space.clearance.<locals>.<lambda>",
     "spaces.py:Space.closed_ball_desc",
+    "spaces.py:Space.closure_pairs",
     "spaces.py:Space.compact_complement",
     "spaces.py:Space.cover_hull",
     "spaces.py:Space.decode",

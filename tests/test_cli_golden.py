@@ -16,12 +16,17 @@ The ``consistency`` witness was written with ``repr`` of the decoded
 basics until it was written through the space's ``format_basic`` and
 ``format_located``, so that a finite space's point sets print in one
 order: the two Cantor ``consistency`` Refuted rows (JSON and text) changed
-then, and the finite-space Refuted row was added.
+then, and the finite-space Refuted row was added.  ``compact-base`` and
+``consistency`` printed the whole budget as ``fuelUsed`` until they
+reported one past the stage of their answer: the three verified
+``compact-base`` rows and the three Refuted ``consistency`` rows changed
+then, in ``fuelUsed`` only.
 """
 
 from __future__ import annotations
 
 import io
+import json
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -250,7 +255,7 @@ OTHER_GOLDEN = [
     ('compact-base --space real-line --x 0 --u (-1,1)',
      0,
      ('{"command":"compact-base","config":{"fuel":100000,"precision":10'
-      ',"space":"real-line"},"fuelUsed":100000,"result":"verified"'
+      ',"space":"real-line"},"fuelUsed":147,"result":"verified"'
       ',"witness":{"memberStage":2,"neighborhood":"(-1/2,1/2)"'
       ',"patch":["[-1/2,1/2]"],"subsetStage":0}}\n'),
      ''),
@@ -273,7 +278,7 @@ OTHER_GOLDEN = [
     ('compact-base --space finite:{a,b;d(a,b)=1} --x a --u {a}',
      0,
      ('{"command":"compact-base","config":{"fuel":100000,"precision":10'
-      ',"space":"finite:{a,b;d(a,b)=1}"},"fuelUsed":100000,"result":"verified"'
+      ',"space":"finite:{a,b;d(a,b)=1}"},"fuelUsed":1,"result":"verified"'
       ',"witness":{"memberStage":0,"neighborhood":"{a}","patch":["{a}"]'
       ',"subsetStage":0}}\n'),
      ''),
@@ -286,7 +291,7 @@ OTHER_GOLDEN = [
     ('consistency --space cantor --bits [e]=1,[0]=0,[1]=0',
      0,
      ('{"command":"consistency","config":{"fuel":100000,"precision":10'
-      ',"space":"cantor"},"fuelUsed":100000,"result":"Refuted"'
+      ',"space":"cantor"},"fuelUsed":17,"result":"Refuted"'
       ',"witness":{"cover":["[0]","[1]"],"patch":["[e]"],"touched":"[e]"}}\n'),
      ''),
     # a point-set witness on a finite space, written as the space writes
@@ -294,7 +299,7 @@ OTHER_GOLDEN = [
     ('consistency --space finite:{a,b;d(a,b)=1} --bits {a}=1,{b}=1,{a,b}=0',
      0,
      ('{"command":"consistency","config":{"fuel":100000,"precision":10'
-      ',"space":"finite:{a,b;d(a,b)=1}"},"fuelUsed":100000,"result":"Refuted"'
+      ',"space":"finite:{a,b;d(a,b)=1}"},"fuelUsed":6,"result":"Refuted"'
       ',"witness":{"cover":["{a,b}"],"patch":["{a}"],"touched":"{a}"}}\n'),
      ''),
     ('consistency --space cantor --bits [e]=0 --fuel 2000',
@@ -314,17 +319,39 @@ def test_other_command_answers_are_unchanged(argv, code, want_out, want_err):
     assert (got, out.getvalue(), err.getvalue()) == (code, want_out, want_err)
 
 
+def _answer(argv: str, fuel: int):
+    out = io.StringIO()
+    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+        code = main(argv.split() + ["--fuel", str(fuel), "--format", "json"])
+    payload = json.loads(out.getvalue())
+    return code, payload["result"], payload["witness"], payload["fuelUsed"]
+
+
+_ANSWERED = [row[0] for row in OTHER_GOLDEN
+             if row[1] == 0 and row[0].split()[0] in ("compact-base", "consistency", "forall")]
+
+
+@pytest.mark.parametrize("argv", _ANSWERED)
+def test_fuel_used_is_the_fuel_the_answer_needs(argv):
+    """``fuelUsed`` of an answer is true: that budget gives the same answer,
+    and one unit less gives none."""
+    code, result, witness, used = _answer(argv, 10 ** 5)
+    assert code == 0 and used < 10 ** 5
+    assert _answer(argv, used) == (code, result, witness, used)
+    assert _answer(argv, used - 1)[0] == 2
+
+
 # (argv, exit code, stdout): the text envelope, sorted keys without the
 # config, of each command's answer, a Pending and a domain error
 TEXT_GOLDEN = [
     ('compact-base --space real-line --x 0 --u (-1,1) --format text',
      0,
-     "command: compact-base\nfuelUsed: 100000\nresult: verified\n"
+     "command: compact-base\nfuelUsed: 147\nresult: verified\n"
      "witness: {'neighborhood': '(-1/2,1/2)', 'patch': ['[-1/2,1/2]'], "
      "'memberStage': 2, 'subsetStage': 0}\n"),
     ('consistency --space cantor --bits [e]=1,[0]=0,[1]=0 --format text',
      0,
-     "command: consistency\nfuelUsed: 100000\nresult: Refuted\n"
+     "command: consistency\nfuelUsed: 17\nresult: Refuted\n"
      "witness: {'touched': '[e]', 'patch': ['[e]'], 'cover': ['[0]', '[1]']}\n"),
     ('forall --space unit-interval --pred subset(open(-0.5,1.5)) --format text',
      0,

@@ -2,10 +2,12 @@ from __future__ import annotations
 
 import hashlib
 import random
+from bisect import bisect_left
 from fractions import Fraction
+from math import isqrt
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from erctopo.ercs import (
@@ -25,7 +27,16 @@ from erctopo.ercs import (
     swallowed_pairs,
     whole_space_compact,
 )
-from erctopo.kernel import Accepted, PENDING, enumerate_list, enumerate_step, run_process
+from erctopo.kernel import (
+    PENDING,
+    Accepted,
+    enumerate_list,
+    enumerate_step,
+    filter_lane,
+    pair,
+    run_process,
+    unpair,
+)
 from erctopo.oracle import lift_finite, oracle_point, standard_oracle_spaces
 from erctopo.sets import (
     OpenSet,
@@ -44,6 +55,7 @@ from erctopo.spaces import (
     UnitIntervalSpace,
     cantor_point,
     encode_interval,
+    fiv_subset,
     point_from_rational,
     qhat_point_name,
     word_rank,
@@ -72,7 +84,6 @@ def _accepts(p, fuel=10 ** 4):
 
 def test_r_soundness_interval_prefix():
     for space, e in ((_line, _line_ercs), (_ui, interval_ercs(_ui))):
-        from erctopo.spaces import fiv_subset
         for m, k in e.r_stream.listing(4000):
             dm, dk = space.decode(m), space.decode(k)
             assert dm is not None and dk is not None
@@ -94,6 +105,122 @@ def test_r_stream_listing_is_unchanged(space):
     text = ";".join(f"{m},{k}" for m, k in items)
     assert (len(items), hashlib.sha256(text.encode()).hexdigest()) == \
         R_STREAM_DIGESTS[space.name]
+
+
+# count and sha256 of "n;n;..." over all_basics().listing(10**5), recorded
+# while the basics were the filter lane of decode
+BASICS_DIGESTS = {
+    "real-line": (49340, "c64878a2c208c0ddd8816f00e83fd2afde24058159d630f19fa13f4e4eb10da5"),
+    "unit-interval": (32736, "5393895458c968ef9886ddd223eb61b552fd238bf1c1cfd1c3e89b03ea5e3f51"),
+}
+
+
+@pytest.mark.parametrize("space", [LineSpace(), UnitIntervalSpace()],
+                         ids=lambda sp: sp.name)
+def test_all_basics_listing_is_unchanged(space):
+    items = space.all_basics().listing(10 ** 5)
+    text = ";".join(map(str, items))
+    assert (len(items), hashlib.sha256(text.encode()).hexdigest()) == \
+        BASICS_DIGESTS[space.name]
+
+
+def _reference_streams(space):
+    """The basics and the formal containment of ``interval_ercs`` as they
+    were listed before they walked the pairing's diagonals: the filter lane
+    of decode, and a step that decodes and unpairs every stage, comparing
+    the fivs of the two basics itself."""
+
+    def r_step(t: int):
+        if t % 2 == 0:
+            n = t // 2
+            return ((n, n),) if space.decode(n) is not None else ()
+        m, k = unpair(t // 2)
+        dm, dk = space.decode(m), space.decode(k)
+        if dm is not None and dk is not None and fiv_subset(space.fiv(dm), space.cfiv(dk)):
+            return ((m, k),)
+        return ()
+
+    return filter_lane(space.decode, lambda d: True), enumerate_step(r_step)
+
+
+def _below(lane, stage: int):
+    """The items, change points and counts of the stages below ``stage``."""
+    k = bisect_left(lane._marks, stage)
+    return lane._items[:lane._counts[k - 1] if k else 0], lane._marks[:k], lane._counts[:k]
+
+
+def _unread(groups):
+    marks, counts, items, m, n, a = groups
+    return marks[m:n], counts[m:n], items[a:counts[n - 1] if n > m else a]
+
+
+_STREAM_SPACES = {"real-line": _line, "unit-interval": _ui}
+# reads: the stream (u, k or r), how it is read, and how far the stage moves
+stream_reads = st.lists(st.tuples(st.sampled_from("ukr"),
+                                  st.sampled_from(["upto", "next", "groups", "quiescent",
+                                                   "count", "listing", "emission"]),
+                                  st.integers(0, 2500)), max_size=12)
+
+
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(st.sampled_from(sorted(_STREAM_SPACES)), stream_reads)
+@example("unit-interval", [("r", "emission", 3), ("r", "next", 40), ("u", "groups", 7)])
+@example("real-line", [("u", "next", 1), ("r", "emission", 0), ("k", "count", 9)])
+def test_streams_equal_their_reference_twins(space_name, reads):
+    """u_stream, k_stream and r_stream of an interval system list the items,
+    change points and counts of their reference twins under every kind of
+    read; u and k share one lane, and r reads it ahead of them."""
+    space = _STREAM_SPACES[space_name]
+    e = interval_ercs(space)
+    basics, r_ref = _reference_streams(space)
+    new = {"u": e.u_stream, "k": e.k_stream, "r": e.r_stream}
+    old = {"u": basics, "k": basics, "r": r_ref}
+    cursors = {name: (new[name].cursor(), old[name].cursor()) for name in "ukr"}
+    stage = dict.fromkeys("ukr", 0)
+    for name, how, move in reads + [("r", "upto", 12_000), ("u", "upto", 6_000)]:
+        lane, ref = new[name], old[name]
+        cur, ref_cur = cursors[name]
+        s = stage[name] = stage[name] + move
+        if how == "upto":
+            assert list(cur.upto(s)) == list(ref_cur.upto(s))
+        elif how == "next":
+            assert cur.next_emission(s) == ref_cur.next_emission(s)
+        elif how == "groups":
+            assert _unread(cur.groups(s)) == _unread(ref_cur.groups(s))
+        elif how == "quiescent":
+            assert (cur.quiescent(s), lane.quiescent(s)) == (False, False)
+            assert ref_cur.quiescent(s) is ref.quiescent(s) is False
+        elif how == "count":
+            assert lane.count(s) == ref.count(s)
+        elif how == "listing":
+            assert list(lane.listing(s)) == list(ref.listing(s))
+        else:
+            lane.advance(s, True)
+            ref.advance(s, True)
+        low = min(lane._stage, ref._stage)
+        assert _below(lane, low) == _below(ref, low)
+        if name == "r":
+            assert lane._stage == ref._stage
+    assert e.r_stream._stage >= 12_000
+
+
+@pytest.mark.parametrize("space", [LineSpace(), UnitIntervalSpace()],
+                         ids=lambda sp: sp.name)
+def test_closure_pairs_join_is_fiv_containment(space):
+    """A code pair(m, k) of two basics is listed exactly when fiv(m) lies in
+    cfiv(k), on random pairs of valid codes; no invalid code is listed."""
+    top = 2 * 10 ** 5
+    listed = set(space.closure_pairs().listing(top))
+    valid = [c for c in range(isqrt(2 * top)) if space.decode(c) is not None]
+    assert all(space.decode(m) is not None and space.decode(k) is not None
+               for m, k in map(unpair, listed))
+    rng = random.Random(19)
+    for _ in range(4000):
+        m, k = rng.choice(valid), rng.choice(valid)
+        if pair(m, k) >= top:
+            continue
+        want = fiv_subset(space.fiv(space.decode(m)), space.cfiv(space.decode(k)))
+        assert (pair(m, k) in listed) == want, (space.decode(m), space.decode(k))
 
 
 def test_r_soundness_cantor_prefix():

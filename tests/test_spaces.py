@@ -36,6 +36,7 @@ from erctopo.spaces import (
     QhatSpace,
     StarSpace,
     UnitIntervalSpace,
+    _LineSubspace,
     _lo_key_left,
     cantor_point,
     decode_rational,
@@ -835,6 +836,19 @@ def test_envelope_covers_are_pinned():
             h.update(repr((space.name, cdesc, slot,
                            [sorted(c) for c in covers])).encode())
     assert h.hexdigest() == ENVELOPE_COVERS_SHA256
+
+
+@settings(PROPERTY, max_examples=300)
+@given(st.sampled_from([LineSpace(), UnitIntervalSpace()]), rationals, rationals)
+@example(UnitIntervalSpace(), -1, 2)
+@example(UnitIntervalSpace(), F(1, 2), F(1, 3))
+@example(UnitIntervalSpace(), F(3, 2), 2)
+def test_one_piece_cdesc_equals_the_general_path(space, p, q):
+    """The patch of one piece, clamped with no sort, is the description the
+    sorting merge of every piece list gives: equal ends, all Fractions."""
+    got = space.make_cdesc([(p, q)])
+    assert got == _LineSubspace.make_cdesc(space, [(p, q)])
+    assert all(type(end) is Fraction for piece in got for end in piece)
 
 
 def test_all_basics_enumerates_valid_indices_only():
