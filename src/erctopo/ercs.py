@@ -10,13 +10,14 @@ subspace transfers, sigma-covers and whole-space compactness.
 
 The pairs (n, kid) of the formal containment whose patch an open is
 certified to contain are the pairs that open swallows.  One enumeration,
-:func:`swallowed_pairs`, lists them; the open-subspace system and the
+:func:`swallowed_pairs`, the one place that certifies a patch inside an
+open, lists them; the basis search, the open-subspace system and the
 ``meets`` predicate of the hyperspace search read it.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right, insort
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from functools import reduce
 from typing import Callable, Iterable, Sequence
@@ -85,6 +86,12 @@ class Ercs:
             value = compact_from_cdesc(self.space, self._cdesc_fn(kid))
         self._values[kid] = value
         return value
+
+    def covered(self, region, kid: int) -> bool | None:
+        """Whether the region covers the description of patch kid; a patch
+        without one is not covered, and gets None."""
+        cdesc = self.compact_cdesc(kid)
+        return None if cdesc is None else region.covers_cdesc(cdesc)
 
 
 # ---------------------------------------------------------------------------
@@ -173,6 +180,186 @@ def cantor_ercs(space) -> Ercs:
 
 
 # ---------------------------------------------------------------------------
+# The pairs an open swallows
+
+class _SwallowedPairs(MonotoneEnumerator[tuple[int, int]]):
+    """The pairs of ``e.r_stream`` whose patch is certified inside u.
+
+    A patch is certified when the region of u's parts covers its
+    description or, without one, when its own process
+    ``compact_subset(e.compact_value(kid), u)`` accepts: one such process
+    is advanced per stage, round robin, and polled on its own fuel.  The
+    pairs of a patch not yet certified are parked under it; the parked
+    patches are tested again when the region grows, the advanced one when
+    its fuel does.  A stage lists its certified pairs in ``r_stream``
+    order, then the pairs of the patches certified again, in the order
+    the patches were first seen; each pair once.  The listing stalls once
+    u's parts and the pairs are quiescent and every process left has
+    stalled.
+    """
+
+    def __init__(self, e: Ercs, u: OpenSet):
+        super().__init__()
+        self.e = e
+        self._u = u
+        self._parts = u.parts.cursor()
+        self._pairs = e.r_stream.cursor()
+        self._region = e.space.region()
+        self._region_version = self._region.version
+        self._ok: set[int] = set()
+        self._parked: dict[int, list[tuple[int, int]]] = {}  # kid -> its pairs
+        self._procs: dict[int, SemidecisionProcess] = {}   # kids without description
+        self._fuel: dict[int, int] = {}
+        self._live: list[int] = []   # uncertified kids with a process, in kid order
+        self._turn = 0
+        self._emitted: set[tuple[int, int]] = set()
+
+    def _take(self, pairs, i: int, c: int, out: list) -> int:
+        """Takes ``pairs[i:c]`` in order up to the first that is listed or
+        that starts a patch process, and returns the index after it (c if
+        there is none).  A pair of a certified patch is listed in ``out``,
+        one of a parked patch parked; a fresh patch is tested against the
+        region, and gets its process when it has no description."""
+        ok, parked, covered, region = self._ok, self._parked, self.e.covered, self._region
+        while i < c:
+            pair_ = pairs[i]
+            i += 1
+            kid = pair_[1]
+            if kid in ok:
+                out.append(pair_)
+                return i
+            if kid in parked:
+                parked[kid].append(pair_)
+                continue
+            fits = covered(region, kid)
+            if fits:
+                ok.add(kid)
+                out.append(pair_)
+                return i
+            parked[kid] = [pair_]
+            if fits is None:
+                self._procs[kid] = compact_subset(self.e.compact_value(kid), self._u)
+                self._fuel[kid] = 0
+                insort(self._live, kid)
+                return i
+        return c
+
+    def _certifies(self, kid: int) -> bool:
+        proc = self._procs.get(kid)
+        if proc is None:
+            return self.e.covered(self._region, kid)
+        return proc.poll(self._fuel[kid]) is not None
+
+    def _certify(self, kid: int, out: list) -> None:
+        self._ok.add(kid)
+        out.extend(self._parked.pop(kid))
+        if kid in self._procs:
+            self._live.remove(kid)
+
+    def _retry(self, out: list) -> None:
+        """Advances one patch process; tests every parked patch again when
+        the region grew, else the advanced one."""
+        advanced = None
+        if self._live:
+            advanced = self._live[self._turn % len(self._live)]
+            self._turn += 1
+            self._fuel[advanced] += 1
+        if self._region.version != self._region_version:
+            self._region_version = self._region.version
+            for kid in [kid for kid in self._parked if self._certifies(kid)]:
+                self._certify(kid, out)
+        elif advanced is not None and self._certifies(advanced):
+            self._certify(advanced, out)
+
+    def _listed(self, out: list) -> list:
+        """The pairs of ``out`` not listed before."""
+        new = []
+        for pair_ in out:
+            if pair_ not in self._emitted:
+                self._emitted.add(pair_)
+                new.append(pair_)
+        return new
+
+    def _record(self, t: int, new: list) -> None:
+        if new:
+            self._items.extend(new)
+            self._marks.append(t)
+            self._counts.append(len(self._items))
+
+    def step(self, t: int):
+        """Applies stage t: its parts join the region, its pairs are taken,
+        then the retries; returns the pairs it lists."""
+        for p in self._parts.upto(t + 1):
+            self._region.add(self.e.space.decode(p))
+        out: list = []
+        pairs, i = self._pairs.upto(t + 1), 0
+        while i < len(pairs):
+            i = self._take(pairs, i, len(pairs), out)
+        self._retry(out)
+        if (self._parts.quiescent(t + 1) and self._pairs.quiescent(t + 1)
+                and all(self._procs[kid].stalled for kid in self._live)):
+            self.stall()
+        return self._listed(out)
+
+    def _run(self, end: int, to_emission: bool) -> None:
+        """Applies the stages below ``end``, before which no part arrives
+        and the pairs are not quiescent, so that none stalls, in one loop
+        over the groups of ``r_stream`` against the unchanged region; stops
+        after a stage that starts a patch process, or, with
+        ``to_emission``, after one that lists a pair."""
+        marks, counts, items, m, last, a = self._pairs.groups(end)
+        self._stage = s = end
+        if m == last:
+            return
+        take, out, top = self._take, [], counts[last - 1]
+        while a < top:
+            a = take(items, a, top, out)
+            if not (out or self._live):
+                break
+            # the stage of the pair just taken: take the rest of its pairs
+            m = bisect_left(counts, a, m, last)
+            g, c = marks[m], counts[m]
+            while a < c:
+                a = take(items, a, c, out)
+            m += 1
+            stop = bool(self._live)
+            if stop:   # the new process advances at g, as step would
+                self._retry(out)
+            new = self._listed(out)
+            self._record(g, new)
+            out = []
+            if stop or (to_emission and new):
+                s = g + 1
+                break
+        self._pairs.upto(s)
+        self._stage = s
+
+    def advance(self, stage: int, to_emission: bool = False) -> None:
+        """Runs the stages before the next part of u in one loop; steps a
+        part's stage, and every stage while a patch process runs."""
+        marks = self._marks
+        while self._stage < stage and not self._stalled:
+            t = self._stage
+            end = t if self._live else self._parts.next_emission(stage)
+            if end > t and not self._pairs.quiescent(end):
+                self._run(end, to_emission)
+            else:
+                self._stage = t + 1
+                self._record(t, self.step(t))
+            if to_emission and marks and marks[-1] == self._stage - 1:
+                return
+
+
+def swallowed_pairs(e: Ercs, u: OpenSet) -> MonotoneEnumerator[tuple[int, int]]:
+    """The pairs the open swallows: each pair (n, kid) of ``e.r_stream``
+    whose patch is certified inside u, listed once, at the stage whose
+    parts of u, pairs and patch processes first certify it.  By the
+    reconstruction property u is the union of the basics n of these
+    pairs."""
+    return _SwallowedPairs(e, u)
+
+
+# ---------------------------------------------------------------------------
 # Basis search and compact neighborhoods
 
 @dataclass(frozen=True)
@@ -183,60 +370,25 @@ class BasisWitness:
 
 
 class _BasisSearch(Machine):
-    """Dovetails patch-in-open certification, formal containment pairs and
-    point membership; accepts at the first pair with both sides certified.
+    """Accepts at the first pair the open swallows whose basic holds the
+    point: a compact base read off :func:`swallowed_pairs`.
 
-    Membership of the point in a basic is only tested for pairs whose patch
-    is already certified inside the target, and retested only when the
-    point's name contributes a genuinely smaller neighborhood; patch
-    certifications are retested only when the target's covered region
-    changes, or, without description, when the patch's process advances.
-    These rules keep pending searches near-linear, and leave the stages
-    between two parts of the target so little to do that ``fast_forward``
-    applies them in one loop: the point's neighborhoods, and the pairs,
-    parked under their patch or kept waiting.
+    A stage's neighborhoods of the point join its index before that
+    stage's swallowed pairs are tested.  A pair whose basic misses the
+    point waits, and the waiting pairs are tested again only when the
+    point's name contributes a genuinely smaller neighborhood; so between
+    two emissions of the two names nothing changes, and ``fast_forward``
+    applies them in one loop.
     """
 
     def __init__(self, e: Ercs, x: PointName, u: OpenSet):
         super().__init__()
-        self.e = e
         self.space = e.space
-        self.x = x
-        self.u = u
         self.witness: BasisWitness | None = None
-        self._parts = u.parts.cursor()
         self._nbs = x.neighborhoods.cursor()
-        self._pairs = e.r_stream.cursor()
-        self._region = self.space.region()
-        self._region_version = 0
+        self._pairs = swallowed_pairs(e, u).cursor()
         self._x_index = self.space.basic_inside_index()
-        self._kid_unknown: list[int] = []      # kids awaiting certification
-        self._kid_ok: set[int] = set()
-        self._kid_proc: dict[int, SemidecisionProcess] = {}
-        self._kid_fuel: dict[int, int] = {}
-        self._live: list[int] = []   # uncertified kids with a process, in kid order
-        self._parked: dict[int, list[tuple[int, int]]] = {}  # kid -> pairs
-        self._waiting: list[tuple[int, int]] = []  # kid certified, n untested
-        self._proc_cursor = 0
-
-    def _certify_kid(self, kid: int) -> bool:
-        cdesc = self.e.compact_cdesc(kid)
-        if cdesc is not None:
-            return self._region.covers_cdesc(cdesc)
-        proc = self._kid_proc.get(kid)
-        if proc is None:
-            proc = compact_subset(self.e.compact_value(kid), self.u)
-            self._kid_proc[kid] = proc
-            self._kid_fuel[kid] = 0
-            insort(self._live, kid)
-        return proc.poll(self._kid_fuel[kid]) is not None
-
-    def _certified(self, kid: int, t: int) -> bool:
-        """Records kid as certified; True when a parked pair then accepts."""
-        self._kid_ok.add(kid)
-        if kid in self._kid_proc:
-            self._live.remove(kid)
-        return self._absorb_certified(self._parked.pop(kid, ()), t)
+        self._waiting: list[tuple[int, int]] = []  # swallowed, basic misses x
 
     def _n_holds(self, n: int, new=()) -> bool:
         """Whether the point is known to lie in basic n, once the basics
@@ -253,159 +405,69 @@ class _BasisSearch(Machine):
                 return True
         return False
 
-    def _absorb_certified(self, pairs, t: int) -> bool:
+    def _accepts(self, pairs, t: int) -> bool:
         for pair_ in pairs:
             if self._n_holds(pair_[0]):
                 self.witness = BasisWitness(pair_[0], pair_[1], t)
                 return True
-            self._waiting.append(pair_)
         return False
 
     def fast_forward(self, t: int, limit: int) -> int:
-        """Applies the stages before the next part of the open, as ``step``
-        would: a stage's neighborhoods, then its pair, parked under a fresh
-        kid the region does not cover, under a parked kid, or kept waiting
-        under a certified kid whose basic misses the point.  Stops at the
-        first stage with several pairs or one that could accept: a fresh
-        kid the region covers or without description, a certified kid whose
-        basic holds the point, or an informative neighborhood that makes a
-        waiting pair's basic hold it, tested before the index holds it.
-        The point's name is read one emission ahead, no further than when
-        each of its emissions ended a run.  While a patch process runs, or
-        once the pairs are quiescent, ``step`` takes every stage."""
-        if self._live:
-            return t
-        nbs, pairs = self._nbs, self._pairs
-        end = self._parts.next_emission(limit)
-        if end == t or pairs.quiescent(end):
-            return t
-        marks, counts, items, m, last, a = pairs.groups(end)
-        nb = nbs.next_emission(end)
+        """Applies the stages before the next one that could accept or
+        stall, as ``step`` would, walking the emissions of the point's name
+        and of the swallowed pairs: a stage's neighborhoods join the index,
+        then its pairs wait.  Stops at a stage with a pair whose basic holds
+        the point, or with an informative neighborhood that makes a waiting
+        pair's basic hold it (tested before the index holds it), and at a
+        stage after which both names are quiescent.  The point's name is
+        read one emission ahead, and while pairs wait the swallowed pairs
+        no further than that emission."""
+        nbs, pairs, waiting = self._nbs, self._pairs, self._waiting
         decode, index, n_holds = self.space.decode, self._x_index, self._n_holds
-        cdesc_of, covers = self.e.compact_cdesc, self._region.covers_cdesc
-        ok, parked, waiting = self._kid_ok, self._parked, self._waiting
-        unknown = self._kid_unknown
-        s = end
         while True:
-            g = marks[m] if m < last else end
+            nb = nbs.next_emission(limit)
+            g = pairs.next_emission(min(nb + 1, limit) if waiting else limit)
+            s = min(nb, g)
+            if s == limit:
+                # idle up to limit, unless both names may stall before it
+                return t if nbs.quiescent(limit) and pairs.quiescent(limit) else limit
             new = ()
-            if nb <= g:
-                if nb == end:
-                    break
-                g = nb
-                _, nb_counts, nb_items, k, _, b = nbs.groups(nb + 1)
-                new = [d for d in map(decode, nb_items[b:nb_counts[k]])
+            if nb == s:
+                _, counts, items, k, _, b = nbs.groups(s + 1)
+                new = [d for d in map(decode, items[b:counts[k]])
                        if not index.some_inside(d)]
                 if new and any(n_holds(n, new) for n, _ in waiting):
-                    s = g
-                    break
-            if m < last and marks[m] == g:
-                c = counts[m]
-                if c - a > 1:
-                    s = g
-                    break
-                pair_ = items[a]
-                kid = pair_[1]
-                if kid in ok:
-                    if n_holds(pair_[0], new):
-                        s = g
-                        break
-                    waiting.append(pair_)
-                elif kid in parked:
-                    parked[kid].append(pair_)
-                else:
-                    cdesc = cdesc_of(kid)
-                    if cdesc is None or covers(cdesc):
-                        s = g
-                        break
-                    parked[kid] = [pair_]
-                    unknown.append(kid)
-                m += 1
-                a = c
-            if g == nb:
+                    return s
+            if g == s:
+                _, counts, items, m, _, a = pairs.groups(s + 1)
+                if any(n_holds(n, new) for n, _ in items[a:counts[m]]):
+                    return s
+            if nbs.quiescent(s + 1) and pairs.quiescent(s + 1):
+                return s
+            if nb == s:
                 for d in new:
                     if not index.some_inside(d):
                         index.add(d)
-                nbs.upto(nb + 1)
-                nb = nbs.next_emission(end)
-        pairs.upto(s)
-        return s
+                nbs.upto(s + 1)
+            if g == s:
+                waiting.extend(pairs.upto(s + 1))
+            t = s + 1
 
     def step(self, t: int) -> bool:
         sp = self.space
-        new_parts = self._parts.upto(t + 1)
-        for p in new_parts:
-            self._region.add(sp.decode(p))
-        informative_x = False
+        informative = False
         for nb in self._nbs.upto(t + 1):
             d = sp.decode(nb)
             if not self._x_index.some_inside(d):
                 self._x_index.add(d)
-                informative_x = True
-        for pair_ in self._pairs.upto(t + 1):
-            n, kid = pair_
-            if kid in self._kid_ok:
-                if self._absorb_certified([pair_], t):
-                    return True
-            elif kid in self._parked:
-                self._parked[kid].append(pair_)
-            else:
-                self._parked[kid] = [pair_]
-                if self._certify_kid(kid):
-                    if self._certified(kid, t):
-                        return True
-                else:
-                    self._kid_unknown.append(kid)
-        # advance one uncertified desc-less patch process per stage
-        advanced = None
-        if self._live:
-            advanced = self._live[self._proc_cursor % len(self._live)]
-            self._proc_cursor += 1
-            self._kid_fuel[advanced] += 1
-        # re-examine pending certifications only when their evidence changed:
-        # the region for every kid, the fuel of the advanced one for itself
-        region_changed = self._region.version != self._region_version
-        self._region_version = self._region.version
-        if region_changed:
-            still = []
-            for kid in self._kid_unknown:
-                if self._certify_kid(kid):
-                    if self._certified(kid, t):
-                        return True
-                else:
-                    still.append(kid)
-            self._kid_unknown = still
-        elif advanced is not None and self._certify_kid(advanced):
-            self._kid_unknown.remove(advanced)
-            if self._certified(advanced, t):
-                return True
-        if informative_x and self._waiting:
-            still_w = []
-            for pair_ in self._waiting:
-                if self._n_holds(pair_[0]):
-                    self.witness = BasisWitness(pair_[0], pair_[1], t)
-                    return True
-                still_w.append(pair_)
-            self._waiting = still_w
-        # quiescent sources and stalled patch processes: nothing can change
-        if (self._parts.quiescent(t + 1) and self._nbs.quiescent(t + 1)
-                and self._pairs.quiescent(t + 1)
-                and all(self._kid_proc[kid].stalled for kid in self._live)):
-            if not self._recheck_all(t):
-                self.stall()
-                return False
+                informative = True
+        pairs = self._pairs.upto(t + 1)
+        if self._accepts(pairs, t) or (informative and self._accepts(self._waiting, t)):
             return True
-        return False
-
-    def _recheck_all(self, t: int) -> bool:
-        for kid in list(self._kid_unknown):
-            if self._certify_kid(kid) and self._certified(kid, t):
-                return True
-        self._kid_unknown = [k for k in self._kid_unknown if k not in self._kid_ok]
-        for pair_ in list(self._waiting):
-            if self._n_holds(pair_[0]):
-                self.witness = BasisWitness(pair_[0], pair_[1], t)
-                return True
+        self._waiting.extend(pairs)
+        # every waiting pair was tested against the index as it is now
+        if self._nbs.quiescent(t + 1) and self._pairs.quiescent(t + 1):
+            self.stall()
         return False
 
 
@@ -511,65 +573,6 @@ def closed_subspace_compact_base(e: Ercs, a: ClosedSet, x: PointName,
         return None
     v, k = got
     return open_intersect(v, u), intersect_closed_compact(a, k)
-
-
-class _SwallowedPairs(MonotoneEnumerator[tuple[int, int]]):
-    def __init__(self, e: Ercs, u: OpenSet):
-        super().__init__()
-        self.e = e
-        self.space = e.space
-        self._parts = u.parts.cursor()
-        self._pairs = e.r_stream.cursor()
-        self._region = self.space.region()
-        self._region_version = self._region.version
-        self._kid_ok: set[int] = set()
-        self._waiting: dict[int, list[tuple[int, int]]] = {}  # kid -> its pairs
-        self._emitted: set[tuple[int, int]] = set()
-
-    def _covered(self, kid: int) -> bool:
-        cdesc = self.e.compact_cdesc(kid)
-        return cdesc is not None and self._region.covers_cdesc(cdesc)
-
-    def step(self, t: int):
-        sp = self.space
-        ok, waiting = self._kid_ok, self._waiting
-        fresh = []
-        for p in self._parts.upto(t + 1):
-            self._region.add(sp.decode(p))
-        for pair_ in self._pairs.upto(t + 1):
-            kid = pair_[1]
-            if kid in ok:
-                fresh.append(pair_)
-            elif kid in waiting:
-                waiting[kid].append(pair_)
-            elif self._covered(kid):
-                ok.add(kid)
-                fresh.append(pair_)
-            else:
-                waiting[kid] = [pair_]
-        # waiting kids were tested against the region as it was: test them
-        # again only when it grew
-        if self._region.version != self._region_version:
-            self._region_version = self._region.version
-            for kid in [kid for kid in waiting if self._covered(kid)]:
-                ok.add(kid)
-                fresh.extend(waiting.pop(kid))
-        if self._parts.quiescent(t + 1) and self._pairs.quiescent(t + 1):
-            self.stall()  # certification state can no longer change
-        out = []
-        for pair_ in fresh:
-            if pair_ not in self._emitted:
-                self._emitted.add(pair_)
-                out.append(pair_)
-        return out
-
-
-def swallowed_pairs(e: Ercs, u: OpenSet) -> MonotoneEnumerator[tuple[int, int]]:
-    """The pairs the open swallows: each pair (n, kid) of ``e.r_stream``
-    whose patch is certified inside u, listed once, at the stage whose
-    parts of u and pairs first certify it.  By the reconstruction property
-    u is the union of the basics n of these pairs."""
-    return _SwallowedPairs(e, u)
 
 
 class _Projection(MonotoneEnumerator[int]):

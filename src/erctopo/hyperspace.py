@@ -120,10 +120,6 @@ class _RefuteMachine(Machine):
         self.condition = ConsistencyCondition(n, kid, cover, t)
         return True
 
-    def _eligible(self, kid: int) -> bool:
-        cdesc = self.e.compact_cdesc(kid)
-        return cdesc is not None and self._zero_region.covers_cdesc(cdesc)
-
     def _advance_kid(self, kid: int, steps: int, t: int) -> bool:
         covers = self._kid_covers.get(kid)
         if covers is None:
@@ -138,7 +134,7 @@ class _RefuteMachine(Machine):
             if self.bits.bit(n) == 1:
                 if kid not in self._kid_ns:
                     self._kid_ns[kid] = [n]
-                    if self._eligible(kid):
+                    if self.e.covered(self._zero_region, kid):
                         self._active.append(kid)
                         if self._advance_kid(kid, 24, t):
                             return True
@@ -157,7 +153,7 @@ class _RefuteMachine(Machine):
             self._next_recheck = t + max(self.RECHECK_GRAIN, t // 8)
             still = []
             for kid in self._pending:
-                if self._eligible(kid):
+                if self.e.covered(self._zero_region, kid):
                     self._active.append(kid)
                     if self._advance_kid(kid, 24, t):
                         return True
@@ -356,7 +352,7 @@ class _TruthDriver:
             self._mark(n, "one", t)
         else:
             for kid in self._kids_of.get(n, ()):
-                if self._kid_avoids(kid):
+                if self.e.covered(self._region, kid):
                     self._mark(n, "zero", t)
                     break
 
@@ -390,7 +386,7 @@ class _TruthDriver:
             self._region.add(sp.decode(p))
         for n, kid in self._pairs.upto(t + 1):
             self._kids_of.setdefault(n, []).append(kid)
-            if n in self._unresolved and self._kid_avoids(kid):
+            if n in self._unresolved and self.e.covered(self._region, kid):
                 self._mark(n, "zero", t)
         region_changed = self._region.version != self._region_version
         self._region_version = self._region.version
@@ -400,13 +396,9 @@ class _TruthDriver:
                 self._mark(n, "one", t)
             elif region_changed:
                 for kid in self._kids_of.get(n, ()):
-                    if self._kid_avoids(kid):
+                    if self.e.covered(self._region, kid):
                         self._mark(n, "zero", t)
                         break
-
-    def _kid_avoids(self, kid: int) -> bool:
-        cdesc = self.e.compact_cdesc(kid)
-        return cdesc is not None and self._region.covers_cdesc(cdesc)
 
 
 def spec_from_located(e: Ercs, a: LocatedSet) -> TruthSequence:

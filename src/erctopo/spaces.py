@@ -389,7 +389,7 @@ class FivUnion:
         self.version = 0
 
     def add(self, f: Fiv) -> None:
-        if not fiv_nonempty(f):
+        if self.covers(f):   # empty, or held by the component at its left end
             return
         parts, los = self._parts, self._los
         k = _bisect(los, f[0])

@@ -20,7 +20,9 @@ then, and the finite-space Refuted row was added.  ``compact-base`` and
 ``consistency`` printed the whole budget as ``fuelUsed`` until they
 reported one past the stage of their answer: the three verified
 ``compact-base`` rows and the three Refuted ``consistency`` rows changed
-then, in ``fuelUsed`` only.
+then, in ``fuelUsed`` only.  The Pending ``compact-base`` row on a finite
+space, whose search stalls, was added when the basis search began to read
+the pairs its open swallows; it gives the same output before that change.
 """
 
 from __future__ import annotations
@@ -281,6 +283,13 @@ OTHER_GOLDEN = [
       ',"space":"finite:{a,b;d(a,b)=1}"},"fuelUsed":1,"result":"verified"'
       ',"witness":{"memberStage":0,"neighborhood":"{a}","patch":["{a}"]'
       ',"subsetStage":0}}\n'),
+     ''),
+    # a point outside U: the search stalls long before the budget runs out
+    ('compact-base --space finite:{a,b;d(a,b)=1} --x a --u {b}',
+     2,
+     ('{"command":"compact-base","config":{"fuel":100000,"precision":10'
+      ',"space":"finite:{a,b;d(a,b)=1}"},"fuelUsed":100000,"result":"Pending"'
+      ',"witness":null}\n'),
      ''),
     ('compact-base --space finite:{a,b;d(a,b)=1} --x a --u {c}',
      1, '', "parse error: no index for the basic '{c}'\n"),

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import random
-from bisect import bisect_left
+from bisect import bisect_left, insort
 from fractions import Fraction
 from math import isqrt
 
@@ -11,8 +11,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from erctopo.ercs import (
+    BasisWitness,
     Ercs,
     _BasisSearch,
+    _SwallowedPairs,
     basis_search,
     check_main_property,
     compact_base,
@@ -30,6 +32,9 @@ from erctopo.ercs import (
 from erctopo.kernel import (
     PENDING,
     Accepted,
+    Machine,
+    MonotoneEnumerator,
+    SemidecisionProcess,
     enumerate_list,
     enumerate_step,
     filter_lane,
@@ -435,6 +440,102 @@ def test_swallowed_pairs_are_complete():
     assert emitted > 100
 
 
+class _SteppedSwallowed(_SwallowedPairs):
+    """The pairs an open swallows, with every stage stepped: the twin of
+    the run-based ``advance``."""
+    advance = MonotoneEnumerator.advance
+
+
+def _bare(e: Ercs) -> Ercs:
+    """The system e with its patch descriptions dropped."""
+    return Ercs(e.space, e.u_stream, e.k_stream, e.r_stream, lambda kid: None, e.compact_value)
+
+
+def _swallow_twin_cases():
+    """The swallow cases; two without patch descriptions: (1/4, 3/4) on the
+    unit interval, and the largest open of finite:triangle, whose pairs and
+    parts end, so that the listing stalls; and (-1, 1) on the line with a
+    hand-made pair stream whose stages list several pairs, a listed pair
+    before a parked one."""
+    fs = standard_oracle_spaces()[3]
+    space, e = lift_finite(fs)
+    patch, inner = encode_interval(F(-1, 2), F(1, 2)), encode_interval(F(-1, 4), F(1, 4))
+    wide, miss = encode_interval(F(-3), F(3)), encode_interval(F(1, 4), F(1, 3))
+    hold = encode_interval(F(-1, 8), F(1, 8))
+    table = {102: ((miss, patch), (hold, wide), (hold, inner)),
+             160: ((hold, patch), (miss, wide), (miss, inner), (miss, patch))}
+    several = Ercs(_line, _line_ercs.u_stream, _line_ercs.k_stream,
+                   enumerate_step(lambda t: table.get(t, ())),
+                   _line_ercs.compact_cdesc, _line_ercs.compact_value)
+    return _swallow_cases() + [
+        ("ui-bare:(1/4,3/4)", _bare(interval_ercs(_ui)),
+         open_from_fixture(_ui, (F(1, 4), F(3, 4)))),
+        ("triangle-bare", _bare(e), open_from_fixture(space, max(fs.opens, key=len))),
+        ("line-several", several, open_from_fixture(_line, (F(-1), F(1))))]
+
+
+swallow_reads = st.lists(st.tuples(st.sampled_from(["upto", "next", "groups", "quiescent",
+                                                    "count", "listing", "emission"]),
+                                   st.integers(0, 300)), max_size=12)
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(st.integers(0, 8), swallow_reads)
+@example(6, [("emission", 0), ("next", 400), ("groups", 30), ("emission", 200)])
+@example(8, [("emission", 50), ("next", 60), ("emission", 1), ("upto", 100)])
+@example(7, [("next", 2), ("quiescent", 5), ("emission", 0), ("upto", 40)])
+@example(5, [("emission", 250), ("next", 60), ("listing", 1)])
+def test_swallowed_pairs_equal_their_stepped_twin(case, reads):
+    """The run-based listing of the pairs an open swallows equals the
+    listing that steps every stage, under every kind of read: items,
+    change points, counts, stage and stall."""
+    label, e, u = _swallow_twin_cases()[case]
+    lane, ref = _SwallowedPairs(e, u), _SteppedSwallowed(e, u)
+    cur, ref_cur = lane.cursor(), ref.cursor()
+    s = 0
+    for how, move in reads + [("upto", 1600)]:
+        s += move
+        if how == "upto":
+            assert list(cur.upto(s)) == list(ref_cur.upto(s))
+        elif how == "next":
+            assert cur.next_emission(s) == ref_cur.next_emission(s)
+        elif how == "groups":
+            assert _unread(cur.groups(s)) == _unread(ref_cur.groups(s))
+        elif how == "quiescent":
+            assert cur.quiescent(s) == ref_cur.quiescent(s)
+        elif how == "count":
+            assert lane.count(s) == ref.count(s)
+        elif how == "listing":
+            assert list(lane.listing(s)) == list(ref.listing(s))
+        else:
+            lane.advance(s, True)
+            ref.advance(s, True)
+        assert ((_below(lane, lane._stage), lane._stage, lane.stalled)
+                == (_below(ref, ref._stage), ref._stage, ref.stalled)), (label, how, s)
+
+
+def test_open_subspace_certifies_patches_without_description():
+    """Without patch descriptions the pairs (0, 1) swallows are certified
+    by the patches' own processes: the subspace system finds a compact
+    base of 1/2 inside (1/4, 3/4), and every pair listed by each stage has
+    a patch inside (0, 1), by the descriptions the bare system hides."""
+    bare = _bare(_ui_ercs)
+    sub = open_subspace_ercs(bare, open_from_fixture(_ui, (F(0), F(1))))
+    w = basis_search(sub, point_from_rational(_ui, F(1, 2)),
+                     open_from_fixture(_ui, (F(1, 4), F(3, 4))), 20_000)
+    assert w is not None
+    a, b = _ui.decode(w.n)
+    assert F(1, 4) <= a < F(1, 2) < b <= F(3, 4)
+    reader = swallowed_pairs(bare, open_from_fixture(_ui, (F(0), F(1)))).cursor()
+    listed = []
+    for stage in range(1, 3001):
+        for n, kid in reader.upto(stage):
+            [(p, q)] = _ui_ercs.compact_cdesc(kid)
+            assert 0 < p and q < 1, (stage, n, kid)
+            listed.append((n, kid))
+    assert listed and set(listed) <= set(_ui_ercs.r_stream.listing(3000))
+
+
 def test_locally_closed_compact_base():
     a = closed_from_cdesc(_line, _line.make_cdesc([(F(0), F(2))]))
     y = open_from_fixture(_line, (F(-1), F(1)))
@@ -683,7 +784,7 @@ def _skip_cases():
     """(label, ercs, point maker, open maker, fuel): cheap criterion-4
     literals and points outside their open on the line, the unit interval
     and Cantor space, and every point and open of every standard oracle
-    space."""
+    space, with and without patch descriptions."""
     cases = []
     for kind, lits in (("line", [(F(-3, 4), F(1, 2)), (F(1, 3), F(1, 4)),
                                  (F(-1), F(1)), (F(5, 4), F(1, 2))]),
@@ -734,14 +835,248 @@ def _skip_cases():
                       lambda: open_from_fixture(_line, (F(-1), F(1))), 400))
     # the costliest criterion-4 literal, accepting at stage 49,786
     cases.append(("line:(1, 1/4)", *_criterion4_case("line", (F(1), F(1, 4))), 10 ** 5))
+    # every point and open of every standard oracle space, with patch
+    # descriptions and without: a process may certify its patch at the
+    # stage the listing stalls
     for fs in standard_oracle_spaces():
         space, e = lift_finite(fs)
         for p in fs.points:
             for o in sorted(fs.opens, key=sorted):
-                cases.append((f"{fs.name}:{p}:{''.join(sorted(o))}", e,
-                              lambda p=p, sp=space: oracle_point(sp, p),
-                              lambda o=o, sp=space: open_from_fixture(sp, o), 300))
+                for tag, system in (("", e), ("bare-", _bare(e))):
+                    cases.append((f"{tag}{fs.name}:{p}:{''.join(sorted(o))}", system,
+                                  lambda p=p, sp=space: oracle_point(sp, p),
+                                  lambda o=o, sp=space: open_from_fixture(sp, o), 300))
     return cases
+
+
+class ReferenceBasisSearch(Machine):
+    """The basis search as it was while it certified patches itself, kept
+    as the twin of the search that reads ``swallowed_pairs``.
+
+    Dovetails patch-in-open certification, formal containment pairs and
+    point membership; accepts at the first pair with both sides certified.
+
+    Membership of the point in a basic is only tested for pairs whose patch
+    is already certified inside the target, and retested only when the
+    point's name contributes a genuinely smaller neighborhood; patch
+    certifications are retested only when the target's covered region
+    changes, or, without description, when the patch's process advances.
+    These rules keep pending searches near-linear, and leave the stages
+    between two parts of the target so little to do that ``fast_forward``
+    applies them in one loop: the point's neighborhoods, and the pairs,
+    parked under their patch or kept waiting.
+    """
+
+    def __init__(self, e: Ercs, x: PointName, u: OpenSet):
+        super().__init__()
+        self.e = e
+        self.space = e.space
+        self.x = x
+        self.u = u
+        self.witness: BasisWitness | None = None
+        self._parts = u.parts.cursor()
+        self._nbs = x.neighborhoods.cursor()
+        self._pairs = e.r_stream.cursor()
+        self._region = self.space.region()
+        self._region_version = 0
+        self._x_index = self.space.basic_inside_index()
+        self._kid_unknown: list[int] = []      # kids awaiting certification
+        self._kid_ok: set[int] = set()
+        self._kid_proc: dict[int, SemidecisionProcess] = {}
+        self._kid_fuel: dict[int, int] = {}
+        self._live: list[int] = []   # uncertified kids with a process, in kid order
+        self._parked: dict[int, list[tuple[int, int]]] = {}  # kid -> pairs
+        self._waiting: list[tuple[int, int]] = []  # kid certified, n untested
+        self._proc_cursor = 0
+
+    def _certify_kid(self, kid: int) -> bool:
+        cdesc = self.e.compact_cdesc(kid)
+        if cdesc is not None:
+            return self._region.covers_cdesc(cdesc)
+        proc = self._kid_proc.get(kid)
+        if proc is None:
+            proc = compact_subset(self.e.compact_value(kid), self.u)
+            self._kid_proc[kid] = proc
+            self._kid_fuel[kid] = 0
+            insort(self._live, kid)
+        return proc.poll(self._kid_fuel[kid]) is not None
+
+    def _certified(self, kid: int, t: int) -> bool:
+        """Records kid as certified; True when a parked pair then accepts."""
+        self._kid_ok.add(kid)
+        if kid in self._kid_proc:
+            self._live.remove(kid)
+        return self._absorb_certified(self._parked.pop(kid, ()), t)
+
+    def _n_holds(self, n: int, new=()) -> bool:
+        """Whether the point is known to lie in basic n, once the basics
+        ``new`` join its index: ``some_inside(d)`` then holds exactly when
+        it held or one of them is a ``basic_subset`` of d."""
+        sp = self.space
+        d = sp.decode(n)
+        if d is None:
+            return False
+        if self._x_index.some_inside(d):
+            return True
+        for nd in new:
+            if sp.basic_subset(nd, d):
+                return True
+        return False
+
+    def _absorb_certified(self, pairs, t: int) -> bool:
+        for pair_ in pairs:
+            if self._n_holds(pair_[0]):
+                self.witness = BasisWitness(pair_[0], pair_[1], t)
+                return True
+            self._waiting.append(pair_)
+        return False
+
+    def fast_forward(self, t: int, limit: int) -> int:
+        """Applies the stages before the next part of the open, as ``step``
+        would: a stage's neighborhoods, then its pair, parked under a fresh
+        kid the region does not cover, under a parked kid, or kept waiting
+        under a certified kid whose basic misses the point.  Stops at the
+        first stage with several pairs or one that could accept: a fresh
+        kid the region covers or without description, a certified kid whose
+        basic holds the point, or an informative neighborhood that makes a
+        waiting pair's basic hold it, tested before the index holds it.
+        The point's name is read one emission ahead, no further than when
+        each of its emissions ended a run.  While a patch process runs, or
+        once the pairs are quiescent, ``step`` takes every stage."""
+        if self._live:
+            return t
+        nbs, pairs = self._nbs, self._pairs
+        end = self._parts.next_emission(limit)
+        if end == t or pairs.quiescent(end):
+            return t
+        marks, counts, items, m, last, a = pairs.groups(end)
+        nb = nbs.next_emission(end)
+        decode, index, n_holds = self.space.decode, self._x_index, self._n_holds
+        cdesc_of, covers = self.e.compact_cdesc, self._region.covers_cdesc
+        ok, parked, waiting = self._kid_ok, self._parked, self._waiting
+        unknown = self._kid_unknown
+        s = end
+        while True:
+            g = marks[m] if m < last else end
+            new = ()
+            if nb <= g:
+                if nb == end:
+                    break
+                g = nb
+                _, nb_counts, nb_items, k, _, b = nbs.groups(nb + 1)
+                new = [d for d in map(decode, nb_items[b:nb_counts[k]])
+                       if not index.some_inside(d)]
+                if new and any(n_holds(n, new) for n, _ in waiting):
+                    s = g
+                    break
+            if m < last and marks[m] == g:
+                c = counts[m]
+                if c - a > 1:
+                    s = g
+                    break
+                pair_ = items[a]
+                kid = pair_[1]
+                if kid in ok:
+                    if n_holds(pair_[0], new):
+                        s = g
+                        break
+                    waiting.append(pair_)
+                elif kid in parked:
+                    parked[kid].append(pair_)
+                else:
+                    cdesc = cdesc_of(kid)
+                    if cdesc is None or covers(cdesc):
+                        s = g
+                        break
+                    parked[kid] = [pair_]
+                    unknown.append(kid)
+                m += 1
+                a = c
+            if g == nb:
+                for d in new:
+                    if not index.some_inside(d):
+                        index.add(d)
+                nbs.upto(nb + 1)
+                nb = nbs.next_emission(end)
+        pairs.upto(s)
+        return s
+
+    def step(self, t: int) -> bool:
+        sp = self.space
+        new_parts = self._parts.upto(t + 1)
+        for p in new_parts:
+            self._region.add(sp.decode(p))
+        informative_x = False
+        for nb in self._nbs.upto(t + 1):
+            d = sp.decode(nb)
+            if not self._x_index.some_inside(d):
+                self._x_index.add(d)
+                informative_x = True
+        for pair_ in self._pairs.upto(t + 1):
+            n, kid = pair_
+            if kid in self._kid_ok:
+                if self._absorb_certified([pair_], t):
+                    return True
+            elif kid in self._parked:
+                self._parked[kid].append(pair_)
+            else:
+                self._parked[kid] = [pair_]
+                if self._certify_kid(kid):
+                    if self._certified(kid, t):
+                        return True
+                else:
+                    self._kid_unknown.append(kid)
+        # advance one uncertified desc-less patch process per stage
+        advanced = None
+        if self._live:
+            advanced = self._live[self._proc_cursor % len(self._live)]
+            self._proc_cursor += 1
+            self._kid_fuel[advanced] += 1
+        # re-examine pending certifications only when their evidence changed:
+        # the region for every kid, the fuel of the advanced one for itself
+        region_changed = self._region.version != self._region_version
+        self._region_version = self._region.version
+        if region_changed:
+            still = []
+            for kid in self._kid_unknown:
+                if self._certify_kid(kid):
+                    if self._certified(kid, t):
+                        return True
+                else:
+                    still.append(kid)
+            self._kid_unknown = still
+        elif advanced is not None and self._certify_kid(advanced):
+            self._kid_unknown.remove(advanced)
+            if self._certified(advanced, t):
+                return True
+        if informative_x and self._waiting:
+            still_w = []
+            for pair_ in self._waiting:
+                if self._n_holds(pair_[0]):
+                    self.witness = BasisWitness(pair_[0], pair_[1], t)
+                    return True
+                still_w.append(pair_)
+            self._waiting = still_w
+        # quiescent sources and stalled patch processes: nothing can change
+        if (self._parts.quiescent(t + 1) and self._nbs.quiescent(t + 1)
+                and self._pairs.quiescent(t + 1)
+                and all(self._kid_proc[kid].stalled for kid in self._live)):
+            if not self._recheck_all(t):
+                self.stall()
+                return False
+            return True
+        return False
+
+    def _recheck_all(self, t: int) -> bool:
+        for kid in list(self._kid_unknown):
+            if self._certify_kid(kid) and self._certified(kid, t):
+                return True
+        self._kid_unknown = [k for k in self._kid_unknown if k not in self._kid_ok]
+        for pair_ in list(self._waiting):
+            if self._n_holds(pair_[0]):
+                self.witness = BasisWitness(pair_[0], pair_[1], t)
+                return True
+        return False
 
 
 def _witness(m: _BasisSearch):
@@ -764,6 +1099,20 @@ def test_skipping_idle_stages_moves_no_answer():
     x = make_x()
     assert _BasisSearch(e, x, make_u()).poll(10 ** 5) == 49786
     assert x.neighborhoods._stage <= 49792
+
+
+def test_basis_search_equals_its_reference_twin():
+    """The search that reads the swallowed pairs answers as the search that
+    certified patches itself: the same stage, witness and stall at every
+    fuel, at doubling fuels for the 10^5 case."""
+    for label, e, make_x, make_u, fuel in _skip_cases():
+        new = _BasisSearch(e, make_x(), make_u())
+        ref = ReferenceBasisSearch(e, make_x(), make_u())
+        fuels = (range(fuel + 1) if fuel < 10 ** 5
+                 else sorted({fuel} | {1 << k for k in range(fuel.bit_length())}))
+        for f in fuels:
+            assert ((new.poll(f), _witness(new), new.stalled)
+                    == (ref.poll(f), _witness(ref), ref.stalled)), (label, f)
 
 
 def test_undescribed_search_stalls_where_the_described_one_does():

@@ -310,6 +310,22 @@ def test_fiv_indexes_match_bruteforce(steps):
                 (c for c in comps if _ref_member(x, c)), None)
 
 
+@settings(PROPERTY, max_examples=150)
+@given(st.lists(fivs(), min_size=1, max_size=12), st.lists(fivs(), max_size=12))
+def test_adding_a_covered_part_leaves_the_union_as_it_was(parts, queries):
+    """A part the union covers already, every part added before among
+    them, leaves its components, their left ends and its version as they
+    were."""
+    union = FivUnion()
+    for f in parts:
+        union.add(f)
+    for q in parts + queries:
+        if union.covers(q):
+            before = (list(union._parts), list(union._los), union.version)
+            union.add(q)
+            assert (union._parts, union._los, union.version) == before, q
+
+
 _LANE_SPACES = {"line": LineSpace(), "unit-interval": UnitIntervalSpace(),
                 "gap": PiecewiseSpace([(F(0), F(1, 3)), (F(1, 2), F(1))], name="gap")}
 # points at and near the unit interval's ends; fixtures clamped by it
