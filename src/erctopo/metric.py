@@ -8,15 +8,15 @@ a lower bound from an overlap or avoidance witness.  Radii, distances and
 Hausdorff distances are read as one stream of running bounds (lower,
 upper), the lower side nondecreasing and the upper nonincreasing (a left-
 and a right-c.e. real), computed from the enumerated hits, covers and
-complement parts themselves, through the space's distance bounds
+complement parts themselves, through the metric's distance bounds
 (``far``, ``near``, ``clearance`` and the Hausdorff tracker
 ``hausdorff_cells``); :class:`BoundsReal` reads the last pair the stream
 lists at a stage.  One unit of fuel is one stage of the stream, which
 reads one stage of every name it consumes.  No description is needed: a
 set given only by its names gets the same stream.
 
-A bound stream hands the space each side's running best, so that a cell that
-cannot improve on it costs an integer test and builds no Fraction.  The
+A bound stream hands the metric each side's running best, so that a cell
+that cannot improve on it costs an integer test and builds no Fraction.  The
 Hausdorff tracker of a line subspace converts each hit cell once and keeps
 the lower bound as a running maximum; a read then makes a few linear
 passes over the antichain of cells kept for the cover radius (a merge,
@@ -55,12 +55,7 @@ from .sets import (
     intersect_closed_compact,
     whole_open,
 )
-from .spaces import (
-    MetricStructure,
-    OutOfSpace,
-    PointName,
-    Space,
-)
+from .spaces import MetricStructure, OutOfSpace, PointName
 
 DEFAULT_APPROX_FUEL = 2 * 10 ** 5
 
@@ -253,60 +248,68 @@ def exact_metric_point(metric: MetricStructure, value) -> MetricPoint:
 # ---------------------------------------------------------------------------
 # Balls in their three roles
 
-def _exact_center(x: MetricPoint):
+def _calculus(m: MetricStructure) -> None:
+    """Every ball and bracket reads the metric's ball calculus and distance
+    bounds: a metric without them is a domain error."""
+    if not m.calculus:
+        raise OutOfSpace(f"no ball calculus or distance bounds on {m.space.name}")
+
+
+def _exact_center(m: MetricStructure, x: MetricPoint):
+    _calculus(m)
     if x.value is None:
         raise OutOfSpace("metric balls and brackets need a center with an exact value")
     return x.value
 
 
 def ball_open(m: MetricStructure, x: MetricPoint, r) -> OpenSet:
-    """Open ball as an open set: the space's growing cores around the
+    """Open ball as an open set: the metric's growing cores around the
     exact center plus the filter of every basic certified inside.  Raises
-    OutOfSpace for a center without an exact value."""
+    OutOfSpace for a center without an exact value or a metric without a
+    ball calculus."""
     r = Fraction(r)
     if r <= 0:
         raise ValueError("ball radius must be positive")
     space = m.space
-    xv = _exact_center(x)
+    xv = _exact_center(m, x)
 
     def seeds(s: int):
-        c = space.ball_core(xv, r, s)
+        c = m.ball_core(xv, r, s)
         return (c,) if c is not None and space.decode(c) is not None else ()
 
-    lane = filter_lane(space.decode, lambda d: space.in_open_ball(xv, d, r), seeds,
+    lane = filter_lane(space.decode, lambda d: m.in_open_ball(xv, d, r), seeds,
                        space.finite_basic_count)
     return OpenSet(space, lane, label=f"ball:{r}")
 
 
 def closed_ball_closed(m: MetricStructure, x: MetricPoint, r) -> ClosedSet:
-    """Closed ball as a closed set, named from the space's exact
+    """Closed ball as a closed set, named from the metric's exact
     description of it.  Raises OutOfSpace for a center without an exact
-    value or a space that does not describe its closed balls."""
-    cdesc = m.space.closed_ball_desc(_exact_center(x), Fraction(r))
-    if cdesc is None:
-        raise OutOfSpace(f"no closed-ball descriptions on {m.space.name}")
-    return closed_from_cdesc(m.space, cdesc)
+    value or a metric without a ball calculus."""
+    xv = _exact_center(m, x)
+    return closed_from_cdesc(m.space, m.closed_ball_desc(xv, Fraction(r)))
 
 
 def cl_ball_overt(m: MetricStructure, x: MetricPoint, r) -> OvertSet:
     """Closure of the open ball as an overt set: every basic meeting the
-    open ball, certified through a common witness."""
+    open ball, certified through a common witness.  Raises OutOfSpace as
+    :func:`ball_open` does."""
     r = Fraction(r)
     if r <= 0:
         raise ValueError("ball radius must be positive")
     space = m.space
-    xv = _exact_center(x)
-    seeds = iter(space.ball_seeds(xv, r))
+    xv = _exact_center(m, x)
+    seeds = iter(m.ball_seeds(xv, r))
 
     def step(t: int):
         out = []
         c = next(seeds, None)
         if c is not None:
             d = space.decode(c)
-            if d is not None and space.meets_open_ball(xv, d, r):
+            if d is not None and m.meets_open_ball(xv, d, r):
                 out.append(c)
         d = space.decode(t)
-        if d is not None and space.meets_open_ball(xv, d, r):
+        if d is not None and m.meets_open_ball(xv, d, r):
             out.append(t)
         return out
 
@@ -325,7 +328,7 @@ def compact_ball(e: Ercs, m: MetricStructure, x: MetricPoint,
     into the found neighborhood, and prunes the patch to the closed ball.
     Raises OutOfSpace for a center without an exact value.
     """
-    xv = _exact_center(x)
+    xv = _exact_center(m, x)
     got = compact_base(e, x.name, whole_open(m.space), fuel)
     if got is None:
         return None
@@ -334,7 +337,7 @@ def compact_ball(e: Ercs, m: MetricStructure, x: MetricPoint,
     n = 0
     while n < 64:
         rho = Fraction(1, 2 ** n)
-        if m.space.ball_inside_basic(xv, rho, vdesc):
+        if m.ball_inside_basic(xv, rho, vdesc):
             break
         n += 1
     else:
@@ -353,8 +356,10 @@ def ercs_from_compact_ball(m: MetricStructure,
     Basics are dyadic balls around dense points; patches are closed dyadic
     balls pruned into the provided compacts; a ball is formally below a
     patch when the exact dense-point distance plus the patch radius is
-    strictly under the ball radius.
+    strictly under the ball radius.  Raises OutOfSpace for a metric
+    without a ball calculus.
     """
+    _calculus(m)
     space = m.space
     cb_cache: dict[int, tuple[int, CompactSet]] = {}
 
@@ -364,7 +369,7 @@ def ercs_from_compact_ball(m: MetricStructure,
         return cb_cache[idx]
 
     def ball_code(n: int, i: int):
-        return space.encode_ball(m.dense(n), Fraction(1, 2 ** i))
+        return m.encode_ball(m.dense(n), Fraction(1, 2 ** i))
 
     def patch_radius(mm: int, j: int) -> Fraction:
         k_m, _ = provider(mm)
@@ -395,7 +400,7 @@ def ercs_from_compact_ball(m: MetricStructure,
 
     def kid_cdesc(kid: int):
         mm, j = unpair(kid)
-        return space.closed_ball_desc(m.dense(mm), patch_radius(mm, j))
+        return m.closed_ball_desc(m.dense(mm), patch_radius(mm, j))
 
     def kid_value(kid: int) -> CompactSet:
         mm, j = unpair(kid)
@@ -422,23 +427,24 @@ def radius(m: MetricStructure, x: MetricPoint, k: CompactSet, v: OvertSet,
     the hits and of the covers.  If the two sides ever cross (the named
     set is not exactly a ball), the bracket collapses inside the gap,
     where any rational is a legitimate answer.  ``hi_seed`` is accepted
-    and ignored.  Raises OutOfSpace for a center without an exact value.
+    and ignored.  Raises OutOfSpace for a center without an exact value or
+    a metric without distance bounds.
     """
     space = m.space
-    xv = _exact_center(x)
+    xv = _exact_center(m, x)
 
     def widest(cover, best: Fraction | None) -> Fraction | None:
         # the cover improves on best only if each of its cells does
         fars = []
         for n in cover:
-            f = space.far(xv, space.decode(n), best)
+            f = m.far(xv, space.decode(n), best)
             if f is None:
                 return None
             fars.append(f)
         return max(fars, default=Fraction(0))
 
     return BoundsReal(_BoundStream(
-        v.hits, lambda n, best: space.near(xv, space.decode(n), best),
+        v.hits, lambda n, best: m.near(xv, space.decode(n), best),
         k.covers, widest))
 
 
@@ -486,8 +492,7 @@ class _NiceRadiusMachine(Machine):
         return compact_subset(annulus, near)
 
     def _annulus_compact(self, lo: Fraction, hi: Fraction) -> CompactSet:
-        space = self.m.space
-        shell = closed_from_cdesc(space, space.annulus_desc(self.x.value, lo, hi))
+        shell = closed_from_cdesc(self.m.space, self.m.annulus_desc(self.x.value, lo, hi))
         return intersect_closed_compact(shell, self.k)
 
     def _near_sphere_open(self, ann_lo: Fraction, ann_hi: Fraction) -> OpenSet:
@@ -501,14 +506,14 @@ class _NiceRadiusMachine(Machine):
         rho = Fraction(1, 2 ** self.level)
 
         def witnessed(udesc) -> bool:
-            lo_dist = space.near(xv, udesc)
-            if lo_dist is None or lo_dist <= 0:
+            lo_dist = m.near(xv, udesc)
+            if lo_dist <= 0:
                 return False
-            return any(m.exact(xv, z) < lo_dist and space.in_open_ball(z, udesc, rho)
-                       for z in space.witness_candidates(xv, lo_dist, rho))
+            return any(m.exact(xv, z) < lo_dist and m.in_open_ball(z, udesc, rho)
+                       for z in m.witness_candidates(xv, lo_dist, rho))
 
         def seeds(s: int):
-            tiles = space.annulus_tiles(xv, ann_lo, ann_hi, rho / 4) if s == 0 else ()
+            tiles = m.annulus_tiles(xv, ann_lo, ann_hi, rho / 4) if s == 0 else ()
             return [u for u in tiles
                     if space.decode(u) is not None and witnessed(space.decode(u))]
 
@@ -537,7 +542,9 @@ class _NiceRadiusMachine(Machine):
 
 
 def nice_radius(m: MetricStructure, x: MetricPoint, r, k: CompactSet) -> CReal:
-    """Some radius r' in (0, r) whose open ball closure is the closed ball."""
+    """Some radius r' in (0, r) whose open ball closure is the closed ball.
+    Raises OutOfSpace as :func:`ball_open` does."""
+    _exact_center(m, x)
     return BracketReal(_NiceRadiusMachine(m, x, Fraction(r), k))
 
 
@@ -553,14 +560,15 @@ def distance_to_located(m: MetricStructure, e: Ercs, x: MetricPoint,
     enumerated complement parts, 0 while no part covers x.  One unit of
     fuel reads one stage of the hits and of the complement parts.  The
     system ``e`` and ``hi_seed`` are accepted and not used.  Raises
-    OutOfSpace for a center without an exact value.
+    OutOfSpace for a center without an exact value or a metric without
+    distance bounds.
     """
     space = m.space
-    xv = _exact_center(x)
-    clear = space.clearance(xv)
+    xv = _exact_center(m, x)
+    clear = m.clearance(xv)
     return BoundsReal(_BoundStream(
         a.closed_part.complement.parts, lambda n, best: clear(space.decode(n)),
-        a.overt_part.hits, lambda n, best: space.far(xv, space.decode(n), best)))
+        a.overt_part.hits, lambda n, best: m.far(xv, space.decode(n), best)))
 
 
 # ---------------------------------------------------------------------------
@@ -571,21 +579,18 @@ class _Hull:
     description when it has one, else the intersection of the hulls of
     its enumerated covers, each of which contains the set."""
 
-    def __init__(self, space: Space, k: CompactSet):
-        self.space = space
+    def __init__(self, m: MetricStructure, k: CompactSet):
+        self.m = m
         self.cdesc = k.cdesc
         self._covers = None if k.cdesc is not None else k.covers.cursor()
 
     def read(self, stage: int) -> None:
         if self._covers is None:
             return
-        space = self.space
+        space = self.m.space
         for cover in self._covers.upto(stage):
-            got = space.cover_hull([space.decode(n) for n in cover])
-            if got is not None and self.cdesc is not None:
-                got = space.cdesc_intersect(self.cdesc, got)
-            if got is not None:
-                self.cdesc = got
+            got = self.m.cover_hull([space.decode(n) for n in cover])
+            self.cdesc = got if self.cdesc is None else space.cdesc_intersect(self.cdesc, got)
 
 
 class _HausdorffBounds(MonotoneEnumerator[tuple[Fraction | None, Fraction | None]]):
@@ -593,18 +598,18 @@ class _HausdorffBounds(MonotoneEnumerator[tuple[Fraction | None, Fraction | None
     as :class:`_BoundStream` lists them, a side None until it has a bound.
 
     Each direction feeds the hit cells of one set to a tracker of the
-    space (see :meth:`Space.hausdorff_cells`) and, at the stages 1, 2, 4,
+    metric (see :class:`MetricStructure`) and, at the stages 1, 2, 4,
     ... that :class:`BoundsReal` reads, asks it for its bounds against the
     other set's hull: the lower bound is the larger of the two lower
     bounds, the upper bound the larger of the two upper bounds.
     """
 
-    def __init__(self, space: Space, hits_a: MonotoneEnumerator[int],
+    def __init__(self, m: MetricStructure, hits_a: MonotoneEnumerator[int],
                  hits_b: MonotoneEnumerator[int], hull_a: _Hull, hull_b: _Hull):
         super().__init__()
         # (one set's hull, the hits of the other set, the tracker of those)
-        self._sides = [(hull_a, hits_b.cursor(), space.hausdorff_cells()),
-                       (hull_b, hits_a.cursor(), space.hausdorff_cells())]
+        self._sides = [(hull_a, hits_b.cursor(), m.hausdorff_cells()),
+                       (hull_b, hits_a.cursor(), m.hausdorff_cells())]
         self._lo: Fraction | None = None
         self._hi: Fraction | None = None
 
@@ -613,8 +618,6 @@ class _HausdorffBounds(MonotoneEnumerator[tuple[Fraction | None, Fraction | None
             return ()
         lows, highs = [], []
         for hull, hits, cells in self._sides:
-            if cells is None:
-                continue
             hull.read(t + 1)
             cells.add(hits.upto(t + 1))
             if hull.cdesc is not None:
@@ -644,11 +647,12 @@ def hausdorff_distance(m: MetricStructure, e: Ercs, a: LocatedSet, b: LocatedSet
     one set and the other set's hull; the upper bound is the larger cover
     radius of one hull by the other set's hit cells (see
     :class:`_HausdorffBounds`).  One unit of fuel reads one stage of both
-    sets' hits.  ``hi_seed`` is accepted and ignored.
+    sets' hits.  ``hi_seed`` is accepted and ignored.  Raises OutOfSpace
+    for a metric without distance bounds.
     """
-    space = m.space
+    _calculus(m)
     whole = whole_space_compact(e, whole_hint)
     return BoundsReal(_HausdorffBounds(
-        space, a.overt_part.hits, b.overt_part.hits,
-        _Hull(space, intersect_closed_compact(a.closed_part, whole)),
-        _Hull(space, intersect_closed_compact(b.closed_part, whole))))
+        m, a.overt_part.hits, b.overt_part.hits,
+        _Hull(m, intersect_closed_compact(a.closed_part, whole)),
+        _Hull(m, intersect_closed_compact(b.closed_part, whole))))

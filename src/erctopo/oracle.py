@@ -116,13 +116,7 @@ class OracleSpace(Space):
         self.name = fs.name
         self.finite_basic_count = len(fs.base)
         if fs.metric_table is not None:
-            pts = fs.points
-            self.metric = MetricStructure(
-                self,
-                dense=lambda i: pts[i % len(pts)],
-                dense_index=lambda p: pts.index(p),
-                exact=fs.distance,
-            )
+            self.metric = _OracleMetric(self)
         self.whole_compact_desc = frozenset(fs.points)
 
     def decode(self, n: int):
@@ -214,31 +208,43 @@ class OracleSpace(Space):
                 out.append(frozenset(combo))
         return out
 
-    # ball calculus, exact: every basic is a finite set of points
+
+class _OracleMetric(MetricStructure):
+    """The metric table of a finite space, with its points as the dense
+    sequence; the ball calculus and the distance bounds are exact, as
+    every basic is a finite set of points."""
+
+    calculus = True
+
+    def __init__(self, space: OracleSpace):
+        pts = space.fs.points
+        super().__init__(space, dense=lambda i: pts[i % len(pts)],
+                         dense_index=pts.index, exact=space.fs.distance)
+
     def in_open_ball(self, x, d, r: Fraction) -> bool:
-        return all(self.metric.exact(x, p) < r for p in d)
+        return all(self.exact(x, p) < r for p in d)
 
     def meets_open_ball(self, x, d, r: Fraction) -> bool:
-        return any(self.metric.exact(x, p) < r for p in d)
+        return any(self.exact(x, p) < r for p in d)
 
     def _open_ball(self, x, r: Fraction) -> frozenset:
-        return frozenset(p for p in self.fs.points if self.metric.exact(x, p) < r)
+        return frozenset(p for p in self.space.fs.points if self.exact(x, p) < r)
 
     def ball_inside_basic(self, x, r: Fraction, d) -> bool:
         return self._open_ball(x, r) <= d
 
     def far(self, x, d, below: Fraction | None = None) -> Fraction:
-        return max(self.metric.exact(x, p) for p in d)
+        return max(self.exact(x, p) for p in d)
 
     def near(self, x, d, above: Fraction | None = None) -> Fraction:
-        return min(self.metric.exact(x, p) for p in d)
+        return min(self.exact(x, p) for p in d)
 
     def clearance(self, x):
         union: set = set()
 
         def add(d) -> Fraction | None:
             union.update(d)
-            return min((self.metric.exact(x, p) for p in self.fs.points
+            return min((self.exact(x, p) for p in self.space.fs.points
                         if p not in union), default=None)
 
         return add
@@ -253,13 +259,23 @@ class OracleSpace(Space):
         return self.annulus_desc(x, Fraction(0), r)
 
     def annulus_desc(self, x, lo: Fraction, hi: Fraction) -> frozenset:
-        return frozenset(p for p in self.fs.points if lo <= self.metric.exact(x, p) <= hi)
+        return frozenset(p for p in self.space.fs.points if lo <= self.exact(x, p) <= hi)
 
-    def encode_ball(self, x, r: Fraction) -> int | None:
-        return self.encode_basic(self._open_ball(x, r))
+    def encode_ball(self, x, r: Fraction) -> int:
+        # the ball holds x, and every nonempty point set is a basic
+        return self.space.encode_basic(self._open_ball(x, r))
+
+    def ball_core(self, x, r: Fraction, slot: int) -> None:
+        return None  # the filter lane lists every basic of a finite base
+
+    def ball_seeds(self, x, r: Fraction) -> Iterable[int]:
+        return (self.encode_ball(x, Fraction(1, 2 ** s)) for s in range(13))
+
+    def annulus_tiles(self, x, lo: Fraction, hi: Fraction, w: Fraction) -> list[int]:
+        return []  # the filter lane lists every basic of a finite base
 
     def witness_candidates(self, x, dist: Fraction, rho: Fraction) -> list:
-        return list(self.fs.points)
+        return list(self.space.fs.points)
 
 
 class _OracleHausdorffCells:
@@ -268,22 +284,22 @@ class _OracleHausdorffCells:
     distance between the cell and the hull, and the upper bound the
     largest, over hull points, of the least far distance to a cell."""
 
-    def __init__(self, space: OracleSpace):
-        self._space = space
+    def __init__(self, metric: _OracleMetric):
+        self._metric, self._decode = metric, metric.space.decode
         self._cells: dict = {}  # index -> decoded cell, in the order fed
 
     def add(self, indices: Iterable[int]) -> None:
         for n in indices:
             if n not in self._cells:
-                self._cells[n] = self._space.decode(n)
+                self._cells[n] = self._decode(n)
 
     def bounds(self, hull) -> tuple[Fraction, Fraction | None]:
-        space, descs = self._space, self._cells.values()
-        lower = max((min((space.near(z, c) for z in hull), default=Fraction(0))
+        m, descs = self._metric, self._cells.values()
+        lower = max((min((m.near(z, c) for z in hull), default=Fraction(0))
                      for c in descs), default=Fraction(0))
         if not descs:
             return lower, None
-        return lower, max((min(space.far(z, c) for c in descs) for z in hull),
+        return lower, max((min(m.far(z, c) for c in descs) for z in hull),
                           default=Fraction(0))
 
 

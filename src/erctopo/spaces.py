@@ -463,11 +463,12 @@ class Space:
     only ever produce valid indices.  The containment and disjointness
     tests are sound, and complete for the registered instance spaces.
 
-    Each space owns its whole calculus: the containment tests, the compact
-    description operations, the generated lanes of set names and, on a
-    metric space, the ball tests and the distance bounds.  A default that answers False, None or
-    an empty lane (or raises OutOfSpace) means "unsupported" and never
-    asserts anything.
+    Each space owns its topological calculus: the containment tests, the
+    compact description operations and the generated lanes of set names.
+    A default that answers False, None or an empty lane (or raises
+    OutOfSpace) means "unsupported" and never asserts anything.  The ball
+    tests and the distance bounds of a metric space belong to its
+    ``metric`` (see :class:`MetricStructure`).
     """
 
     name: str = "?"
@@ -650,98 +651,6 @@ class Space:
         """A finite stream of basics that meet the described set."""
         return ()
 
-    # ball calculus of a metric space, on exact centers x --------------------
-    # Every test is sound: True certifies the relation, False asserts nothing.
-    def in_open_ball(self, x, d, r: Fraction) -> bool:
-        """Sound: the basic d lies inside the open ball B(x, r)."""
-        return False
-
-    def meets_open_ball(self, x, d, r: Fraction) -> bool:
-        """Sound: the basic d meets B(x, r)."""
-        return False
-
-    def ball_inside_basic(self, x, r: Fraction, d) -> bool:
-        """Sound: B(x, r) lies inside the basic d."""
-        return False
-
-    # distances, on exact centers x: each bound is sound in the direction
-    # stated, and None means "unsupported" (no bound).  A bound stream
-    # passes its running best as ``below`` or ``above``: a bound that would
-    # not strictly improve on it may then come back as None, so that a space
-    # can skip building it.
-    def far(self, x, d, below: Fraction | None = None) -> Fraction | None:
-        """At least the supremum distance from x to a point of the basic d;
-        may be None when that bound is not below ``below``."""
-        return None
-
-    def near(self, x, d, above: Fraction | None = None) -> Fraction | None:
-        """At most the infimum distance from x to a point of the basic d;
-        may be None when that bound is not above ``above``."""
-        return None
-
-    def clearance(self, x) -> Callable[[object], Fraction | None]:
-        """A fresh tracker of a growing union of basics.  Each call adds a
-        basic and answers at most the distance from x to every point of
-        the space outside all basics added so far, or None.  Fed the parts
-        of a closed set's complement name, it bounds the distance from x
-        to the set from below."""
-        return lambda d: None
-
-    def cover_hull(self, descs):
-        """A compact description of a set containing every basic in descs,
-        or None if unsupported."""
-        return None
-
-    def hausdorff_cells(self):
-        """A fresh tracker of the bounds between a set X, given at each read
-        by a hull (a compact description of a set containing X), and a set
-        Y, given by indices of basics that each meet Y; None if unsupported.
-
-        ``add(indices)`` feeds such indices as they are enumerated; an index
-        already held is ignored.  ``bounds(hull)`` reads: it returns (lower,
-        upper), lower at most the supremum over y in Y of d(y, X), and upper
-        at least the supremum over x in X of d(x, Y), or None while no cell
-        is held.  A tracker may measure a cell against the hull of the read
-        that first sees it, and may let go of a cell that can never bring an
-        upper bound below the one returned.
-        """
-        return None
-
-    def closed_ball_desc(self, x, r: Fraction):
-        """Exact compact description of the closed ball, or None."""
-        return None
-
-    def annulus_desc(self, x, lo: Fraction, hi: Fraction):
-        """Exact compact description of {y : lo <= d(x, y) <= hi}; raises
-        OutOfSpace if unsupported."""
-        raise OutOfSpace("nice radius needs an exact annulus description")
-
-    def encode_ball(self, x, r: Fraction) -> int | None:
-        """An index of a basic equal to B(x, r), or None."""
-        return None
-
-    def ball_core(self, x, r: Fraction, slot: int) -> int | None:
-        """A basic inside B(x, r), growing toward it with the slot, or None."""
-        return None
-
-    def ball_seeds(self, x, r: Fraction) -> Iterable[int]:
-        """A finite stream of candidate basics near B(x, r); the caller
-        keeps those that meets_open_ball certifies."""
-        for s in range(13):
-            c = self.encode_ball(x, Fraction(1, 2 ** s))
-            if c is not None:
-                yield c
-
-    def annulus_tiles(self, x, lo: Fraction, hi: Fraction, w: Fraction) -> list[int]:
-        """Candidate basics of width about 2w tiling the annulus between lo
-        and hi around x; the caller checks each."""
-        return []
-
-    def witness_candidates(self, x, dist: Fraction, rho: Fraction) -> list:
-        """Candidate points near the sphere of radius dist around x, within
-        rho of it; the caller checks each."""
-        return [x]
-
     def __repr__(self) -> str:
         return f"<space {self.name}>"
 
@@ -822,7 +731,51 @@ class MetricStructure:
     ``exact(p, q)`` is the distance between two points of the space as a
     rational; ``dense(i)`` is the i-th dense point and ``dense_index`` its
     inverse.
+
+    A metric with ``calculus`` set is one family's class that also
+    implements, on exact centers x, the ball calculus and the distance
+    bounds that the balls and brackets of ``erctopo.metric`` read.  Every
+    test is sound: True certifies the relation, False asserts nothing.
+
+    - ``in_open_ball(x, d, r)``: the basic d lies inside B(x, r);
+      ``meets_open_ball(x, d, r)``: d meets B(x, r);
+      ``ball_inside_basic(x, r, d)``: B(x, r) lies inside d.
+    - ``far(x, d, below)`` is at least the supremum, ``near(x, d, above)``
+      at most the infimum distance from x to a point of d.  A bound stream
+      passes its running best as ``below`` or ``above``: a bound that
+      would not strictly improve on it may then come back as None, so
+      that a metric can skip building it.
+    - ``clearance(x)`` is a fresh tracker of a growing union of basics:
+      each call adds a basic and answers at most the distance from x to
+      every point of the space outside the basics added so far, or None.
+      Fed the parts of a closed set's complement name, it bounds the
+      distance from x to the set from below.
+    - ``cover_hull(descs)``: a compact description of a set containing
+      every basic in descs.
+    - ``hausdorff_cells()`` is a fresh tracker of the bounds between a set
+      X, given at each read by a hull (a compact description of a set
+      containing X), and a set Y, given by indices of basics that each
+      meet Y.  ``add(indices)`` feeds such indices as they are enumerated;
+      an index already held is ignored.  ``bounds(hull)`` returns (lower,
+      upper): lower at most the supremum over y in Y of d(y, X), upper at
+      least the supremum over x in X of d(x, Y), or None while no cell is
+      held.  A tracker may measure a cell against the hull of the read
+      that first sees it, and may let go of a cell that can never bring
+      an upper bound below the one returned.
+    - ``closed_ball_desc(x, r)`` and ``annulus_desc(x, lo, hi)``: exact
+      compact descriptions of the closed ball and of {y : lo <= d(x, y)
+      <= hi}.
+    - ``encode_ball(x, r)``: an index of a basic equal to B(x, r), or
+      None; ``ball_core(x, r, slot)``: a basic inside B(x, r), growing
+      toward it with the slot, or None.
+    - Candidates the caller checks: ``ball_seeds(x, r)``, a finite stream
+      of basics near B(x, r); ``annulus_tiles(x, lo, hi, w)``, basics of
+      width about 2w tiling the annulus between lo and hi around x;
+      ``witness_candidates(x, dist, rho)``, points within rho of the
+      sphere of radius dist around x.
     """
+
+    calculus = False
 
     def __init__(self, space: Space, dense: Callable[[int], object],
                  dense_index: Callable[[object], int],
@@ -854,10 +807,9 @@ class _LineSubspace(Space):
     _gaps = False
 
     def __init__(self) -> None:
+        # a subclass sets _hull and _gaps first: the metric reads them
         self._decode_cache: dict[int, object] = {}
-        dense, dense_index = _rational_dense(self, self.in_carrier)
-        self.metric = MetricStructure(self, dense, dense_index,
-                                      lambda p, q: abs(p - q))
+        self.metric = _LineMetric(self)
 
     def decode(self, n: int):
         """The open interval (a, b) coded by n, or None when its trace is
@@ -1056,37 +1008,73 @@ class _LineSubspace(Space):
         rounds = zip_longest(_endpoint_lane(cdesc), grid, grid, grid)
         return filter(partial(is_not, None), chain.from_iterable(rounds))
 
-    # ball calculus, once over traces ------------------------------------------
+    def _ends(self, d):
+        """The least and the greatest end of the trace of d."""
+        trace = self.trace(d)  # sorted
+        return trace[0][0], trace[-1][2]
+
+
+class _LineMetric(MetricStructure):
+    """d(x, y) = |x - y| on a subspace of the line, with the rationals of
+    its carrier as the dense sequence.
+
+    The ball calculus and the distance bounds are written once over the
+    space's traces.  On a carrier without gaps every trace is one piece,
+    whose ends ``_ends(d)`` gives: ``near`` and the Hausdorff grid then
+    read those two ends and test on integers.  ``far`` reads them on
+    every carrier, as the farthest points of a trace are its two ends.
+    """
+
+    calculus = True
+
+    def __init__(self, space: _LineSubspace):
+        dense, dense_index = _rational_dense(space, space.in_carrier)
+        super().__init__(space, dense, dense_index, lambda p, q: abs(p - q))
+        # the space's helpers, bound once: a bound stream calls far and
+        # near once per cell it reads
+        self._trace, self._ends, self._gaps = space.trace, space._ends, space._gaps
+        self._decode, self._cached = space.decode, space._decode_cache.get
+        # the carrier bounds on the Hausdorff grid, rounded outward
+        lo, hi = space._hull
+        self._grid_lo = None if lo is None else (lo[0] << _GRID) // lo[1]
+        self._grid_hi = None if hi is None else -((-hi[0] << _GRID) // hi[1])
+
+    # ball calculus ----------------------------------------------------------
     def in_open_ball(self, x, d, r: Fraction) -> bool:
         ball = (x - r, 1, x + r, 1)
-        return all(fiv_subset(f, ball) for f in self.trace(d))
+        return all(fiv_subset(f, ball) for f in self._trace(d))
 
     def meets_open_ball(self, x, d, r: Fraction) -> bool:
         ball = (x - r, 1, x + r, 1)
-        return any(not fiv_disjoint(f, ball) for f in self.trace(d))
+        return any(not fiv_disjoint(f, ball) for f in self._trace(d))
 
     def ball_inside_basic(self, x, r: Fraction, d) -> bool:
-        return self.basic_subset((x - r, x + r), d)
+        return self.space.basic_subset((x - r, x + r), d)
 
-    # distances, once over traces ---------------------------------------------
+    # distances ---------------------------------------------------------------
     # With a best to beat, the test runs on integers (see _cmp_diff), and
     # only a bound that improves on it is built as a Fraction.
     def far(self, x, d, below: Fraction | None = None) -> Fraction | None:
-        trace = self.trace(d)  # sorted: the farthest points are its two ends
-        lo, hi = trace[0][0], trace[-1][2]
+        lo, hi = self._ends(d)
         if below is not None and (_cmp_diff(x, lo, below) >= 0
                                   or _cmp_diff(hi, x, below) >= 0):
             return None
         return max(x - lo, hi - x)
 
     def near(self, x, d, above: Fraction | None = None) -> Fraction | None:
-        trace = self.trace(d)
-        if above is not None and above >= 0:
-            # each piece's bound max(lo - x, x - hi, 0) must exceed above
-            for lo, _, hi, _ in trace:
-                if _cmp_diff(lo, x, above) <= 0 and _cmp_diff(x, hi, above) <= 0:
-                    return None
-        return min(max(lo - x, x - hi, Fraction(0)) for lo, _, hi, _ in trace)
+        if self._gaps:
+            trace = self._trace(d)
+            if above is not None and above >= 0:
+                # each piece's bound max(lo - x, x - hi, 0) must exceed above
+                for lo, _, hi, _ in trace:
+                    if _cmp_diff(lo, x, above) <= 0 and _cmp_diff(x, hi, above) <= 0:
+                        return None
+            return min(max(lo - x, x - hi, Fraction(0)) for lo, _, hi, _ in trace)
+        lo, hi = self._ends(d)
+        if (above is not None and above >= 0 and _cmp_diff(lo, x, above) <= 0
+                and _cmp_diff(x, hi, above) <= 0):
+            return None
+        return max(lo - x, x - hi, Fraction(0))
 
     def clearance(self, x) -> Callable[[object], Fraction | None]:
         # the union of the raw intervals: the space has no points beyond a
@@ -1103,25 +1091,42 @@ class _LineSubspace(Space):
         return add
 
     def cover_hull(self, descs) -> tuple:
-        return self.make_cdesc([(f[0], f[2]) for d in descs for f in self.trace(d)])
+        return self.space.make_cdesc([(f[0], f[2]) for d in descs for f in self._trace(d)])
 
     def _grid_spans(self, indices: Iterable[int]) -> list[tuple[int, int]]:
         """The ends of the trace of each decoded basic on the Hausdorff
         grid, rounded outward."""
         spans = []
+        if self._gaps:
+            for n in indices:
+                lo, hi = self._ends(self._decode(n))
+                spans.append((_grid_floor(lo), _grid_ceil(hi)))
+            return spans
+        # the ends of d clamped on the grid, as rounding commutes with the
+        # clamps; _grid_floor and _grid_ceil inline, and the decode cache
+        # read first
+        cached, decode = self._cached, self._decode
+        grid_lo, grid_hi = self._grid_lo, self._grid_hi
         for n in indices:
-            trace = self.trace(self.decode(n))
-            spans.append((_grid_floor(trace[0][0]), _grid_ceil(trace[-1][2])))
+            a, b = cached(n) or decode(n)
+            lo = (a._numerator << _GRID) // a._denominator
+            hi = -((-b._numerator << _GRID) // b._denominator)
+            if grid_lo is not None and lo < grid_lo:
+                lo = grid_lo
+            if grid_hi is not None and hi > grid_hi:
+                hi = grid_hi
+            spans.append((lo, hi))
         return spans
 
     def hausdorff_cells(self) -> "_LineHausdorffCells":
         return _LineHausdorffCells(self)
 
+    # descriptions, codes and candidates ---------------------------------------
     def closed_ball_desc(self, x, r: Fraction):
-        return self.make_cdesc([(x - r, x + r)])
+        return self.space.make_cdesc([(x - r, x + r)])
 
     def annulus_desc(self, x, lo: Fraction, hi: Fraction):
-        return self.make_cdesc([(x - hi, x - lo), (x + lo, x + hi)])
+        return self.space.make_cdesc([(x - hi, x - lo), (x + lo, x + hi)])
 
     def encode_ball(self, x, r: Fraction) -> int:
         return encode_interval(x - r, x + r)
@@ -1149,7 +1154,7 @@ class _LineSubspace(Space):
         for side in (-1, 1):
             for frac in (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)):
                 z = x + side * dist - side * rho * frac
-                if self.in_carrier(z):
+                if self.space.in_carrier(z):
                     cands.append(z)
         return cands
 
@@ -1321,8 +1326,8 @@ class _LineHausdorffCells:
     reads since then let cells go.
     """
 
-    def __init__(self, space: _LineSubspace):
-        self._space = space
+    def __init__(self, metric: _LineMetric):
+        self._spans = metric._grid_spans
         # index -> the read that converted it; None until then
         self._fed: dict[int, int | None] = {}
         self._new: list[int] = []  # indices to convert at the next read
@@ -1339,7 +1344,7 @@ class _LineHausdorffCells:
                 continue
             read = fed[n]
             if read is not None:
-                (a, b), = self._space._grid_spans((n,))
+                (a, b), = self._spans((n,))
                 if b - a >= min(drops[read:]):
                     fed[n] = None  # let go since its read: held afresh
                     new.append(n)
@@ -1349,7 +1354,7 @@ class _LineHausdorffCells:
         pieces = [(_grid_floor(p), _grid_ceil(q)) for p, q in hull]
         lower = self._lower
         read = len(self._drops)
-        spans = self._space._grid_spans(new)
+        spans = self._spans(new)
         for n, (a, b) in zip(new, spans):
             # the gap is at most lower when a piece is within lower of the cell
             for p, q in pieces:
@@ -1417,12 +1422,9 @@ class _IntervalSpaceBase(_LineSubspace):
     hi_bound: Fraction | None = None
 
     def __init__(self) -> None:
-        super().__init__()
         self._hull = tuple(None if e is None else e.as_integer_ratio()
                            for e in (self.lo_bound, self.hi_bound))
-        # the carrier bounds on the Hausdorff grid, for _grid_spans
-        self._grid_lo = None if self.lo_bound is None else _grid_floor(self.lo_bound)
-        self._grid_hi = None if self.hi_bound is None else _grid_ceil(self.hi_bound)
+        super().__init__()
 
     def subset_lane(self, desc, seeds) -> MonotoneEnumerator[int]:
         # fiv_subset(fiv(d1), fiv(desc)) compares lo keys (value, flag) and
@@ -1515,38 +1517,6 @@ class _IntervalSpaceBase(_LineSubspace):
         if self.hi_bound is not None and _cmp(b, self.hi_bound) > 0:
             b = self.hi_bound
         return a, b
-
-    # far and near as on _LineSubspace, over the one trace piece
-    def far(self, x, d, below: Fraction | None = None) -> Fraction | None:
-        lo, hi = self._ends(d)
-        if below is not None and (_cmp_diff(x, lo, below) >= 0
-                                  or _cmp_diff(hi, x, below) >= 0):
-            return None
-        return max(x - lo, hi - x)
-
-    def near(self, x, d, above: Fraction | None = None) -> Fraction | None:
-        lo, hi = self._ends(d)
-        if (above is not None and above >= 0 and _cmp_diff(lo, x, above) <= 0
-                and _cmp_diff(x, hi, above) <= 0):
-            return None
-        return max(lo - x, x - hi, Fraction(0))
-
-    def _grid_spans(self, indices: Iterable[int]) -> list[tuple[int, int]]:
-        # fiv(d) clamped on the grid, as rounding commutes with the clamps;
-        # _grid_floor and _grid_ceil inline, and the decode cache read first
-        cached, decode = self._decode_cache.get, self.decode
-        grid_lo, grid_hi = self._grid_lo, self._grid_hi
-        spans = []
-        for n in indices:
-            a, b = cached(n) or decode(n)
-            lo = (a._numerator << _GRID) // a._denominator
-            hi = -((-b._numerator << _GRID) // b._denominator)
-            if grid_lo is not None and lo < grid_lo:
-                lo = grid_lo
-            if grid_hi is not None and hi > grid_hi:
-                hi = grid_hi
-            spans.append((lo, hi))
-        return spans
 
     def cfiv(self, piece) -> Fiv:
         """Closed piece (p, q) as a flagged interval, clamped to the carrier."""
@@ -1743,10 +1713,10 @@ class PiecewiseSpace(_LineSubspace):
         if not self.pieces or any(p > q for p, q in self.pieces):
             raise ValueError("carrier needs nonempty closed pieces")
         self.name = name
-        super().__init__()
         self._hull = (self.pieces[0][0].as_integer_ratio(),
                       max(q for _, q in self.pieces).as_integer_ratio())
         self._gaps = len(self.pieces) > 1
+        super().__init__()
         self.whole_compact_desc = self.make_cdesc(self.pieces)
 
     def in_carrier(self, x: Fraction) -> bool:

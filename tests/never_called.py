@@ -45,31 +45,18 @@ EXEMPT = frozenset({
     # Space and Region defaults
     "spaces.py:Region.add",
     "spaces.py:Region.covers_cdesc",
-    "spaces.py:Space.annulus_desc",
-    "spaces.py:Space.ball_inside_basic",
     "spaces.py:Space.basic_meets_cdesc",
     "spaces.py:Space.basic_subset",
     "spaces.py:Space.cdesc_in_basic",
     "spaces.py:Space.cdesc_intersect",
     "spaces.py:Space.cdesc_union",
-    "spaces.py:Space.clearance",
-    "spaces.py:Space.clearance.<locals>.<lambda>",
-    "spaces.py:Space.closed_ball_desc",
     "spaces.py:Space.closure_pairs",
     "spaces.py:Space.compact_complement",
-    "spaces.py:Space.cover_hull",
     "spaces.py:Space.decode",
-    "spaces.py:Space.encode_ball",
-    "spaces.py:Space.far",
-    "spaces.py:Space.hausdorff_cells",
-    "spaces.py:Space.in_open_ball",
     "spaces.py:Space.local_pinch",
     "spaces.py:Space.make_cdesc",
-    "spaces.py:Space.meets_open_ball",
-    "spaces.py:Space.near",
     "spaces.py:Space.point_in_basic",
     "spaces.py:Space.region",
-    "spaces.py:Space.witness_candidates",
     # __repr__s
     "kernel.py:_Pending.__repr__",
     "sets.py:OpenSet.__repr__",

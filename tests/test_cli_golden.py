@@ -23,6 +23,9 @@ reported one past the stage of their answer: the three verified
 then, in ``fuelUsed`` only.  The Pending ``compact-base`` row on a finite
 space, whose search stalls, was added when the basis search began to read
 the pairs its open swallows; it gives the same output before that change.
+The ``distance``, ``hausdorff`` and ``radius`` rows on a finite space were
+recorded before the ball calculus and the distance bounds moved from the
+space to its metric.
 """
 
 from __future__ import annotations
@@ -152,6 +155,23 @@ GOLDEN = [
      2,
      ('{"command":"distance","config":{"fuel":5000,"precision":14'
       ',"space":"unit-interval"},"fuelUsed":5000,"result":"Pending","witness":null}')),
+    # the finite oracles' metric: a point's distance to a set, two sets'
+    # Hausdorff distance and the radius of a ball, each exact
+    ('distance --space finite:{a,b,c;d(a,b)=1,d(b,c)=1,d(a,c)=2} --x a --located {c}',
+     0,
+     ('{"command":"distance","config":{"fuel":100000,"precision":10'
+      ',"space":"finite:{a,b,c;d(a,b)=1,d(b,c)=1,d(a,c)=2}"},"fuelUsed":4'
+      ',"result":{"hi":"2","lo":"2","tolerance":"2^-10","value":"2"},"witness":null}')),
+    ('hausdorff --space finite:{a,b,c;d(a,b)=1,d(b,c)=1,d(a,c)=2} --a {a} --b {b,c}',
+     0,
+     ('{"command":"hausdorff","config":{"fuel":100000,"precision":10'
+      ',"space":"finite:{a,b,c;d(a,b)=1,d(b,c)=1,d(a,c)=2}"},"fuelUsed":4'
+      ',"result":{"hi":"2","lo":"2","tolerance":"2^-10","value":"2"},"witness":null}')),
+    ('radius --space finite:{a,b,c;d(a,b)=1,d(b,c)=1,d(a,c)=2} --x b --ball {a,b,c}',
+     0,
+     ('{"command":"radius","config":{"fuel":100000,"precision":10'
+      ',"space":"finite:{a,b,c;d(a,b)=1,d(b,c)=1,d(a,c)=2}"},"fuelUsed":1'
+      ',"result":{"hi":"1","lo":"1","tolerance":"2^-10","value":"1"},"witness":null}')),
 ]
 
 
@@ -386,6 +406,21 @@ TEXT_GOLDEN = [
     ('forall --space cantor --pred subset(open([0])) --fuel 3000 --format text',
      2,
      "command: forall\nfuelUsed: 3000\nresult: Pending\nwitness: None\n"),
+    ('distance --space finite:{a,b,c;d(a,b)=1,d(b,c)=1,d(a,c)=2} --x a --located {c} '
+     '--format text',
+     0,
+     "command: distance\nfuelUsed: 4\nresult: {'value': '2', 'lo': '2', 'hi': '2', "
+     "'tolerance': '2^-10'}\nwitness: None\n"),
+    ('hausdorff --space finite:{a,b,c;d(a,b)=1,d(b,c)=1,d(a,c)=2} --a {a} --b {b,c} '
+     '--format text',
+     0,
+     "command: hausdorff\nfuelUsed: 4\nresult: {'value': '2', 'lo': '2', 'hi': '2', "
+     "'tolerance': '2^-10'}\nwitness: None\n"),
+    ('radius --space finite:{a,b,c;d(a,b)=1,d(b,c)=1,d(a,c)=2} --x b --ball {a,b,c} '
+     '--format text',
+     0,
+     "command: radius\nfuelUsed: 1\nresult: {'value': '1', 'lo': '1', 'hi': '1', "
+     "'tolerance': '2^-10'}\nwitness: None\n"),
     ('radius --space cantor --x 0 --ball [0,1] --format text',
      3,
      "command: radius\nfuelUsed: 0\nresult: error: needs a metric space\n"

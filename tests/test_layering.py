@@ -5,9 +5,12 @@ so ``metric``, ``sets``, ``ercs`` and ``cli`` ask the space instead of
 testing which class it is.  ``registry`` and ``oracle`` construct spaces
 and are exempt.
 
-Contract guard: the ``Space`` interface holds only methods that some code
-of the package reads, and README's list of what a new space implements
-names only ``Space`` methods.
+Contract guards: the ``Space`` interface holds only methods that some
+code of the package reads, and so does every metric class; the metric
+calculus lives on the metric classes, never on ``Space``, and ``metric``
+never reads it off a space; README's list of what a new space implements
+names every ``Space`` method and no other, and its list of what a metric
+implements names the metric calculus and nothing else.
 """
 
 from __future__ import annotations
@@ -23,7 +26,16 @@ CONSUMERS = ("metric.py", "sets.py", "ercs.py", "cli.py")
 FORBIDDEN = {
     "_LineSubspace", "_IntervalSpaceBase", "LineSpace", "UnitIntervalSpace",
     "PiecewiseSpace", "CantorSpace", "StarSpace", "QhatSpace", "OracleSpace",
+    "_LineMetric", "_OracleMetric",
     "_interval_like", "_piecewise", "_oracle_like",
+}
+# the ball calculus and the distance bounds: the methods of a metric class
+# with a calculus (see MetricStructure), and of no space
+METRIC_CALCULUS = {
+    "in_open_ball", "meets_open_ball", "ball_inside_basic", "far", "near",
+    "clearance", "cover_hull", "hausdorff_cells", "closed_ball_desc",
+    "annulus_desc", "encode_ball", "ball_core", "ball_seeds", "annulus_tiles",
+    "witness_candidates",
 }
 
 
@@ -99,26 +111,101 @@ def r_step(space, dm, dk):
     assert _violations(reads) == []
 
 
-def _space_methods() -> list[str]:
-    tree = ast.parse((SRC / "spaces.py").read_text())
-    space = next(node for node in tree.body
-                 if isinstance(node, ast.ClassDef) and node.name == "Space")
-    return [node.name for node in space.body
+def _methods(cls: ast.ClassDef) -> list[str]:
+    return [node.name for node in cls.body
             if isinstance(node, ast.FunctionDef) and not node.name.startswith("__")]
 
 
-def test_every_space_method_is_read():
-    read = {node.attr for path in SRC.glob("*.py")
+def _classes() -> dict[str, ast.ClassDef]:
+    """Every class of the package by name."""
+    return {node.name: node for path in SRC.glob("*.py")
+            for node in ast.parse(path.read_text()).body if isinstance(node, ast.ClassDef)}
+
+
+def _space_methods() -> list[str]:
+    return _methods(_classes()["Space"])
+
+
+def _metric_classes() -> list[ast.ClassDef]:
+    """MetricStructure and every class of the package derived from it."""
+    classes = _classes()
+    return [classes["MetricStructure"]] + [
+        cls for cls in classes.values()
+        if any(isinstance(b, ast.Name) and b.id == "MetricStructure" for b in cls.bases)]
+
+
+def _attributes_read() -> set[str]:
+    return {node.attr for path in SRC.glob("*.py")
             for node in ast.walk(ast.parse(path.read_text()))
             if isinstance(node, ast.Attribute)}
+
+
+def test_every_space_method_is_read():
+    read = _attributes_read()
     assert [name for name in _space_methods() if name not in read] == []
 
 
-def test_readme_contract_names_space_methods():
+def test_every_metric_method_is_read():
+    read = _attributes_read()
+    assert [f"{cls.name}.{name}" for cls in _metric_classes()
+            for name in _methods(cls) if name not in read] == []
+
+
+def test_metric_calculus_lives_on_the_metric_classes():
+    """Space defines none of the calculus, within a bound on its size; the
+    plain MetricStructure defines none either, and each metric class with a
+    calculus defines all of it and no other public method."""
+    space = _space_methods()
+    assert len(space) <= 32
+    assert METRIC_CALCULUS.isdisjoint(space)
+    plain, *families = _metric_classes()
+    assert METRIC_CALCULUS.isdisjoint(_methods(plain))
+    assert len(families) >= 2
+    for cls in families:
+        public = {name for name in _methods(cls) if not name.startswith("_")}
+        assert public == METRIC_CALCULUS, cls.name
+
+
+def _calculus_read_off_a_space(source: str) -> list[str]:
+    """Reads of a calculus name off ``space`` or off an attribute ``space``
+    (``m.space.far``)."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr in METRIC_CALCULUS:
+            owner = node.value
+            if (isinstance(owner, ast.Name) and owner.id == "space"
+                    or isinstance(owner, ast.Attribute) and owner.attr == "space"):
+                out.append(f"line {node.lineno}: reads {node.attr} off a space")
+    return out
+
+
+def test_metric_reads_the_calculus_off_the_metric():
+    assert _calculus_read_off_a_space((SRC / "metric.py").read_text()) == []
+
+
+def test_guard_catches_calculus_reads_off_a_space():
+    reads = '''
+def bounds(m, x, d):
+    space = m.space
+    return space.far(x, d), m.space.near(x, d), m.far(x, d), space.decode(0)
+'''
+    assert len(_calculus_read_off_a_space(reads)) == 2
+
+
+def _readme_list(start: str, end: str) -> set[str]:
     readme = (SRC.parent.parent / "README.md").read_text()
-    contract = readme.split("A new space implements", 1)[1]
-    contract = contract.split("Every test and bound is sound", 1)[0]
-    names = re.findall(r"`(\w+)(?:\(\))?`", contract)
-    methods = set(_space_methods())
+    text = readme.split(start, 1)[1].split(end, 1)[0]
+    return set(re.findall(r"`(\w+)(?:\(\))?`", text))
+
+
+def test_readme_contract_names_space_methods():
+    names = _readme_list("A new space implements", "A metric implements")
     assert len(names) > 30
-    assert [name for name in names if name not in methods] == []
+    assert names == set(_space_methods())
+    assert names.isdisjoint(METRIC_CALCULUS)
+
+
+def test_readme_contract_names_metric_methods():
+    names = _readme_list("A metric implements", "Every test and bound is sound")
+    assert len(names) >= 15
+    assert names == METRIC_CALCULUS

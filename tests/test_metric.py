@@ -242,6 +242,16 @@ def test_star_exact_point_is_named_by_star_point():
         assert name.neighborhoods.listing(500) == want.neighborhoods.listing(500)
 
 
+def test_star_metric_has_no_ball_calculus():
+    """star's metric has its dense sequence and exact distances only, so a
+    ball on it is a domain error, found before any name is built."""
+    star = StarSpace()
+    x = exact_metric_point(star.metric, (2, F(1, 2)))
+    for ball in (ball_open, cl_ball_overt, closed_ball_closed):
+        with pytest.raises(OutOfSpace, match="no ball calculus"):
+            ball(star.metric, x, 1)
+
+
 # -- system from compact balls -------------------------------------------------------------
 
 def _ui_compact_ball_provider():
@@ -498,8 +508,8 @@ def test_undescribed_hausdorff_matches_brute_force_on_oracle_spaces():
         if fs.metric_table is None:
             continue
         space, e = lift_finite(fs)
-        hull, hulled = space.cover_hull, []
-        space.cover_hull = lambda descs: hulled.append(descs) or hull(descs)
+        hull, hulled = space.metric.cover_hull, []
+        space.metric.cover_hull = lambda descs: hulled.append(descs) or hull(descs)
         hint = (2 ** len(fs.points) - 2,)
         sets = [a for a in space_subsets(fs) if a]
         for a in sets:
@@ -657,17 +667,17 @@ class _OracleCellsFromScratch:
     def bounds(self, hull):
         space = self.space
         descs = [space.decode(n) for n in self.cells]
-        lower = max((min((space.near(z, c) for z in hull), default=F(0)) for c in descs),
+        lower = max((min((space.metric.near(z, c) for z in hull), default=F(0)) for c in descs),
                     default=F(0))
         if not descs:
             return lower, None
-        return lower, max((min(space.far(z, c) for c in descs) for z in hull),
+        return lower, max((min(space.metric.far(z, c) for c in descs) for z in hull),
                           default=F(0))
 
 
 def _check_tracker(space, pool, hulls, reference, rng, trials=40):
     for _ in range(trials):
-        cells, want, hull = space.hausdorff_cells(), reference(space), rng.choice(hulls)
+        cells, want, hull = space.metric.hausdorff_cells(), reference(space), rng.choice(hulls)
         fed = []
         for _ in range(rng.randint(1, 6)):
             batch = [rng.choice(fed if fed and rng.random() < 0.3 else pool)
@@ -713,7 +723,7 @@ def test_hausdorff_cells_match_from_scratch():
     for steps in ([([wide, narrow, right, near], point), ([], upper_half),
                    ([wide], upper_half), ([], zero)],
                   [([narrow, near], point), ([right], upper_half), ([right], zero)]):
-        cells, want = _ui.hausdorff_cells(), _LineCellsFromScratch(_ui)
+        cells, want = _ui.metric.hausdorff_cells(), _LineCellsFromScratch(_ui)
         for batch, hull in steps:
             cells.add(batch)
             want.add(batch)
@@ -776,29 +786,29 @@ def _radius_sides(space, xv, k, v):
     hits, covers = v.hits.cursor(), k.covers.cursor()
 
     def widest(cover):
-        fars = [space.far(xv, space.decode(n)) for n in cover]
+        fars = [space.metric.far(xv, space.decode(n)) for n in cover]
         return None if None in fars else max(fars, default=F(0))
 
     return _RunningSides(
-        lambda t: [space.near(xv, space.decode(n)) for n in hits.upto(t + 1)],
+        lambda t: [space.metric.near(xv, space.decode(n)) for n in hits.upto(t + 1)],
         lambda t: [widest(c) for c in covers.upto(t + 1)])
 
 
 def _distance_sides(space, xv, a):
     parts, hits = a.closed_part.complement.parts.cursor(), a.overt_part.hits.cursor()
-    clear = space.clearance(xv)
+    clear = space.metric.clearance(xv)
     return _RunningSides(
         lambda t: [clear(space.decode(n)) for n in parts.upto(t + 1)],
-        lambda t: [space.far(xv, space.decode(n)) for n in hits.upto(t + 1)])
+        lambda t: [space.metric.far(xv, space.decode(n)) for n in hits.upto(t + 1)])
 
 
 def _hausdorff_sides(space, a, b, whole):
     # each direction: one set's hull, the hits of the other, their tracker,
     # read at the stages 0, 1, 3, 7, ... as the brackets read them
-    sides = [(_Hull(space, intersect_closed_compact(a.closed_part, whole)),
-              b.overt_part.hits.cursor(), space.hausdorff_cells()),
-             (_Hull(space, intersect_closed_compact(b.closed_part, whole)),
-              a.overt_part.hits.cursor(), space.hausdorff_cells())]
+    sides = [(_Hull(space.metric, intersect_closed_compact(a.closed_part, whole)),
+              b.overt_part.hits.cursor(), space.metric.hausdorff_cells()),
+             (_Hull(space.metric, intersect_closed_compact(b.closed_part, whole)),
+              a.overt_part.hits.cursor(), space.metric.hausdorff_cells())]
     highs: list = []
 
     def lows(t: int) -> list:

@@ -84,11 +84,11 @@ def test_line_ball_calculus_against_brute_force(basic, x, r):
     assume(space.in_carrier(x))
     dists = [abs(y - x) for y in _points(space, d)]
     assert dists, d
-    if space.in_open_ball(x, d, r):
+    if space.metric.in_open_ball(x, d, r):
         assert max(dists) < r
-    assert space.meets_open_ball(x, d, r) == (min(dists) < r)
-    assert space.near(x, d) == _infimum(space, d, x)
-    assert space.far(x, d) == _supremum(space, d, x)
+    assert space.metric.meets_open_ball(x, d, r) == (min(dists) < r)
+    assert space.metric.near(x, d) == _infimum(space, d, x)
+    assert space.metric.far(x, d) == _supremum(space, d, x)
 
 
 bests = st.one_of(st.none(), st.fractions(min_value=-1, max_value=4, max_denominator=8))
@@ -104,9 +104,9 @@ def test_far_and_near_with_a_best_to_beat(basic, x, best):
     and None otherwise."""
     space, d = basic
     assume(space.in_carrier(x))
-    far, near = space.far(x, d), space.near(x, d)
-    assert space.far(x, d, best) == (far if best is None or far < best else None)
-    assert space.near(x, d, best) == (near if best is None or near > best else None)
+    far, near = space.metric.far(x, d), space.metric.near(x, d)
+    assert space.metric.far(x, d, best) == (far if best is None or far < best else None)
+    assert space.metric.near(x, d, best) == (near if best is None or near > best else None)
 
 
 def test_oracle_ball_calculus_exhaustive():
@@ -121,20 +121,20 @@ def test_oracle_ball_calculus_exhaustive():
             for n in range(space.finite_basic_count):
                 d = space.decode(n)
                 ds = [dist(x, p) for p in d]
-                assert space.near(x, d) == min(ds)
-                assert space.far(x, d) == max(ds)
+                assert space.metric.near(x, d) == min(ds)
+                assert space.metric.far(x, d) == max(ds)
                 for best in values:
-                    assert space.far(x, d, best) in (None, max(ds))
-                    assert space.near(x, d, best) in (None, min(ds))
+                    assert space.metric.far(x, d, best) in (None, max(ds))
+                    assert space.metric.near(x, d, best) in (None, min(ds))
                     if max(ds) < best:
-                        assert space.far(x, d, best) == max(ds)
+                        assert space.metric.far(x, d, best) == max(ds)
                     if min(ds) > best:
-                        assert space.near(x, d, best) == min(ds)
+                        assert space.metric.near(x, d, best) == min(ds)
                 for r in rs:
                     ball = {p for p in fs.points if dist(x, p) < r}
-                    assert space.in_open_ball(x, d, r) == all(v < r for v in ds)
-                    assert space.meets_open_ball(x, d, r) == any(v < r for v in ds)
-                    assert space.ball_inside_basic(x, r, d) == (ball <= d)
+                    assert space.metric.in_open_ball(x, d, r) == all(v < r for v in ds)
+                    assert space.metric.meets_open_ball(x, d, r) == any(v < r for v in ds)
+                    assert space.metric.ball_inside_basic(x, r, d) == (ball <= d)
 
 
 _REGISTERED = [registry_get(name).space
