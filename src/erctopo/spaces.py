@@ -233,166 +233,117 @@ def decode_rational_set(n: int) -> frozenset[Fraction]:
 # ---------------------------------------------------------------------------
 # One-dimensional interval calculus with endpoint flags
 #
-# An "fiv" is (lo, lo_open, hi, hi_open) with lo <= hi; it denotes the set
-# of x with lo <(=) x <(=) hi.  Endpoints order as keys so that containment
-# becomes two-sided dominance: the lo key (lo, lo_open) puts closed=0 before
-# open=1 at the same point, the hi key (hi, 1 - hi_open) puts open before
-# closed.  Endpoints are Fractions (or ints) at every interface; the tests
-# below compare them by exact integer cross-multiplication, which is several
-# times cheaper than comparing Fractions or tuples of them.
+# An "fiv" is (ln, ld, lo_open, hn, hd, hi_open): the set of x with ln / ld
+# <(=) x <(=) hn / hd, each end an integer pair in lowest terms with a
+# positive denominator, so that equal ends are equal pairs.  A basic is a
+# code of two rational codes, so its ends are integers before they are
+# values: fiv, cfiv and trace convert a description's two Fraction ends
+# once, with as_integer_ratio (which ints have too), and every test below
+# compares ends by integer cross-multiplication.  Endpoints order as keys
+# so that containment becomes two-sided dominance: the lo key (lo,
+# lo_open) puts closed=0 before open=1 at the same point, the hi key (hi,
+# 1 - hi_open) puts open before closed.
 
-Fiv = tuple[Fraction, int, Fraction, int]
-
-
-def _cmp(x, y) -> int:
-    """Negative, zero or positive as the rational x is <, == or > y."""
-    # A Fraction's numerator and denominator slots are read directly, with
-    # no Python-level call: fiv_subset takes about 340 ns instead of 650 ns
-    # with two Fraction.as_integer_ratio calls per _cmp (CPython 3.11).
-    # Fivs carrying integer endpoints beside the Fractions would take it to
-    # about 240 ns, but every Fiv producer and consumer would change and
-    # decoded basics would be kept in both forms.  An operand without the
-    # slots (an int) takes as_integer_ratio.
-    try:
-        xn, xd = x._numerator, x._denominator
-    except AttributeError:
-        xn, xd = x.as_integer_ratio()
-    try:
-        yn, yd = y._numerator, y._denominator
-    except AttributeError:
-        yn, yd = y.as_integer_ratio()
-    return xn * yd - yn * xd
+Fiv = tuple[int, int, int, int, int, int]
 
 
-def _cmp_diff(u, v, w) -> int:
-    """Negative, zero or positive as the rational u - v is <, == or > w:
-    three operands read and compared as :func:`_cmp` reads and compares
-    two, with no Fraction built."""
-    try:
-        un, ud = u._numerator, u._denominator
-    except AttributeError:
-        un, ud = u.as_integer_ratio()
-    try:
-        vn, vd = v._numerator, v._denominator
-    except AttributeError:
-        vn, vd = v.as_integer_ratio()
-    try:
-        wn, wd = w._numerator, w._denominator
-    except AttributeError:
-        wn, wd = w.as_integer_ratio()
-    return (un * vd - vn * ud) * wd - wn * ud * vd
+def as_fiv(lo, lo_open: int, hi, hi_open: int) -> Fiv:
+    """The fiv with the rational ends lo and hi, Fractions or ints."""
+    (ln, ld), (hn, hd) = lo.as_integer_ratio(), hi.as_integer_ratio()
+    return (ln, ld, lo_open, hn, hd, hi_open)
 
 
 def fiv_nonempty(f: Fiv) -> bool:
-    c = _cmp(f[0], f[2])
-    return c < 0 or (c == 0 and not f[1] and not f[3])
+    ln, ld, lf, hn, hd, hf = f
+    c = ln * hd - hn * ld
+    return c < 0 or (c == 0 and not lf and not hf)
 
 
 def fiv_subset(a: Fiv, b: Fiv) -> bool:
     """a included in b; both assumed nonempty."""
-    c = _cmp(b[0], a[0])
-    if c > 0 or (c == 0 and b[1] > a[1]):
+    aln, ald, alf, ahn, ahd, ahf = a
+    bln, bld, blf, bhn, bhd, bhf = b
+    c = bln * ald - aln * bld
+    if c > 0 or (c == 0 and blf > alf):
         return False
-    c = _cmp(a[2], b[2])
-    return c < 0 or (c == 0 and a[3] >= b[3])
+    c = ahn * bhd - bhn * ahd
+    return c < 0 or (c == 0 and ahf >= bhf)
 
 
-def _apart(hi: Fraction, hi_open, lo: Fraction, lo_open) -> bool:
-    """An interval ending at hi lies wholly left of one starting at lo."""
-    c = _cmp(hi, lo)
+def _apart(hn: int, hd: int, hi_open, ln: int, ld: int, lo_open) -> bool:
+    """An interval ending at hn / hd lies wholly left of one starting at
+    ln / ld."""
+    c = hn * ld - ln * hd
     return c < 0 or (c == 0 and bool(hi_open or lo_open))
 
 
 def fiv_disjoint(a: Fiv, b: Fiv) -> bool:
-    return _apart(a[2], a[3], b[0], b[1]) or _apart(b[2], b[3], a[0], a[1])
+    return (_apart(a[3], a[4], a[5], b[0], b[1], b[2])
+            or _apart(b[3], b[4], b[5], a[0], a[1], a[2]))
 
 
-def fiv_member(x: Fraction, f: Fiv) -> bool:
-    c = _cmp(x, f[0])
-    if c < 0 or (c == 0 and f[1]):
+def fiv_member(x, f: Fiv) -> bool:
+    """The rational x, a Fraction or an int, lies in f."""
+    xn, xd = x.as_integer_ratio()
+    c = xn * f[1] - f[0] * xd
+    if c < 0 or (c == 0 and f[2]):
         return False
-    c = _cmp(x, f[2])
-    return c < 0 or (c == 0 and not f[3])
+    c = xn * f[4] - f[3] * xd
+    return c < 0 or (c == 0 and not f[5])
 
 
 def fiv_mergeable(a: Fiv, b: Fiv) -> bool:
     """True when the union of a and b is again an interval."""
-    c = _cmp(a[2], b[0])
-    if c < 0 or (c == 0 and a[3] and b[1]):
+    c = a[3] * b[1] - b[0] * a[4]
+    if c < 0 or (c == 0 and a[5] and b[2]):
         return False
-    c = _cmp(b[2], a[0])
-    return not (c < 0 or (c == 0 and b[3] and a[1]))
+    c = b[3] * a[1] - a[0] * b[4]
+    return not (c < 0 or (c == 0 and b[5] and a[2]))
 
 
 def fiv_hull(a: Fiv, b: Fiv) -> Fiv:
-    c = _cmp(a[0], b[0])
-    lo = a if c < 0 or (c == 0 and a[1] <= b[1]) else b
-    c = _cmp(a[2], b[2])
-    hi = a if c > 0 or (c == 0 and a[3] <= b[3]) else b
-    return (lo[0], lo[1], hi[2], hi[3])
+    c = a[0] * b[1] - b[0] * a[1]
+    lo = a if c < 0 or (c == 0 and a[2] <= b[2]) else b
+    c = a[3] * b[4] - b[3] * a[4]
+    hi = a if c > 0 or (c == 0 and a[5] <= b[5]) else b
+    return lo[:3] + hi[3:]
 
 
-def _bisect(a: list, x, right: int = 0) -> int:
-    """``bisect_left(a, x)``, or ``bisect_right(a, x)`` when ``right`` is
-    1, for a sorted list ``a`` of rationals: each probe compares as
-    :func:`_cmp` does, with x's numerator and denominator read once and no
-    ``Fraction.__lt__`` call."""
-    try:
-        xn, xd = x._numerator, x._denominator
-    except AttributeError:
-        xn, xd = x.as_integer_ratio()
-    lo, hi = 0, len(a)
+def _lo_search(fivs: list[Fiv], f, right: int = 0) -> int:
+    """The first position of ``fivs``, sorted by lo key, whose lo key is at
+    least f's, or above it when ``right`` is 1: ``bisect_left`` or
+    ``bisect_right`` on the lo keys.  Only f[:3], its lo key, is read."""
+    n, d, flag = f[0], f[1], f[2]
+    lo, hi = 0, len(fivs)
     while lo < hi:
         mid = (lo + hi) >> 1
-        y = a[mid]
-        try:
-            yn, yd = y._numerator, y._denominator
-        except AttributeError:
-            yn, yd = y.as_integer_ratio()
-        # a[mid] < x for bisect_left, a[mid] <= x for bisect_right: the
-        # integer sign of a[mid] - x is below 0 or below 1
-        if yn * xd - xn * yd < right:
+        m = fivs[mid]
+        # m's lo key below f's for bisect_left, at most f's for bisect_right
+        c = m[0] * d - n * m[1]
+        if c < 0 or c == 0 and m[2] - flag < right:
             lo = mid + 1
         else:
             hi = mid
     return lo
 
 
-def _lo_key_left(los: list[Fraction], fivs: list[Fiv], f: Fiv) -> int:
-    """First position whose lo key is >= f's, in fivs sorted by lo key
-    (``los`` holds their lo endpoints)."""
-    k = _bisect(los, f[0])
-    while k < len(fivs) and fivs[k][1] < f[1] and _cmp(fivs[k][0], f[0]) == 0:
-        k += 1
-    return k
-
-
-def _lo_key_right(los: list[Fraction], fivs: list[Fiv], f: Fiv) -> int:
-    """First position whose lo key is > f's."""
-    k = _bisect(los, f[0], 1)
-    while k and fivs[k - 1][1] > f[1] and _cmp(fivs[k - 1][0], f[0]) == 0:
-        k -= 1
-    return k
-
-
 class FivUnion:
     """Growing union of fivs; answers whether it covers a given fiv.
 
-    Components are kept sorted by left endpoint and pairwise non-mergeable.
+    Components are kept sorted by lo key and pairwise non-mergeable.
     ``version`` counts the additions that actually changed the union, so
     callers can skip requerying an unchanged state.
     """
 
     def __init__(self) -> None:
         self._parts: list[Fiv] = []
-        self._los: list[Fraction] = []
         self.version = 0
 
     def add(self, f: Fiv) -> None:
         if self.covers(f):   # empty, or held by the component at its left end
             return
-        parts, los = self._parts, self._los
-        k = _bisect(los, f[0])
+        parts = self._parts
+        k = _lo_search(parts, f)
         i = k
         while i > 0 and fiv_mergeable(parts[i - 1], f):
             i -= 1
@@ -405,22 +356,22 @@ class FivUnion:
         if j - i == 1 and parts[i] == merged:
             return
         parts[i:j] = [merged]
-        los[i:j] = [merged[0]]
         self.version += 1
 
     def covers(self, f: Fiv) -> bool:
         if not fiv_nonempty(f):
             return True
-        k = _bisect(self._los, f[0], 1)
+        k = _lo_search(self._parts, f, 1)
         return k > 0 and fiv_subset(f, self._parts[k - 1])
 
-    def covers_point(self, x: Fraction) -> bool:
-        return self.covers((x, 0, x, 0))
+    def covers_point(self, x) -> bool:
+        return self.part_at(x) is not None
 
-    def part_at(self, x: Fraction) -> Fiv | None:
-        """The component of the union that contains the point x, if any."""
-        k = _bisect(self._los, x, 1)
-        if k and fiv_member(x, self._parts[k - 1]):
+    def part_at(self, x) -> Fiv | None:
+        """The component of the union that contains the rational x, if any."""
+        f = as_fiv(x, 0, x, 0)
+        k = _lo_search(self._parts, f, 1)
+        if k and fiv_subset(f, self._parts[k - 1]):
             return self._parts[k - 1]
         return None
 
@@ -434,21 +385,19 @@ class FivCoverIndex:
     """
 
     def __init__(self) -> None:
-        self._los: list[Fraction] = []
         self._fivs: list[Fiv] = []
 
     def add(self, f: Fiv) -> None:
         if not fiv_nonempty(f) or self.contains(f):
             return
-        k = _lo_key_left(self._los, self._fivs, f)
+        k = _lo_search(self._fivs, f)
         j = k
         while j < len(self._fivs) and fiv_subset(self._fivs[j], f):
             j += 1
-        self._los[k:j] = [f[0]]
         self._fivs[k:j] = [f]
 
     def contains(self, f: Fiv) -> bool:
-        k = _lo_key_right(self._los, self._fivs, f)
+        k = _lo_search(self._fivs, f, 1)
         return k > 0 and fiv_subset(f, self._fivs[k - 1])
 
 
@@ -850,7 +799,10 @@ class _LineSubspace(Space):
         return True
 
     def point_in_basic(self, value, d) -> bool:
-        return self.in_carrier(value) and _cmp(d[0], value) < 0 < _cmp(d[1], value)
+        for f in self.trace(d):
+            if fiv_member(value, f):
+                return True
+        return False
 
     def make_cdesc(self, pieces) -> tuple:
         out: list[tuple[Fraction, Fraction]] = []
@@ -864,11 +816,11 @@ class _LineSubspace(Space):
 
     def cdesc_in_basic(self, cdesc, d) -> bool:
         traces = self.trace(d)
-        return all(any(fiv_subset((p, 0, q, 0), f) for f in traces)
+        return all(any(fiv_subset(as_fiv(p, 0, q, 0), f) for f in traces)
                    for p, q in cdesc)
 
     def basic_meets_cdesc(self, d, cdesc) -> bool:
-        return any(not fiv_disjoint(f, (p, 0, q, 0))
+        return any(not fiv_disjoint(f, as_fiv(p, 0, q, 0))
                    for f in self.trace(d) for p, q in cdesc)
 
     def basic_meets_cdesc_test(self, cdesc) -> Callable[[object], bool]:
@@ -878,8 +830,7 @@ class _LineSubspace(Space):
         ends = [(*p.as_integer_ratio(), *q.as_integer_ratio()) for p, q in cdesc]
 
         def test(d) -> bool:
-            a, b = d
-            an, ad, bn, bd = a._numerator, a._denominator, b._numerator, b._denominator
+            (an, ad), (bn, bd) = d[0].as_integer_ratio(), d[1].as_integer_ratio()
             for pn, pd, qn, qd in ends:
                 if an * qd < qn * ad and pn * bd < bn * pd:
                     return True
@@ -905,7 +856,7 @@ class _LineSubspace(Space):
         # above the least, and so do a and b: only a < b and the gaps are
         # left to test
         a, b = max(d1[0], d2[0]), min(d1[1], d2[1])
-        if _cmp(a, b) >= 0 or self._gaps and not self.trace((a, b)):
+        if a >= b or self._gaps and not self.trace((a, b)):
             return None
         return encode_interval(a, b)
 
@@ -1008,21 +959,16 @@ class _LineSubspace(Space):
         rounds = zip_longest(_endpoint_lane(cdesc), grid, grid, grid)
         return filter(partial(is_not, None), chain.from_iterable(rounds))
 
-    def _ends(self, d):
-        """The least and the greatest end of the trace of d."""
-        trace = self.trace(d)  # sorted
-        return trace[0][0], trace[-1][2]
-
 
 class _LineMetric(MetricStructure):
     """d(x, y) = |x - y| on a subspace of the line, with the rationals of
     its carrier as the dense sequence.
 
     The ball calculus and the distance bounds are written once over the
-    space's traces.  On a carrier without gaps every trace is one piece,
-    whose ends ``_ends(d)`` gives: ``near`` and the Hausdorff grid then
-    read those two ends and test on integers.  ``far`` reads them on
-    every carrier, as the farthest points of a trace are its two ends.
+    space's traces, whose integer ends they compare: ``far`` and the
+    Hausdorff grid read the least and the greatest end of a trace, as the
+    farthest points of a trace are its two ends, and ``near`` the ends of
+    each piece.
     """
 
     calculus = True
@@ -1032,85 +978,99 @@ class _LineMetric(MetricStructure):
         super().__init__(space, dense, dense_index, lambda p, q: abs(p - q))
         # the space's helpers, bound once: a bound stream calls far and
         # near once per cell it reads
-        self._trace, self._ends, self._gaps = space.trace, space._ends, space._gaps
+        self._trace, self._gaps = space.trace, space._gaps
         self._decode, self._cached = space.decode, space._decode_cache.get
-        # the carrier bounds on the Hausdorff grid, rounded outward
+        # the carrier's ends on the Hausdorff grid, rounded outward
         lo, hi = space._hull
-        self._grid_lo = None if lo is None else (lo[0] << _GRID) // lo[1]
-        self._grid_hi = None if hi is None else -((-hi[0] << _GRID) // hi[1])
+        self._grid_lo = None if lo is None else _grid_floor(*lo)
+        self._grid_hi = None if hi is None else _grid_ceil(*hi)
 
     # ball calculus ----------------------------------------------------------
     def in_open_ball(self, x, d, r: Fraction) -> bool:
-        ball = (x - r, 1, x + r, 1)
+        ball = as_fiv(x - r, 1, x + r, 1)
         return all(fiv_subset(f, ball) for f in self._trace(d))
 
     def meets_open_ball(self, x, d, r: Fraction) -> bool:
-        ball = (x - r, 1, x + r, 1)
+        ball = as_fiv(x - r, 1, x + r, 1)
         return any(not fiv_disjoint(f, ball) for f in self._trace(d))
 
     def ball_inside_basic(self, x, r: Fraction, d) -> bool:
         return self.space.basic_subset((x - r, x + r), d)
 
     # distances ---------------------------------------------------------------
-    # With a best to beat, the test runs on integers (see _cmp_diff), and
-    # only a bound that improves on it is built as a Fraction.
+    # x and the ends are compared on integers, the best to beat too, and a
+    # Fraction is built only for a bound that improves on it.
     def far(self, x, d, below: Fraction | None = None) -> Fraction | None:
-        lo, hi = self._ends(d)
-        if below is not None and (_cmp_diff(x, lo, below) >= 0
-                                  or _cmp_diff(hi, x, below) >= 0):
-            return None
-        return max(x - lo, hi - x)
+        trace = self._trace(d)
+        lo, hi = trace[0], trace[-1]
+        xn, xd = x.as_integer_ratio()
+        # x - lo over lo's denominator times xd, hi - x over hi's
+        u, ud = xn * lo[1] - lo[0] * xd, lo[1] * xd
+        v, vd = hi[3] * xd - xn * hi[4], hi[4] * xd
+        if below is not None:
+            bn, bd = below.as_integer_ratio()
+            if u * bd >= bn * ud or v * bd >= bn * vd:
+                return None
+        return _lowest(u, ud) if u * vd >= v * ud else _lowest(v, vd)
 
     def near(self, x, d, above: Fraction | None = None) -> Fraction | None:
-        if self._gaps:
-            trace = self._trace(d)
-            if above is not None and above >= 0:
-                # each piece's bound max(lo - x, x - hi, 0) must exceed above
-                for lo, _, hi, _ in trace:
-                    if _cmp_diff(lo, x, above) <= 0 and _cmp_diff(x, hi, above) <= 0:
-                        return None
-            return min(max(lo - x, x - hi, Fraction(0)) for lo, _, hi, _ in trace)
-        lo, hi = self._ends(d)
-        if (above is not None and above >= 0 and _cmp_diff(lo, x, above) <= 0
-                and _cmp_diff(x, hi, above) <= 0):
-            return None
-        return max(lo - x, x - hi, Fraction(0))
+        xn, xd = x.as_integer_ratio()
+        gap, gd = None, 1  # the least max(lo - x, x - hi, 0) over the pieces
+        for ln, ld, _, hn, hd, _ in self._trace(d):
+            g, den = ln * xd - xn * ld, ld * xd  # lo - x
+            if g <= 0:
+                g, den = max(xn * hd - hn * xd, 0), xd * hd  # x - hi, or 0
+            if gap is None or g * gd < gap * den:
+                gap, gd = g, den
+        if above is not None:
+            an, ad = above.as_integer_ratio()
+            if gap * ad <= an * gd:
+                return None
+        return _lowest(gap, gd)
 
     def clearance(self, x) -> Callable[[object], Fraction | None]:
         # the union of the raw intervals: the space has no points beyond a
         # carrier clamp end, so those ends are no edges, and a raw interval
         # misses a set of the space exactly when its trace does
         gaps = FivUnion()
+        xn, xd = x.as_integer_ratio()
 
         def add(d) -> Fraction | None:
-            a, b = d
-            gaps.add((a, 1, b, 1))
+            gaps.add(as_fiv(d[0], 1, d[1], 1))
             part = gaps.part_at(x)
-            return None if part is None else min(x - part[0], part[2] - x)
+            if part is None:
+                return None
+            # the lesser of x - lo and hi - x
+            ln, ld, _, hn, hd, _ = part
+            u, ud = xn * ld - ln * xd, ld * xd
+            v, vd = hn * xd - xn * hd, hd * xd
+            return _lowest(u, ud) if u * vd <= v * ud else _lowest(v, vd)
 
         return add
 
     def cover_hull(self, descs) -> tuple:
-        return self.space.make_cdesc([(f[0], f[2]) for d in descs for f in self._trace(d)])
+        return self.space.make_cdesc([(_lowest(f[0], f[1]), _lowest(f[3], f[4]))
+                                      for d in descs for f in self._trace(d)])
 
     def _grid_spans(self, indices: Iterable[int]) -> list[tuple[int, int]]:
-        """The ends of the trace of each decoded basic on the Hausdorff
-        grid, rounded outward."""
+        """The least and the greatest end of the trace of each decoded basic
+        on the Hausdorff grid, rounded outward."""
+        trace, cached, decode = self._trace, self._cached, self._decode
         spans = []
         if self._gaps:
             for n in indices:
-                lo, hi = self._ends(self._decode(n))
-                spans.append((_grid_floor(lo), _grid_ceil(hi)))
+                t = trace(decode(n))
+                spans.append((_grid_floor(t[0][0], t[0][1]), _grid_ceil(t[-1][3], t[-1][4])))
             return spans
-        # the ends of d clamped on the grid, as rounding commutes with the
-        # clamps; _grid_floor and _grid_ceil inline, and the decode cache
-        # read first
-        cached, decode = self._cached, self._decode
+        # one piece: the ends of d put on the grid, then clamped there, as
+        # rounding commutes with the clamps; no fiv built, _grid_floor and
+        # _grid_ceil inline, and the decode cache read first (a Hausdorff
+        # bracket puts some 12k cells on the grid)
         grid_lo, grid_hi = self._grid_lo, self._grid_hi
         for n in indices:
             a, b = cached(n) or decode(n)
-            lo = (a._numerator << _GRID) // a._denominator
-            hi = -((-b._numerator << _GRID) // b._denominator)
+            (an, ad), (bn, bd) = a.as_integer_ratio(), b.as_integer_ratio()
+            lo, hi = (an << _GRID) // ad, -((-bn << _GRID) // bd)
             if grid_lo is not None and lo < grid_lo:
                 lo = grid_lo
             if grid_hi is not None and hi > grid_hi:
@@ -1220,15 +1180,14 @@ def _cells(mids: Iterable[int], half: int, den: int):
 _GRID = 64
 
 
-# Every end put on the grid is a Fraction (a decoded end, a carrier bound
-# or a description's end), whose slots are read as _cmp reads them: the
-# property pair numerator/denominator would cost two Python-level calls.
-def _grid_floor(q: Fraction) -> int:
-    return (q._numerator << _GRID) // q._denominator
+# An end n / d, d > 0, put on the grid: a trace's end as it is, a hull's
+# through as_integer_ratio.
+def _grid_floor(n: int, d: int) -> int:
+    return (n << _GRID) // d
 
 
-def _grid_ceil(q: Fraction) -> int:
-    return -((-q._numerator << _GRID) // q._denominator)
+def _grid_ceil(n: int, d: int) -> int:
+    return -((-n << _GRID) // d)
 
 
 class _CoverCells:
@@ -1351,7 +1310,8 @@ class _LineHausdorffCells:
 
     def bounds(self, hull) -> tuple[Fraction, Fraction | None]:
         fed, new = self._fed, self._new
-        pieces = [(_grid_floor(p), _grid_ceil(q)) for p, q in hull]
+        pieces = [(_grid_floor(*p.as_integer_ratio()), _grid_ceil(*q.as_integer_ratio()))
+                  for p, q in hull]
         lower = self._lower
         read = len(self._drops)
         spans = self._spans(new)
@@ -1389,24 +1349,16 @@ class _TraceRegion(Region):
 
     def covers_cdesc(self, cdesc) -> bool:
         # Each closed piece [p, q] (nonempty by contract) against the one
-        # component that can hold p, the last whose left end is at most p
-        # (components are pairwise apart), with its ends compared on the
-        # integers as _cmp compares them.
-        parts, los = self.union._parts, self.union._los
+        # component that can hold p, the last whose lo key is at most p's
+        # closed key (components are pairwise apart): it holds the piece
+        # when q is within its hi key.
+        parts = self.union._parts
         for p, q in cdesc:
-            k = _bisect(los, p, 1)
+            (pn, pd), (qn, qd) = p.as_integer_ratio(), q.as_integer_ratio()
+            k = _lo_search(parts, (pn, pd, 0), 1)
             if not k:
                 return False
-            lo, lo_open, hi, hi_open = parts[k - 1]
-            try:
-                pn, pd, qn, qd = p._numerator, p._denominator, q._numerator, q._denominator
-                ln, ld, hn, hd = lo._numerator, lo._denominator, hi._numerator, hi._denominator
-            except AttributeError:
-                (pn, pd), (qn, qd) = p.as_integer_ratio(), q.as_integer_ratio()
-                (ln, ld), (hn, hd) = lo.as_integer_ratio(), hi.as_integer_ratio()
-            # lo <= p by the bisection: only an open end at p fails
-            if lo_open and ln * pd == pn * ld:
-                return False
+            _, _, _, hn, hd, hi_open = parts[k - 1]
             c = qn * hd - hn * qd
             if c > 0 or c == 0 and hi_open:
                 return False
@@ -1418,7 +1370,7 @@ class _IntervalSpaceBase(_LineSubspace):
     flagged interval ``fiv(d)``, which the indexes and the local pinch use
     directly."""
 
-    lo_bound: Fraction | None = None  # carrier bounds for traces
+    lo_bound: Fraction | None = None  # the carrier's ends, read into _hull
     hi_bound: Fraction | None = None
 
     def __init__(self) -> None:
@@ -1439,8 +1391,7 @@ class _IntervalSpaceBase(_LineSubspace):
         # unclamped side) and a < hi, lo < b and b <= hi (on an unclamped
         # side), and a < b.  (a < hi follows from b <= b2 or the carrier,
         # lo < b from a2 <= a or the carrier.)  Only a < b joins the ends.
-        lo, lof, hi, hif = self.fiv(desc)
-        (ln, ld), (hn, hd) = lo.as_integer_ratio(), hi.as_integer_ratio()
+        ln, ld, lof, hn, hd, hif = self.fiv(desc)
 
         def left(i: int) -> bool:
             n, d = _end(i)
@@ -1472,64 +1423,49 @@ class _IntervalSpaceBase(_LineSubspace):
         # fiv_subset(fiv(dm), cfiv(dk)) compares values only, as the
         # closure holds its ends: m lies in it exactly when the ends of
         # cfiv(dk) lie outside those of cfiv(dm), equal ends included.
-        # Each code's clamped ends are kept as integers, None for an
-        # invalid code; the codes m and k of p = pair(m, k) are at most
-        # about the square root of 2p.
-        clamped: list[tuple[int, int, int, int] | None] = []
+        # Each code's cfiv is kept, None for an invalid code; the codes m
+        # and k of p = pair(m, k) are at most about the square root of 2p.
+        clamped: list[Fiv | None] = []
 
         def valid(c: int) -> bool:
             while len(clamped) <= c:
                 d = self.decode(len(clamped))
-                if d is None:
-                    clamped.append(None)
-                else:
-                    a, _, b, _ = self.cfiv(d)
-                    clamped.append((*a.as_integer_ratio(), *b.as_integer_ratio()))
+                clamped.append(None if d is None else self.cfiv(d))
             return clamped[c] is not None
 
         def join(m: int, k: int) -> bool:
-            man, mad, mbn, mbd = clamped[m]
-            kan, kad, kbn, kbd = clamped[k]
+            man, mad, _, mbn, mbd, _ = clamped[m]
+            kan, kad, _, kbn, kbd, _ = clamped[k]
             return kan * mad <= man * kad and mbn * kbd <= kbn * mbd
 
         return pair_lane(valid, valid, join)
 
-    def fiv(self, d) -> Fiv:
-        """Effective endpoints of the trace of the open interval d."""
-        a, b = d
-        lo, lof = a, 1
-        hi, hif = b, 1
-        if self.lo_bound is not None and _cmp(a, self.lo_bound) < 0:
-            lo, lof = self.lo_bound, 0
-        if self.hi_bound is not None and _cmp(b, self.hi_bound) > 0:
-            hi, hif = self.hi_bound, 0
-        return (lo, lof, hi, hif)
+    def fiv(self, d, open_ends: int = 1) -> Fiv:
+        """The trace of the open interval d: its ends, each clamped to the
+        carrier, closed where clamped.  With ``open_ends`` 0, the closed
+        piece d clamped to the carrier (see cfiv)."""
+        (ln, ld), (hn, hd) = d[0].as_integer_ratio(), d[1].as_integer_ratio()
+        lf = hf = open_ends
+        lo, hi = self._hull
+        if lo is not None and ln * lo[1] < lo[0] * ld:
+            (ln, ld), lf = lo, 0
+        if hi is not None and hn * hi[1] > hi[0] * hd:
+            (hn, hd), hf = hi, 0
+        return (ln, ld, lf, hn, hd, hf)
 
     def trace(self, d) -> tuple[Fiv]:
         return (self.fiv(d),)
 
-    def _ends(self, d):
-        """The ends of ``fiv(d)`` without its flags or the tuple: the ends
-        of d, or of a closed piece, clamped to the carrier."""
-        a, b = d
-        if self.lo_bound is not None and _cmp(a, self.lo_bound) < 0:
-            a = self.lo_bound
-        if self.hi_bound is not None and _cmp(b, self.hi_bound) > 0:
-            b = self.hi_bound
-        return a, b
-
     def cfiv(self, piece) -> Fiv:
         """Closed piece (p, q) as a flagged interval, clamped to the carrier."""
-        p, q = piece
-        if self.lo_bound is not None:
-            p = max(p, self.lo_bound)
-        if self.hi_bound is not None:
-            q = min(q, self.hi_bound)
-        return (p, 0, q, 0)
+        return self.fiv(piece, 0)
 
     def _clip(self, p: Fraction, q: Fraction):
-        p, q = self._ends((p, q))
-        return ((p, q),) if _cmp(p, q) <= 0 else ()
+        # fiv((p, q)) closes exactly the clamped ends: only those are built
+        ln, ld, lf, hn, hd, hf = self.fiv((p, q))
+        if ln * hd > hn * ld:
+            return ()
+        return ((p if lf else _lowest(ln, ld), q if hf else _lowest(hn, hd)),)
 
     def make_cdesc(self, pieces) -> tuple:
         if len(pieces) != 1:
@@ -1541,11 +1477,10 @@ class _IntervalSpaceBase(_LineSubspace):
                           q if isinstance(q, Fraction) else Fraction(q))
 
     def in_carrier(self, x: Fraction) -> bool:
-        if self.lo_bound is not None and x < self.lo_bound:
-            return False
-        if self.hi_bound is not None and x > self.hi_bound:
-            return False
-        return True
+        xn, xd = x.as_integer_ratio()
+        lo, hi = self._hull
+        return ((lo is None or lo[0] * xd <= xn * lo[1])
+                and (hi is None or xn * hi[1] <= hi[0] * xd))
 
     def cover_index(self):
         return _FivBasicCoverIndex(self)
@@ -1560,9 +1495,11 @@ class _IntervalSpaceBase(_LineSubspace):
         vf, pf = self.fiv(vdesc), self.fiv(pdesc)
         if not fiv_subset(vf, pf):
             return None
-        lo = vf[0] if pf[0] == vf[0] and not pf[1] else (pf[0] + vf[0]) / 2
-        hi = vf[2] if pf[2] == vf[2] and not pf[3] else (pf[2] + vf[2]) / 2
-        if not (fiv_subset(vf, (lo, 0, hi, 0)) and fiv_subset((lo, 0, hi, 0), pf)):
+        # the midpoints of the two lo ends and of the two hi ends
+        lo = _lowest(vf[0] * pf[1] + pf[0] * vf[1], 2 * vf[1] * pf[1])
+        hi = _lowest(vf[3] * pf[4] + pf[3] * vf[4], 2 * vf[4] * pf[4])
+        k = as_fiv(lo, 0, hi, 0)
+        if not (fiv_subset(vf, k) and fiv_subset(k, pf)):
             return None
         return self.make_cdesc([(lo, hi)])
 
@@ -1581,66 +1518,36 @@ class _FivBasicCoverIndex:
 
 class _FivBasicInsideIndex:
     """Antichain of the minimal traces ``fiv(d)`` of basics, answering: is
-    SOME member inside a query?  Each trace is held as an integer key
-    ``(lo numerator, lo denominator, lo flag, hi numerator, hi denominator,
-    hi flag)``: a query reads the ends of d, clamps them to the carrier and
-    compares them on integers, with no fiv built."""
+    SOME member inside a query?  Sorted by lo key, members of an antichain
+    have hi keys growing with their lo keys (see ``FivCoverIndex``): the
+    candidate for a query is the first member whose lo key is at least its
+    lo key, the one with the least hi key among those."""
 
     def __init__(self, space: _IntervalSpaceBase):
-        self._hull = space._hull
-        self._keys: list[tuple[int, int, int, int, int, int]] = []
-
-    def _find(self, d, key=None):
-        """The key of ``fiv(d)``, or ``key`` when given, and the first
-        member whose lo key is at least its lo key: the member with the
-        least hi key among those, as in an antichain hi keys grow with lo
-        keys (see ``FivCoverIndex``)."""
-        if key is None:
-            a, b = d
-            try:
-                an, ad, bn, bd = a._numerator, a._denominator, b._numerator, b._denominator
-            except AttributeError:
-                (an, ad), (bn, bd) = a.as_integer_ratio(), b.as_integer_ratio()
-            lf = hf = 1
-            lo, hi = self._hull
-            if lo is not None and an * lo[1] < lo[0] * ad:
-                (an, ad), lf = lo, 0
-            if hi is not None and bn * hi[1] > hi[0] * bd:
-                (bn, bd), hf = hi, 0
-            key = (an, ad, lf, bn, bd, hf)
-        else:
-            an, ad, lf = key[0], key[1], key[2]
-        keys = self._keys
-        k, top = 0, len(keys)
-        while k < top:
-            mid = (k + top) >> 1
-            m = keys[mid]
-            c = m[0] * ad - an * m[1]
-            if c < 0 or c == 0 and m[2] < lf:
-                k = mid + 1
-            else:
-                top = mid
-        return k, key
+        self._fiv = space.fiv  # bound once: a query reads it
+        self._fivs: list[Fiv] = []
 
     def add(self, d) -> None:
-        self._add(*self._find(d))
+        self._add(self._fiv(d))
 
-    def _add(self, k: int, key) -> None:
-        keys = self._keys
-        if k < len(keys) and _key_hi_within(keys[k], key):
+    def _add(self, f: Fiv) -> None:
+        fivs = self._fivs
+        k = _lo_search(fivs, f)
+        if k < len(fivs) and _hi_within(fivs[k], f):
             return
         j = k
-        while j and _key_hi_within(key, keys[j - 1]):
+        while j and _hi_within(f, fivs[j - 1]):
             j -= 1
-        keys[j:k] = [key]
+        fivs[j:k] = [f]
 
     def some_inside(self, d) -> bool:
-        k, key = self._find(d)
-        keys = self._keys
-        return k < len(keys) and _key_hi_within(keys[k], key)
+        f = self._fiv(d)
+        fivs = self._fivs
+        k = _lo_search(fivs, f)
+        return k < len(fivs) and _hi_within(fivs[k], f)
 
 
-def _key_hi_within(m, f) -> bool:
+def _hi_within(m: Fiv, f: Fiv) -> bool:
     """The hi key of m is at most f's: its end is left of f's, or at it
     and open or f's closed."""
     c = m[3] * f[4] - f[3] * m[4]
@@ -1653,8 +1560,7 @@ class _FivHullInsideIndex(_FivBasicInsideIndex):
 
     def add(self, cdesc) -> None:
         if cdesc:
-            (an, ad), (bn, bd) = cdesc[0][0].as_integer_ratio(), cdesc[-1][1].as_integer_ratio()
-            self._add(*self._find(None, (an, ad, 0, bn, bd, 0)))
+            self._add(as_fiv(cdesc[0][0], 0, cdesc[-1][1], 0))
 
 
 def _rational_dense(space: Space, carrier: Callable[[Fraction], bool]):
@@ -1713,6 +1619,7 @@ class PiecewiseSpace(_LineSubspace):
         if not self.pieces or any(p > q for p, q in self.pieces):
             raise ValueError("carrier needs nonempty closed pieces")
         self.name = name
+        self._carrier = [as_fiv(p, 0, q, 0) for p, q in self.pieces]
         self._hull = (self.pieces[0][0].as_integer_ratio(),
                       max(q for _, q in self.pieces).as_integer_ratio())
         self._gaps = len(self.pieces) > 1
@@ -1723,12 +1630,12 @@ class PiecewiseSpace(_LineSubspace):
         return any(p <= x <= q for p, q in self.pieces)
 
     def trace(self, d) -> list[Fiv]:
-        a, b = d
+        (an, ad), (bn, bd) = d[0].as_integer_ratio(), d[1].as_integer_ratio()
         out = []
-        for p, q in self.pieces:
-            lo, lof = (a, 1) if a >= p else (p, 0)
-            hi, hif = (b, 1) if b <= q else (q, 0)
-            f = (lo, lof, hi, hif)
+        for pn, pd, _, qn, qd, _ in self._carrier:
+            ln, ld, lf = (an, ad, 1) if an * pd >= pn * ad else (pn, pd, 0)
+            hn, hd, hf = (bn, bd, 1) if bn * qd <= qn * bd else (qn, qd, 0)
+            f = (ln, ld, lf, hn, hd, hf)
             if fiv_nonempty(f):
                 out.append(f)
         return out
@@ -2077,13 +1984,13 @@ class StarSpace(Space):
         else:
             n, x = c
             if n == arm:
-                f = (max(x - r, Fraction(0)), 1 if x - r >= 0 else 0,
-                     min(x + r, Fraction(1)), 1 if x + r <= 1 else 0)
+                f = as_fiv(max(x - r, Fraction(0)), 1 if x - r >= 0 else 0,
+                           min(x + r, Fraction(1)), 1 if x + r <= 1 else 0)
                 return f if fiv_nonempty(f) else None
             hi = r - x - Fraction(1, 2 ** n) - Fraction(1, 2 ** arm)
         if hi <= 0:
             return None
-        return (Fraction(0), 0, min(hi, Fraction(1)), 1 if hi <= 1 else 0)
+        return as_fiv(0, 0, min(hi, Fraction(1)), 1 if hi <= 1 else 0)
 
     def _ball_contains_inf(self, d) -> bool:
         _, c, r = d
@@ -2093,7 +2000,7 @@ class StarSpace(Space):
     def cdesc_in_basic(self, cdesc, d) -> bool:
         for _, n, lo, hi in cdesc:
             trace = self._ball_arm_trace(d, n)
-            if trace is None or not fiv_subset((lo, 0, hi, 0), trace):
+            if trace is None or not fiv_subset(as_fiv(lo, 0, hi, 0), trace):
                 return False
         return True
 
@@ -2229,7 +2136,7 @@ class _QhatRegion(Region):
     def add(self, d) -> None:
         if d[0] == "iv":
             before = self.ivs.version
-            self.ivs.add((d[1], 1, d[2], 1))
+            self.ivs.add(as_fiv(d[1], 1, d[2], 1))
             if self.ivs.version != before:
                 self.version += 1
         else:

@@ -5,6 +5,9 @@ so ``metric``, ``sets``, ``ercs`` and ``cli`` ask the space instead of
 testing which class it is.  ``registry`` and ``oracle`` construct spaces
 and are exempt.
 
+The interval calculus reads no private slot of ``Fraction``: ends are
+converted with the public ``as_integer_ratio``.
+
 Contract guards: the ``Space`` interface holds only methods that some
 code of the package reads, and so does every metric class; the metric
 calculus lives on the metric classes, never on ``Space``, and ``metric``
@@ -109,6 +112,48 @@ def r_step(space, dm, dk):
 '''
     assert len(_violations(reads, ERCS_FORBIDDEN)) == 4
     assert _violations(reads) == []
+
+
+SLOTS = ("_numerator", "_denominator")
+
+
+def _slot_nodes(source: str) -> list[str]:
+    """Every attribute node naming a private slot of Fraction, but the
+    store targets in ``_lowest``: the one place that builds a Fraction from
+    a coprime pair.  Every other end is read with ``as_integer_ratio``."""
+    tree = ast.parse(source)
+    stores = {id(node) for fn in ast.walk(tree)
+              if isinstance(fn, ast.FunctionDef) and fn.name == "_lowest"
+              for node in ast.walk(fn)
+              if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)}
+    return [f"line {node.lineno}: {node.attr}" for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr in SLOTS
+            and id(node) not in stores]
+
+
+def test_no_fraction_slot_is_read():
+    assert [f"{path.name} {v}" for path in sorted(SRC.glob("*.py"))
+            for v in _slot_nodes(path.read_text())] == []
+
+
+def test_guard_catches_slot_reads():
+    reads = '''
+def _lowest(num, den):
+    q = object.__new__(Fraction)
+    q._numerator, q._denominator = num, den
+    return q._numerator
+
+def _cmp(x, y):
+    try:
+        xn, xd = x._numerator, x._denominator
+    except AttributeError:
+        xn, xd = x.as_integer_ratio()
+    return xn * y._denominator - y.as_integer_ratio()[0] * xd
+
+def _set(q):
+    q._denominator = 1
+'''
+    assert len(_slot_nodes(reads)) == 5
 
 
 def _methods(cls: ast.ClassDef) -> list[str]:

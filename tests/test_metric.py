@@ -61,6 +61,8 @@ from erctopo.spaces import (
     star_point,
 )
 
+from test_spaces import int_fiv
+
 F = Fraction
 
 _line = LineSpace()
@@ -274,7 +276,7 @@ def test_ercs_from_compact_ball_r_soundness():
         d = _ui.decode(code)
         assert d is not None
         patch = e2.compact_cdesc(kid)
-        hull = (patch[0][0], 0, patch[-1][1], 0)
+        hull = int_fiv((patch[0][0], 0, patch[-1][1], 0))
         assert fiv_subset(_ui.fiv(d), hull), (d, patch)
 
 
@@ -636,7 +638,7 @@ class _LineCellsFromScratch:
     def bounds(self, hull):
         for n in self.new:
             trace = self.space.trace(self.space.decode(n))
-            a, b = self.held[n] = trace[0][0], trace[-1][2]
+            a, b = self.held[n] = F(trace[0][0], trace[0][1]), F(trace[-1][3], trace[-1][4])
             self.lower = max(self.lower, min((max(a - q, p - b) for p, q in hull),
                                              default=F(0)))
         self.new = []

@@ -22,10 +22,11 @@ from erctopo.spaces import (
     PiecewiseSpace,
     UnitIntervalSpace,
     _cells,
-    _cmp_diff,
     emission_slot,
     encode_interval,
 )
+
+from test_spaces import int_fiv
 
 F = Fraction
 PROPERTY = settings(max_examples=300, deadline=None, database=None, derandomize=True)
@@ -220,19 +221,6 @@ def test_prepared_meets_test_on_oracles():
                 [space.basic_meets_cdesc(d, cdesc) for d in basics]
 
 
-operands = st.one_of(st.fractions(min_value=-3, max_value=3, max_denominator=6),
-                     st.integers(-3, 3))
-
-
-@PROPERTY
-@given(operands, operands, operands)
-@example(F(1, 2), 0, F(1, 2))
-@example(1, F(1, 3), F(2, 3))
-def test_cmp_diff_has_the_sign_of_the_difference(u, v, w):
-    got, want = _cmp_diff(u, v, w), F(u) - F(v) - F(w)
-    assert (got > 0, got < 0) == (want > 0, want < 0)
-
-
 @PROPERTY
 @given(st.lists(st.integers(-10 ** 6, 10 ** 6), max_size=4),
        st.integers(0, 10 ** 4), st.integers(1, 10 ** 6))
@@ -291,12 +279,13 @@ def test_region_covers_pieces_on_integers_as_on_fractions(space, basics, pieces)
     cdesc = space.make_cdesc([(p, p) if q is None else (min(p, q), max(p, q))
                               for p, q in pieces])
     # the reference: each piece as a closed fiv against the union
-    want = all(region.union.covers((p, 0, q, 0)) for p, q in cdesc)
+    want = all(region.union.covers(int_fiv((p, 0, q, 0))) for p, q in cdesc)
     assert region.covers_cdesc(cdesc) == want
 
 
 def test_region_covers_pieces_with_integer_ends():
-    """Ends that are ints, not Fractions, are read as _cmp reads them."""
+    """Ends that are ints, not Fractions, are read with as_integer_ratio,
+    as Fraction ends are."""
     region = _line.region()
     region.add((0, 2))
     assert region.covers_cdesc(((F(1, 2), 1), (1, 1)))

@@ -37,7 +37,7 @@ from erctopo.spaces import (
     StarSpace,
     UnitIntervalSpace,
     _LineSubspace,
-    _lo_key_left,
+    _lo_search,
     cantor_point,
     decode_rational,
     decode_rational_set,
@@ -102,6 +102,14 @@ def test_rational_set_code_roundtrip():
 
 # -- flagged interval calculus ------------------------------------------------
 
+def int_fiv(f):
+    """The integer form (ln, ld, lo_open, hn, hd, hi_open) of a fiv written
+    with rational ends, (lo, lo_open, hi, hi_open)."""
+    lo, lo_open, hi, hi_open = f
+    lo, hi = F(lo), F(hi)
+    return (lo.numerator, lo.denominator, lo_open, hi.numerator, hi.denominator, hi_open)
+
+
 def _fiv_points(f, grid):
     return {x for x in grid if fiv_member(x, f)}
 
@@ -116,7 +124,7 @@ def test_fiv_subset_matches_pointwise_on_grid():
     fivs = []
     for _ in range(60):
         a, b = sorted(rng.sample(range(-12, 13), 2))
-        fivs.append((F(a, 4), rng.randint(0, 1), F(b, 4), rng.randint(0, 1)))
+        fivs.append(int_fiv((F(a, 4), rng.randint(0, 1), F(b, 4), rng.randint(0, 1))))
     for x in fivs:
         for y in fivs:
             claimed = fiv_subset(x, y)
@@ -131,7 +139,7 @@ def test_fiv_disjoint_matches_pointwise_on_grid():
     fivs = []
     for _ in range(40):
         a, b = sorted(rng.sample(range(-12, 13), 2))
-        fivs.append((F(a, 4), rng.randint(0, 1), F(b, 4), rng.randint(0, 1)))
+        fivs.append(int_fiv((F(a, 4), rng.randint(0, 1), F(b, 4), rng.randint(0, 1))))
     for x in fivs:
         for y in fivs:
             assert fiv_disjoint(x, y) == (not (_fiv_points(x, grid) & _fiv_points(y, grid)))
@@ -139,19 +147,19 @@ def test_fiv_disjoint_matches_pointwise_on_grid():
 
 def test_fiv_union_covers():
     u = FivUnion()
-    u.add((F(0), 1, F(1), 1))
-    u.add((F(1), 0, F(2), 1))  # [1,2): touches (0,1) at a closed point
-    assert u.covers((F(1, 2), 0, F(3, 2), 0))
-    assert not u.covers((F(0), 0, F(1), 0))  # 0 itself is not covered
-    u.add((F(-1), 1, F(1, 2), 1))
-    assert u.covers((F(0), 0, F(1), 0))
+    u.add(int_fiv((F(0), 1, F(1), 1)))
+    u.add(int_fiv((F(1), 0, F(2), 1)))  # [1,2): touches (0,1) at a closed point
+    assert u.covers(int_fiv((F(1, 2), 0, F(3, 2), 0)))
+    assert not u.covers(int_fiv((F(0), 0, F(1), 0)))  # 0 itself is not covered
+    u.add(int_fiv((F(-1), 1, F(1, 2), 1)))
+    assert u.covers(int_fiv((F(0), 0, F(1), 0)))
 
 
 def test_fiv_union_open_gap_not_merged():
     u = FivUnion()
-    u.add((F(0), 1, F(1), 1))
-    u.add((F(1), 1, F(2), 1))
-    assert not u.covers((F(1, 2), 0, F(3, 2), 0))  # 1 missing
+    u.add(int_fiv((F(0), 1, F(1), 1)))
+    u.add(int_fiv((F(1), 1, F(2), 1)))
+    assert not u.covers(int_fiv((F(1, 2), 0, F(3, 2), 0)))  # 1 missing
 
 
 def test_fiv_indexes_against_bruteforce():
@@ -159,7 +167,7 @@ def test_fiv_indexes_against_bruteforce():
     fivs = []
     for _ in range(120):
         a, b = sorted(rng.sample(range(-16, 17), 2))
-        fivs.append((F(a, 4), rng.randint(0, 1), F(b, 4), rng.randint(0, 1)))
+        fivs.append(int_fiv((F(a, 4), rng.randint(0, 1), F(b, 4), rng.randint(0, 1))))
     cover = FivCoverIndex()
     inside = FivInsideIndex()
     seen = []
@@ -177,21 +185,19 @@ class FivInsideIndex:
     The reference for the spaces' integer-key inside indexes."""
 
     def __init__(self) -> None:
-        self._los: list[Fraction] = []
         self._fivs: list[tuple] = []
 
     def add(self, f) -> None:
         if not fiv_nonempty(f) or self.some_inside(f):
             return
-        k = _lo_key_left(self._los, self._fivs, f)
+        k = _lo_search(self._fivs, f)
         j = k
         while j > 0 and fiv_subset(f, self._fivs[j - 1]):
             j -= 1
-        self._los[j:k] = [f[0]]
         self._fivs[j:k] = [f]
 
     def some_inside(self, f) -> bool:
-        k = _lo_key_left(self._los, self._fivs, f)
+        k = _lo_search(self._fivs, f)
         return k < len(self._fivs) and fiv_subset(self._fivs[k], f)
 
 
@@ -249,23 +255,28 @@ def fivs(draw):
 @PROPERTY
 @given(fivs(), fivs(), rationals)
 def test_integer_fiv_calculus_matches_fraction_reference(a, b, x):
-    assert fiv_nonempty(a) == (a[0] < a[2] or (a[0] == a[2] and not a[1] and not a[3]))
-    assert fiv_member(x, a) == _ref_member(x, a)
-    assert fiv_member(a[0], b) == _ref_member(a[0], b)
-    assert fiv_disjoint(a, b) is _ref_disjoint(a, b)
-    assert fiv_mergeable(a, b) == _ref_mergeable(a, b)
-    assert fiv_hull(a, b) == _ref_hull(a, b)
-    if fiv_nonempty(a) and fiv_nonempty(b):
-        assert fiv_subset(a, b) == _ref_subset(a, b)
+    ia, ib = int_fiv(a), int_fiv(b)
+    assert fiv_nonempty(ia) == (a[0] < a[2] or (a[0] == a[2] and not a[1] and not a[3]))
+    assert fiv_member(x, ia) == _ref_member(x, a)
+    assert fiv_member(a[0], ib) == _ref_member(a[0], b)
+    assert fiv_disjoint(ia, ib) is _ref_disjoint(a, b)
+    assert fiv_mergeable(ia, ib) == _ref_mergeable(a, b)
+    assert fiv_hull(ia, ib) == int_fiv(_ref_hull(a, b))
+    if fiv_nonempty(ia) and fiv_nonempty(ib):
+        assert fiv_subset(ia, ib) == _ref_subset(a, b)
 
 
 @PROPERTY
-@given(st.lists(rationals, max_size=12), rationals)
-def test_integer_bisect_matches_bisect(values, x):
+@given(st.lists(st.tuples(rationals, flags), max_size=12), rationals, flags)
+def test_integer_bisect_matches_bisect(keys, x, flag):
+    """The lo-key search over fivs sorted by lo key is bisect_left and
+    bisect_right on the (Fraction, flag) lo keys."""
     # ints and Fractions mixed, with frequent ties
-    a = sorted(values)
-    assert spaces._bisect(a, x) == bisect_left(a, x)
-    assert spaces._bisect(a, x, 1) == bisect_right(a, x)
+    keys = sorted(keys)
+    fivs = [int_fiv((v, f, v, 0)) for v, f in keys]
+    query = int_fiv((x, flag, x, 0))
+    assert _lo_search(fivs, query) == bisect_left(keys, (x, flag))
+    assert _lo_search(fivs, query, 1) == bisect_right(keys, (x, flag))
 
 
 def _ref_components(fivs_added):
@@ -293,37 +304,55 @@ def test_fiv_indexes_match_bruteforce(steps):
     cover, inside, union = FivCoverIndex(), FivInsideIndex(), FivUnion()
     added = []
     for f, q in steps:
-        cover.add(f)
-        inside.add(f)
-        union.add(f)
-        if fiv_nonempty(f):
+        cover.add(int_fiv(f))
+        inside.add(int_fiv(f))
+        union.add(int_fiv(f))
+        if fiv_nonempty(int_fiv(f)):
             added.append(f)
-        if not fiv_nonempty(q):
+        if not fiv_nonempty(int_fiv(q)):
             continue
         comps = _ref_components(added)
-        assert cover.contains(q) == any(_ref_subset(q, m) for m in added)
-        assert inside.some_inside(q) == any(_ref_subset(m, q) for m in added)
-        assert union.covers(q) == any(_ref_subset(q, c) for c in comps)
+        assert cover.contains(int_fiv(q)) == any(_ref_subset(q, m) for m in added)
+        assert inside.some_inside(int_fiv(q)) == any(_ref_subset(m, q) for m in added)
+        assert union.covers(int_fiv(q)) == any(_ref_subset(q, c) for c in comps)
         for x in (q[0], q[2]):
             assert union.covers_point(x) == any(_ref_member(x, m) for m in added)
             assert union.part_at(x) == next(
-                (c for c in comps if _ref_member(x, c)), None)
+                (int_fiv(c) for c in comps if _ref_member(x, c)), None)
+
+
+@settings(PROPERTY, max_examples=150)
+@given(st.lists(fivs(), max_size=25))
+def test_union_version_moves_exactly_when_its_components_change(added):
+    """FivUnion.add tells an unchanged union by tuple equality, and the
+    refutation stages follow its version: the integer components are the
+    reference components, end for end, and the version moves at an
+    addition exactly when they change."""
+    union, kept, comps = FivUnion(), [], set()
+    for f in added:
+        before = union.version
+        union.add(int_fiv(f))
+        if fiv_nonempty(int_fiv(f)):
+            kept.append(f)
+        now = {int_fiv(c) for c in _ref_components(kept)}
+        assert set(union._parts) == now
+        assert union.version - before == (now != comps), f
+        comps = now
 
 
 @settings(PROPERTY, max_examples=150)
 @given(st.lists(fivs(), min_size=1, max_size=12), st.lists(fivs(), max_size=12))
 def test_adding_a_covered_part_leaves_the_union_as_it_was(parts, queries):
     """A part the union covers already, every part added before among
-    them, leaves its components, their left ends and its version as they
-    were."""
+    them, leaves its components and its version as they were."""
     union = FivUnion()
     for f in parts:
-        union.add(f)
+        union.add(int_fiv(f))
     for q in parts + queries:
-        if union.covers(q):
-            before = (list(union._parts), list(union._los), union.version)
-            union.add(q)
-            assert (union._parts, union._los, union.version) == before, q
+        if union.covers(int_fiv(q)):
+            before = (list(union._parts), union.version)
+            union.add(int_fiv(q))
+            assert (union._parts, union.version) == before, q
 
 
 _LANE_SPACES = {"line": LineSpace(), "unit-interval": UnitIntervalSpace(),
@@ -407,7 +436,7 @@ def test_integer_inside_index_matches_the_fiv_index(space, steps):
             cdesc = space.make_cdesc([(a, b)])
             hulls.add(cdesc)
             if cdesc:
-                hull_ref.add((cdesc[0][0], 0, cdesc[-1][1], 0))
+                hull_ref.add(int_fiv((cdesc[0][0], 0, cdesc[-1][1], 0)))
             continue
         f = space.fiv(d)
         # the decoded Fractions, and the ends as drawn (ints among them)
@@ -419,7 +448,7 @@ def test_integer_inside_index_matches_the_fiv_index(space, steps):
             ref.add(f)
             cdesc = space.make_cdesc([(a, b), (b + 1, b + 2)] if a < 0 else [(a, b)])
             hulls.add(cdesc)
-            hull_ref.add((cdesc[0][0], 0, cdesc[-1][1], 0))
+            hull_ref.add(int_fiv((cdesc[0][0], 0, cdesc[-1][1], 0)))
 
 
 def test_decode_caches_are_bounded(monkeypatch):
@@ -494,6 +523,56 @@ def test_integer_decoder_matches_fraction_reference(n):
         _assert_same_ends(d[1:], (a, b))
     else:
         assert d is None
+
+
+def _ref_clamp(a, b, lo, hi, open_ends):
+    """(a, b), or [a, b] when open_ends is 0, clamped to [lo, hi] (None for
+    no bound) as a fiv with Fraction ends, closed where clamped."""
+    lof = hif = open_ends
+    if lo is not None and a < lo:
+        a, lof = lo, 0
+    if hi is not None and b > hi:
+        b, hif = hi, 0
+    return (F(a), lof, F(b), hif)
+
+
+def _assert_integer_ends(f, want):
+    """The integer fiv f has the ends of the Fraction fiv want, in lowest
+    terms with positive denominators, and its flags."""
+    assert (f[2], f[5]) == (want[1], want[3])
+    for n, d, end in ((f[0], f[1], want[0]), (f[3], f[4], want[2])):
+        assert type(n) is int and type(d) is int
+        assert d > 0 and gcd(n, d) == 1 and F(n, d) == end
+
+
+_LOWEST_SPACES = (LineSpace(), UnitIntervalSpace(),
+                  PiecewiseSpace([(0, F(1, 3)), (F(1, 2), 1)], name="gap"))
+
+
+@settings(PROPERTY, max_examples=300)
+@given(interval_codes, rationals, rationals)
+@example(encode_interval(F(-1), F(2)), 0, 1)
+@example(encode_interval(F(1, 3), F(1, 2)), F(-1), 2)
+def test_integer_ends_are_the_fraction_ends_in_lowest_terms(n, a, b):
+    """Every end that fiv, cfiv and trace give, of decoded basics and of
+    hand-built descriptions with int and Fraction ends, is the Fraction end
+    in lowest terms: FivUnion tells an unchanged union by tuple equality."""
+    descs = [tuple(sorted((a, b)))]
+    for space in _LOWEST_SPACES:
+        d = space.decode(n)
+        for u, v in descs + ([d] if d is not None else []):
+            if isinstance(space, PiecewiseSpace):
+                want = [f for f in (_ref_clamp(u, v, p, q, 1) for p, q in space.pieces)
+                        if f[0] < f[2]]
+            else:
+                lo, hi = space.lo_bound, space.hi_bound
+                _assert_integer_ends(space.fiv((u, v)), _ref_clamp(u, v, lo, hi, 1))
+                _assert_integer_ends(space.cfiv((u, v)), _ref_clamp(u, v, lo, hi, 0))
+                want = [_ref_clamp(u, v, lo, hi, 1)]
+            got = space.trace((u, v))
+            assert len(got) == len(want), (space.name, u, v)
+            for f, w in zip(got, want):
+                _assert_integer_ends(f, w)
 
 
 def test_line_point_name_soundness_and_completeness():
