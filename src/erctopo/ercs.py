@@ -419,14 +419,16 @@ class _BasisSearch(Machine):
         then its pairs wait.  Stops at a stage with a pair whose basic holds
         the point, or with an informative neighborhood that makes a waiting
         pair's basic hold it (tested before the index holds it), and at a
-        stage after which both names are quiescent.  The point's name is
-        read one emission ahead, and while pairs wait the swallowed pairs
-        no further than that emission."""
+        stage after which both names are quiescent.  Each name is asked
+        once per emission of its own: the point's name is read one
+        emission ahead, and the swallowed pairs up to their next emission
+        below ``limit``, which may lie one emission past a stage at which
+        a neighborhood makes a waiting pair accept."""
         nbs, pairs, waiting = self._nbs, self._pairs, self._waiting
         decode, index, n_holds = self.space.decode, self._x_index, self._n_holds
         while True:
             nb = nbs.next_emission(limit)
-            g = pairs.next_emission(min(nb + 1, limit) if waiting else limit)
+            g = pairs.next_emission(limit)
             s = min(nb, g)
             if s == limit:
                 # idle up to limit, unless both names may stall before it

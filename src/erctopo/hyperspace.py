@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .ercs import Ercs, swallowed_pairs
+from .ercs import Ercs, open_subspace_ercs, swallowed_pairs
 from .kernel import (
     Cursor,
     Machine,
@@ -194,18 +194,17 @@ class _PositiveHits(MonotoneEnumerator[int]):
     """Basics certified to intersect the specified set: some touched basic
     is formally below a patch that fits inside the queried basic.
 
-    Positivity of an index may be revealed over time (truth sequences);
+    Positivity of an index may be revealed over time (truth sequences):
     formal pairs seen before their basic turned positive are retried
-    whenever the supplied version counter moves.
+    whenever ``version`` moves, and the listing stalls only once
+    ``quiet_positivity`` says that no more is revealed.
     """
 
-    def __init__(self, e: Ercs, positive: Callable[[int], bool],
-                 version: Callable[[], int] = lambda: 0):
+    def __init__(self, e: Ercs, positive: Callable[[int], bool]):
         super().__init__()
         self.e = e
         self.space = e.space
         self.positive = positive
-        self.version = version
         self._kid_index = self.space.cdesc_inside_index()
         self._kids_seen: set[int] = set()
         self._dormant: list[tuple[int, int]] = []
@@ -214,6 +213,14 @@ class _PositiveHits(MonotoneEnumerator[int]):
         self._pairs = e.r_stream.cursor()
         self._us = e.u_stream.cursor()
         self._seen_version = 0
+
+    def version(self) -> int:
+        """A counter that moves whenever some index turns positive."""
+        return 0
+
+    def quiet_positivity(self, stage: int) -> bool:
+        """Whether no index turns positive at ``stage`` or later."""
+        return True
 
     def _activate(self, kid: int) -> bool:
         if kid in self._kids_seen:
@@ -261,12 +268,9 @@ class _PositiveHits(MonotoneEnumerator[int]):
                     still.append(u)
             self._pending = still
         if (self._pairs.quiescent(t + 1) and self._us.quiescent(t + 1)
-                and self.quiet_positivity()):
+                and self.quiet_positivity(t + 1)):
             self.stall()
         return out
-
-    def quiet_positivity(self) -> bool:
-        return True
 
 
 def located_from_spec(e: Ercs, bits: SpecBits) -> LocatedSet:
@@ -295,159 +299,80 @@ def located_from_spec(e: Ercs, bits: SpecBits) -> LocatedSet:
 # Truth sequences
 
 class TruthSequence:
-    """Per-index three-valued observations driven by one shared machine.
+    """The embedding of a located set into truth sequences, read off its
+    names.
 
-    ``entry(n, fuel)`` returns ("one", stage), ("zero", stage) or None;
-    once an index resolves it never changes or flips.
+    ``hits`` is the set's overt name.  ``zeros`` lists, each once, the
+    basics of the pairs that the set's complement swallows: a basic below
+    a patch that misses the set.  ``entry(n, fuel)`` returns ("one", s) at
+    the stage s of the first hit inside basic n, ("zero", s) at the stage s
+    at which ``zeros`` lists n, the earlier of the two below ``fuel`` (one
+    on a tie), or None.  It is a function of (n, fuel), whatever was read
+    before, so once an index resolves it never changes or flips.
     """
 
-    def __init__(self, driver: "_TruthDriver"):
-        self._driver = driver
+    def __init__(self, e: Ercs, a: LocatedSet):
+        self.space = e.space
+        self.hits = a.overt_part.hits
+        self.zeros = open_subspace_ercs(e, a.closed_part.complement).u_stream
 
     def entry(self, n: int, fuel: int):
-        self._driver.register(n)
-        self._driver.drive(fuel)
-        got = self._driver.marks.get(n)
-        if got is not None and got[1] < fuel:
-            return got
-        return None
-
-
-class _TruthDriver:
-    """Shared evaluation of the embedding of a located set into truth
-    sequences: index n resolves to one when the overt part certifiably
-    meets its basic, to zero when some patch above it certifiably misses
-    the set."""
-
-    def __init__(self, e: Ercs, a: LocatedSet):
-        self.e = e
-        self.a = a
-        self.space = e.space
-        self.marks: dict[int, tuple[str, int]] = {}
-        self.zero_log: list[int] = []
-        self.one_version = 0
-        self._stage = 0
-        self._hit_index = self.space.basic_inside_index()
-        self._hits_version = 0
-        self._region = self.space.region()
-        self._region_version = -1
-        self._kids_of: dict[int, list[int]] = {}   # every pair read, by n
-        self._registered: set[int] = set()
-        self._unresolved: set[int] = set()
-        self._hits = a.overt_part.hits.cursor()
-        self._co_parts = a.closed_part.complement.parts.cursor()
-        self._pairs = e.r_stream.cursor()
-        self._us = e.u_stream.cursor()
-
-    def register(self, n: int) -> None:
-        if n in self._registered:
-            return
-        self._registered.add(n)
-        d = self.space.decode(n)
-        if d is None:
-            return
-        self._unresolved.add(n)
-        t = max(self._stage - 1, 0)
-        if self._hit_index.some_inside(d):
-            self._mark(n, "one", t)
-        else:
-            for kid in self._kids_of.get(n, ()):
-                if self.e.covered(self._region, kid):
-                    self._mark(n, "zero", t)
-                    break
-
-    def drive(self, fuel: int) -> None:
-        while self._stage < fuel and not self.quiescent():
-            t = self._stage
-            self._stage += 1
-            self._step(t)
-
-    def quiescent(self) -> bool:
-        s = self._stage
-        return (self._hits.quiescent(s) and self._co_parts.quiescent(s)
-                and self._pairs.quiescent(s) and self._us.quiescent(s))
-
-    def _mark(self, n: int, value: str, t: int) -> None:
-        if n not in self.marks:
-            self.marks[n] = (value, t)
-            self._unresolved.discard(n)
-            if value == "zero":
-                self.zero_log.append(n)
-            else:
-                self.one_version += 1
-
-    def _step(self, t: int) -> None:
         sp = self.space
-        new_hits = self._hits.upto(t + 1)
-        for h in new_hits:
-            self._hit_index.add(sp.decode(h))
-        new_parts = self._co_parts.upto(t + 1)
-        for p in new_parts:
-            self._region.add(sp.decode(p))
-        for n, kid in self._pairs.upto(t + 1):
-            self._kids_of.setdefault(n, []).append(kid)
-            if n in self._unresolved and self.e.covered(self._region, kid):
-                self._mark(n, "zero", t)
-        region_changed = self._region.version != self._region_version
-        self._region_version = self._region.version
-        for n in sorted(self._unresolved) if (new_hits or region_changed) else ():
-            d = sp.decode(n)
-            if new_hits and self._hit_index.some_inside(d):
-                self._mark(n, "one", t)
-            elif region_changed:
-                for kid in self._kids_of.get(n, ()):
-                    if self.e.covered(self._region, kid):
-                        self._mark(n, "zero", t)
-                        break
+        d = sp.decode(n)
+        if d is None:
+            return None
+        got, end = None, fuel
+        zeros = self.zeros.listing(fuel)
+        if n in zeros:
+            s = self.zeros.stage_of(zeros.index(n))
+            got, end = ("zero", s), s + 1
+        for i, h in enumerate(self.hits.listing(end)):
+            if sp.basic_subset(sp.decode(h), d):
+                return ("one", self.hits.stage_of(i))
+        return got
 
 
 def spec_from_located(e: Ercs, a: LocatedSet) -> TruthSequence:
-    return TruthSequence(_TruthDriver(e, a))
+    return TruthSequence(e, a)
+
+
+class _TruthHits(_PositiveHits):
+    """The hits of the located set a truth sequence names: an index is
+    positive once a hit of the sequence lies inside its basic, as read at
+    this listing's own stage; ``version`` counts the hits that changed
+    that index."""
+
+    def __init__(self, e: Ercs, t: TruthSequence):
+        super().__init__(e, self._touched)
+        self._ones = t.hits.cursor()
+        self._one_index = self.space.basic_inside_index()
+        self._changes = 0
+
+    def _touched(self, n: int) -> bool:
+        return self._one_index.some_inside(self.space.decode(n))
+
+    def version(self) -> int:
+        return self._changes
+
+    def quiet_positivity(self, stage: int) -> bool:
+        return self._ones.quiescent(stage)
+
+    def step(self, t: int):
+        index, decode = self._one_index, self.space.decode
+        for h in self._ones.upto(t + 1):
+            d = decode(h)
+            if not index.some_inside(d):
+                index.add(d)
+                self._changes += 1
+        return super().step(t)
 
 
 def located_from_truth(e: Ercs, t: TruthSequence) -> LocatedSet:
-    """Inverse translation: the complement collects the zero-resolved
-    basics; hits are certified through one-resolved basics below patches."""
-    driver = t._driver
-
-    class _CoParts(MonotoneEnumerator[int]):
-        def __init__(self) -> None:
-            super().__init__()
-            self._us = driver.e.u_stream.cursor()
-            self._log_cursor = 0
-
-        def step(self, s: int):
-            for u in self._us.upto(s + 1):
-                driver.register(u)
-            driver.drive(s + 1)
-            out = driver.zero_log[self._log_cursor:]
-            self._log_cursor = len(driver.zero_log)
-            if driver.quiescent() and self._us.quiescent(s + 1):
-                self.stall()
-            return out
-
-    def positive(n: int) -> bool:
-        driver.register(n)
-        got = driver.marks.get(n)
-        return got is not None and got[0] == "one"
-
-    hits = _PositiveHits(e, positive, version=lambda: driver.one_version)
-    hits.quiet_positivity = driver.quiescent
-
-    class _DrivenHits(MonotoneEnumerator[int]):
-        def __init__(self) -> None:
-            super().__init__()
-            self._hits = hits.cursor()
-
-        def step(self, s: int):
-            driver.drive(s + 1)
-            out = self._hits.upto(s + 1)
-            if hits.stalled:
-                self.stall()
-            return out
-
-    return LocatedSet(ClosedSet(OpenSet(e.space, _CoParts(), label="truth-co")),
-                      OvertSet(e.space, _DrivenHits()))
+    """Inverse translation: the complement is the union of the zeros; hits
+    are certified through positive basics below patches.  Both names are
+    functions of the stage, whichever is read first."""
+    return LocatedSet(ClosedSet(OpenSet(e.space, t.zeros, label="truth-co")),
+                      OvertSet(e.space, _TruthHits(e, t)))
 
 
 # ---------------------------------------------------------------------------

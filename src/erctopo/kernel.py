@@ -262,6 +262,10 @@ class MonotoneEnumerator(Generic[T]):
     def listing(self, stage: int) -> Sequence[T]:
         return self._items[: self.count(stage)]
 
+    def stage_of(self, i: int) -> int:
+        """The stage that emitted item i of a listing already read past it."""
+        return self._marks[bisect_right(self._counts, i)]
+
     def between(self, lo_stage: int, hi_stage: int) -> Sequence[T]:
         """Items emitted at stages in ``[lo_stage, hi_stage)``."""
         a = self.count(lo_stage)

@@ -236,13 +236,13 @@ def test_roundtrip_unit_interval_probes():
     assert _accepts(member_open(probe, back.closed_part.complement), 10 ** 5)
 
 
-# sha256 of the roundtrip of [0, 1/2] read to stage 2000, with every mark
-# and its stage, recorded while a newly registered index replayed the pairs
-# read before it; three indices are asked for after the reading
-TRUTH_ROUNDTRIP_PIN = "59098e7b960b78463ce61145c4d4a36ca2face253e2b14b8c47e35647f121570"
+# sha256 of the roundtrip of [0, 1/2] read to stage 2000, with the entry at
+# 2000 of every basic the system lists below 2000 (522 of 545 resolve, three
+# to zero); a one resolves at the stage of the first hit inside its basic
+TRUTH_ROUNDTRIP_PIN = "c1d63bd182ee69c8516e9d9517e5ce7c535950fad505998ed46c04abb00d0b4a"
 
 
-def test_truth_roundtrip_marks_are_pinned():
+def test_truth_roundtrip_entries_are_pinned():
     a = located_from_cdesc(_ui, _ui.make_cdesc([(F(0), F(1, 2))]))
     t = spec_from_located(_ui_ercs, a)
     back = located_from_truth(_ui_ercs, t)
@@ -250,11 +250,55 @@ def test_truth_roundtrip_marks_are_pinned():
     hits = back.overt_part.hits.listing(2000)
     late = [t.entry(encode_interval(p, q), 2000)
             for p, q in ((F(3, 5), F(4, 5)), (F(1, 3), F(2, 3)), (F(-1, 7), F(1, 9)))]
-    assert late == [None, ("one", 652), ("one", 1999)]
-    marks = sorted(t._driver.marks.items())
-    assert (len(co), len(hits), len(marks)) == (3, 448, 523)
-    digest = hashlib.sha256(repr((co, hits, marks)).encode()).hexdigest()
+    assert late == [None, ("one", 1), ("one", 0)]
+    entries = [(n, t.entry(n, 2000)) for n in _ui_ercs.u_stream.listing(2000)]
+    resolved = [got for _, got in entries if got is not None]
+    assert (len(co), len(hits), len(entries), len(resolved)) == (3, 448, 545, 522)
+    assert sum(got[0] == "zero" for got in resolved) == 3
+    digest = hashlib.sha256(repr((co, hits, entries)).encode()).hexdigest()
     assert digest == TRUTH_ROUNDTRIP_PIN
+
+
+_REPLAY_FIXTURES = {
+    "[0,1/2]": [(F(0), F(1, 2))],
+    "[1/4,3/4]": [(F(1, 4), F(3, 4))],
+    "[0,1/3]+[2/3,1]": [(F(0), F(1, 3)), (F(2, 3), F(1))],
+    "{1/2}": [(F(1, 2), F(1, 2))],
+}
+
+
+def test_truth_translation_replays_whatever_is_read_first():
+    """The truth sequence and the located set it names back are functions
+    of the stage: the listings at a stage, and every entry, are the same on
+    a fresh translation and after another name was read further."""
+
+    def fresh(pieces):
+        t = spec_from_located(_ui_ercs, located_from_cdesc(_ui, _ui.make_cdesc(pieces)))
+        return t, located_from_truth(_ui_ercs, t)
+
+    def listings(back):
+        return [(tuple(back.closed_part.complement.parts.listing(s)),
+                 tuple(back.overt_part.hits.listing(s)))
+                for s in (400, 1000, 2000, 3000)]
+
+    asks = [(encode_interval(p, q), f)
+            for p, q in ((F(0), F(1, 4)), (F(3, 5), F(4, 5)), (F(1, 3), F(2, 3)),
+                         (F(1, 2), F(5, 8)), (F(7, 8), F(1)))
+            for f in (50, 400, 3000)] + [(0, 4000), (1, 4000)]
+    for label, pieces in _REPLAY_FIXTURES.items():
+        want = listings(fresh(pieces)[1])
+        t, back = fresh(pieces)
+        back.overt_part.hits.listing(4000)
+        assert listings(back) == want, (label, "hits first")
+        # basic (b, b + 1/8) at the set's first upper end b never resolves,
+        # so its entry reads both names of the sequence to 4000
+        b = pieces[0][1]
+        edge = encode_interval(b, b + F(1, 8))
+        t, back = fresh(pieces)
+        assert t.entry(0, 4000) is None and t.entry(edge, 4000) is None
+        assert listings(back) == want, (label, "entry first")
+        for n, f in asks + [(edge, 3000)]:
+            assert t.entry(n, f) == fresh(pieces)[0].entry(n, f), (label, n, f)
 
 
 def test_roundtrip_empty_located_set():

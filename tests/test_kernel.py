@@ -318,6 +318,23 @@ def test_pair_lane_equals_the_filter_lane(lefts, rights, join_mod, seed_table, m
     assert _lane_state(lane) == _lane_state(ref)
 
 
+@PROPERTY
+@given(emissions, stall_stages, decoded, slot_seeds, end_tables, end_tables,
+       st.integers(0, 400))
+def test_stage_of_is_the_stage_that_emitted_the_item(items, stall_after, decodes,
+                                                     seed_table, lefts, rights, last):
+    decode, test, seeds = _lane_parts(decodes, seed_table)
+    for lane in (_source(items, stall_after),
+                 filter_lane(decode, test, seeds, stall_after),
+                 pair_lane(lefts.__getitem__, rights.__getitem__, None, seeds)):
+        listed = lane.listing(last)
+        for i, item in enumerate(listed):
+            s = lane.stage_of(i)
+            assert s < last
+            assert item in lane.between(s, s + 1)
+            assert lane.count(s) <= i < lane.count(s + 1)
+
+
 # -- runs applied by fast_forward --------------------------------------------------
 
 def _machine_state(m: Machine, observe):
