@@ -66,6 +66,7 @@ class Ercs:
         self._value_fn = compact_value
         self._values: dict[int, CompactSet] = {}
         self._cdescs: dict[int, object] = {}
+        self._keys: dict[int, object] = {}   # kid -> region key of its description
 
     def compact_cdesc(self, kid: int):
         try:
@@ -89,9 +90,14 @@ class Ercs:
 
     def covered(self, region, kid: int) -> bool | None:
         """Whether the region covers the description of patch kid; a patch
-        without one is not covered, and gets None."""
-        cdesc = self.compact_cdesc(kid)
-        return None if cdesc is None else region.covers_cdesc(cdesc)
+        without one is not covered, and gets None.  The description is
+        keyed once per patch, and only its key is kept."""
+        try:
+            key = self._keys[kid]
+        except KeyError:
+            cdesc = self._cdesc_fn(kid)
+            key = self._keys[kid] = None if cdesc is None else region.key(cdesc)
+        return None if key is None else region.covers(key)
 
 
 # ---------------------------------------------------------------------------
@@ -376,9 +382,10 @@ class _BasisSearch(Machine):
     A stage's neighborhoods of the point join its index before that
     stage's swallowed pairs are tested.  A pair whose basic misses the
     point waits, and the waiting pairs are tested again only when the
-    point's name contributes a genuinely smaller neighborhood; so between
-    two emissions of the two names nothing changes, and ``fast_forward``
-    applies them in one loop.
+    point's name contributes a genuinely smaller neighborhood.  So a stage
+    with no swallowed pair changes only the index, and ``fast_forward``
+    applies the stages up to each emission of the swallowed pairs in one
+    turn of its loop.
     """
 
     def __init__(self, e: Ercs, x: PointName, u: OpenSet):
@@ -414,46 +421,63 @@ class _BasisSearch(Machine):
 
     def fast_forward(self, t: int, limit: int) -> int:
         """Applies the stages before the next one that could accept or
-        stall, as ``step`` would, walking the emissions of the point's name
-        and of the swallowed pairs: a stage's neighborhoods join the index,
-        then its pairs wait.  Stops at a stage with a pair whose basic holds
-        the point, or with an informative neighborhood that makes a waiting
-        pair's basic hold it (tested before the index holds it), and at a
-        stage after which both names are quiescent.  Each name is asked
-        once per emission of its own: the point's name is read one
-        emission ahead, and the swallowed pairs up to their next emission
-        below ``limit``, which may lie one emission past a stage at which
-        a neighborhood makes a waiting pair accept."""
+        stall, as ``step`` would, in one turn per emission g of the
+        swallowed pairs (or up to ``limit``, where they have none): the
+        point's neighborhoods of the stages below g, read in one peek, join
+        the index group by group, then g's neighborhoods and pairs are
+        tested, and its pairs wait.  Stops at a group whose informative
+        neighborhoods make a waiting pair's basic hold the point (tested
+        before the index holds them), at g when one of its pairs' basics
+        holds the point or both names are quiescent after it, and, when
+        the pairs have no emission below ``limit`` and both names are
+        quiescent there, at the stage of the point's last emission below
+        it, which ``step`` then applies, or, with none left, at the stall.
+        The point's name is read one stage past g, and the swallowed pairs
+        up to their next emission, which may lie past a stage at which a
+        neighborhood makes a waiting pair accept."""
         nbs, pairs, waiting = self._nbs, self._pairs, self._waiting
         decode, index, n_holds = self.space.decode, self._x_index, self._n_holds
         while True:
-            nb = nbs.next_emission(limit)
             g = pairs.next_emission(limit)
-            s = min(nb, g)
-            if s == limit:
-                # idle up to limit, unless both names may stall before it
-                return t if nbs.quiescent(limit) and pairs.quiescent(limit) else limit
+            end = g + 1 if g < limit else limit
+            marks, counts, items, k, last, b = nbs.groups(end)
+            if g == limit and nbs.quiescent(limit) and pairs.quiescent(limit):
+                # both names stall below limit, not before the last emission
+                # of the point's name: step that emission's stage, or, with
+                # none left, the first stage after which both are quiescent
+                if k == last:
+                    return bisect_left(range(t, limit), True, key=lambda s: (
+                        nbs.quiescent(s + 1) and pairs.quiescent(s + 1))) + t
+                last -= 1
+                end = marks[last]
             new = ()
-            if nb == s:
-                _, counts, items, k, _, b = nbs.groups(s + 1)
-                new = [d for d in map(decode, items[b:counts[k]])
-                       if not index.some_inside(d)]
+            while k < last:
+                s, c = marks[k], counts[k]
+                new = [d for d in map(decode, items[b:c]) if not index.some_inside(d)]
                 if new and any(n_holds(n, new) for n, _ in waiting):
+                    nbs.upto(s)
                     return s
-            if g == s:
-                _, counts, items, m, _, a = pairs.groups(s + 1)
-                if any(n_holds(n, new) for n, _ in items[a:counts[m]]):
-                    return s
-            if nbs.quiescent(s + 1) and pairs.quiescent(s + 1):
-                return s
-            if nb == s:
+                if s == g:
+                    break
                 for d in new:
                     if not index.some_inside(d):
                         index.add(d)
-                nbs.upto(s + 1)
-            if g == s:
-                waiting.extend(pairs.upto(s + 1))
-            t = s + 1
+                new = ()
+                k, b = k + 1, c
+            if g == limit:
+                nbs.upto(end)
+                return end
+            _, counts, items, m, _, a = pairs.groups(g + 1)
+            if (any(n_holds(n, new) for n, _ in items[a:counts[m]])
+                    or pairs.quiescent(g + 1) and nbs.quiescent(g + 1)):
+                nbs.upto(g)
+                return g
+            for d in new:
+                if not index.some_inside(d):
+                    index.add(d)
+            nbs.upto(g + 1)
+            waiting.extend(pairs.upto(g + 1))
+            t = g + 1
 
     def step(self, t: int) -> bool:
         sp = self.space

@@ -315,6 +315,12 @@ class TruthSequence:
         self.space = e.space
         self.hits = a.overt_part.hits
         self.zeros = open_subspace_ercs(e, a.closed_part.complement).u_stream
+        # the listings as far as entries read them: each zero's position,
+        # the decoded hits, and per basic how many hits were tested and the
+        # position of the first inside it (listings only grow)
+        self._zeros, self._zero_at = self.zeros.cursor(), {}
+        self._hits, self._hit_descs = self.hits.cursor(), []
+        self._scanned: dict[int, tuple[int, int | None]] = {}
 
     def entry(self, n: int, fuel: int):
         sp = self.space
@@ -322,13 +328,22 @@ class TruthSequence:
         if d is None:
             return None
         got, end = None, fuel
-        zeros = self.zeros.listing(fuel)
-        if n in zeros:
-            s = self.zeros.stage_of(zeros.index(n))
+        zero_at, cur = self._zero_at, self._zeros
+        for z in cur.upto(max(fuel, cur.stage)):
+            zero_at[z] = len(zero_at)
+        i = zero_at.get(n)
+        if i is not None and i < self.zeros.count(fuel):
+            s = self.zeros.stage_of(i)
             got, end = ("zero", s), s + 1
-        for i, h in enumerate(self.hits.listing(end)):
-            if sp.basic_subset(sp.decode(h), d):
-                return ("one", self.hits.stage_of(i))
+        descs, cur = self._hit_descs, self._hits
+        descs.extend(map(sp.decode, cur.upto(max(end, cur.stage))))
+        c = self.hits.count(end)
+        tested, first = self._scanned.get(n, (0, None))
+        if first is None:
+            first = next((i for i in range(tested, c) if sp.basic_subset(descs[i], d)), None)
+            self._scanned[n] = (max(tested, c), first)
+        if first is not None and first < c:
+            return ("one", self.hits.stage_of(first))
         return got
 
 

@@ -199,12 +199,12 @@ class OracleSpace(Space):
         # bitmask lane completes the enumeration
         if slot > 2:
             return []
-        out = []
+        out, key = [], self.region().key(cdesc)
         for combo in combinations(range(self.finite_basic_count), slot + 1):
             region = self.region()
             for n in combo:
                 region.add(self.decode(n))
-            if region.covers_cdesc(cdesc):
+            if region.covers(key):
                 out.append(frozenset(combo))
         return out
 
@@ -313,7 +313,7 @@ class _OracleRegion(Region):
             self.union |= desc
             self.version += 1
 
-    def covers_cdesc(self, cdesc) -> bool:
+    def covers(self, cdesc) -> bool:
         return cdesc <= self.union
 
 

@@ -185,7 +185,7 @@ def _bitmask_cover(space: Space, cdesc, code: int) -> frozenset | None:
     region = space.region()
     for d in descs:
         region.add(d)
-    if region.covers_cdesc(cdesc):
+    if region.covers(region.key(cdesc)):
         return frozenset(idxs)
     return None
 
@@ -311,6 +311,7 @@ class _CompactSubset(Machine):
         self.cdesc = k.cdesc
         if self.cdesc is not None:
             self._region = self.space.region()
+            self._key = self._region.key(self.cdesc)
         else:
             self._part_index = self.space.cover_index()
             self._pending: list[list] = []  # lists of unmatched descs
@@ -320,7 +321,7 @@ class _CompactSubset(Machine):
         if self.cdesc is not None:
             for n in new_parts:
                 self._region.add(self.space.decode(n))
-            if (new_parts or t == 0) and self._region.covers_cdesc(self.cdesc):
+            if (new_parts or t == 0) and self._region.covers(self._key):
                 return True
             if self._parts.quiescent(t + 1):
                 self.stall()

@@ -605,13 +605,23 @@ class Space:
 
 
 class Region:
+    """The covered part of a growing union of basics.  ``covers`` tests a
+    compact description in the form ``key`` gives it, which a caller that
+    tests one description many times computes once."""
+
     version = 0
 
     def add(self, desc) -> None:
         raise NotImplementedError
 
-    def covers_cdesc(self, cdesc) -> bool:
+    def key(self, cdesc):
+        return cdesc
+
+    def covers(self, key) -> bool:
         raise NotImplementedError
+
+    def covers_cdesc(self, cdesc) -> bool:
+        return self.covers(self.key(cdesc))
 
 
 class _ScanCoverIndex:
@@ -1347,14 +1357,17 @@ class _TraceRegion(Region):
         for f in self.space.trace(desc):
             self.union.add(f)
 
-    def covers_cdesc(self, cdesc) -> bool:
+    def key(self, cdesc):
+        """The closed pieces' ends as integers, ``((pn, pd, qn, qd), ...)``."""
+        return tuple((*p.as_integer_ratio(), *q.as_integer_ratio()) for p, q in cdesc)
+
+    def covers(self, key) -> bool:
         # Each closed piece [p, q] (nonempty by contract) against the one
         # component that can hold p, the last whose lo key is at most p's
         # closed key (components are pairwise apart): it holds the piece
         # when q is within its hi key.
         parts = self.union._parts
-        for p, q in cdesc:
-            (pn, pd), (qn, qd) = p.as_integer_ratio(), q.as_integer_ratio()
+        for pn, pd, qn, qd in key:
             k = _lo_search(parts, (pn, pd, 0), 1)
             if not k:
                 return False
@@ -1842,7 +1855,7 @@ class _CantorRegion(Region):
                 return True
         return False
 
-    def covers_cdesc(self, cdesc) -> bool:
+    def covers(self, cdesc) -> bool:
         return all(self._has_marked_ancestor(w) for w in cdesc)
 
 
@@ -2155,7 +2168,7 @@ class _QhatRegion(Region):
             return True
         return self.ivs.covers_point(q)
 
-    def covers_cdesc(self, cdesc) -> bool:
+    def covers(self, cdesc) -> bool:
         if not self.has_cof:
             return False
         leftovers = self.cof_excluded - cdesc[1] if cdesc[0] == "cof" else self.cof_excluded

@@ -44,7 +44,7 @@ EXEMPT = frozenset({
     "spaces.py:_LineSubspace.trace",
     # Space and Region defaults
     "spaces.py:Region.add",
-    "spaces.py:Region.covers_cdesc",
+    "spaces.py:Region.covers",
     "spaces.py:Space.basic_meets_cdesc",
     "spaces.py:Space.basic_subset",
     "spaces.py:Space.cdesc_in_basic",

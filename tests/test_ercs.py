@@ -833,6 +833,37 @@ def _skip_cases():
         cases.append((f"line-{label}", e,
                       lambda: PointName(_line, enumerate_step(lambda t: names.get(t, ())), F(0)),
                       lambda: open_from_fixture(_line, (F(-1), F(1))), 400))
+    # the same exit on the unit interval, at 1/2, and on Cantor space, at
+    # 000...: a neighborhood of stage 160, where the pairs do not emit,
+    # makes the basic of a pair kept waiting since 102 hold the point
+    for label, system, space, value, fixture, nb0, nb160, pair_ in (
+            ("ui", _ui_ercs, _ui, F(1, 2), (F(0), F(1)), encode_interval(F(0), F(1)),
+             encode_interval(F(31, 64), F(33, 64)),
+             (encode_interval(F(7, 16), F(9, 16)), encode_interval(F(1, 4), F(3, 4)))),
+            ("cantor", _cantor_ercs, _cantor, ("0", "0"), "0", word_rank("0"),
+             word_rank("0000"), (word_rank("000"), word_rank("0")))):
+        e = Ercs(space, system.u_stream, system.k_stream,
+                 enumerate_step(lambda t, p=pair_: (p,) if t == 102 else ()),
+                 system.compact_cdesc, system.compact_value)
+        cases.append((f"{label}-waiting-pair-holds", e,
+                      lambda sp=space, v=value, a=nb0, b=nb160: PointName(
+                          sp, enumerate_step(lambda t: {0: (a,), 160: (b,)}.get(t, ())), v),
+                      lambda sp=space, f=fixture: open_from_fixture(sp, f), 400))
+    # names that stall: the open's one part (-1, 1) and the pairs are
+    # quiescent early, and the point's name stalls at 300, after its last
+    # neighborhood at 160; that neighborhood accepts a pair kept waiting
+    # since 102, or leaves it waiting and the search stalls at 300
+    stalling = {0: (encode_interval(F(-1, 2), F(1, 2)),),
+                160: (encode_interval(F(-1, 64), F(1, 64)),)}
+    for label, n in (("quiescent-accept", small), ("stalls-after-last-name", miss)):
+        e = Ercs(_line, _line_ercs.u_stream, _line_ercs.k_stream,
+                 enumerate_step(lambda t, n=n: ((n, patch),) if t == 102 else (), 120),
+                 _line_ercs.compact_cdesc, _line_ercs.compact_value)
+        cases.append((f"line-{label}", e,
+                      lambda: PointName(_line, enumerate_step(
+                          lambda t: stalling.get(t, ()), 300), F(0)),
+                      lambda: OpenSet(_line, enumerate_list([encode_interval(F(-1), F(1))])),
+                      400))
     # the costliest criterion-4 literal, accepting at stage 49,786
     cases.append(("line:(1, 1/4)", *_criterion4_case("line", (F(1), F(1, 4))), 10 ** 5))
     # every point and open of every standard oracle space, with patch
@@ -1099,6 +1130,66 @@ def test_skipping_idle_stages_moves_no_answer():
     x = make_x()
     assert _BasisSearch(e, x, make_u()).poll(10 ** 5) == 49786
     assert x.neighborhoods._stage <= 49792
+    # once both names are quiescent the search goes to its stall in one
+    # run: it steps the stage of the point's last neighborhood, 160, and
+    # the stall at 300 (140 steps while it stepped every stage to it)
+    e, make_x, make_u = next(case[1:4] for case in _skip_cases()
+                             if case[0] == "line-stalls-after-last-name")
+    counted = _CountedSteps(e, make_x(), make_u())
+    assert counted.poll(400) is None and counted.stalled and counted._stage == 301
+    assert counted.steps <= 2
+
+
+class _CountedReads:
+    """A cursor whose ``upto``, ``next_emission``, ``groups`` and
+    ``quiescent`` calls are counted, per method."""
+
+    def __init__(self, cursor):
+        self.calls = dict.fromkeys(("upto", "next_emission", "groups", "quiescent"), 0)
+        for name in self.calls:
+            setattr(self, name, self._counted(name, getattr(cursor, name)))
+
+    def _counted(self, name, read):
+        def counted(*args):
+            self.calls[name] += 1
+            return read(*args)
+        return counted
+
+
+def test_compact_base_search_work_is_pinned():
+    """Work pins of the x = 1 search inside (3/4, 5/4), run a second time
+    on a warm line system.  Measured: 41 reads of the point's name, 20 asks
+    of the swallowed pairs for their next emission and 11,598
+    ``Fraction.as_integer_ratio`` calls (22,012, 5,511 and 35,910 while
+    the search turned once per emission of the point's name and the
+    region converted each patch's ends at each coverage test).  Each
+    bound has a margin of about 50% over the count, or 20% for the
+    conversions."""
+    line = LineSpace()
+    e = interval_ercs(line)
+
+    def search():
+        return _BasisSearch(e, point_from_rational(line, F(1)),
+                            open_from_fixture(line, (F(3, 4), F(5, 4))))
+
+    assert search().poll(10 ** 5) == 49786
+    m = search()
+    m._nbs, m._pairs = nbs, pairs = _CountedReads(m._nbs), _CountedReads(m._pairs)
+    ratio, conversions = F.as_integer_ratio, [0]
+
+    def counted_ratio(q):
+        conversions[0] += 1
+        return ratio(q)
+
+    F.as_integer_ratio = counted_ratio
+    try:
+        assert m.poll(10 ** 5) == 49786
+    finally:
+        F.as_integer_ratio = ratio
+    assert _witness(m) == (24893, 24893, 49786)
+    assert sum(nbs.calls.values()) <= 60, nbs.calls
+    assert pairs.calls["next_emission"] <= 30, pairs.calls
+    assert conversions[0] <= 14_000
 
 
 def test_basis_search_equals_its_reference_twin():
