@@ -18,6 +18,7 @@ open, lists them; the basis search, the open-subspace system and the
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right, insort
+from heapq import heappop, heappush
 from dataclasses import dataclass
 from functools import reduce
 from typing import Callable, Iterable, Sequence
@@ -379,120 +380,107 @@ class _BasisSearch(Machine):
     """Accepts at the first pair the open swallows whose basic holds the
     point: a compact base read off :func:`swallowed_pairs`.
 
-    A stage's neighborhoods of the point join its index before that
-    stage's swallowed pairs are tested.  A pair whose basic misses the
-    point waits, and the waiting pairs are tested again only when the
-    point's name contributes a genuinely smaller neighborhood.  So a stage
-    with no swallowed pair changes only the index, and ``fast_forward``
-    applies the stages up to each emission of the swallowed pairs in one
-    turn of its loop.
+    A pair (n, kid) listed at stage g holds from the stage f on at which
+    the point's name first lists a basic inside basic n
+    (``PointName.first_inside``), so the search accepts at the least
+    max(g, f): by the first pair of that stage that holds, in listing
+    order, else by the first waiting pair that holds.  Only the swallowed
+    pairs are read.  The point is asked about a pair's basic below a
+    horizon twice as far as the stages to apply, and asked again only
+    once they pass the stage it answered or, with no answer, the horizon:
+    the waiting pairs are a heap on that stage and their listing order.
+    ``fast_forward`` applies the stages up to each emission of the pairs
+    in one turn of its loop.
     """
 
     def __init__(self, e: Ercs, x: PointName, u: OpenSet):
         super().__init__()
         self.space = e.space
         self.witness: BasisWitness | None = None
-        self._nbs = x.neighborhoods.cursor()
+        self._x = x
         self._pairs = swallowed_pairs(e, u).cursor()
-        self._x_index = self.space.basic_inside_index()
-        self._waiting: list[tuple[int, int]] = []  # swallowed, basic misses x
+        # (h, listing position, n, kid, basic n): the pair holds at no
+        # stage below h
+        self._waiting: list[tuple] = []
+        self._listed = 0
 
-    def _n_holds(self, n: int, new=()) -> bool:
-        """Whether the point is known to lie in basic n, once the basics
-        ``new`` join its index: ``some_inside(d)`` then holds exactly when
-        it held or one of them is a ``basic_subset`` of d."""
-        sp = self.space
-        d = sp.decode(n)
-        if d is None:
-            return False
-        if self._x_index.some_inside(d):
-            return True
-        for nd in new:
-            if sp.basic_subset(nd, d):
-                return True
-        return False
+    def _asked(self, pairs, horizon: int) -> list[tuple]:
+        """The waiting entries of the pairs, each asked below ``horizon``;
+        a pair whose index decodes to no basic never holds, and is
+        dropped."""
+        decode, inside = self.space.decode, self._x.first_inside
+        out = []
+        for n, kid in pairs:
+            d = decode(n)
+            if d is not None:
+                f = inside(d, horizon)
+                out.append((horizon if f is None else f, self._listed, n, kid, d))
+                self._listed += 1
+        return out
 
-    def _accepts(self, pairs, t: int) -> bool:
-        for pair_ in pairs:
-            if self._n_holds(pair_[0]):
-                self.witness = BasisWitness(pair_[0], pair_[1], t)
-                return True
-        return False
+    def _first_due(self, end: int, horizon: int) -> int:
+        """The least stage below ``end`` from which a waiting pair holds,
+        else ``end``, the first such pair in listing order on top of the
+        heap; the point is asked again, below ``horizon``, about each pair
+        that may hold below ``end``."""
+        waiting, inside, again = self._waiting, self._x.first_inside, []
+        while waiting and waiting[0][0] < end:
+            w = heappop(waiting)
+            f = inside(w[4], horizon)
+            again.append((horizon if f is None else f, *w[1:]))
+        for w in again:
+            heappush(waiting, w)
+        return waiting[0][0] if waiting and waiting[0][0] < end else end
+
+    def _quiescent(self, stage: int) -> bool:
+        """Whether neither the pairs nor the point's name can grow past
+        ``stage``: the pairs are asked first."""
+        return self._pairs.quiescent(stage) and self._x.neighborhoods.quiescent(stage)
 
     def fast_forward(self, t: int, limit: int) -> int:
         """Applies the stages before the next one that could accept or
         stall, as ``step`` would, in one turn per emission g of the
-        swallowed pairs (or up to ``limit``, where they have none): the
-        point's neighborhoods of the stages below g, read in one peek, join
-        the index group by group, then g's neighborhoods and pairs are
-        tested, and its pairs wait.  Stops at a group whose informative
-        neighborhoods make a waiting pair's basic hold the point (tested
-        before the index holds them), at g when one of its pairs' basics
-        holds the point or both names are quiescent after it, and, when
-        the pairs have no emission below ``limit`` and both names are
-        quiescent there, at the stage of the point's last emission below
-        it, which ``step`` then applies, or, with none left, at the stall.
-        The point's name is read one stage past g, and the swallowed pairs
-        up to their next emission, which may lie past a stage at which a
-        neighborhood makes a waiting pair accept."""
-        nbs, pairs, waiting = self._nbs, self._pairs, self._waiting
-        decode, index, n_holds = self.space.decode, self._x_index, self._n_holds
+        swallowed pairs (or up to ``limit``, where they have none): it
+        finds the least stage at or below g from which a waiting pair
+        holds, then whether one of g's pairs holds at g, and g's pairs
+        wait.  Stops at that stage, at g when one of its pairs holds or
+        both names are quiescent after it, and, when the pairs have no
+        emission below ``limit`` and both names are quiescent there, at
+        the stall."""
+        pairs = self._pairs
         while True:
             g = pairs.next_emission(limit)
             end = g + 1 if g < limit else limit
-            marks, counts, items, k, last, b = nbs.groups(end)
-            if g == limit and nbs.quiescent(limit) and pairs.quiescent(limit):
-                # both names stall below limit, not before the last emission
-                # of the point's name: step that emission's stage, or, with
-                # none left, the first stage after which both are quiescent
-                if k == last:
-                    return bisect_left(range(t, limit), True, key=lambda s: (
-                        nbs.quiescent(s + 1) and pairs.quiescent(s + 1))) + t
-                last -= 1
-                end = marks[last]
-            new = ()
-            while k < last:
-                s, c = marks[k], counts[k]
-                new = [d for d in map(decode, items[b:c]) if not index.some_inside(d)]
-                if new and any(n_holds(n, new) for n, _ in waiting):
-                    nbs.upto(s)
-                    return s
-                if s == g:
-                    break
-                for d in new:
-                    if not index.some_inside(d):
-                        index.add(d)
-                new = ()
-                k, b = k + 1, c
+            first = self._first_due(end, 2 * end)
+            if first < end:
+                return first
             if g == limit:
-                nbs.upto(end)
-                return end
+                if not self._quiescent(limit):
+                    return limit
+                # the first stage after which both are quiescent
+                return bisect_left(range(t, limit), True,
+                                   key=lambda s: self._quiescent(s + 1)) + t
             _, counts, items, m, _, a = pairs.groups(g + 1)
-            if (any(n_holds(n, new) for n, _ in items[a:counts[m]])
-                    or pairs.quiescent(g + 1) and nbs.quiescent(g + 1)):
-                nbs.upto(g)
+            new = self._asked(items[a:counts[m]], 2 * end)
+            if any(w[0] <= g for w in new) or self._quiescent(g + 1):
                 return g
-            for d in new:
-                if not index.some_inside(d):
-                    index.add(d)
-            nbs.upto(g + 1)
-            waiting.extend(pairs.upto(g + 1))
+            pairs.upto(g + 1)
+            for w in new:
+                heappush(self._waiting, w)
             t = g + 1
 
     def step(self, t: int) -> bool:
-        sp = self.space
-        informative = False
-        for nb in self._nbs.upto(t + 1):
-            d = sp.decode(nb)
-            if not self._x_index.some_inside(d):
-                self._x_index.add(d)
-                informative = True
-        pairs = self._pairs.upto(t + 1)
-        if self._accepts(pairs, t) or (informative and self._accepts(self._waiting, t)):
+        horizon = 2 * (t + 1)
+        new = self._asked(self._pairs.upto(t + 1), horizon)
+        holds = next((w for w in new if w[0] <= t), None)
+        if holds is None and self._first_due(t + 1, horizon) <= t:
+            holds = self._waiting[0]
+        if holds is not None:
+            self.witness = BasisWitness(holds[2], holds[3], t)
             return True
-        self._waiting.extend(pairs)
-        # every waiting pair was tested against the index as it is now
-        if self._nbs.quiescent(t + 1) and self._pairs.quiescent(t + 1):
+        for w in new:
+            heappush(self._waiting, w)
+        if self._quiescent(t + 1):
             self.stall()
         return False
 

@@ -553,13 +553,18 @@ def subset_predicate(e: Ercs, outside_compact: CompactSet):
 
 
 class _Meets(Machine):
-    """Accepts at the first pair the open swallows whose basic is touched."""
+    """Accepts at the first pair the open swallows whose basic is touched.
+    Only a stage at which the pairs emit can accept, so ``fast_forward``
+    applies the stages before the next one by doing nothing."""
 
     def __init__(self, swallowed: MonotoneEnumerator[tuple[int, int]],
                  ones: set[int]) -> None:
         super().__init__()
         self._swallowed = swallowed.cursor()
         self._ones = ones
+
+    def fast_forward(self, t: int, limit: int) -> int:
+        return self._swallowed.next_emission(limit)
 
     def step(self, t: int) -> bool:
         ones = self._ones

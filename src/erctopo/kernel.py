@@ -411,10 +411,12 @@ def enumerate_step(step_fn: Callable[[int], Sequence[T]],
 # Seed slot s fires at the triangular stage (s + 1)(s + 2)/2 - 1: generated
 # items stay square-root-bounded in the stage count, fine slots come at
 # quadratic stages, and slots stop at 64 (2**-64 serves no consumer).
-# emission_slot(t) is the slot firing at stage t, or None.
+# emission_slot(t) is the slot firing at stage t, or None; slot_stage(s)
+# the stage at which slot s fires, or None past the last slot.
 _SLOT_STAGES = [(s + 1) * (s + 2) // 2 - 1 for s in range(65)] + [-1]
 _SLOT_AT = {t: s for s, t in enumerate(_SLOT_STAGES[:-1])}
 emission_slot = _SLOT_AT.get
+slot_stage = dict(enumerate(_SLOT_STAGES[:-1])).get
 
 
 class _FilterLane(MonotoneEnumerator[int]):

@@ -29,6 +29,7 @@ from .kernel import (
     filter_lane,
     pair,
     pair_lane,
+    slot_stage,
     unpair,
 )
 
@@ -669,6 +670,11 @@ class PointName:
     ``value`` carries the exact fixture datum (a rational, a word, ...)
     when the name was built from one; generic algorithms never rely on it,
     verification code does.
+
+    ``first_inside(d, limit)`` asks the name when it first lists a basic
+    inside the basic d: the compact-base search asks it of each basic it
+    may accept.  A name whose listing has a closed form answers from it
+    (see ``_LineSubspace.point_name``); the method here reads the listing.
     """
 
     def __init__(self, space: Space, neighborhoods: MonotoneEnumerator[int],
@@ -676,6 +682,38 @@ class PointName:
         self.space = space
         self.neighborhoods = neighborhoods
         self.value = value
+        self._read = None   # cursor, inside index, informative (stage, basic)s
+
+    def first_inside(self, d, limit: int) -> int | None:
+        """The least stage below ``limit`` at which the name lists a basic
+        inside the basic d (by ``basic_subset``), or None; the answer
+        depends on (d, limit) only, whatever was asked before.
+
+        The name is read through one cursor, no further than that stage,
+        and its informative neighborhoods are kept with their stages: one
+        that an earlier neighborhood lies inside is never the first inside
+        d, so the kept ones are tested in stage order, once their index
+        says that one of them lies inside d."""
+        sp = self.space
+        if self._read is None:
+            self._read = (self.neighborhoods.cursor(), sp.basic_inside_index(), [])
+        cursor, index, kept = self._read
+        subset = sp.basic_subset
+        if index.some_inside(d):
+            s = next(s for s, nd in kept if subset(nd, d))
+            return s if s < limit else None
+        while True:
+            s = cursor.next_emission(limit)
+            if s == limit:
+                return None
+            hit = False
+            for nd in map(sp.decode, cursor.upto(s + 1)):
+                if not index.some_inside(nd):
+                    index.add(nd)
+                    kept.append((s, nd))
+                    hit = hit or subset(nd, d)
+            if hit:
+                return s
 
     def __repr__(self) -> str:
         return f"<point {self.value!r} in {self.space.name}>"
@@ -881,26 +919,18 @@ class _LineSubspace(Space):
         q = Fraction(value)
         if not self.in_carrier(q):
             raise OutOfSpace(f"{q} outside carrier of {self.name}")
-        # The filter of point_in_basic(q, decode(t)), q's carrier test done
-        # above: a < q on the code of a and q < b on the code of b.  They
-        # imply a < b, and a trace that holds q, so decode passes every
-        # such code, even on a carrier with gaps: the lane walks diagonals
-        # with no join.
-        qn, qd = q.numerator, q.denominator
+        return _RationalName(self, q)
 
-        def seeds(s: int):
-            eps = Fraction(1, 2 ** s)
-            return (encode_interval(q - eps, q + eps),)
-
-        def left(i: int) -> bool:
-            n, d = _end(i)
-            return n * qd < qn * d
-
-        def right(j: int) -> bool:
-            n, d = _end(j)
-            return qn * d < n * qd
-
-        return PointName(self, pair_lane(left, right, None, seeds), value=q)
+    def _widest(self, d) -> tuple[tuple[int, int] | None, tuple[int, int] | None]:
+        """The ends of the widest open interval whose trace is d's, as
+        (numerator, denominator) pairs, None on a side where it has no
+        end: the greatest carrier point at most d's left end, and the
+        least at least its right end.  On a carrier without gaps these are
+        d's own ends, where they do not lie beyond the carrier."""
+        lo, hi = self._hull
+        (an, ad), (bn, bd) = d[0].as_integer_ratio(), d[1].as_integer_ratio()
+        return ((an, ad) if lo is None or lo[0] * ad <= an * lo[1] else None,
+                (bn, bd) if hi is None or bn * hi[1] <= hi[0] * bd else None)
 
     def compact_complement(self, d):
         whole = self.whole_compact_desc
@@ -968,6 +998,94 @@ class _LineSubspace(Space):
         grid = _grid_lane(cdesc)  # passed three times: three seeds a round
         rounds = zip_longest(_endpoint_lane(cdesc), grid, grid, grid)
         return filter(partial(is_not, None), chain.from_iterable(rounds))
+
+
+class _RationalName(PointName):
+    """The name ``_LineSubspace.point_name`` gives a rational q: the filter
+    of point_in_basic(q, decode(t)), q's carrier test done first, is a < q
+    on the code of a and q < b on the code of b.  They imply a < b, and a
+    trace that holds q, so decode passes every such code, even on a
+    carrier with gaps: the lane walks diagonals with no join.  Slot s adds
+    the seed (q - 2**-s, q + 2**-s).
+
+    ``first_inside`` has a closed form.  Every listed basic (a, b) holds q,
+    and its trace lies inside d's exactly when lo <= a and b <= hi, where
+    (lo, hi) is the widest open interval with d's trace (``_widest``).  The
+    lane lists the code t = pair(i, j) at stage t, and pair grows in both
+    halves, so its first code inside d is pair(i, j) for the least end
+    codes i and j that pass, and its first seed inside d is that of the
+    least slot s with 2**-s at most q's margin in (lo, hi).  The answer is
+    the smaller of the two stages; end codes are scanned only while their
+    pair lies below it, or below the limit.
+    """
+
+    def __init__(self, space: "_LineSubspace", q: Fraction):
+        qn, qd = self._q = q.numerator, q.denominator
+
+        def seeds(s: int):
+            eps = Fraction(1, 2 ** s)
+            return (encode_interval(q - eps, q + eps),)
+
+        def left(i: int) -> bool:
+            n, d = _end(i)
+            return n * qd < qn * d
+
+        def right(j: int) -> bool:
+            n, d = _end(j)
+            return qn * d < n * qd
+
+        super().__init__(space, pair_lane(left, right, None, seeds), value=q)
+
+    def first_inside(self, d, limit: int) -> int | None:
+        qn, qd = self._q
+        lo, hi = self.space._widest(d)
+        # the first slot whose seed lies inside: its 2**-s within q's
+        # margin on both sides; None when q lies outside
+        s = 0
+        if lo is not None:
+            ln, ld = lo
+            gap = qn * ld - ln * qd
+            if gap <= 0:
+                return None
+            s = _halvings(gap, qd * ld)
+        if hi is not None:
+            hn, hd = hi
+            gap = hn * qd - qn * hd
+            if gap <= 0:
+                return None
+            s = max(s, _halvings(gap, qd * hd))
+        best = slot_stage(s)
+        if best is None or best > limit:
+            best = limit
+        # the least end codes i (lo <= a < q) and j (q < b <= hi) whose
+        # pair lies below best: pair(i, j) >= pair(i, 0) = i(i + 1)/2
+        _end(isqrt(2 * best) + 1)
+        ends = _ENDS
+        i = 0
+        while i * (i + 1) >> 1 < best:
+            n, dn = ends[i]
+            if n * qd < qn * dn and (lo is None or ln * dn <= n * ld):
+                break
+            i += 1
+        else:
+            return best if best < limit else None
+        j = 0
+        while True:
+            t = pair(i, j)
+            if t >= best:
+                break
+            n, dn = ends[j]
+            if qn * dn < n * qd and (hi is None or n * hd <= hn * dn):
+                best = t
+                break
+            j += 1
+        return best if best < limit else None
+
+
+def _halvings(num: int, den: int) -> int:
+    """The least s >= 0 with 2**-s at most num / den (both positive)."""
+    s = max(0, den.bit_length() - num.bit_length())
+    return s if num << s >= den else s + 1
 
 
 class _LineMetric(MetricStructure):
@@ -1641,6 +1759,20 @@ class PiecewiseSpace(_LineSubspace):
 
     def in_carrier(self, x: Fraction) -> bool:
         return any(p <= x <= q for p, q in self.pieces)
+
+    def _widest(self, d):
+        (an, ad), (bn, bd) = d[0].as_integer_ratio(), d[1].as_integer_ratio()
+        lo = hi = None
+        for pn, pd, _, rn, rd, _ in self._carrier:
+            if pn * ad <= an * pd:   # p <= a: min(r, a) is its greatest point <= a
+                e = (an, ad) if an * rd <= rn * ad else (rn, rd)
+                if lo is None or lo[0] * e[1] < e[0] * lo[1]:
+                    lo = e
+            if bn * rd <= rn * bd:   # b <= r: max(p, b) is its least point >= b
+                e = (bn, bd) if pn * bd <= bn * pd else (pn, pd)
+                if hi is None or e[0] * hi[1] < hi[0] * e[1]:
+                    hi = e
+        return lo, hi
 
     def trace(self, d) -> list[Fiv]:
         (an, ad), (bn, bd) = d[0].as_integer_ratio(), d[1].as_integer_ratio()

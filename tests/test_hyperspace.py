@@ -596,6 +596,50 @@ def _forall_cases():
     return cases + list(_tautologies())
 
 
+def _meets_cases():
+    """(label, ercs, space, open maker) of every meets predicate of
+    ``_forall_cases``: the opens that isEmptyOr and or meet on the
+    standard oracle spaces, and those of criterion 7's tautologies."""
+    cases = []
+    for fs in standard_oracle_spaces():
+        space, e = lift_finite(fs)
+        opens = sorted(fs.opens, key=sorted)
+        met = set()
+        for o in {opens[0], opens[len(opens) // 2], opens[-1]}:
+            met |= {o, opens[-1] if o != opens[-1] else opens[0]}
+        cases += [(f"{fs.name}:{''.join(sorted(o))}", e, space,
+                   lambda o=o, space=space: open_from_fixture(space, o))
+                  for o in sorted(met, key=sorted)]
+    return cases + [
+        ("ui:(-1,2)", _ui_ercs, _ui, lambda: open_from_fixture(_ui, (F(-1), F(2)))),
+        ("cantor:e", _cantor_ercs, _cantor, lambda: open_from_fixture(_cantor, "")),
+        ("cantor:1", _cantor_ercs, _cantor, lambda: open_from_fixture(_cantor, "1"))]
+
+
+def test_meets_fast_forward_moves_no_answer():
+    """The meets nodes skip the stages at which the swallowed pairs emit
+    nothing: beside a twin that steps every stage, and beside the per-node
+    reference at every fuel, for every node of depth 1 to 3 over the
+    first basics of the space, built from one predicate per open."""
+    accepted = 0
+    for label, e, space, make_u in _meets_cases():
+        indices = [n for n in range(space.finite_basic_count or 200)
+                   if space.decode(n) is not None][:3]
+        build, fuel = meets_predicate(e, make_u()), 300
+        for bits in (b for depth in range(1, len(indices) + 1)
+                     for b in product((0, 1), repeat=depth)):
+            oracle = PrefixOracle(bits, tuple(indices[:len(bits)]))
+            want = assert_fast_forward_twin(lambda: build(oracle), fuel,
+                                            label=(label, bits))
+            ones = set(oracle.one_indices())
+            reference = ReferenceMeets(e, make_u(), ones)
+            assert [reference.poll(f) for f in range(fuel + 1)] == [w[0] for w in want], \
+                (label, bits)
+            accepted += want[-1][0] is not None
+    # and the comparison is not vacuous
+    assert accepted > 100, accepted
+
+
 def test_forall_fast_forward_moves_no_answer():
     accepted = 0
     for label, e, make in _forall_cases():

@@ -422,6 +422,57 @@ def test_diagonal_lanes_equal_the_filter_lanes(space_name, name, reads):
     assert lane._stage > 60_000
 
 
+def first_listed_inside(lane, space, d, limit: int):
+    """The first stage below ``limit`` at which ``lane`` lists a basic
+    inside the basic d, read off its listing with ``basic_subset``."""
+    for k, n in enumerate(lane.listing(limit)):
+        if space.basic_subset(space.decode(n), d):
+            return lane.stage_of(k)
+    return None
+
+
+# a basic around the point, by its margins on each side, from wider than
+# the carriers to narrower than the last seed (2**-64), or any basic
+margins = (st.sampled_from([F(3), F(1), F(1, 2), F(1, 3), F(1, 1000), F(1, 2 ** 20),
+                            F(1, 2 ** 64), F(1, 2 ** 70)])
+           | st.fractions(min_value=F(1, 16), max_value=2, max_denominator=16)
+           .filter(lambda m: m > 0))
+basic_asks = st.lists(st.tuples(st.tuples(margins, margins).map(lambda m: ("around", m))
+                                | st.tuples(rationals, rationals).map(lambda ab: ("any", ab)),
+                                st.integers(0, 2500)), min_size=1, max_size=6)
+
+
+@settings(PROPERTY, max_examples=150)
+@given(st.sampled_from(sorted(_LANE_SPACES)), lane_points, basic_asks)
+@example("unit-interval", F(0), [(("around", (F(1, 4), F(1, 4))), 1000)])
+@example("gap", F(1, 2), [(("around", (F(1, 4), F(1, 8))), 2500),
+                          (("any", (F(1, 3), F(2, 3))), 7)])
+@example("line", F(1), [(("around", (F(1, 2 ** 64), F(1, 2 ** 64))), 2500),
+                        (("around", (F(1, 4), F(1, 4))), 2144)])
+# a code beats the seeds where its ends are the basic's own ends (stages 1, 9)
+# or, across the gap, the carrier's next point 1/2 (stage 35)
+@example("line", F(-1, 1000), [(("any", (F(-1), F(0))), 100)])
+@example("unit-interval", F(1, 1000), [(("any", (F(0), F(1))), 100)])
+@example("gap", F(1, 1000), [(("any", (F(0), F(2, 5))), 100)])
+def test_first_inside_closed_form_equals_the_listing(space_name, q, asks):
+    """The rational names of the line subspaces answer ``first_inside`` in
+    closed form: the first stage at which the listing holds a basic inside
+    the asked one, for basics that hold the point and basics that do not,
+    ends clamped by the unit interval and basics across the gap of a
+    carrier; the same on one name whatever was asked before, and on a
+    fresh one."""
+    space = _LANE_SPACES[space_name]
+    assume(space.in_carrier(q))
+    x, lane = space.point_name(q), space.point_name(q).neighborhoods
+    for (kind, (a, b)), limit in asks:
+        d = space.decode(encode_interval(*((q - a, q + b) if kind == "around" else (a, b))))
+        if d is None:
+            continue
+        want = first_listed_inside(lane, space, d, limit)
+        assert x.first_inside(d, limit) == want, (d, limit)
+        assert space.point_name(q).first_inside(d, limit) == want
+
+
 @settings(PROPERTY, max_examples=200)
 @given(st.sampled_from([LineSpace(), UnitIntervalSpace()]),
        st.lists(st.tuples(st.booleans(), rationals, rationals), max_size=30))
