@@ -10,9 +10,13 @@ subspace transfers, sigma-covers and whole-space compactness.
 
 The pairs (n, kid) of the formal containment whose patch an open is
 certified to contain are the pairs that open swallows.  One enumeration,
-:func:`swallowed_pairs`, the one place that certifies a patch inside an
-open, lists them; the basis search, the open-subspace system and the
-``meets`` predicate of the hyperspace search read it.
+:func:`swallowed_pairs`, lists them; the basis search, the open-subspace
+system and the ``meets`` predicate of the hyperspace search read it.  It
+is the one place that certifies a patch inside an open, with one
+exception: the consistency refutation of the hyperspace
+(``hyperspace._RefuteMachine``) tests ``Ercs.covered`` against its own
+region of avoided basics, until it reads the pairs its avoided open
+swallows (ROADMAP.md, direction 11).
 """
 
 from __future__ import annotations

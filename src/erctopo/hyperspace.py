@@ -33,7 +33,7 @@ from .sets import (
     compact_subset,
     not_subset,
 )
-from .spaces import Space
+from .spaces import InsideReader, Space
 
 
 # ---------------------------------------------------------------------------
@@ -194,17 +194,22 @@ class _PositiveHits(MonotoneEnumerator[int]):
     """Basics certified to intersect the specified set: some touched basic
     is formally below a patch that fits inside the queried basic.
 
-    Positivity of an index may be revealed over time (truth sequences):
-    formal pairs seen before their basic turned positive are retried
-    whenever ``version`` moves, and the listing stalls only once
-    ``quiet_positivity`` says that no more is revealed.
+    ``positive(n, stage)`` says whether index n is touched as read below
+    ``stage``; it may turn true over time (truth sequences), so formal
+    pairs seen before their basic turned positive are retried whenever
+    ``version(stage)`` moves, and the listing stalls only once
+    ``quiet(stage)`` says that no index turns positive from ``stage`` on.
     """
 
-    def __init__(self, e: Ercs, positive: Callable[[int], bool]):
+    def __init__(self, e: Ercs, positive: Callable[[int, int], bool],
+                 version: Callable[[int], int] = lambda stage: 0,
+                 quiet: Callable[[int], bool] = lambda stage: True):
         super().__init__()
         self.e = e
         self.space = e.space
         self.positive = positive
+        self.version = version
+        self.quiet = quiet
         self._kid_index = self.space.cdesc_inside_index()
         self._kids_seen: set[int] = set()
         self._dormant: list[tuple[int, int]] = []
@@ -213,14 +218,6 @@ class _PositiveHits(MonotoneEnumerator[int]):
         self._pairs = e.r_stream.cursor()
         self._us = e.u_stream.cursor()
         self._seen_version = 0
-
-    def version(self) -> int:
-        """A counter that moves whenever some index turns positive."""
-        return 0
-
-    def quiet_positivity(self, stage: int) -> bool:
-        """Whether no index turns positive at ``stage`` or later."""
-        return True
 
     def _activate(self, kid: int) -> bool:
         if kid in self._kids_seen:
@@ -237,16 +234,16 @@ class _PositiveHits(MonotoneEnumerator[int]):
         sp = self.space
         fresh_kid = False
         for n, kid in self._pairs.upto(t + 1):
-            if self.positive(n):
+            if self.positive(n, t + 1):
                 fresh_kid |= self._activate(kid)
             else:
                 self._dormant.append((n, kid))
-        v = self.version()
+        v = self.version(t + 1)
         if v != self._seen_version:
             self._seen_version = v
             still = []
             for n, kid in self._dormant:
-                if self.positive(n):
+                if self.positive(n, t + 1):
                     fresh_kid |= self._activate(kid)
                 else:
                     still.append((n, kid))
@@ -268,7 +265,7 @@ class _PositiveHits(MonotoneEnumerator[int]):
                     still.append(u)
             self._pending = still
         if (self._pairs.quiescent(t + 1) and self._us.quiescent(t + 1)
-                and self.quiet_positivity(t + 1)):
+                and self.quiet(t + 1)):
             self.stall()
         return out
 
@@ -291,7 +288,7 @@ def located_from_spec(e: Ercs, bits: SpecBits) -> LocatedSet:
                          enumerate_step(co_step,
                                         stall_after=e.space.finite_basic_count),
                          label="spec-complement")
-    hits = _PositiveHits(e, lambda n: bits.bit(n) == 1)
+    hits = _PositiveHits(e, lambda n, stage: bits.bit(n) == 1)
     return LocatedSet(ClosedSet(complement), OvertSet(e.space, hits))
 
 
@@ -302,29 +299,26 @@ class TruthSequence:
     """The embedding of a located set into truth sequences, read off its
     names.
 
-    ``hits`` is the set's overt name.  ``zeros`` lists, each once, the
-    basics of the pairs that the set's complement swallows: a basic below
-    a patch that misses the set.  ``entry(n, fuel)`` returns ("one", s) at
-    the stage s of the first hit inside basic n, ("zero", s) at the stage s
-    at which ``zeros`` lists n, the earlier of the two below ``fuel`` (one
-    on a tie), or None.  It is a function of (n, fuel), whatever was read
-    before, so once an index resolves it never changes or flips.
+    ``hits`` is the set's overt name, read by the reader ``inside``.
+    ``zeros`` lists, each once, the basics of the pairs that the set's
+    complement swallows: a basic below a patch that misses the set.
+    ``entry(n, fuel)`` returns ("one", s) at the stage s of the first hit
+    inside basic n, ("zero", s) at the stage s at which ``zeros`` lists n,
+    the earlier of the two below ``fuel`` (one on a tie), or None.  It is a
+    function of (n, fuel), whatever was read before, so once an index
+    resolves it never changes or flips.
     """
 
     def __init__(self, e: Ercs, a: LocatedSet):
         self.space = e.space
         self.hits = a.overt_part.hits
+        self.inside = InsideReader(self.hits, self.space)
         self.zeros = open_subspace_ercs(e, a.closed_part.complement).u_stream
-        # the listings as far as entries read them: each zero's position,
-        # the decoded hits, and per basic how many hits were tested and the
-        # position of the first inside it (listings only grow)
+        # the zeros as far as entries read them, with each one's position
         self._zeros, self._zero_at = self.zeros.cursor(), {}
-        self._hits, self._hit_descs = self.hits.cursor(), []
-        self._scanned: dict[int, tuple[int, int | None]] = {}
 
     def entry(self, n: int, fuel: int):
-        sp = self.space
-        d = sp.decode(n)
+        d = self.space.decode(n)
         if d is None:
             return None
         got, end = None, fuel
@@ -335,59 +329,27 @@ class TruthSequence:
         if i is not None and i < self.zeros.count(fuel):
             s = self.zeros.stage_of(i)
             got, end = ("zero", s), s + 1
-        descs, cur = self._hit_descs, self._hits
-        descs.extend(map(sp.decode, cur.upto(max(end, cur.stage))))
-        c = self.hits.count(end)
-        tested, first = self._scanned.get(n, (0, None))
-        if first is None:
-            first = next((i for i in range(tested, c) if sp.basic_subset(descs[i], d)), None)
-            self._scanned[n] = (max(tested, c), first)
-        if first is not None and first < c:
-            return ("one", self.hits.stage_of(first))
-        return got
+        s = self.inside.first_inside(d, end)
+        return got if s is None else ("one", s)
 
 
 def spec_from_located(e: Ercs, a: LocatedSet) -> TruthSequence:
     return TruthSequence(e, a)
 
 
-class _TruthHits(_PositiveHits):
-    """The hits of the located set a truth sequence names: an index is
-    positive once a hit of the sequence lies inside its basic, as read at
-    this listing's own stage; ``version`` counts the hits that changed
-    that index."""
-
-    def __init__(self, e: Ercs, t: TruthSequence):
-        super().__init__(e, self._touched)
-        self._ones = t.hits.cursor()
-        self._one_index = self.space.basic_inside_index()
-        self._changes = 0
-
-    def _touched(self, n: int) -> bool:
-        return self._one_index.some_inside(self.space.decode(n))
-
-    def version(self) -> int:
-        return self._changes
-
-    def quiet_positivity(self, stage: int) -> bool:
-        return self._ones.quiescent(stage)
-
-    def step(self, t: int):
-        index, decode = self._one_index, self.space.decode
-        for h in self._ones.upto(t + 1):
-            d = decode(h)
-            if not index.some_inside(d):
-                index.add(d)
-                self._changes += 1
-        return super().step(t)
-
-
 def located_from_truth(e: Ercs, t: TruthSequence) -> LocatedSet:
     """Inverse translation: the complement is the union of the zeros; hits
-    are certified through positive basics below patches.  Both names are
-    functions of the stage, whichever is read first."""
+    are certified through positive basics below patches, a basic positive
+    below a stage once the sequence's reader finds a hit inside it there.
+    Both names are functions of the stage, whichever is read first."""
+    inside, decode = t.inside, e.space.decode
+
+    def positive(n: int, stage: int) -> bool:
+        return inside.first_inside(decode(n), stage) is not None
+
+    hits = _PositiveHits(e, positive, inside.informative, t.hits.quiescent)
     return LocatedSet(ClosedSet(OpenSet(e.space, t.zeros, label="truth-co")),
-                      OvertSet(e.space, _TruthHits(e, t)))
+                      OvertSet(e.space, hits))
 
 
 # ---------------------------------------------------------------------------

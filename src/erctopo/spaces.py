@@ -662,7 +662,57 @@ class _ScanBasicInsideIndex:
 
 
 # ---------------------------------------------------------------------------
-# Point names
+# Listings of basics and point names
+
+class InsideReader:
+    """A listing of basic codes (a point's name, an overt set's hits), read
+    for the one question asked of it: when does it first list a basic
+    inside the basic d?  It is read through one cursor, no further than a
+    question needs, and its informative items (none of an earlier stage
+    lies inside them) are kept with their stages: they are tested in stage
+    order once the space's ``basic_inside_index`` of them says that one of
+    them lies inside d."""
+
+    def __init__(self, listing: MonotoneEnumerator[int], space: Space):
+        self.space = space
+        self._cursor = listing.cursor()
+        self._index = space.basic_inside_index()
+        self._kept: list[tuple[int, object]] = []   # informative (stage, basic)s
+
+    def first_inside(self, d, limit: int) -> int | None:
+        """The least stage below ``limit`` at which the listing holds a
+        basic inside the basic d (by ``basic_subset``), or None; the answer
+        depends on (d, limit) only, whatever was asked before."""
+        if self._index.some_inside(d):
+            subset = self.space.basic_subset
+            s = next(s for s, nd in self._kept if subset(nd, d))
+            return s if s < limit else None
+        return self._read(d, limit)
+
+    def informative(self, stage: int) -> int:
+        """The number of informative items listed below ``stage``: it moves
+        whenever ``first_inside(d, stage)`` leaves None for some d."""
+        self._read(None, stage)
+        return bisect_left(self._kept, (stage,))
+
+    def _read(self, d, limit: int) -> int | None:
+        """Reads on to the first stage below ``limit`` that lists a new
+        informative basic inside d (never, when d is None), and returns it."""
+        sp, cursor, index, kept = self.space, self._cursor, self._index, self._kept
+        subset = sp.basic_subset
+        while True:
+            s = cursor.next_emission(limit)
+            if s == limit:
+                return None
+            hit = False
+            for nd in map(sp.decode, cursor.upto(s + 1)):
+                if not index.some_inside(nd):
+                    index.add(nd)
+                    kept.append((s, nd))
+                    hit = hit or d is not None and subset(nd, d)
+            if hit:
+                return s
+
 
 class PointName:
     """A point given by a sound enumeration of basic opens containing it.
@@ -674,7 +724,8 @@ class PointName:
     ``first_inside(d, limit)`` asks the name when it first lists a basic
     inside the basic d: the compact-base search asks it of each basic it
     may accept.  A name whose listing has a closed form answers from it
-    (see ``_LineSubspace.point_name``); the method here reads the listing.
+    (see ``_LineSubspace.point_name``); the method here asks an
+    :class:`InsideReader` of the name, built at the first question.
     """
 
     def __init__(self, space: Space, neighborhoods: MonotoneEnumerator[int],
@@ -682,38 +733,12 @@ class PointName:
         self.space = space
         self.neighborhoods = neighborhoods
         self.value = value
-        self._read = None   # cursor, inside index, informative (stage, basic)s
+        self._reader: InsideReader | None = None
 
     def first_inside(self, d, limit: int) -> int | None:
-        """The least stage below ``limit`` at which the name lists a basic
-        inside the basic d (by ``basic_subset``), or None; the answer
-        depends on (d, limit) only, whatever was asked before.
-
-        The name is read through one cursor, no further than that stage,
-        and its informative neighborhoods are kept with their stages: one
-        that an earlier neighborhood lies inside is never the first inside
-        d, so the kept ones are tested in stage order, once their index
-        says that one of them lies inside d."""
-        sp = self.space
-        if self._read is None:
-            self._read = (self.neighborhoods.cursor(), sp.basic_inside_index(), [])
-        cursor, index, kept = self._read
-        subset = sp.basic_subset
-        if index.some_inside(d):
-            s = next(s for s, nd in kept if subset(nd, d))
-            return s if s < limit else None
-        while True:
-            s = cursor.next_emission(limit)
-            if s == limit:
-                return None
-            hit = False
-            for nd in map(sp.decode, cursor.upto(s + 1)):
-                if not index.some_inside(nd):
-                    index.add(nd)
-                    kept.append((s, nd))
-                    hit = hit or subset(nd, d)
-            if hit:
-                return s
+        if self._reader is None:
+            self._reader = InsideReader(self.neighborhoods, self.space)
+        return self._reader.first_inside(d, limit)
 
     def __repr__(self) -> str:
         return f"<point {self.value!r} in {self.space.name}>"

@@ -49,10 +49,12 @@ from erctopo.sets import (
     compact_subset,
     member_open,
     open_from_fixture,
+    overt_from_cdesc,
     whole_open,
 )
 from erctopo.spaces import (
     CantorSpace,
+    InsideReader,
     LineSpace,
     PiecewiseSpace,
     PointName,
@@ -1206,28 +1208,48 @@ def test_compact_base_search_work_is_pinned():
     assert conversions[0] <= 500, conversions
 
 
+def _asks_first_inside(rng, label, sp, make_x, lane, codes, fuel):
+    """Asks ``first_inside`` about the basics of ``codes`` at shuffled
+    limits, in a shuffled order on one ``make_x()`` and once each on a
+    fresh one, against the first stage at which ``lane`` lists a basic
+    inside the asked one."""
+    x = make_x()
+    basics = [d for d in map(sp.decode, codes) if d is not None]
+    limits = [0, 1, 101, 160, 161, 300, 301, fuel, rng.randrange(fuel)]
+    asks = [(d, limit) for d in basics for limit in rng.sample(limits, 3)]
+    rng.shuffle(asks)
+    for d, limit in asks:
+        want = first_listed_inside(lane, sp, d, limit)
+        assert x.first_inside(d, limit) == want, (label, d, limit)
+    for d, limit in asks[:5]:
+        assert make_x().first_inside(d, limit) == first_listed_inside(lane, sp, d, limit)
+
+
 def test_first_inside_reads_what_the_name_lists():
     """On the point names of ``_skip_cases`` (hand-made ones, some that
     stall, Cantor, finite and rational names), ``first_inside`` gives the
     first stage at which the listing holds a basic inside the asked one,
     for the basics of the pairs the open swallows and of the name's own
     neighborhoods, asked at shuffled limits in a shuffled order on one
-    name, and once each on a fresh name."""
+    name, and once each on a fresh name.  So does the reader of an overt
+    name's hits, on the unit interval and Cantor space, for basics spread
+    over the system's listing and over the hits themselves."""
     rng = random.Random(25)
     for label, e, make_x, make_u, fuel in _skip_cases():
         fuel = min(fuel, 4000)
-        sp, x, lane = e.space, make_x(), make_x().neighborhoods
+        lane = make_x().neighborhoods
         codes = [n for n, _ in swallowed_pairs(e, make_u()).listing(fuel)[:30]]
         codes += lane.listing(fuel)[:10]
-        basics = [d for d in map(sp.decode, codes) if d is not None]
-        limits = [0, 1, 101, 160, 161, 300, 301, fuel, rng.randrange(fuel)]
-        asks = [(d, limit) for d in basics for limit in rng.sample(limits, 3)]
-        rng.shuffle(asks)
-        for d, limit in asks:
-            want = first_listed_inside(lane, sp, d, limit)
-            assert x.first_inside(d, limit) == want, (label, d, limit)
-        for d, limit in asks[:5]:
-            assert make_x().first_inside(d, limit) == first_listed_inside(lane, sp, d, limit)
+        _asks_first_inside(rng, label, e.space, make_x, lane, codes, fuel)
+    for label, e, pieces in (("ui-overt", _ui_ercs, [(F(0), F(1, 3)), (F(1, 2), F(1, 2))]),
+                             ("cantor-overt", _cantor_ercs, ["01", "110"])):
+        sp = e.space
+        cdesc = sp.make_cdesc(pieces)
+        lane = overt_from_cdesc(sp, cdesc).hits
+        codes = e.u_stream.listing(2000)[::20][:30] + lane.listing(2000)[::600]
+        _asks_first_inside(rng, label, sp,
+                           lambda sp=sp, cdesc=cdesc: InsideReader(overt_from_cdesc(sp, cdesc).hits, sp),
+                           lane, codes, 2000)
 
 
 def test_basis_search_equals_its_reference_twin():

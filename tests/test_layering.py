@@ -1,9 +1,11 @@
 """Layering guard: the consumers of spaces never branch on a space's type.
 
 Each space owns its calculus (see README, "each space owns its calculus"),
-so ``metric``, ``sets``, ``ercs`` and ``cli`` ask the space instead of
-testing which class it is.  ``registry`` and ``oracle`` construct spaces
-and are exempt.
+so ``metric``, ``sets``, ``ercs``, ``hyperspace`` and ``cli`` ask the space
+instead of testing which class it is.  ``registry`` and ``oracle``
+construct spaces and are exempt.  ``hyperspace`` asks when a listing of
+basics first lists one inside a basic through ``InsideReader`` only: it
+names neither ``basic_subset`` nor ``basic_inside_index``.
 
 The interval calculus reads no private slot of ``Fraction``: ends are
 converted with the public ``as_integer_ratio``.
@@ -25,7 +27,7 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "erctopo"
-CONSUMERS = ("metric.py", "sets.py", "ercs.py", "cli.py")
+CONSUMERS = ("metric.py", "sets.py", "ercs.py", "hyperspace.py", "cli.py")
 FORBIDDEN = {
     "_LineSubspace", "_IntervalSpaceBase", "LineSpace", "UnitIntervalSpace",
     "PiecewiseSpace", "CantorSpace", "StarSpace", "QhatSpace", "OracleSpace",
@@ -67,7 +69,10 @@ def _violations(source: str, forbidden=FORBIDDEN) -> list[str]:
 METRIC_FORBIDDEN = FORBIDDEN | {"fiv", "streams_bounds", "encode_interval", "FivUnion"}
 # the ercs instance systems ask the space for containment in a closure
 ERCS_FORBIDDEN = FORBIDDEN | {"fiv", "cfiv", "fiv_subset"}
-MODULE_FORBIDDEN = {"metric.py": METRIC_FORBIDDEN, "ercs.py": ERCS_FORBIDDEN}
+# the truth translation asks the inside-query of the one reader
+HYPERSPACE_FORBIDDEN = FORBIDDEN | {"basic_subset", "basic_inside_index"}
+MODULE_FORBIDDEN = {"metric.py": METRIC_FORBIDDEN, "ercs.py": ERCS_FORBIDDEN,
+                    "hyperspace.py": HYPERSPACE_FORBIDDEN}
 
 
 @pytest.mark.parametrize("module", CONSUMERS)
@@ -112,6 +117,18 @@ def r_step(space, dm, dk):
 '''
     assert len(_violations(reads, ERCS_FORBIDDEN)) == 4
     assert _violations(reads) == []
+
+
+def test_guard_catches_inside_scans_in_hyperspace():
+    scans = '''
+def entry(space, hits, d):
+    index = space.basic_inside_index()
+    for h in hits:
+        if space.basic_subset(space.decode(h), d):
+            return h
+'''
+    assert len(_violations(scans, HYPERSPACE_FORBIDDEN)) == 2
+    assert _violations(scans) == []
 
 
 SLOTS = ("_numerator", "_denominator")
