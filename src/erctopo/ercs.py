@@ -17,15 +17,22 @@ exception: the consistency refutation of the hyperspace
 (``hyperspace._RefuteMachine``) tests ``Ercs.covered`` against its own
 region of avoided basics, until it reads the pairs its avoided open
 swallows (ROADMAP.md, direction 11).
+
+The enumeration reads no pair itself.  It asks its system where the pairs
+its region swallows are (``Ercs.swallowed_from``): an interval system
+lists them in closed form on codes, any other system reads its
+containment and tests each patch.  The region changes only at a stage
+whose parts move it, and only there does the enumeration stop to ask
+again.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right, insort
-from heapq import heappop, heappush
+from heapq import heappop, heappush, merge
 from dataclasses import dataclass
 from functools import reduce
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .kernel import (
     Machine,
@@ -55,6 +62,13 @@ class Ercs:
     identifiers; ``r_stream`` enumerates pairs ``(n, kid)`` asserting that
     basic n is contained in patch kid.  Patch values and their exact
     descriptions are obtained per identifier and memoized.
+
+    ``swallowed_from(region, s, limit)`` tells where ``r_stream`` lists the
+    pairs a region swallows.  By default it reads ``r_stream`` and tests
+    each pair's patch with ``covered``; a system that knows them in closed
+    form passes ``swallowed``, a function of the same arguments that lists
+    the same stages (see :func:`interval_ercs`).  Only keys of patch
+    descriptions are kept here, nothing of a region or an open.
     """
 
     def __init__(self, space: Space,
@@ -62,13 +76,15 @@ class Ercs:
                  k_stream: MonotoneEnumerator[int],
                  r_stream: MonotoneEnumerator[tuple[int, int]],
                  compact_cdesc: Callable[[int], object],
-                 compact_value: Callable[[int], CompactSet] | None = None):
+                 compact_value: Callable[[int], CompactSet] | None = None,
+                 swallowed: Callable[[object, int, int], Iterator[tuple]] | None = None):
         self.space = space
         self.u_stream = u_stream
         self.k_stream = k_stream
         self.r_stream = r_stream
         self._cdesc_fn = compact_cdesc
         self._value_fn = compact_value
+        self._swallowed = swallowed
         self._values: dict[int, CompactSet] = {}
         self._cdescs: dict[int, object] = {}
         self._keys: dict[int, object] = {}   # kid -> region key of its description
@@ -103,6 +119,45 @@ class Ercs:
             cdesc = self._cdesc_fn(kid)
             key = self._keys[kid] = None if cdesc is None else region.key(cdesc)
         return None if key is None else region.covers(key)
+
+    def swallowed_from(self, region, s: int, limit: int) -> Iterator[tuple]:
+        """The stages g in [s, limit), in order, at which ``r_stream`` lists
+        a pair whose patch the region covers or has no description, each
+        as (g, those pairs in ``r_stream`` order, the set of the kids among
+        them without a description).  The first item is the first such
+        stage; a caller that reads on pays its setup once."""
+        if s >= limit:
+            return iter(())
+        if self._swallowed is not None:
+            return self._swallowed(region, s, limit)
+        return self._walk(region, s, limit)
+
+    def _walk(self, region, s: int, limit: int) -> Iterator[tuple]:
+        """``swallowed_from`` by reading ``r_stream`` from stage s, in
+        blocks that double from each stage found, and testing each patch
+        once with ``covered``."""
+        cursor, covered, fit = self.r_stream.cursor(), self.covered, {}
+        i, end, block = None, s, 64
+        while end < limit:
+            end, block = min(limit, end + block), 2 * block
+            marks, counts, items, _, n, _ = cursor.groups(end)
+            if i is None:
+                i = bisect_left(marks, s)
+            for i in range(i, n):
+                pairs, undescribed = [], ()
+                for pair_ in items[counts[i - 1] if i else 0:counts[i]]:
+                    kid = pair_[1]
+                    if kid not in fit:
+                        fit[kid] = covered(region, kid)
+                    if fit[kid] is None:
+                        undescribed = undescribed or set()
+                        undescribed.add(kid)
+                    if fit[kid] is not False:
+                        pairs.append(pair_)
+                if pairs:
+                    yield marks[i], pairs, undescribed
+                    block = 64
+            i = n
 
 
 # ---------------------------------------------------------------------------
@@ -157,18 +212,38 @@ class _Containment(MonotoneEnumerator[tuple[int, int]]):
         closure.upto(c_end)
         self._stage = stage
 
+    def quiescent(self, stage: int) -> bool:
+        # it never stalls: a reader that only asks, as the swallowed pairs
+        # of a closed form do, builds none of it
+        return False
+
+
+def _interval_swallowed(region, s: int, limit: int) -> Iterator[tuple]:
+    """``Ercs.swallowed_from`` of an interval system, in closed form: (k, k)
+    at stage 2k for each basic k whose patch the region covers, and
+    unpair(p) at stage 2p + 1 for each code p of ``closure_pairs`` whose
+    patch k it covers.  The region of a line subspace lists both on codes,
+    ascending (``covered_patches`` and ``covered_closure_pairs``), and
+    they are merged by stage."""
+    diagonal = ((2 * k, [(k, k)], ())
+                for k in region.covered_patches(s + 1 >> 1, limit + 1 >> 1))
+    closure = ((2 * p + 1, [unpair(p)], ())
+               for p in region.covered_closure_pairs(s >> 1, limit >> 1))
+    return merge(diagonal, closure)
+
 
 def interval_ercs(space) -> Ercs:
     """Basics are rational intervals; patches are their closures (clamped to
     the carrier); the diagonal pair is always formally contained, plus every
-    pair of the space's ``closure_pairs``."""
+    pair of the space's ``closure_pairs``.  The pairs a region swallows
+    come in closed form (:func:`_interval_swallowed`)."""
 
     def cdesc(kid: int):
         return space.make_cdesc([space.decode(kid)])
 
     basics = space.all_basics()
     return Ercs(space, basics, basics, _Containment(basics, space.closure_pairs()),
-                cdesc)
+                cdesc, swallowed=_interval_swallowed)
 
 
 def cantor_ercs(space) -> Ercs:
@@ -199,14 +274,17 @@ class _SwallowedPairs(MonotoneEnumerator[tuple[int, int]]):
     A patch is certified when the region of u's parts covers its
     description or, without one, when its own process
     ``compact_subset(e.compact_value(kid), u)`` accepts: one such process
-    is advanced per stage, round robin, and polled on its own fuel.  The
-    pairs of a patch not yet certified are parked under it; the parked
-    patches are tested again when the region grows, the advanced one when
-    its fuel does.  A stage lists its certified pairs in ``r_stream``
-    order, then the pairs of the patches certified again, in the order
-    the patches were first seen; each pair once.  The listing stalls once
-    u's parts and the pairs are quiescent and every process left has
-    stalled.
+    is advanced per stage, round robin, and polled on its own fuel, and
+    the pairs of its patch are parked until then.  The stream reads no
+    pair itself: it asks its system where the region's pairs are
+    (``Ercs.swallowed_from``).  A stage lists those pairs in ``r_stream``
+    order.  At a stage whose parts move the region it then lists the
+    pairs of each patch the region now covers, from the patch's first
+    pair on, the patches in the order ``r_stream`` first lists them: the
+    system is asked again, over the stages passed.  Last come the pairs of
+    a patch its process certifies.  Each pair is listed once.  The listing
+    stalls once u's parts and the pairs are quiescent and every process
+    left has stalled.
     """
 
     def __init__(self, e: Ercs, u: OpenSet):
@@ -214,73 +292,88 @@ class _SwallowedPairs(MonotoneEnumerator[tuple[int, int]]):
         self.e = e
         self._u = u
         self._parts = u.parts.cursor()
-        self._pairs = e.r_stream.cursor()
         self._region = e.space.region()
-        self._region_version = self._region.version
-        self._ok: set[int] = set()
+        self._ahead: list | None = None   # see _peek
+        self._emitted: set[tuple[int, int]] = set()
+        # the patches without a description
+        self._certified: set[int] = set()
         self._parked: dict[int, list[tuple[int, int]]] = {}  # kid -> its pairs
-        self._procs: dict[int, SemidecisionProcess] = {}   # kids without description
+        self._procs: dict[int, SemidecisionProcess] = {}
         self._fuel: dict[int, int] = {}
         self._live: list[int] = []   # uncertified kids with a process, in kid order
         self._turn = 0
-        self._emitted: set[tuple[int, int]] = set()
 
-    def _take(self, pairs, i: int, c: int, out: list) -> int:
-        """Takes ``pairs[i:c]`` in order up to the first that is listed or
-        that starts a patch process, and returns the index after it (c if
-        there is none).  A pair of a certified patch is listed in ``out``,
-        one of a parked patch parked; a fresh patch is tested against the
-        region, and gets its process when it has no description."""
-        ok, parked, covered, region = self._ok, self._parked, self.e.covered, self._region
-        while i < c:
-            pair_ = pairs[i]
-            i += 1
-            kid = pair_[1]
-            if kid in ok:
-                out.append(pair_)
-                return i
-            if kid in parked:
-                parked[kid].append(pair_)
-                continue
-            fits = covered(region, kid)
-            if fits:
-                ok.add(kid)
-                out.append(pair_)
-                return i
-            parked[kid] = [pair_]
-            if fits is None:
-                self._procs[kid] = compact_subset(self.e.compact_value(kid), self._u)
-                self._fuel[kid] = 0
-                insort(self._live, kid)
-                return i
-        return c
+    def _add_parts(self, t: int) -> bool:
+        """Adds the parts of stage t to the region; whether they moved it."""
+        region, decode = self._region, self.e.space.decode
+        version = region.version
+        for p in self._parts.upto(t + 1):
+            region.add(decode(p))
+        return region.version != version
 
-    def _certifies(self, kid: int) -> bool:
-        proc = self._procs.get(kid)
-        if proc is None:
-            return self.e.covered(self._region, kid)
-        return proc.poll(self._fuel[kid]) is not None
+    def _now_covered(self, t: int) -> dict[int, list[tuple[int, int]]]:
+        """The described patches with a pair before stage t that the
+        region covers and that is not listed, each with those pairs, in the
+        order ``r_stream`` first lists them.  Right after the region moved,
+        they are the patches it newly covers."""
+        out: dict[int, list[tuple[int, int]]] = {}
+        emitted = self._emitted
+        for _, pairs, undescribed in self.e.swallowed_from(self._region, 0, t):
+            for pair_ in pairs:
+                if pair_[1] not in undescribed and pair_ not in emitted:
+                    out.setdefault(pair_[1], []).append(pair_)
+        return out
 
-    def _certify(self, kid: int, out: list) -> None:
-        self._ok.add(kid)
-        out.extend(self._parked.pop(kid))
-        if kid in self._procs:
+    def _take(self, pair_: tuple[int, int], undescribed, out: list) -> None:
+        """Lists a pair the region swallows, or that of a certified patch
+        without description; parks one of a patch still uncertified, and
+        starts the process of a fresh one."""
+        kid = pair_[1]
+        if kid not in undescribed or kid in self._certified:
+            out.append(pair_)
+        elif kid in self._parked:
+            self._parked[kid].append(pair_)
+        else:
+            self._parked[kid] = [pair_]
+            self._procs[kid] = compact_subset(self.e.compact_value(kid), self._u)
+            self._fuel[kid] = 0
+            insort(self._live, kid)
+
+    def _turn_process(self, out: list) -> None:
+        """Advances one patch process and, when it certifies its patch,
+        lists the parked pairs."""
+        kid = self._live[self._turn % len(self._live)]
+        self._turn += 1
+        self._fuel[kid] += 1
+        if self._procs[kid].poll(self._fuel[kid]) is not None:
+            self._certified.add(kid)
+            out.extend(self._parked.pop(kid))
             self._live.remove(kid)
 
-    def _retry(self, out: list) -> None:
-        """Advances one patch process; tests every parked patch again when
-        the region grew, else the advanced one."""
-        advanced = None
+    def _apply(self, t: int, moved: bool, peeked: tuple | None = None) -> list:
+        """Applies stage t, its parts added (``moved``: they moved the
+        region): its pairs that the region swallows (from ``peeked``, the
+        ``_peek`` at t, when the system was asked already), the pairs of
+        the patches the region now covers, then one process turn.  Returns
+        the pairs it lists."""
+        out: list = []
+        newly = self._now_covered(t) if moved else {}
+        if peeked is None:
+            found = next(self.e.swallowed_from(self._region, t, t + 1), None)
+        else:
+            g, found = peeked
+            found = found if g == t else None
+        _, pairs, undescribed = found or (t, (), ())
+        for pair_ in pairs:
+            if pair_[1] in newly:
+                newly[pair_[1]].append(pair_)
+            else:
+                self._take(pair_, undescribed, out)
+        for kid_pairs in newly.values():
+            out.extend(kid_pairs)
         if self._live:
-            advanced = self._live[self._turn % len(self._live)]
-            self._turn += 1
-            self._fuel[advanced] += 1
-        if self._region.version != self._region_version:
-            self._region_version = self._region.version
-            for kid in [kid for kid in self._parked if self._certifies(kid)]:
-                self._certify(kid, out)
-        elif advanced is not None and self._certifies(advanced):
-            self._certify(advanced, out)
+            self._turn_process(out)
+        return self._listed(out)
 
     def _listed(self, out: list) -> list:
         """The pairs of ``out`` not listed before."""
@@ -298,65 +391,71 @@ class _SwallowedPairs(MonotoneEnumerator[tuple[int, int]]):
             self._counts.append(len(self._items))
 
     def step(self, t: int):
-        """Applies stage t: its parts join the region, its pairs are taken,
-        then the retries; returns the pairs it lists."""
-        for p in self._parts.upto(t + 1):
-            self._region.add(self.e.space.decode(p))
-        out: list = []
-        pairs, i = self._pairs.upto(t + 1), 0
-        while i < len(pairs):
-            i = self._take(pairs, i, len(pairs), out)
-        self._retry(out)
-        if (self._parts.quiescent(t + 1) and self._pairs.quiescent(t + 1)
+        """Applies stage t: its parts join the region, then ``_apply``; the
+        listing stalls there when it can."""
+        new = self._apply(t, self._add_parts(t))
+        if (self.e.r_stream.quiescent(t + 1) and self._parts.quiescent(t + 1)
                 and all(self._procs[kid].stalled for kid in self._live)):
             self.stall()
-        return self._listed(out)
+        return new
 
-    def _run(self, end: int, to_emission: bool) -> None:
-        """Applies the stages below ``end``, before which no part arrives
-        and the pairs are not quiescent, so that none stalls, in one loop
-        over the groups of ``r_stream`` against the unchanged region; stops
-        after a stage that starts a patch process, or, with
-        ``to_emission``, after one that lists a pair."""
-        marks, counts, items, m, last, a = self._pairs.groups(end)
-        self._stage = s = end
-        if m == last:
+    def _peek(self, t: int, stage: int) -> tuple[int, tuple | None]:
+        """(g, item): the next stage g at or after t at which the system
+        lists pairs the region swallows, with its item (g, pairs,
+        undescribed); or, with None, a stage g > t below which it lists
+        none.  The system's listing, asked up to twice as far as the stages
+        passed or up to ``stage``, is read on while the region stands."""
+        version = self._region.version
+        if self._ahead is not None and self._ahead[0] == version:
+            _, listing, horizon, item = self._ahead
+            while item is not None and item[0] < t:
+                item = self._ahead[3] = next(listing, None)
+            if item is not None:
+                return item[0], item
+            if t < horizon:
+                return horizon, None
+        horizon = max(stage, 2 * t + 64)
+        listing = self.e.swallowed_from(self._region, t, horizon)
+        item = next(listing, None)
+        self._ahead = [version, listing, horizon, item]
+        return (horizon, None) if item is None else (item[0], item)
+
+    def _run(self, t: int, stage: int) -> None:
+        """Applies the stages from t, while no patch process runs, up to the
+        first that lists a pair or whose parts move the region, else up to
+        ``stage``: stage t's parts are added first, then the next stage g
+        whose pairs the region swallows is peeked and u's parts are read up
+        to it.  Where the pairs may stall first, stage t is stepped."""
+        if self._parts.next_emission(t + 1) == t and self._add_parts(t):
+            self._stage = t + 1
+            self._record(t, self._apply(t, True, self._peek(t, stage)))
             return
-        take, out, top = self._take, [], counts[last - 1]
-        while a < top:
-            a = take(items, a, top, out)
-            if not (out or self._live):
-                break
-            # the stage of the pair just taken: take the rest of its pairs
-            m = bisect_left(counts, a, m, last)
-            g, c = marks[m], counts[m]
-            while a < c:
-                a = take(items, a, c, out)
-            m += 1
-            stop = bool(self._live)
-            if stop:   # the new process advances at g, as step would
-                self._retry(out)
-            new = self._listed(out)
-            self._record(g, new)
-            out = []
-            if stop or (to_emission and new):
-                s = g + 1
-                break
-        self._pairs.upto(s)
-        self._stage = s
+        g, found = self._peek(t, stage)
+        end = min(g + 1 if found else g, stage)
+        if self.e.r_stream.quiescent(end):
+            self._stage = t + 1
+            self._record(t, self.step(t))
+            return
+        while (c := self._parts.next_emission(end)) < end:
+            if self._add_parts(c):
+                self._stage = c + 1
+                self._record(c, self._apply(c, True, self._peek(c, stage)))
+                return
+        self._stage = end
+        if found and g < stage:
+            self._record(g, self._apply(g, False, (g, found)))
 
     def advance(self, stage: int, to_emission: bool = False) -> None:
-        """Runs the stages before the next part of u in one loop; steps a
-        part's stage, and every stage while a patch process runs."""
+        """Applies the stages below ``stage`` in turns of ``_run``; steps
+        every stage while a patch process runs."""
         marks = self._marks
         while self._stage < stage and not self._stalled:
             t = self._stage
-            end = t if self._live else self._parts.next_emission(stage)
-            if end > t and not self._pairs.quiescent(end):
-                self._run(end, to_emission)
-            else:
+            if self._live:
                 self._stage = t + 1
                 self._record(t, self.step(t))
+            else:
+                self._run(t, stage)
             if to_emission and marks and marks[-1] == self._stage - 1:
                 return
 

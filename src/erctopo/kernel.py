@@ -31,7 +31,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from math import isqrt
-from typing import Callable, Generic, Sequence, TypeVar
+from typing import Callable, Generic, Iterator, Sequence, TypeVar
 
 T = TypeVar("T")
 
@@ -558,6 +558,54 @@ def pair_lane(left: Callable[[int], bool], right: Callable[[int], bool],
     | left(s)``; only they are joined.  The lane's work grows with its
     candidates and diagonals, not with its stages."""
     return _PairLane(left, right, join, seeds)
+
+
+def pair_codes(left_bits: Callable[[int, int], int], right_bits: Callable[[int, int], int],
+               join: Callable[[int, int], bool], lo: int, hi: int) -> Iterator[int]:
+    """The codes t = pair(i, j) in [lo, hi), ascending, whose halves pass:
+    bit i of the left bits, bit j of the right bits, then ``join(i, j)``.
+    ``left_bits(a, b)`` gives the bits of the i in [a, b),
+    bit i - a for i, and so does ``right_bits``; they are asked for blocks
+    that double as the diagonals grow.
+
+    These are the items of ``pair_lane(left, right, join)`` from the code
+    lo on, found without the walk from code 0: the masks of the diagonal
+    of lo come from one read of each, and each later diagonal adds one
+    bit to each, as in the lane.  A range much shorter than its diagonal
+    is tested code by code."""
+    if lo >= hi:
+        return
+    s = (isqrt(8 * lo + 1) - 1) >> 1   # the diagonal of lo
+    if (hi - lo) << 4 < s:
+        for t in range(lo, hi):
+            i, j = unpair(t)
+            if left_bits(i, i + 1) and right_bits(j, j + 1) and join(i, j):
+                yield t
+        return
+    base = s * (s + 1) >> 1
+    held = s + 1   # bits held: of 0 .. held - 1
+    lbits, rmask = left_bits(0, held), right_bits(0, held)
+    lmask = int(format(lbits, f"0{held}b")[::-1], 2)   # bit j: left(s - j)
+    c = lmask & rmask & -(1 << lo - base)
+    while True:
+        while c:
+            low = c & -c
+            c ^= low
+            j = low.bit_length() - 1
+            if base + j >= hi:
+                return
+            if join(s - j, j):
+                yield base + j
+        s += 1
+        base += s
+        if base >= hi:
+            return
+        if s == held:
+            lbits |= left_bits(held, 2 * held) << held
+            rmask |= right_bits(held, 2 * held) << held
+            held *= 2
+        lmask = lmask << 1 | lbits >> s & 1
+        c = lmask & rmask
 
 
 class _Interleave(MonotoneEnumerator[T]):

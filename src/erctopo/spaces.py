@@ -16,10 +16,11 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import partial
+from heapq import merge
 from itertools import chain, zip_longest
 from math import gcd, isqrt
 from operator import add, is_not, sub
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .kernel import (
     MonotoneEnumerator,
@@ -28,6 +29,7 @@ from .kernel import (
     enumerate_step,
     filter_lane,
     pair,
+    pair_codes,
     pair_lane,
     slot_stage,
     unpair,
@@ -129,6 +131,12 @@ def encode_rational(q: Fraction) -> int:
     return pair(zigzag_inv(q.numerator), q.denominator - 1)
 
 
+def _rational_code(num: int, den: int) -> int:
+    """encode_rational(num / den), den > 0, with no Fraction built."""
+    g = gcd(num, den)
+    return pair(zigzag_inv(num // g), den // g - 1)
+
+
 # Entry i is decode_rational(i) as (numerator, denominator), not always in
 # lowest terms: the end tests of the diagonal lanes read the ends of
 # interval codes here, one table for every lane, grown as they reach
@@ -149,6 +157,24 @@ def _ends_ordered(i: int, j: int) -> bool:
     the table: the join of the diagonal lanes of interval codes."""
     (an, ad), (bn, bd) = _ENDS[i], _ENDS[j]
     return an * bd < bn * ad
+
+
+def _end_mask(lo: int, hi: int, bound: tuple[int, int] | None, closed: int,
+              below: bool) -> int:
+    """Bit x - lo, for each code x in [lo, hi), set when the rational end
+    of code x lies below the bound (above it, when ``below`` is False), or
+    at it when ``closed`` is 1; every bit when the bound is None.  The
+    masks of :func:`pair_codes` on end codes."""
+    if bound is None:
+        return (1 << hi - lo) - 1
+    _end(hi - 1)
+    bn, bd = bound
+    ends = _ENDS[hi - 1:lo - 1:-1] if lo else _ENDS[hi - 1::-1]
+    if below:
+        bits = ["1" if n * bd - bn * d < closed else "0" for n, d in ends]
+    else:
+        bits = ["1" if bn * d - n * bd < closed else "0" for n, d in ends]
+    return int("".join(bits), 2)
 
 
 _new_object = object.__new__
@@ -827,6 +853,13 @@ class _LineSubspace(Space):
     # carrier has gaps, where an interval meeting its hull may miss it.
     _hull: tuple[tuple[int, int] | None, tuple[int, int] | None] = (None, None)
     _gaps = False
+    # The open intervals (lo, hi) of the line outside the carrier, in order,
+    # an end None where there is none; decode's test that joins the end
+    # codes i and j of a basic (each subclass sets it); and the join of
+    # closure_pairs on codes (m, k), None where it lists nothing.
+    _outside: tuple[tuple[tuple[int, int] | None, tuple[int, int] | None], ...] = ()
+    _basic_join: Callable[[int, int], bool]
+    _closure_join: Callable[[int, int], bool] | None = None
 
     def __init__(self) -> None:
         # a subclass sets _hull and _gaps first: the metric reads them
@@ -970,8 +1003,12 @@ class _LineSubspace(Space):
         a, b = d
         if slot == 0:
             return encode_interval(a, b)
-        delta = (b - a) / 2 ** (slot + 2)
-        return encode_interval(a + delta, b - delta)
+        # (a + w, b - w), w = (b - a) / 2**(slot + 2), over the denominator
+        # ad * bd << slot + 2: integers, with one gcd per end
+        an, ad, bn, bd = a.numerator, a.denominator, b.numerator, b.denominator
+        den, w = ad * bd << slot + 2, bn * ad - an * bd
+        return pair(_rational_code((an * bd << slot + 2) + w, den),
+                    _rational_code((bn * ad << slot + 2) - w, den))
 
     def complement_gaps(self, cdesc, slot: int) -> list[int]:
         width = Fraction(2 ** slot)
@@ -1520,6 +1557,67 @@ class _TraceRegion(Region):
                 return False
         return True
 
+    # The patches the union U covers, on codes.  The patch of a basic (a, b)
+    # is [a, b] clipped to the carrier (make_cdesc([(a, b)])), and it lies
+    # in U exactly when [a, b] lies in one stretch: a component of U joined
+    # with the parts of the line outside the carrier that touch it.  So a
+    # code pair(i, j) is covered exactly when, for one stretch, the end of
+    # code i lies in it from the left and that of j from the right, joined
+    # by decode's own tests: a pair lane of masks on end codes.
+
+    def _stretches(self) -> list[tuple]:
+        """(lo, hi, lo_open, hi_open) for each stretch, in order; an end is
+        (numerator, denominator), or None where the stretch has none."""
+        gaps = self.space._outside
+        out: list[list] = []
+        for ln, ld, lf, hn, hd, hf in self.union._parts:
+            # the gaps joined on the left and on the right, by position
+            left = next((g for g, (_, e) in enumerate(gaps) if not lf and e == (ln, ld)), None)
+            right = next((g for g, (e, _) in enumerate(gaps) if not hf and e == (hn, hd)), None)
+            lo, lo_open = ((ln, ld), lf) if left is None else (gaps[left][0], 1)
+            hi, hi_open = ((hn, hd), hf) if right is None else (gaps[right][1], 1)
+            if out and left is not None and out[-1][4] == left:   # one gap joins them
+                out[-1][1], out[-1][3], out[-1][4] = hi, hi_open, right
+            else:
+                out.append([lo, hi, lo_open, hi_open, right])
+        return [tuple(s[:4]) for s in out]
+
+    def covered_patches(self, lo: int, hi: int) -> Iterator[int]:
+        """The codes k in [lo, hi), ascending, of the basics whose patch,
+        the closure ``make_cdesc([decode(k)])``, the region covers."""
+        sp = self.space
+        h_lo, h_hi = sp._hull
+        lanes = []
+        for s_lo, s_hi, s_lf, s_hf in self._stretches():
+            # with a < b, a lies below the stretch's right end and b above
+            # its left end too: nearly every candidate joins
+            def left(a, b, s_lo=s_lo, s_hi=s_hi, closed=1 - s_lf):
+                return (_end_mask(a, b, s_lo, closed, False) & _end_mask(a, b, s_hi, 0, True)
+                        & _end_mask(a, b, h_hi, 0, True))
+
+            def right(a, b, s_lo=s_lo, s_hi=s_hi, closed=1 - s_hf):
+                return (_end_mask(a, b, s_hi, closed, True) & _end_mask(a, b, s_lo, 0, False)
+                        & _end_mask(a, b, h_lo, 0, False))
+
+            lanes.append(pair_codes(left, right, sp._basic_join, lo, hi))
+        return merge(*lanes)
+
+    def covered_closure_pairs(self, lo: int, hi: int) -> Iterator[int]:
+        """The codes p = pair(m, k) in [lo, hi), ascending, that the space's
+        ``closure_pairs`` lists, with the patch of k covered.  The patch of
+        m then lies in k's, so both halves are covered patches."""
+        join = self.space._closure_join
+        if join is None:
+            return iter(())
+        held: dict[tuple[int, int], int] = {}
+
+        def covered(a: int, b: int) -> int:
+            if (a, b) not in held:
+                held[a, b] = sum(1 << k - a for k in self.covered_patches(a, b))
+            return held[a, b]
+
+        return pair_codes(covered, covered, join, lo, hi)
+
 
 class _IntervalSpaceBase(_LineSubspace):
     """The line or a closed interval of it: every trace is the single
@@ -1529,9 +1627,13 @@ class _IntervalSpaceBase(_LineSubspace):
     lo_bound: Fraction | None = None  # the carrier's ends, read into _hull
     hi_bound: Fraction | None = None
 
+    _basic_join = staticmethod(_ends_ordered)
+
     def __init__(self) -> None:
-        self._hull = tuple(None if e is None else e.as_integer_ratio()
-                           for e in (self.lo_bound, self.hi_bound))
+        self._hull = lo, hi = tuple(None if e is None else e.as_integer_ratio()
+                                    for e in (self.lo_bound, self.hi_bound))
+        self._outside = (((None, lo),) if lo else ()) + (((hi, None),) if hi else ())
+        self._clamped_ends: list[tuple[int, int, int, int]] = []
         super().__init__()
 
     def subset_lane(self, desc, seeds) -> MonotoneEnumerator[int]:
@@ -1575,26 +1677,33 @@ class _IntervalSpaceBase(_LineSubspace):
         return pair_lane(left, right, _ends_ordered)
 
     def closure_pairs(self) -> MonotoneEnumerator[int]:
-        # The closure of the trace of (a, b) is cfiv((a, b)), and
-        # fiv_subset(fiv(dm), cfiv(dk)) compares values only, as the
-        # closure holds its ends: m lies in it exactly when the ends of
-        # cfiv(dk) lie outside those of cfiv(dm), equal ends included.
-        # Each code's cfiv is kept, None for an invalid code; the codes m
-        # and k of p = pair(m, k) are at most about the square root of 2p.
-        clamped: list[Fiv | None] = []
-
         def valid(c: int) -> bool:
-            while len(clamped) <= c:
-                d = self.decode(len(clamped))
-                clamped.append(None if d is None else self.cfiv(d))
-            return clamped[c] is not None
+            return self.decode(c) is not None
 
-        def join(m: int, k: int) -> bool:
-            man, mad, _, mbn, mbd, _ = clamped[m]
-            kan, kad, _, kbn, kbd, _ = clamped[k]
-            return kan * mad <= man * kad and mbn * kbd <= kbn * mbd
+        return pair_lane(valid, valid, self._closure_join)
 
-        return pair_lane(valid, valid, join)
+    def _closure_join(self, m: int, k: int) -> bool:
+        """Whether the basic m lies in the closure of the trace of the basic
+        k, both valid codes.  That closure is [a, b] clamped to the carrier,
+        cfiv((a, b)), and fiv_subset(fiv(dm), cfiv(dk)) compares values
+        only, as the closure holds its ends: it holds exactly when the
+        clamped ends of k lie outside those of m, equal ends included.  The
+        clamped ends of each code are kept; the codes m and k of a closure
+        pair p = pair(m, k) are at most about the square root of 2p."""
+        ends = self._clamped_ends
+        while len(ends) <= max(m, k):
+            i, j = unpair(len(ends))
+            _end(max(i, j))
+            (an, ad), (bn, bd) = _ENDS[i], _ENDS[j]
+            lo, hi = self._hull
+            if lo is not None and an * lo[1] < lo[0] * ad:
+                an, ad = lo
+            if hi is not None and bn * hi[1] > hi[0] * bd:
+                bn, bd = hi
+            ends.append((an, ad, bn, bd))
+        man, mad, mbn, mbd = ends[m]
+        kan, kad, kbn, kbd = ends[k]
+        return kan * mad <= man * kad and mbn * kbd <= kbn * mbd
 
     def fiv(self, d, open_ends: int = 1) -> Fiv:
         """The trace of the open interval d: its ends, each clamped to the
@@ -1779,8 +1888,22 @@ class PiecewiseSpace(_LineSubspace):
         self._hull = (self.pieces[0][0].as_integer_ratio(),
                       max(q for _, q in self.pieces).as_integer_ratio())
         self._gaps = len(self.pieces) > 1
+        runs: list[list[Fraction]] = []   # the pieces merged where they meet
+        for p, q in self.pieces:
+            if runs and p <= runs[-1][1]:
+                runs[-1][1] = max(runs[-1][1], q)
+            else:
+                runs.append([p, q])
+        ends = [None] + [e.as_integer_ratio() for run in runs for e in run] + [None]
+        self._outside = tuple(zip(ends[::2], ends[1::2]))
         super().__init__()
         self.whole_compact_desc = self.make_cdesc(self.pieces)
+
+    def _basic_join(self, i: int, j: int) -> bool:
+        # a < b, and (a, b) meets the carrier: a < q and p < b for a piece
+        (an, ad), (bn, bd) = _ENDS[i], _ENDS[j]
+        return an * bd < bn * ad and any(an * qd < qn * ad and pn * bd < bn * pd
+                                         for pn, pd, _, qn, qd, _ in self._carrier)
 
     def in_carrier(self, x: Fraction) -> bool:
         return any(p <= x <= q for p, q in self.pieces)

@@ -14,7 +14,9 @@ from erctopo.ercs import (
     BasisWitness,
     Ercs,
     _BasisSearch,
+    _Containment,
     _SwallowedPairs,
+    _interval_swallowed,
     basis_search,
     check_main_property,
     compact_base,
@@ -385,21 +387,29 @@ def test_open_subspace_ercs_listing_is_pinned():
 
 # -- the pairs an open swallows ------------------------------------------------------
 
-# stages at which the listings are compared, around the late open's stage 300
-_SWALLOW_STAGES = (1, 2, 3, 5, 8, 20, 64, 150, 300, 301, 302, 700, 1500)
+# stages at which the listings are compared, around the late open's stage
+# 300 and the growing open's stages 200 and 500
+_SWALLOW_STAGES = (1, 2, 3, 5, 8, 20, 64, 150, 200, 201, 300, 301, 302, 500, 501,
+                   700, 1500)
 
 
 def _swallow_cases():
     """(label, system, open): fixture opens on the line, the unit interval
-    and Cantor space, and an open whose only part arrives at stage 300."""
+    and Cantor space, an open whose only part arrives at stage 300, and
+    one whose parts (0, 1), (2, 3) and (1/2, 5/2) arrive at stages 0, 200
+    and 500: two components, then one."""
     late = OpenSet(_line, enumerate_step(
         lambda t: (encode_interval(F(-2), F(2)),) if t == 300 else ()), label="late")
+    parts = {0: (F(0), F(1)), 200: (F(2), F(3)), 500: (F(1, 2), F(5, 2))}
+    grows = OpenSet(_line, enumerate_step(
+        lambda t: (encode_interval(*parts[t]),) if t in parts else ()), label="grows")
     return [("line:(0,1)", interval_ercs(_line), open_from_fixture(_line, (F(0), F(1)))),
             ("ui:(1/4,3/4)", interval_ercs(_ui), open_from_fixture(_ui, (F(1, 4), F(3, 4)))),
             ("ui:(-1,2)", interval_ercs(_ui), open_from_fixture(_ui, (F(-1), F(2)))),
             ("cantor:01", cantor_ercs(_cantor), open_from_fixture(_cantor, "01")),
-            ("cantor:e", cantor_ercs(_cantor), open_from_fixture(_cantor, ""))
-            ] + [("line:late", interval_ercs(_line), late)]
+            ("cantor:e", cantor_ercs(_cantor), open_from_fixture(_cantor, "")),
+            ("line:late", interval_ercs(_line), late),
+            ("line:grows", interval_ercs(_line), grows)]
 
 
 def _certified_by(e, u, stage: int) -> set:
@@ -442,6 +452,52 @@ def test_swallowed_pairs_are_complete():
     assert emitted > 100
 
 
+def _parking_walk(e: Ercs, u: OpenSet, stages: int) -> list:
+    """(stage, pair) for each pair the open swallows by ``stages``, as the
+    stream listed them while it walked r_stream: a stage's parts join the
+    region, its pairs are taken in r_stream order, a covered patch's pair
+    listed and that of a patch not covered parked under it, and when the
+    region moved the parked patches it now covers are released in the order
+    they were first parked; each pair once."""
+    region, parts, pairs = e.space.region(), u.parts.cursor(), e.r_stream.cursor()
+    covered, parked, listed, out = set(), {}, set(), []
+    for t in range(stages):
+        version = region.version
+        for p in parts.upto(t + 1):
+            region.add(e.space.decode(p))
+        new = []
+        for pair_ in pairs.upto(t + 1):
+            kid = pair_[1]
+            if kid in covered:
+                new.append(pair_)
+            elif kid in parked:
+                parked[kid].append(pair_)
+            elif region.covers_cdesc(e.compact_cdesc(kid)):
+                covered.add(kid)
+                new.append(pair_)
+            else:
+                parked[kid] = [pair_]
+        if region.version != version:
+            for kid in [kid for kid in parked if region.covers_cdesc(e.compact_cdesc(kid))]:
+                covered.add(kid)
+                new += parked.pop(kid)
+        out += [(t, pair_) for pair_ in new if pair_ not in listed and not listed.add(pair_)]
+    return out
+
+
+def test_swallowed_pairs_equal_the_walk_that_parked():
+    """The stream lists what the walk that parked uncovered patches listed,
+    stage and order included, on every swallow case: after a late region
+    change (line:late) and after one that adds a component and one that
+    merges two (line:grows), the patches released come in the order r_stream
+    first listed them."""
+    for label, e, u in _swallow_cases():
+        stream = swallowed_pairs(e, u)
+        listing = stream.listing(_SWALLOW_STAGES[-1])
+        got = [(stream.stage_of(i), pair_) for i, pair_ in enumerate(listing)]
+        assert got == _parking_walk(e, u, _SWALLOW_STAGES[-1]), label
+
+
 class _SteppedSwallowed(_SwallowedPairs):
     """The pairs an open swallows, with every stage stepped: the twin of
     the run-based ``advance``."""
@@ -482,11 +538,12 @@ swallow_reads = st.lists(st.tuples(st.sampled_from(["upto", "next", "groups", "q
 
 
 @settings(max_examples=60, deadline=None, database=None, derandomize=True)
-@given(st.integers(0, 8), swallow_reads)
-@example(6, [("emission", 0), ("next", 400), ("groups", 30), ("emission", 200)])
-@example(8, [("emission", 50), ("next", 60), ("emission", 1), ("upto", 100)])
-@example(7, [("next", 2), ("quiescent", 5), ("emission", 0), ("upto", 40)])
+@given(st.integers(0, 9), swallow_reads)
+@example(7, [("emission", 0), ("next", 400), ("groups", 30), ("emission", 200)])
+@example(9, [("emission", 50), ("next", 60), ("emission", 1), ("upto", 100)])
+@example(8, [("next", 2), ("quiescent", 5), ("emission", 0), ("upto", 40)])
 @example(5, [("emission", 250), ("next", 60), ("listing", 1)])
+@example(6, [("emission", 150), ("next", 60), ("emission", 290), ("upto", 100)])
 def test_swallowed_pairs_equal_their_stepped_twin(case, reads):
     """The run-based listing of the pairs an open swallows equals the
     listing that steps every stage, under every kind of read: items,
@@ -514,6 +571,62 @@ def test_swallowed_pairs_equal_their_stepped_twin(case, reads):
             ref.advance(s, True)
         assert ((_below(lane, lane._stage), lane._stage, lane.stalled)
                 == (_below(ref, ref._stage), ref._stage, ref.stalled)), (label, how, s)
+
+
+def _walking(e: Ercs) -> Ercs:
+    """The system e without its closed form: its hook walks r_stream."""
+    return Ercs(e.space, e.u_stream, e.k_stream, e.r_stream, e.compact_cdesc, e.compact_value)
+
+
+def _swallowed(e: Ercs, region, s: int, limit: int) -> list:
+    return [(g, list(pairs), set(undescribed))
+            for g, pairs, undescribed in e.swallowed_from(region, s, limit)]
+
+
+def _gap_ercs() -> Ercs:
+    """interval_ercs of a carrier with a gap, [0, 1/3] and [1/2, 1], built
+    here: its containment has only the diagonal pairs, from the empty
+    closure lane of the Space default, which the suite never calls
+    (``EXEMPT`` in tests/never_called.py)."""
+    gap = PiecewiseSpace([(0, F(1, 3)), (F(1, 2), 1)], name="gap")
+    basics = gap.all_basics()
+    return Ercs(gap, basics, basics, _Containment(basics, enumerate_list(())),
+                lambda kid: gap.make_cdesc([gap.decode(kid)]), swallowed=_interval_swallowed)
+
+
+_HOOK_SYSTEMS = (lambda: interval_ercs(_line), lambda: interval_ercs(_ui), _gap_ercs)
+_hook_systems = [make() for make in _HOOK_SYSTEMS]   # asked across examples
+_hook_parts = st.lists(st.tuples(st.integers(-6, 14), st.integers(1, 12), st.sampled_from([1, 2, 3, 4, 8]))
+                       .map(lambda t: (F(t[0], t[2]), F(t[0] + t[1], t[2]))), min_size=1, max_size=4)
+_hook_ranges = st.lists(st.tuples(st.integers(0, 3000), st.integers(0, 600)), min_size=1, max_size=6)
+
+
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(st.integers(0, 2), _hook_parts, _hook_ranges)
+@example(1, [(F(-1, 2), F(1, 4)), (F(3, 4), F(2))], [(0, 600), (2000, 500), (9, 1)])
+@example(2, [(F(1, 4), F(2, 3)), (F(-1), F(1, 8))], [(1500, 600), (0, 600)])
+@example(0, [(F(0), F(1)), (F(2), F(3)), (F(-3), F(-1))], [(500, 600), (0, 600), (2047, 1)])
+def test_swallowed_closed_form_equals_the_walk(which, parts, ranges):
+    """The pairs a region swallows, in closed form on an interval system,
+    are the walk's, which tests each pair of r_stream with one covered
+    test: the same stages, pairs and order, over regions of one component
+    or several, clamped at the ends of the unit interval, and joined across
+    the gap of a two-piece carrier, at shuffled ranges; asked of a system
+    that answered other asks before, and of a fresh one."""
+    shared = _hook_systems[which]
+    sp = shared.space
+    region = sp.region()
+    for part in parts:
+        d = sp.decode(encode_interval(*part))
+        if d is not None:
+            region.add(d)
+    walk = _walking(shared)
+    for s, length in ranges:
+        want = _swallowed(walk, region, s, s + length)
+        assert _swallowed(shared, region, s, s + length) == want, (sp.name, parts, s, length)
+    s, length = ranges[0]
+    fresh = _HOOK_SYSTEMS[which]()
+    assert _swallowed(fresh, region, s, s + length) == _swallowed(walk, region, s, s + length)
 
 
 def test_open_subspace_certifies_patches_without_description():
@@ -1172,13 +1285,20 @@ def test_compact_base_search_work_is_pinned():
     """Work pins of the x = 1 search inside (3/4, 5/4), run a second time
     on a warm line system.  The search asks the point's name when it first
     lists a basic inside each pair's basic, and reads none of it: no
-    cursor of the name is built.  Measured: 20 asks of the swallowed pairs
-    for their next emission and 354 ``Fraction.as_integer_ratio`` calls
-    (11,598 while the search decoded and index-tested every neighborhood
-    of the name, and 35,910 while it also turned once per emission of the
-    name and the region converted each patch's ends at each coverage
-    test).  The bound on the asks has a margin of 50% over its count, the
-    one on the conversions 40%."""
+    cursor of the name is built.  Its stream asks the system where the
+    region's pairs are, and tests no patch with ``Ercs.covered`` after the
+    region's last change (it made one such test per fresh patch, 12,156 in
+    all, while it walked r_stream).  Measured: 20 asks of the swallowed
+    pairs for their next emission, 2 asks of the system's closed form
+    (``Ercs.swallowed_from``, one of them over no stage) with 20 items
+    read, and 354
+    ``Fraction.as_integer_ratio`` calls (11,598 while the search decoded
+    and index-tested every neighborhood of the name, and 35,910 while it
+    also turned once per emission of the name and the region converted
+    each patch's ends at each coverage test).  The bound on the asks of
+    the pairs has a margin of 50% over its count, the one on the
+    conversions 40%, those on the system's asks and items 2 and 10 over
+    theirs."""
     line = LineSpace()
     e = interval_ercs(line)
 
@@ -1190,7 +1310,25 @@ def test_compact_base_search_work_is_pinned():
     cursors, cursor = [], x.neighborhoods.cursor
     x.neighborhoods.cursor = lambda: cursors.append(cursor()) or cursors[-1]
     m = search(x)
+    stream = m._pairs._source
     m._pairs = pairs = _CountedReads(m._pairs)
+    covered_at, asks, items = [], [0], [0]
+    covered, swallowed_from = e.covered, e.swallowed_from
+
+    def counted_covered(region, kid):
+        covered_at.append(region.version)
+        return covered(region, kid)
+
+    def counted_items(listing):
+        for item in listing:
+            items[0] += 1
+            yield item
+
+    def counted_swallowed(region, s, limit):
+        asks[0] += 1
+        return counted_items(swallowed_from(region, s, limit))
+
+    e.covered, e.swallowed_from = counted_covered, counted_swallowed
     ratio, conversions = F.as_integer_ratio, [0]
 
     def counted_ratio(q):
@@ -1206,6 +1344,8 @@ def test_compact_base_search_work_is_pinned():
     assert cursors == [] and x.neighborhoods._stage == 0
     assert pairs.calls["next_emission"] <= 30, pairs.calls
     assert conversions[0] <= 500, conversions
+    assert [v for v in covered_at if v >= stream._region.version] == []
+    assert asks[0] <= 4 and items[0] <= 30, (asks, items)
 
 
 def _asks_first_inside(rng, label, sp, make_x, lane, codes, fuel):
